@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import default_config, load_config
-from .errors import ConfigError
+from .errors import CarfieldError, ConfigError
 from .suites import SUITE_ORDER, render_text, run_report
 
 
@@ -52,8 +52,10 @@ def main(argv: list[str] | None = None) -> int:
         if suites is not None and len(suites) == 0:
             print("warning: no suites selected; reporting a vacuous pass", file=sys.stderr)
         report = run_report(config, suites)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except CarfieldError as exc:
+        # exit 1 means "a check failed"; a run that cannot finish exits 2 in one line
+        kind = "configuration error" if isinstance(exc, ConfigError) else type(exc).__name__
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "json":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -21,6 +23,13 @@ from .modes import (
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
 
+def _require_finite(name: str, *values) -> None:
+    """Reject non-numbers and NaN or inf: a NaN residual slips through max()."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     mode: str = RAPIDITY_1D
@@ -31,6 +40,8 @@ class LatticeConfig:
     grid_spacing: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "delta_eta", "grid_spacing"):
+            _require_finite(name, getattr(self, name))
         if self.mode not in (RAPIDITY_1D, GRID_3D):
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
@@ -57,6 +68,8 @@ class ProfileConfig:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"profile kind must be one of {PROFILE_KINDS}")
+        for name in ("width", "center"):
+            _require_finite(name, getattr(self, name))
         if self.width <= 0:
             raise ConfigError(f"profile width must be positive, got {self.width}")
 
@@ -86,16 +99,22 @@ class RunConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.boost_steps == 0:
             raise ConfigError("boost steps must be nonzero")
+        if self.lattice.mode == RAPIDITY_1D and abs(self.boost_steps) > self.lattice.j_max:
+            raise ConfigError(f"|boost_steps| > j_max empties the interior, got {self.boost_steps}")
+        _require_finite("e0", self.e0)
         for name in ("displacement", "field_point"):
             value = tuple(getattr(self, name))
             if len(value) != 4:
                 raise ConfigError(f"{name} must be a 4-vector, got {value}")
+            _require_finite(name, *value)
             object.__setattr__(self, name, tuple(float(v) for v in value))
         for name in ("n_values_single", "n_values_double"):
             value = tuple(int(v) for v in getattr(self, name))
             if len(value) == 0 or value[0] < 1 or list(value) != sorted(value):
                 raise ConfigError(f"{name} must be ascending positive integers, got {value}")
             object.__setattr__(self, name, value)
+        if not {8, 64} <= set(self.n_values_single):  # the quarter checks compare these
+            raise ConfigError(f"n_values_single must contain 8 and 64, got {self.n_values_single}")
         if self.matrix_check_n < 1:
             raise ConfigError(f"matrix_check_n must be >= 1, got {self.matrix_check_n}")
 

@@ -21,10 +21,6 @@ class ConfigError(CarfieldError):
     """Invalid run or lattice configuration."""
 
 
-class BoundaryError(CarfieldError):
-    """A lattice transformation moved support off the lattice."""
-
-
 class PreconditionError(CarfieldError):
     """A mathematical precondition (e.g. special-unitarity) failed."""
 

@@ -12,6 +12,11 @@ Lattice kinds:
   weight deta per mode.  Closed under boosts by multiples of deta, which is
   what makes lattice-level Lorentz covariance exact.
 * grid3d: centered cubic grid with weights delta^3 / ((2 pi)^3 2 E).
+
+Single-oscillator operators are mode blocks sum_i |i><i - shift| x R_i, and
+`SingleOscillatorSpace.embed` assembles every one from its (M, 16, 16) stack
+of R_i.  `field_operator_spectral` keeps its own kron of diagonal multipliers
+on purpose: the field's dual-route check compares two independent routes.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import register as reg_mod
 from . import sparse, spinors
@@ -114,16 +120,20 @@ class SingleOscillatorSpace:
             [[t.neg[s].as4() for s in (0, 1)] for t in tables]
         )
 
-    def mode_matrix(self, i: int, j: int | None = None) -> SparseOperator:
-        """|i><j| on the mode factor."""
-        m = self.lattice.size
-        j = i if j is None else j
-        out = np.zeros((m, m), dtype=np.complex128)
-        out[i, j] = 1.0
-        return sparse.asoperator(out)
+    def embed(self, blocks: np.ndarray, shift: int = 0) -> SparseOperator:
+        """sum_i |i><i - shift| x blocks[i] from an (M, 16, 16) stack.
 
-    def embed(self, i: int, reg_op: SparseOperator) -> SparseOperator:
-        return sparse.tensor_product(self.mode_matrix(i), reg_op)
+        Blocks whose source mode i - shift is off the lattice are dropped.
+        """
+        m = self.lattice.size
+        blocks = np.asarray(blocks, dtype=np.complex128)
+        if blocks.shape != (m, REGISTER_DIM, REGISTER_DIM):
+            raise ShapeError(f"block stack must be ({m}, 16, 16), got {blocks.shape}")
+        src = np.arange(m) - shift
+        keep = (src >= 0) & (src < m)
+        indptr = np.concatenate(([0], np.cumsum(keep)))
+        out = sp.bsr_matrix((blocks[keep], src[keep], indptr), shape=(self.dim, self.dim))
+        return sparse.prune(out.tocsr())
 
     def parity(self) -> SparseOperator:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""
@@ -133,16 +143,29 @@ class SingleOscillatorSpace:
         return sparse.identity(self.dim)
 
 
+def mode_blocks(coeffs: np.ndarray, reg_ops: list[SparseOperator]) -> np.ndarray:
+    """The (M, 16, 16) stack sum_k coeffs[i, k] reg_ops[k] for embed.
+
+    Callers pass small-integer register operators on disjoint supports: each entry is exact.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    return sum(coeffs[:, k, None, None] * op.toarray() for k, op in enumerate(reg_ops))
+
+
+def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: SparseOperator) -> SparseOperator:
+    """(1/w_i) |i><i| x reg_op."""
+    coeffs = np.eye(space.lattice.size)[:, [i]] / space.lattice.weights[i]
+    return space.embed(mode_blocks(coeffs, [reg_op]))
+
+
 def mode_projector(space: SingleOscillatorSpace, i: int) -> SparseOperator:
     """Central element I_{p_i} = |p_i><p_i| x id = (1/w_i) |i><i| x id."""
-    w = space.lattice.weights[i]
-    return sparse.prune(space.embed(i, space.register.identity) / w)
+    return _one_mode(space, i, space.register.identity)
 
 
 def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: str) -> SparseOperator:
     """c_n(p_i, s) = |p_i><p_i| x c_s, normalized so {c, c'} = delta/w_i I_{p_i}."""
-    w = space.lattice.weights[i]
-    return sparse.prune(space.embed(i, space.register.ladder(species, spin)) / w)
+    return _one_mode(space, i, space.register.ladder(species, spin))
 
 
 def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> SparseOperator:
@@ -150,13 +173,8 @@ def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: st
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (space.lattice.size, 2):
         raise ShapeError(f"amplitude table must be ({space.lattice.size}, 2), got {f.shape}")
-    out = sparse.zeros(space.dim)
-    for i in range(space.lattice.size):
-        for s in (0, 1):
-            coeff = np.conj(f[i, s])
-            if coeff != 0:
-                out = out + coeff * space.embed(i, space.register.ladder(species, s))
-    return sparse.prune(out)
+    ladders = [space.register.ladder(species, s) for s in (0, 1)]
+    return space.embed(mode_blocks(np.conj(f), ladders))
 
 
 def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> SparseOperator:
@@ -176,19 +194,16 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
     if not 0 <= alpha < 4:
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    out = sparse.zeros(space.dim)
+    ann = [space.register.ladder(ann_species, s) for s in (0, 1)]
+    cre = [sparse.adjoint(space.register.ladder(cre_species, 1 - s)) for s in (0, 1)]
+    coeffs = np.zeros((space.lattice.size, 4), dtype=np.complex128)
     for i, p in enumerate(space.lattice.points):
         phase = np.exp(-1j * p.dot_point(x))
+        # scalar products: numpy's vectorized complex multiply can round differently
         for s in (0, 1):
-            cpos = space.pos_table[i, s, alpha] * phase
-            if cpos != 0:
-                out = out + cpos * space.embed(i, space.register.ladder(ann_species, s))
-            cneg = space.neg_table[i, s, alpha] * np.conj(phase)
-            if cneg != 0:
-                out = out + cneg * space.embed(
-                    i, sparse.adjoint(space.register.ladder(cre_species, 1 - s))
-                )
-    return sparse.prune(out)
+            coeffs[i, s] = space.pos_table[i, s, alpha] * phase
+            coeffs[i, 2 + s] = space.neg_table[i, s, alpha] * np.conj(phase)
+    return space.embed(mode_blocks(coeffs, ann + cre))
 
 
 def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,

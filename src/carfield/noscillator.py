@@ -83,33 +83,31 @@ def _check_matrix_dim(nreg: NRegister) -> None:
         )
 
 
-def extend_operator(nreg: NRegister, op: SparseOperator,
-                    twist: SparseOperator | None = None) -> SparseOperator:
-    """(1/sqrt N) sum over slots of twist^(k-1) x op x id^(N-k)."""
+def _slot_sum(nreg: NRegister, op: SparseOperator, twist: SparseOperator) -> SparseOperator:
+    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k)."""
     _check_matrix_dim(nreg)
     if op.shape != (nreg.factor_dim, nreg.factor_dim):
         raise ShapeError(f"operator must live on the single-oscillator space, got {op.shape}")
-    if twist is None:
-        twist = nreg.space.parity()
     ident = sparse.identity(nreg.factor_dim)
     total = sparse.zeros(nreg.dim)
     for k in range(nreg.n):
         factors = [twist] * k + [op] + [ident] * (nreg.n - k - 1)
         total = total + sparse.tensor_many(*factors)
-    return sparse.prune(total / np.sqrt(nreg.n))
+    return total
+
+
+def extend_operator(nreg: NRegister, op: SparseOperator,
+                    twist: SparseOperator | None = None) -> SparseOperator:
+    """(1/sqrt N) sum over slots of twist^(k-1) x op x id^(N-k)."""
+    if twist is None:
+        twist = nreg.space.parity()
+    return sparse.prune(_slot_sum(nreg, op, twist) / np.sqrt(nreg.n))
 
 
 def extend_additive(nreg: NRegister, op: SparseOperator, mean: bool = False) -> SparseOperator:
     """Untwisted sum over slots; with mean=True, divided by N (central elements)."""
-    _check_matrix_dim(nreg)
-    ident = sparse.identity(nreg.factor_dim)
-    total = sparse.zeros(nreg.dim)
-    for k in range(nreg.n):
-        factors = [ident] * k + [op] + [ident] * (nreg.n - k - 1)
-        total = total + sparse.tensor_many(*factors)
-    if mean:
-        total = total / nreg.n
-    return sparse.prune(total)
+    total = _slot_sum(nreg, op, sparse.identity(nreg.factor_dim))
+    return sparse.prune(total / nreg.n if mean else total)
 
 
 def extend_unitary(nreg: NRegister, u: SparseOperator) -> SparseOperator:

@@ -129,11 +129,3 @@ def max_abs(a) -> float:
     arr = np.asarray(a)
     return float(np.abs(arr).max()) if arr.size else 0.0
 
-
-def spectral_norm(a: SparseOperator) -> float:
-    if a.shape[0] > DENSE_EXP_LIMIT or a.shape[1] > DENSE_EXP_LIMIT:
-        raise SizeCapError("spectral norm computed densely; dimension too large")
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a)
-    if dense.size == 0:
-        return 0.0
-    return float(np.linalg.norm(dense, 2))

@@ -33,6 +33,7 @@ from .modes import (
     VacuumProfile,
     field_operator,
     mode_annihilator,
+    mode_blocks,
     vacuum_vector,
 )
 from .register import (
@@ -72,20 +73,9 @@ def _register_charge(space: SingleOscillatorSpace) -> np.ndarray:
 def four_momentum(space: SingleOscillatorSpace) -> list[SparseOperator]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
     reg = space.register
-    base = (
-        number_operator(reg, "b")
-        + number_operator(reg, "d")
-        - 2 * sparse.identity(REGISTER_DIM)
-    )
-    out = []
-    for a in range(4):
-        mat = sparse.zeros(space.dim)
-        for i, p in enumerate(space.lattice.points):
-            coeff = _lower_components(p)[a]
-            if coeff != 0:
-                mat = mat + coeff * space.embed(i, base)
-        out.append(sparse.prune(mat))
-    return out
+    base = number_operator(reg, "b") + number_operator(reg, "d") - 2 * sparse.identity(REGISTER_DIM)
+    coeffs = np.array([_lower_components(p) for p in space.lattice.points])
+    return [space.embed(mode_blocks(coeffs[:, a:a + 1], [base])) for a in range(4)]
 
 
 def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> SparseOperator:
@@ -115,21 +105,8 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
     wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
-    mixer = sparse.zeros(space.dim)
-    for j in range(lattice.size):
-        mixer = mixer + space.embed(j, quadratic_exponential(mixing_generator(wigner[j])))
-    shift = np.zeros((lattice.size, lattice.size))
-    js = lattice.j_values
-    for col, j in enumerate(js):
-        if j + steps in js:
-            shift[js.index(j + steps), col] = 1.0
-    shift_op = sparse.tensor_product(sparse.asoperator(shift), sparse.identity(REGISTER_DIM))
-    return BoostData(
-        steps=steps,
-        sl2c=lam,
-        wigner=wigner,
-        unitary=sparse.prune(mixer @ shift_op),
-    )
+    mixers = [quadratic_exponential(mixing_generator(u)).toarray() for u in wigner]
+    return BoostData(steps, lam, wigner, space.embed(np.array(mixers), shift=steps))
 
 
 def interior_projector(space: SingleOscillatorSpace, steps: int) -> SparseOperator:

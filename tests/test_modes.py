@@ -127,9 +127,11 @@ def test_vacuum_vector(default_space, default_profile):
 def test_embedding_and_parity(default_space):
     par = default_space.parity()
     assert sparse.max_abs(par @ par - default_space.identity()) == 0.0
-    op = default_space.embed(2, default_space.register.b_minus)
+    blocks = np.zeros((default_space.lattice.size, REGISTER_DIM, REGISTER_DIM), dtype=complex)
+    blocks[2] = default_space.register.b_minus.toarray()
+    op = default_space.embed(blocks)
     assert op.shape == (default_space.dim, default_space.dim)
-    # embed places the register operator in the i-th 16-dim diagonal block
+    # embed places block i in the i-th 16-dim diagonal block
     assert op[2 * REGISTER_DIM + 8, 2 * REGISTER_DIM + 0] == 1.0
     assert op[:REGISTER_DIM, :REGISTER_DIM].nnz == 0
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,11 +143,3 @@ def test_max_abs_variants():
     assert sparse.max_abs(np.array([1.0, -3.0])) == 3.0
     assert sparse.max_abs(sparse.asoperator(np.diag([2.0, -5.0]))) == 5.0
 
-
-def test_spectral_norm(rng):
-    a = _random_dense(rng, 5)
-    assert sparse.spectral_norm(sparse.asoperator(a)) == pytest.approx(
-        np.linalg.norm(a, 2)
-    )
-    with pytest.raises(SizeCapError):
-        sparse.spectral_norm(sp.identity(sparse.DENSE_EXP_LIMIT + 1, format="csr"))

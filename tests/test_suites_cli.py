@@ -183,6 +183,56 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _run_with_config(tmp_path, data, *args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return main(["--config", str(path), *args])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("data", [
+    # a NaN residual passes max(), so non-finite inputs would fake a pass
+    {"lattice": {"m": NAN}},
+    {"lattice": {"delta_eta": INF}},
+    {"lattice": {"mode": "grid3d", "grid_spacing": NAN}},
+    {"profile": {"width": INF}},
+    {"profile": {"width": "a"}},
+    {"profile": {"center": NAN}},
+    {"e0": NAN},
+    {"displacement": [NAN, 0, 0, 0]},
+    {"field_point": [0, 0, -INF, 0]},
+    # past j_max the interior projector is empty and covariance checks are vacuous
+    {"boost_steps": 7},
+    {"boost_steps": -7},
+    # the single-N quarter checks compare N = 8 with N = 64
+    {"n_values_single": [2, 4]},
+    {"n_values_single": [2, 8, 16]},
+])
+def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+    assert _run_with_config(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_config_accepts_boost_steps_up_to_j_max():
+    for steps in (6, -6):
+        assert RunConfig(boost_steps=steps).boost_steps == steps
+    grid = LatticeConfig(mode="grid3d")
+    assert RunConfig(lattice=grid, boost_steps=7).boost_steps == 7
+
+
+def test_cli_run_error_exits_2_with_one_line(tmp_path, capsys):
+    # (16 * 2)^5 exceeds the matrix size cap: the run stops, no check has failed
+    assert _run_with_config(tmp_path, {"matrix_check_n": 5}, "--suite", "n_oscillator") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SizeCapError:") and captured.err.count("\n") == 1
+
+
 def test_cli_reads_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 21, "lattice": {"j_max": 2}}))
