@@ -5,12 +5,13 @@ For each requested order M the script draws seeded random smearing
 amplitudes, evaluates <O_N| c(f_M)..c(f_1) c(g_1)'..c(g_M)' |O_N> for each
 N in the sweep list, and compares with det of the Z-weighted Gram matrix.
 On a one-mode lattice the evaluation is exact (rational arithmetic) and the
-deviation is identically zero at every N; with two modes the deviation
-decays like 1/N, which is the regime worth plotting.
+deviation is identically zero at every N; with two or three modes the
+deviation decays like 1/N, which is the regime worth plotting.
 
 Typical use:
 
     python3 scripts/determinant_limit_sweep.py --modes 2 --orders 2,3 --n 2,4,8,16
+    python3 scripts/determinant_limit_sweep.py --modes 3 --orders 2,3,4 --n 100,10000,1000000
     python3 scripts/determinant_limit_sweep.py --modes 1 --out sweep.json
 """
 
@@ -38,7 +39,7 @@ def build_space(modes: int) -> SingleOscillatorSpace:
         return SingleOscillatorSpace(rapidity_lattice(0, 0.4, 1.0))
     if modes == 2:
         return SingleOscillatorSpace(restricted_lattice(rapidity_lattice(1, 0.4, 1.0), (0, 2)))
-    raise SystemExit("the dense sweep supports 1 or 2 lattice modes")
+    return SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
 
 
 def main(argv=None) -> int:
@@ -47,8 +48,9 @@ def main(argv=None) -> int:
                         help="comma-separated product orders M (default 2,3)")
     parser.add_argument("--n", type=parse_int_list, default=[2, 4, 8, 16, 32, 64],
                         help="comma-separated oscillator numbers N (default 2,4,8,16,32,64)")
-    parser.add_argument("--modes", type=int, default=2, choices=(1, 2),
-                        help="lattice modes; 1 runs the exact-arithmetic path")
+    parser.add_argument("--modes", type=int, default=2, choices=(1, 2, 3),
+                        help="lattice modes; 1 runs the exact-arithmetic path, "
+                        "3 the full J = 1 rapidity lattice")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", help="write the records as JSON to this path")
     args = parser.parse_args(argv)
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
         gs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(m)]
         report = determinant_limit_convergence(space, profile, fs, gs, args.n)
         print(f"M={m}  limit={report.limit:.12g}  exact={report.exact}  "
-              f"monotone={report.monotone}  decay_ok={report.decay_ok}")
+              f"monotone={report.monotone}  final_ratio={report.final_ratio}")
         for rec in report.records:
             print(f"    N={rec.n:3d}  lhs={rec.lhs:.12g}  deviation={rec.deviation:.3e}")
             rows.append({

@@ -8,6 +8,8 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .modes import (
     GRID_3D,
@@ -30,6 +32,13 @@ def _require_finite(name: str, *values) -> None:
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
+def _require_int(name: str, *values) -> None:
+    """Reject non-integers, bool included: true would otherwise run as 1."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     mode: str = RAPIDITY_1D
@@ -42,10 +51,20 @@ class LatticeConfig:
     def __post_init__(self):
         for name in ("m", "delta_eta", "grid_spacing"):
             _require_finite(name, getattr(self, name))
+        for name in ("j_max", "grid_n"):
+            _require_int(name, getattr(self, name))
         if self.mode not in (RAPIDITY_1D, GRID_3D):
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
             raise ConfigError(f"mass must be positive, got {self.m}")
+        # e.g. delta_eta = 400: m sinh(j delta_eta) is inf, or its square overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                finite = all(np.isfinite(p.as_vector()).all() for p in self.build().points)
+            except OverflowError:
+                finite = False
+        if not finite:
+            raise ConfigError("lattice momenta overflow a float; reduce m, delta_eta or grid_spacing")
 
     def build(self) -> MomentumLattice:
         return build_lattice(
@@ -70,6 +89,7 @@ class ProfileConfig:
             raise ConfigError(f"profile kind must be one of {PROFILE_KINDS}")
         for name in ("width", "center"):
             _require_finite(name, getattr(self, name))
+        _require_int("index", self.index)
         if self.width <= 0:
             raise ConfigError(f"profile width must be positive, got {self.width}")
 
@@ -95,8 +115,12 @@ class RunConfig:
     matrix_check_n: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        for name in ("seed", "boost_steps", "matrix_check_n"):
+            _require_int(name, getattr(self, name))
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.profile.kind == "point" and not 0 <= self.profile.index < self.lattice.build().size:
+            raise ConfigError(f"point profile index must lie on the lattice, got {self.profile.index}")
         if self.boost_steps == 0:
             raise ConfigError("boost steps must be nonzero")
         if self.lattice.mode == RAPIDITY_1D and abs(self.boost_steps) > self.lattice.j_max:
@@ -109,7 +133,8 @@ class RunConfig:
             _require_finite(name, *value)
             object.__setattr__(self, name, tuple(float(v) for v in value))
         for name in ("n_values_single", "n_values_double"):
-            value = tuple(int(v) for v in getattr(self, name))
+            value = tuple(getattr(self, name))
+            _require_int(name, *value)
             if len(value) == 0 or value[0] < 1 or list(value) != sorted(value):
                 raise ConfigError(f"{name} must be ascending positive integers, got {value}")
             object.__setattr__(self, name, value)

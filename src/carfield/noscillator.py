@@ -16,15 +16,20 @@ products:
 * an occupancy-pattern walk that never forms the N-fold space.  The walk
   tracks, per product vacuum, the multiset of slots whose local state has
   been modified, exploiting that all slots are exchangeable.  It is exact
-  up to rounding for any N, and on one-mode lattices it can run in exact
-  rational arithmetic (every amplitude float is a dyadic rational), which
-  matters because there the finite-N matrix element equals the limiting
-  determinant identically and float noise would otherwise mask the
-  equality.
+  up to rounding for any N and any lattice, and on one-mode lattices it can
+  run in exact rational arithmetic (every amplitude float is a dyadic
+  rational), which matters because there the finite-N matrix element
+  equals the limiting determinant identically and float noise would
+  otherwise mask the equality.
+
+The walk's one budget is PATTERN_CAP (patterns and local states).  The float
+path also stops once comb(N, k) leaves the float range, near N = 10^154 for
+an order-2 overlap; the exact path has no N limit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,9 +56,6 @@ from .modes import (
 from .register import REGISTER_DIM, VACUUM_INDEX, build_register
 from .sparse import MAX_DIM, SparseOperator
 
-STATE_PATH_MAX_N = 64
-STATE_PATH_MAX_MODES = 2
-MAX_PRODUCT_OPS = 8
 MAX_SLATER_ORDER = 8
 PATTERN_CAP = 500_000
 
@@ -77,9 +79,10 @@ class NRegister:
 
 
 def _check_matrix_dim(nreg: NRegister) -> None:
-    if nreg.dim > MAX_DIM:
+    # 16 M >= 2, so N >= bit_length(MAX_DIM) exceeds the cap without forming (16 M)^N
+    if nreg.n >= MAX_DIM.bit_length() or nreg.dim > MAX_DIM:
         raise SizeCapError(
-            f"(16 M)^N = {nreg.dim} exceeds cap {MAX_DIM}; use the state-level path"
+            f"(16 M)^N exceeds cap {MAX_DIM} at 16 M = {nreg.factor_dim}; reduce N"
         )
 
 
@@ -182,22 +185,24 @@ def _perm_sign(sigma: tuple[int, ...]) -> int:
     return sign
 
 
+def _permutation_sum(gram, scalar):
+    """Signed sum over permutations of products gram[k][sigma k], in `scalar` arithmetic."""
+    m = len(gram)
+    if not 1 <= m <= MAX_SLATER_ORDER:
+        raise PreconditionError(f"permutation sum limited to order {MAX_SLATER_ORDER}")
+    total = scalar(0)
+    for sigma in permutations(range(m)):
+        term = scalar(_perm_sign(sigma))
+        for k in range(m):
+            term = term * gram[k][sigma[k]]
+        total = total + term
+    return total
+
+
 def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
                  fs: list[np.ndarray], gs: list[np.ndarray]) -> complex:
     """Signed permutation sum over Z-products, i.e. det of the Gram matrix."""
-    if len(fs) != len(gs):
-        raise ShapeError(f"need equal list lengths, got {len(fs)} and {len(gs)}")
-    m = len(fs)
-    if not 1 <= m <= MAX_SLATER_ORDER:
-        raise PreconditionError(f"permutation sum limited to order {MAX_SLATER_ORDER}")
-    gram = gram_matrix(lattice, profile, fs, gs)
-    total = 0.0 + 0j
-    for sigma in permutations(range(m)):
-        term = complex(_perm_sign(sigma))
-        for k in range(m):
-            term *= gram[k, sigma[k]]
-        total += term
-    return total
+    return _permutation_sum(gram_matrix(lattice, profile, fs, gs), complex)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +240,16 @@ class _ExactComplex:
     def conjugate(self):
         return _ExactComplex(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
 
     def div_int(self, n: int) -> "_ExactComplex":
         return _ExactComplex(self.re / n, self.im / n)
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def magnitude(self) -> float:
+    def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
 
 
@@ -282,20 +287,14 @@ _LADDER_MAPS, _PARITY_MAP = _build_ladder_maps()
 
 def _validate_state_path(nreg: NRegister, ops: list[OpSpec]) -> None:
     modes = nreg.space.lattice.size
-    if nreg.n > STATE_PATH_MAX_N:
-        raise ResourceLimitError(f"state path capped at N = {STATE_PATH_MAX_N}; reduce N")
-    if modes > STATE_PATH_MAX_MODES:
-        raise ResourceLimitError(
-            f"state path capped at {STATE_PATH_MAX_MODES} lattice modes; reduce the lattice"
-        )
-    if len(ops) > MAX_PRODUCT_OPS:
-        raise PreconditionError(f"operator products capped at {MAX_PRODUCT_OPS} factors")
     for spec in ops:
         amp = np.asarray(spec.amplitude)
         if amp.shape != (modes, 2):
             raise ShapeError(f"amplitude table must be ({modes}, 2), got {amp.shape}")
         if spec.species not in ("b", "d"):
             raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
+        if not np.all(np.isfinite(amp)):
+            raise PreconditionError("amplitude table must be finite")
 
 
 def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
@@ -322,9 +321,6 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
         root_coeff = [
             complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
         ]
-
-    def is_zero(x) -> bool:
-        return x.is_zero() if exact else (x == 0)
 
     # per op: coefficient tables coeffs[i][s] and register column maps per spin
     op_table = []
@@ -364,7 +360,7 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
                     term = coeffs[i][s] * sign * val
                     acc = out.get((i, row))
                     acc = term if acc is None else acc + term
-                    if is_zero(acc):
+                    if not acc:
                         out.pop((i, row), None)
                     else:
                         out[(i, row)] = acc
@@ -394,7 +390,7 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
         def accumulate(key, value):
             acc = next_patterns.get(key)
             acc = value if acc is None else acc + value
-            if is_zero(acc):
+            if not acc:
                 next_patterns.pop(key, None)
             else:
                 next_patterns[key] = acc
@@ -432,36 +428,40 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
             val = vec.get((i, VACUUM_INDEX))
             if val is None:
                 continue
-            if exact:
-                total = total + root_coeff[i].conjugate() * val
-            else:
-                total = total + np.conj(root_coeff[i]) * val
+            total = total + root_coeff[i].conjugate() * val
         return total
 
-    total = zero
-    for key, amp in patterns.items():
-        count = len(key)
-        if count > n:
-            continue  # more modified slots than available factors
-        term = amp * math.comb(n, count)
-        for sid in key:
-            if is_zero(term):
-                break
-            term = term * contract_with_root(sid)
-        total = total + term
-
-    # deferred 1/sqrt(N) normalizations, one per operator factor
     nops = len(ops)
     half, odd = divmod(nops, 2)
-    if exact:
-        if odd and not total.is_zero():
-            # register parity forces odd products to vanish on the vacuum
-            raise PreconditionError("odd operator product gave a nonzero exact value")
-        return total.div_int(n**half) if half else total
-    scale = 1.0 / n**half
-    if odd:
-        scale /= math.sqrt(n)
-    return total * scale
+    try:
+        total = zero
+        for key, amp in patterns.items():
+            count = len(key)
+            if count > n:
+                continue  # more modified slots than available factors
+            term = amp * math.comb(n, count)
+            for sid in key:
+                if not term:
+                    break
+                term = term * contract_with_root(sid)
+            total = total + term
+
+        # deferred 1/sqrt(N) normalizations, one per operator factor
+        if exact:
+            if odd and total:
+                # register parity forces odd products to vanish on the vacuum
+                raise PreconditionError("odd operator product gave a nonzero exact value")
+            return total.div_int(n**half) if half else total
+        scale = 1.0 / n**half
+        if odd:
+            scale /= math.sqrt(n)
+        value = total * scale
+    except OverflowError:  # comb(N, k) or N^(M/2) past the float range
+        value = complex("inf")
+    if not cmath.isfinite(value):
+        # finite amplitudes leave only the binomial weights comb(N, k) to overflow
+        raise ResourceLimitError("the float walk overflowed; reduce N or the amplitudes")
+    return value
 
 
 def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
@@ -474,39 +474,18 @@ def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
     extended operator branches every pattern into (insert at a fresh slot,
     grading applied to all slots left of it) and (update a modified slot,
     ditto); the 1/sqrt(N) normalizations are deferred and applied once at
-    the end.  Local states are memoized, so cost is independent of N.
+    the end.  Local states are memoized, so on the float path cost is
+    independent of N; on the exact path the rationals grow with N.
     """
-    value = _state_walk(nreg, profile, ops, exact)
-    return value.to_complex() if exact else complex(value)
+    return complex(_state_walk(nreg, profile, ops, exact))
 
 
 def _gram_exact(fs: list[np.ndarray], gs: list[np.ndarray]) -> list[list[_ExactComplex]]:
     """Gram matrix on a normalized one-mode lattice, where w Z = 1 exactly."""
-    m = len(fs)
-    out = []
-    for k in range(m):
-        row = []
-        fk = np.asarray(fs[k], dtype=np.complex128)
-        for j in range(m):
-            gj = np.asarray(gs[j], dtype=np.complex128)
-            acc = _ExactComplex(0)
-            for s in (0, 1):
-                acc = acc + _lift_exact(fk[0, s]).conjugate() * _lift_exact(gj[0, s])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _slater_exact(fs: list[np.ndarray], gs: list[np.ndarray]) -> _ExactComplex:
-    m = len(fs)
-    gram = _gram_exact(fs, gs)
-    total = _ExactComplex(0)
-    for sigma in permutations(range(m)):
-        term = _ExactComplex(_perm_sign(sigma))
-        for k in range(m):
-            term = term * gram[k][sigma[k]]
-        total = total + term
-    return total
+    f_rows = [[_lift_exact(z).conjugate() for z in np.asarray(f, dtype=np.complex128)[0]]
+              for f in fs]
+    g_rows = [[_lift_exact(z) for z in np.asarray(g, dtype=np.complex128)[0]] for g in gs]
+    return [[fk[0] * gj[0] + fk[1] * gj[1] for gj in g_rows] for fk in f_rows]
 
 
 def overlap_product_ops(fs: list[np.ndarray], gs: list[np.ndarray],
@@ -539,19 +518,15 @@ class ConvergenceReport:
     records: tuple[ConvergenceRecord, ...]
     monotone: bool
     final_ratio: float | None
-    decay_ok: bool
     exact: bool
 
     def deviations(self) -> list[float]:
         return [r.deviation for r in self.records]
 
 
-DECAY_CONSTANT = 4.0
-
-
 def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumProfile,
                          fs: list[np.ndarray], gs: list[np.ndarray],
-                         n_list: list[int], exact: bool | None = None) -> ConvergenceReport:
+                         n_list: list[int]) -> ConvergenceReport:
     """Finite-N matrix elements against the determinant limit, per N.
 
     On one-mode lattices the evaluation runs in exact rational arithmetic
@@ -559,48 +534,41 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     is a scalar, the smeared operators satisfy the canonical relations on
     the nose, and the two sides coincide identically at every finite N, so
     float noise would otherwise produce spurious non-monotone deviation
-    sequences.
+    sequences.  Any other lattice runs the float walk.
     """
     if len(fs) != len(gs):
         raise ShapeError(f"need equal list lengths, got {len(fs)} and {len(gs)}")
     m = len(fs)
-    if not 1 <= m <= 4:
-        raise PreconditionError(f"convergence reports limited to order 1..4, got {m}")
     if list(n_list) != sorted(n_list) or len(n_list) == 0 or n_list[0] < 1:
         raise ConfigError("n_list must be a nonempty ascending list of positive integers")
     lattice = space.lattice
-    if exact is None:
-        exact = lattice.size == 1
+    exact = lattice.size == 1
     ops = overlap_product_ops(fs, gs)
 
     if exact:
-        limit_value = _slater_exact(fs, gs)
-        limit = limit_value.to_complex()
+        limit_value = _permutation_sum(_gram_exact(fs, gs), _ExactComplex)
     else:
-        limit = slater_limit(lattice, profile, fs, gs)
+        limit_value = slater_limit(lattice, profile, fs, gs)
+    limit = complex(limit_value)
 
     records = []
     for n in n_list:
         nreg = NRegister(space, n)
         if exact:
-            lhs_value = _state_walk(nreg, None, ops, exact=True)
-            deviation = (lhs_value - limit_value).magnitude()
-            lhs = lhs_value.to_complex()
+            value = _state_walk(nreg, None, ops, exact=True)
         else:
-            lhs = vacuum_matrix_element(nreg, profile, ops)
-            deviation = abs(lhs - limit)
-        records.append(ConvergenceRecord(m=m, n=n, lhs=lhs, limit=limit, deviation=deviation))
+            value = vacuum_matrix_element(nreg, profile, ops)
+        records.append(ConvergenceRecord(m=m, n=n, lhs=complex(value), limit=limit,
+                                         deviation=abs(value - limit_value)))
 
     devs = [r.deviation for r in records]
     monotone = all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))
     final_ratio = devs[-1] / devs[0] if devs[0] != 0 else None
-    decay_ok = devs[-1] <= DECAY_CONSTANT / n_list[-1] * devs[0]
     return ConvergenceReport(
         m=m,
         limit=limit,
         records=tuple(records),
         monotone=monotone,
         final_ratio=final_ratio,
-        decay_ok=decay_ok,
         exact=exact,
     )

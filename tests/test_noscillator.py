@@ -1,4 +1,4 @@
-"""N-fold extension: matrix path vs pattern walk, limits, and resource caps.
+"""N-fold extension: matrix path vs pattern walk, limits, and the walk's budget.
 
 The pattern walk is the load-bearing piece of the package, so it gets the
 densest coverage: agreement with explicit tensor matrices wherever those
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carfield import sparse
+from carfield import noscillator, sparse
 from carfield.errors import (
     ConfigError,
     PreconditionError,
@@ -26,9 +26,7 @@ from carfield.modes import (
     uniform_profile,
 )
 from carfield.noscillator import (
-    MAX_PRODUCT_OPS,
-    STATE_PATH_MAX_MODES,
-    STATE_PATH_MAX_N,
+    MAX_SLATER_ORDER,
     NRegister,
     OpSpec,
     extend_additive,
@@ -192,18 +190,55 @@ def test_exact_path_needs_one_mode(double_space, double_profile, rng):
         vacuum_matrix_element(NRegister(double_space, 2), double_profile, ops, exact=True)
 
 
-def test_resource_caps(single_space, double_space, single_profile, rng):
-    ops = _random_ops(rng, 1, 2)
+@pytest.mark.parametrize("j_max", [1, 2])
+def test_walk_matches_matrices_beyond_two_modes(rng, j_max):
+    # the full J = 1 and J = 2 rapidity lattices: 3 and 5 modes
+    space = SingleOscillatorSpace(rapidity_lattice(j_max, 0.4, 1.0))
+    profile = uniform_profile(space.lattice)
+    nreg = NRegister(space, 2)
+    for count in (2, 4):
+        ops = _random_ops(rng, space.lattice.size, count)
+        walk = vacuum_matrix_element(nreg, profile, ops)
+        explicit = vacuum_matrix_element_matrix(nreg, profile, ops)
+        assert abs(walk - explicit) <= 1e-12
+
+
+def test_three_mode_deviation_decays_to_large_n(rng):
+    space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
+    profile = uniform_profile(space.lattice)
+    fs = [random_table(rng, 3) for _ in range(2)]
+    gs = [random_table(rng, 3) for _ in range(2)]
+    rep = determinant_limit_convergence(space, profile, fs, gs, [10**4, 10**6])
+    assert not rep.exact
+    assert rep.final_ratio == pytest.approx(1e-2, rel=0.01)
+
+
+def test_pattern_budget(monkeypatch, single_space, single_profile, rng):
+    ops = overlap_product_ops([random_table(rng, 1) for _ in range(2)],
+                              [random_table(rng, 1) for _ in range(2)])
+    nreg = NRegister(single_space, 4)
+    vacuum_matrix_element(nreg, single_profile, ops)
+    monkeypatch.setattr(noscillator, "PATTERN_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        vacuum_matrix_element(NRegister(single_space, STATE_PATH_MAX_N + 1), single_profile, ops)
-    wide = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
-    assert wide.lattice.size > STATE_PATH_MAX_MODES
+        vacuum_matrix_element(nreg, single_profile, ops)
+
+
+def test_float_walk_overflow(single_space, single_profile, double_space, double_profile, rng):
+    fs = [random_table(rng, 1) for _ in range(2)]
+    gs = [random_table(rng, 1) for _ in range(2)]
+    ops = overlap_product_ops(fs, gs)
+    huge = NRegister(single_space, 10**200)
     with pytest.raises(ResourceLimitError):
-        vacuum_matrix_element(NRegister(wide, 2), uniform_profile(wide.lattice),
-                              _random_ops(rng, 3, 2))
-    too_many = _random_ops(rng, 1, MAX_PRODUCT_OPS + 1)
-    with pytest.raises(PreconditionError):
-        vacuum_matrix_element(NRegister(single_space, 2), single_profile, too_many)
+        vacuum_matrix_element(huge, single_profile, ops)
+    # the exact walk has no N limit and still sits on the determinant
+    got = vacuum_matrix_element(huge, None, ops, exact=True)
+    assert abs(got - slater_limit(single_space.lattice, single_profile, fs, gs)) < 1e-12
+    # comb(10^76, 4) fits a float, but times these amplitudes it overflows to
+    # inf without an OverflowError
+    ops4 = overlap_product_ops([random_table(rng, 2) * 1e3 for _ in range(4)],
+                               [random_table(rng, 2) * 1e3 for _ in range(4)])
+    with pytest.raises(ResourceLimitError):
+        vacuum_matrix_element(NRegister(double_space, 10**76), double_profile, ops4)
 
 
 def test_opspec_validation(single_space, single_profile, rng):
@@ -212,6 +247,8 @@ def test_opspec_validation(single_space, single_profile, rng):
         vacuum_matrix_element(nreg, single_profile, [OpSpec(np.zeros((2, 2)), "b", False)])
     with pytest.raises(ShapeError):
         vacuum_matrix_element(nreg, single_profile, [OpSpec(np.zeros((1, 2)), "x", False)])
+    with pytest.raises(PreconditionError):
+        vacuum_matrix_element(nreg, single_profile, [OpSpec(np.full((1, 2), np.nan), "b", False)])
 
 
 # --- scalar products and limits
@@ -272,7 +309,8 @@ def test_convergence_report_validation(single_space, single_profile, rng):
     with pytest.raises(ConfigError):
         determinant_limit_convergence(single_space, single_profile, f, g, [])
     with pytest.raises(PreconditionError):
-        determinant_limit_convergence(single_space, single_profile, f * 5, g * 5, [2])
+        determinant_limit_convergence(single_space, single_profile, f * (MAX_SLATER_ORDER + 1),
+                                      g * (MAX_SLATER_ORDER + 1), [2])
     with pytest.raises(ShapeError):
         determinant_limit_convergence(single_space, single_profile, f, g * 2, [2])
 
@@ -298,7 +336,6 @@ def test_two_mode_deviation_decays(double_space, double_profile, rng):
     devs = rep.deviations()
     assert devs[0] > 0
     assert rep.monotone
-    assert rep.decay_ok
     # halving N should roughly double the deviation (1/N convergence)
     assert devs[-1] == pytest.approx(devs[0] / 4, rel=0.5)
 

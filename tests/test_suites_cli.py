@@ -209,6 +209,22 @@ NAN, INF = float("nan"), float("inf")
     # the single-N quarter checks compare N = 8 with N = 64
     {"n_values_single": [2, 4]},
     {"n_values_single": [2, 8, 16]},
+    # off-lattice point index, momenta that overflow a float, and bools or
+    # floats where an integer belongs
+    {"profile": {"kind": "point", "index": 99}},
+    {"profile": {"kind": "point", "index": -1}},
+    {"lattice": {"delta_eta": 400}},
+    {"lattice": {"delta_eta": 800, "j_max": 1}},
+    {"lattice": {"m": 1e160}},
+    {"lattice": {"mode": "grid3d", "grid_spacing": 1e200}},
+    {"seed": True},
+    {"lattice": {"j_max": True}},
+    {"lattice": {"mode": "grid3d", "grid_n": 2.0}},
+    {"profile": {"index": False}},
+    {"boost_steps": 1.5},
+    {"matrix_check_n": True},
+    {"n_values_single": [2, 8, 64, True]},
+    {"n_values_double": [2, 4.0]},
 ])
 def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
     with pytest.raises(ConfigError):
@@ -226,11 +242,20 @@ def test_config_accepts_boost_steps_up_to_j_max():
 
 
 def test_cli_run_error_exits_2_with_one_line(tmp_path, capsys):
-    # (16 * 2)^5 exceeds the matrix size cap: the run stops, no check has failed
-    assert _run_with_config(tmp_path, {"matrix_check_n": 5}, "--suite", "n_oscillator") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("SizeCapError:") and captured.err.count("\n") == 1
+    # the run stops, no check has failed
+    for data, kind in (
+        # (16 * 2)^5 exceeds the matrix size cap
+        ({"matrix_check_n": 5}, "SizeCapError"),
+        # a message that printed (16 * 2)^3000 broke the int-to-str digit limit
+        ({"matrix_check_n": 3000}, "SizeCapError"),
+        # comb(10^200, 2) is past the float range of the walk
+        ({"n_values_double": [2, 4, 10**200]}, "ResourceLimitError"),
+    ):
+        assert _run_with_config(tmp_path, data, "--suite", "n_oscillator") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{kind}:") and captured.err.count("\n") == 1
+        assert len(captured.err) < 120
 
 
 def test_cli_reads_config_file(tmp_path):
