@@ -153,6 +153,8 @@ class RunConfig:
 
 
 def _from_mapping(cls, data: dict, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
@@ -164,10 +166,12 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
     data = dict(data)
-    lattice = _from_mapping(LatticeConfig, dict(data.pop("lattice", {})), "lattice")
-    profile = _from_mapping(ProfileConfig, dict(data.pop("profile", {})), "profile")
+    lattice = _from_mapping(LatticeConfig, data.pop("lattice", {}), "lattice")
+    profile = _from_mapping(ProfileConfig, data.pop("profile", {}), "profile")
     for name in ("displacement", "field_point", "n_values_single", "n_values_double"):
         if name in data:
+            if not isinstance(data[name], (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {type(data[name]).__name__}")
             data[name] = tuple(data[name])
     allowed = {f.name for f in fields(RunConfig)} - {"lattice", "profile"}
     unknown = set(data) - allowed
@@ -179,12 +183,14 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a malformed document, an integer past the int-to-str digit limit,
+        # or nesting deeper than the decoder's recursion limit
+        raise ConfigError(f"config file {path} cannot be parsed as JSON: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -15,12 +15,16 @@ products:
 * explicit matrices, capped at total dimension (16 M)^N <= 2^20;
 * an occupancy-pattern walk that never forms the N-fold space.  The walk
   tracks, per product vacuum, the multiset of slots whose local state has
-  been modified, exploiting that all slots are exchangeable.  It is exact
-  up to rounding for any N and any lattice, and on one-mode lattices it can
-  run in exact rational arithmetic (every amplitude float is a dyadic
-  rational), which matters because there the finite-N matrix element
-  equals the limiting determinant identically and float noise would
-  otherwise mask the equality.
+  been modified, exploiting that all slots are exchangeable.  Nothing in
+  the walk depends on N: N enters only through the binomial weight of each
+  pattern and the deferred normalization, so one walk serves every N.  It
+  is exact up to rounding for any N and any lattice, and on one-mode
+  lattices it can run in exact arithmetic (every amplitude float is a
+  dyadic rational), which matters because there the finite-N matrix
+  element equals the limiting determinant identically and float noise
+  would otherwise mask the equality.  The exact path lifts each amplitude
+  table once to Gaussian integers over a power of two, runs in integers,
+  and divides once at the end.
 
 The walk's one budget is PATTERN_CAP (patterns and local states).  The float
 path also stops once comb(N, k) leaves the float range, near N = 10^154 for
@@ -210,13 +214,13 @@ def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
 
 
 class _ExactComplex:
-    """Complex number over exact rationals; floats convert losslessly."""
+    """Complex number with exact parts: Python ints (a Gaussian integer) or Fractions."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re
+        self.im = im
 
     def __add__(self, other):
         return _ExactComplex(self.re + other.re, self.im + other.im)
@@ -234,17 +238,11 @@ class _ExactComplex:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return _ExactComplex(-self.re, -self.im)
-
     def conjugate(self):
         return _ExactComplex(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
-
-    def div_int(self, n: int) -> "_ExactComplex":
-        return _ExactComplex(self.re / n, self.im / n)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -253,8 +251,23 @@ class _ExactComplex:
         return math.hypot(float(self.re), float(self.im))
 
 
-def _lift_exact(z: complex) -> _ExactComplex:
-    return _ExactComplex(Fraction(float(np.real(z))), Fraction(float(np.imag(z))))
+def _dyadic_lift(values) -> tuple[list[_ExactComplex], int]:
+    """Gaussian integers m_k and one shift t >= 0 with values[k] == m_k / 2**t exactly.
+
+    Every finite float is p / 2**e with integer p, so a table of them shares
+    the largest e as one power of two.
+    """
+    ratios = [(float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio())
+              for z in values]
+    shift = max(q.bit_length() - 1 for pair in ratios for _, q in pair)
+    full = 1 << shift
+    return [_ExactComplex(p_re * (full // q_re), p_im * (full // q_im))
+            for (p_re, q_re), (p_im, q_im) in ratios], shift
+
+
+def _exact_quotient(num: _ExactComplex, den: int) -> _ExactComplex:
+    """The exact rational num / den: the one division of an exact result."""
+    return _ExactComplex(Fraction(num.re, den), Fraction(num.im, den))
 
 
 def _column_map(mat: SparseOperator) -> dict[int, tuple[int, int]]:
@@ -285,8 +298,8 @@ def _build_ladder_maps():
 _LADDER_MAPS, _PARITY_MAP = _build_ladder_maps()
 
 
-def _validate_state_path(nreg: NRegister, ops: list[OpSpec]) -> None:
-    modes = nreg.space.lattice.size
+def _validate_state_path(space: SingleOscillatorSpace, ops: list[OpSpec]) -> None:
+    modes = space.lattice.size
     for spec in ops:
         amp = np.asarray(spec.amplitude)
         if amp.shape != (modes, 2):
@@ -297,19 +310,30 @@ def _validate_state_path(nreg: NRegister, ops: list[OpSpec]) -> None:
             raise PreconditionError("amplitude table must be finite")
 
 
-def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
-                ops: list[OpSpec], exact: bool):
-    """Core pattern walk; returns complex, or _ExactComplex when exact."""
-    _validate_state_path(nreg, ops)
-    lattice = nreg.space.lattice
+class _Walk(NamedTuple):
+    """The N-independent result of a pattern walk, ready to evaluate at any N."""
+
+    nops: int
+    exact: bool
+    # float path: (amplitude, root contraction of each slot) per pattern, in walk order
+    terms: list
+    # exact path: per pattern size k, the Gaussian-integer sum of the terms of
+    # that size; every term carries the same factor 2**-shift
+    sizes: list
+    shift: int
+
+
+def _pattern_walk(space: SingleOscillatorSpace, profile: VacuumProfile | None,
+                  ops: list[OpSpec], exact: bool) -> _Walk:
+    """Walk the occupancy patterns of a product; nothing here depends on N."""
+    _validate_state_path(space, ops)
+    lattice = space.lattice
     modes = lattice.size
-    n = nreg.n
 
     if exact:
         if modes != 1:
             raise PreconditionError("exact rational path requires a one-mode lattice")
         zero, one = _ExactComplex(0), _ExactComplex(1)
-        lift = _lift_exact
         # sqrt(w) O is a pure phase by normalization and cancels between bra
         # and ket, so the per-factor vacuum coefficient is fixed to 1
         root_coeff = [one]
@@ -317,19 +341,23 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
         if profile is None:
             raise PreconditionError("float path needs a vacuum profile")
         zero, one = 0.0 + 0j, 1.0 + 0j
-        lift = complex
         root_coeff = [
             complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
         ]
 
-    # per op: coefficient tables coeffs[i][s] and register column maps per spin
+    # per op: coefficient tables coeffs[i][s] and register column maps per spin;
+    # exact tables are Gaussian integers, op j's scaled by 2**shift_j
     op_table = []
+    shift = 0
     for spec in ops:
         amp = np.asarray(spec.amplitude, dtype=np.complex128)
-        coeffs = [
-            [lift(amp[i, s]) if spec.dagger else lift(np.conj(amp[i, s])) for s in (0, 1)]
-            for i in range(modes)
-        ]
+        table = amp if spec.dagger else np.conj(amp)
+        if exact:
+            row, op_shift = _dyadic_lift(table[0])
+            coeffs = [row]
+            shift += op_shift
+        else:
+            coeffs = [[complex(table[i, s]) for s in (0, 1)] for i in range(modes)]
         maps = tuple(_LADDER_MAPS[(spec.species, s, spec.dagger)] for s in (0, 1))
         op_table.append((coeffs, maps))
 
@@ -418,11 +446,10 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
         patterns = next_patterns
         if len(patterns) > PATTERN_CAP or len(states) > PATTERN_CAP:
             raise ResourceLimitError(
-                "state path exceeded the pattern budget; reduce the order M or the copy number N"
+                "state path exceeded the pattern budget; reduce the order M or the lattice modes"
             )
 
-    def contract_with_root(state_id: int):
-        vec = states[state_id]
+    def contract_with_root(vec: dict):
         total = zero
         for i in range(modes):
             val = vec.get((i, VACUUM_INDEX))
@@ -431,27 +458,50 @@ def _state_walk(nreg: NRegister, profile: VacuumProfile | None,
             total = total + root_coeff[i].conjugate() * val
         return total
 
-    nops = len(ops)
-    half, odd = divmod(nops, 2)
+    roots = [contract_with_root(vec) for vec in states]
+    if not exact:
+        terms = [(amp, tuple(roots[sid] for sid in key)) for key, amp in patterns.items()]
+        return _Walk(len(ops), False, terms, [], 0)
+    # every op acted on exactly one slot of each pattern, so every term
+    # carries the same power of two, 2**-shift
+    sizes = [zero] * (len(ops) + 1)
+    for key, amp in patterns.items():
+        term = amp
+        for sid in key:
+            if not term:
+                break
+            term = term * roots[sid]
+        sizes[len(key)] = sizes[len(key)] + term
+    return _Walk(len(ops), True, [], sizes, shift)
+
+
+def _evaluate_walk(walk: _Walk, n: int):
+    """The walk's matrix element at N copies: complex, or an exact rational _ExactComplex."""
+    half, odd = divmod(walk.nops, 2)
+    if walk.exact:
+        total = _ExactComplex(0)
+        for count, size_sum in enumerate(walk.sizes):
+            # comb(N, k) = 0 drops patterns with more modified slots than factors
+            total = total + size_sum * math.comb(n, count)
+        if odd and total:
+            # register parity forces odd products to vanish on the vacuum
+            raise PreconditionError("odd operator product gave a nonzero exact value")
+        # the dyadic scale and the deferred 1/sqrt(N) per operator factor
+        return _exact_quotient(total, n**half << walk.shift)
     try:
-        total = zero
-        for key, amp in patterns.items():
-            count = len(key)
+        total = 0.0 + 0j
+        for amp, roots in walk.terms:
+            count = len(roots)
             if count > n:
                 continue  # more modified slots than available factors
             term = amp * math.comb(n, count)
-            for sid in key:
+            for root in roots:
                 if not term:
                     break
-                term = term * contract_with_root(sid)
+                term = term * root
             total = total + term
 
         # deferred 1/sqrt(N) normalizations, one per operator factor
-        if exact:
-            if odd and total:
-                # register parity forces odd products to vanish on the vacuum
-                raise PreconditionError("odd operator product gave a nonzero exact value")
-            return total.div_int(n**half) if half else total
         scale = 1.0 / n**half
         if odd:
             scale /= math.sqrt(n)
@@ -473,19 +523,28 @@ def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
     modified per-slot local states with an amplitude each.  Applying one
     extended operator branches every pattern into (insert at a fresh slot,
     grading applied to all slots left of it) and (update a modified slot,
-    ditto); the 1/sqrt(N) normalizations are deferred and applied once at
-    the end.  Local states are memoized, so on the float path cost is
-    independent of N; on the exact path the rationals grow with N.
+    ditto).  N enters only at the end, through the binomial weight
+    comb(N, k) of a pattern with k modified slots and the deferred 1/sqrt(N)
+    per factor, so one walk serves every N.  The exact path runs in Gaussian
+    integers, each amplitude table lifted once to integers over a power of
+    two 2^e_j; it sums the terms by pattern size and divides once, by
+    2^(sum e_j) N^(K // 2) for K factors.
     """
-    return complex(_state_walk(nreg, profile, ops, exact))
+    return complex(_evaluate_walk(_pattern_walk(nreg.space, profile, ops, exact), nreg.n))
 
 
-def _gram_exact(fs: list[np.ndarray], gs: list[np.ndarray]) -> list[list[_ExactComplex]]:
-    """Gram matrix on a normalized one-mode lattice, where w Z = 1 exactly."""
-    f_rows = [[_lift_exact(z).conjugate() for z in np.asarray(f, dtype=np.complex128)[0]]
-              for f in fs]
-    g_rows = [[_lift_exact(z) for z in np.asarray(g, dtype=np.complex128)[0]] for g in gs]
-    return [[fk[0] * gj[0] + fk[1] * gj[1] for gj in g_rows] for fk in f_rows]
+def _gram_exact(fs: list[np.ndarray],
+                gs: list[np.ndarray]) -> tuple[list[list[_ExactComplex]], int]:
+    """Gram matrix on a normalized one-mode lattice, where w Z = 1 exactly.
+
+    Entries are Gaussian integers over one shift: row k and column j carry
+    their own powers of two, so every permutation product shares 2**-shift.
+    """
+    f_rows, f_shifts = zip(*(_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0]))
+                             for f in fs))
+    g_cols, g_shifts = zip(*(_dyadic_lift(np.asarray(g, dtype=np.complex128)[0]) for g in gs))
+    gram = [[fk[0] * gj[0] + fk[1] * gj[1] for gj in g_cols] for fk in f_rows]
+    return gram, sum(f_shifts) + sum(g_shifts)
 
 
 def overlap_product_ops(fs: list[np.ndarray], gs: list[np.ndarray],
@@ -529,7 +588,8 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
                          n_list: list[int]) -> ConvergenceReport:
     """Finite-N matrix elements against the determinant limit, per N.
 
-    On one-mode lattices the evaluation runs in exact rational arithmetic
+    One pattern walk serves every N in n_list.  On one-mode lattices the
+    evaluation runs in exact rational arithmetic
     (both the matrix element and the determinant): there the central term
     is a scalar, the smeared operators satisfy the canonical relations on
     the nose, and the two sides coincide identically at every finite N, so
@@ -546,18 +606,17 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     ops = overlap_product_ops(fs, gs)
 
     if exact:
-        limit_value = _permutation_sum(_gram_exact(fs, gs), _ExactComplex)
+        gram, shift = _gram_exact(fs, gs)
+        limit_value = _exact_quotient(_permutation_sum(gram, _ExactComplex), 1 << shift)
     else:
         limit_value = slater_limit(lattice, profile, fs, gs)
     limit = complex(limit_value)
 
+    # the walk and the determinant stay independent routes to the limit
+    walk = _pattern_walk(space, profile, ops, exact)
     records = []
     for n in n_list:
-        nreg = NRegister(space, n)
-        if exact:
-            value = _state_walk(nreg, None, ops, exact=True)
-        else:
-            value = vacuum_matrix_element(nreg, profile, ops)
+        value = _evaluate_walk(walk, n)
         records.append(ConvergenceRecord(m=m, n=n, lhs=complex(value), limit=limit,
                                          deviation=abs(value - limit_value)))
 

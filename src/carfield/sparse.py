@@ -10,6 +10,8 @@ flattening.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm as _dense_expm
@@ -129,3 +131,13 @@ def max_abs(a) -> float:
     arr = np.asarray(a)
     return float(np.abs(arr).max()) if arr.size else 0.0
 
+
+def worst_of(*residuals: float) -> float:
+    """Largest of the residuals, or NaN if any of them is NaN.
+
+    The builtin max keeps the running worst when a NaN arrives second
+    (NaN > x is False), which would let a failed evaluation pass.
+    """
+    if any(math.isnan(r) for r in residuals):
+        return math.nan
+    return max(residuals)

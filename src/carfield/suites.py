@@ -53,6 +53,7 @@ from .register import (
     pair_exponential,
     quadratic_generator,
 )
+from .sparse import worst_of
 
 SUITE_ORDER = ("jw_car", "spinor", "mode_space", "n_oscillator", "symmetries")
 
@@ -108,20 +109,22 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
         for b_idx, b in enumerate(cs):
             anti = sparse.anticommutator(a, sparse.adjoint(b))
             expected = ident if a_idx == b_idx else sparse.zeros(REGISTER_DIM)
-            worst = max(worst, sparse.max_abs(anti - expected))
+            worst = worst_of(worst, sparse.max_abs(anti - expected))
     out.append(_rec(s, "anticommutator", "{c_a, c_b'} = delta_ab id", worst, 1e-12))
 
-    worst = max(
-        sparse.max_abs(sparse.anticommutator(a, b)) for a in cs for b in cs
+    worst = worst_of(
+        *(sparse.max_abs(sparse.anticommutator(a, b)) for a in cs for b in cs)
     )
     out.append(_rec(s, "nilpotency", "{c_a, c_b} = 0", worst, 1e-12))
 
-    worst = max(sparse.max_abs(reg.parity @ a @ reg.parity + a) for a in cs)
-    worst = max(worst, sparse.max_abs(reg.parity @ reg.parity - ident))
+    worst = worst_of(*(sparse.max_abs(reg.parity @ a @ reg.parity + a) for a in cs))
+    worst = worst_of(worst, sparse.max_abs(reg.parity @ reg.parity - ident))
     out.append(_rec(s, "grading", "g c g = -c and g^2 = id", worst, 1e-12))
 
-    worst = max(float(np.max(np.abs(sparse.apply_operator(a, reg.vacuum)))) for a in cs)
-    worst = max(worst, abs(sparse.inner(reg.vacuum, reg.vacuum) - 1.0))
+    worst = worst_of(
+        *(float(np.max(np.abs(sparse.apply_operator(a, reg.vacuum)))) for a in cs)
+    )
+    worst = worst_of(worst, abs(sparse.inner(reg.vacuum, reg.vacuum) - 1.0))
     out.append(_rec(s, "vacuum", "c_a |vac> = 0, <vac|vac> = 1", worst, 1e-12))
 
     targets = (7, 11, 13, 14)
@@ -129,7 +132,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
     for a, target in zip(cs, targets):
         created = sparse.apply_operator(sparse.adjoint(a), reg.vacuum)
         expected = sparse.basis_state(REGISTER_DIM, target)
-        worst = max(worst, float(np.max(np.abs(created - expected))))
+        worst = worst_of(worst, float(np.max(np.abs(created - expected))))
     out.append(_rec(s, "creation_pattern", "c_a' |vac> = +|one-particle_a>", worst, 1e-12))
 
     worst = 0.0
@@ -138,7 +141,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
         a_d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         closed = pair_exponential(a_b, a_d)
         dense = sparse.matrix_exponential(quadratic_generator(reg, a_b, a_d))
-        worst = max(worst, sparse.max_abs(closed - dense))
+        worst = worst_of(worst, sparse.max_abs(closed - dense))
     out.append(_rec(s, "pair_exponential", "exp(b'Ab + d'Bd) closed block form", worst, 1e-10))
 
     su2 = phase = grading = 0.0
@@ -148,9 +151,9 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
         a = a - 0.5 * np.trace(a) * np.eye(2)
         alpha, beta = rng.uniform(-np.pi, np.pi, 2)
         report = conjugation_report(reg, a, alpha, beta)
-        su2 = max(su2, report.su2_residual)
-        phase = max(phase, report.phase_residual)
-        grading = max(grading, report.parity_residual)
+        su2 = worst_of(su2, report.su2_residual)
+        phase = worst_of(phase, report.phase_residual)
+        grading = worst_of(grading, report.parity_residual)
     out.append(_rec(s, "su2_conjugation", "e^{-X} c_s e^{X} = sum_s' (e^A)_ss' c_s'", su2, 1e-10))
     out.append(_rec(s, "phase_conjugation", "number phases rotate c by e^{i angle}", phase, 1e-10))
     out.append(_rec(s, "grading_conjugation", "quadratic flows preserve the grading", grading, 1e-10))
@@ -175,13 +178,13 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     worst_norm = worst_recon = worst_det = 0.0
     for p in momenta:
         frame = spinors.build_spin_frame(p)
-        worst_norm = max(worst_norm, abs(frame.omega.contract(frame.pi) - 1.0))
+        worst_norm = worst_of(worst_norm, abs(frame.omega.contract(frame.pi) - 1.0))
         herm = spinors.momentum_to_hermitian(p)
         pi = frame.pi_array()
         om = frame.omega_array()
         recon = np.outer(pi, np.conj(pi)) + (m**2 / 2) * np.outer(om, np.conj(om))
-        worst_recon = max(worst_recon, float(np.max(np.abs(recon - herm))) / p.E)
-        worst_det = max(worst_det, abs(np.linalg.det(herm) - m**2 / 2) / p.E**2)
+        worst_recon = worst_of(worst_recon, float(np.max(np.abs(recon - herm))) / p.E)
+        worst_det = worst_of(worst_det, abs(np.linalg.det(herm) - m**2 / 2) / p.E**2)
     out.append(_rec(s, "frame_normalization", "om_A pi^A = 1", worst_norm, 1e-12))
     out.append(_rec(s, "momentum_reconstruction",
                     "p = pi pibar + (m^2/2) om ombar (relative)", worst_recon, 1e-12))
@@ -192,7 +195,7 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     golden_om = np.array([2**0.25, 0.0])
     golden_pi = np.array([0.0, 2**-0.25])
     worst = float(np.max(np.abs(frame.omega_array() - golden_om)))
-    worst = max(worst, float(np.max(np.abs(frame.pi_array() - golden_pi))))
+    worst = worst_of(worst, float(np.max(np.abs(frame.pi_array() - golden_pi))))
     out.append(_rec(s, "rest_frame_values", "rest frame om = (2^1/4, 0), pi = (0, 2^-1/4)",
                     worst, 1e-14))
 
@@ -201,8 +204,8 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     for p in momenta[:20]:
         table = spinors.eigen_bispinors(spinors.build_spin_frame(p))
         for sp in (0, 1):
-            worst_match = max(worst_match, spinors.dirac_residual(p, table.pos[sp], +1))
-            worst_match = max(worst_match, spinors.dirac_residual(p, table.neg[sp], -1))
+            worst_match = worst_of(worst_match, spinors.dirac_residual(p, table.pos[sp], +1))
+            worst_match = worst_of(worst_match, spinors.dirac_residual(p, table.neg[sp], -1))
             min_mismatch = min(min_mismatch, spinors.dirac_residual(p, table.pos[sp], -1))
             min_mismatch = min(min_mismatch, spinors.dirac_residual(p, table.neg[sp], +1))
     out.append(_rec(s, "dirac_kernel", "matching branches solve the momentum Dirac system",
@@ -215,13 +218,15 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
         frame = spinors.build_spin_frame(p)
         s1, s2 = spinors.pauli_lubanski_projection(frame)
         for block in (s1, s2):
-            worst = max(worst, abs(np.trace(block)))
-            worst = max(worst, float(np.max(np.abs(block @ block - 0.25 * np.eye(2)))))
+            worst = worst_of(worst, abs(np.trace(block)))
+            worst = worst_of(worst, float(np.max(np.abs(block @ block - 0.25 * np.eye(2)))))
         table = spinors.eigen_bispinors(frame)
         for sp, val in ((0, -0.5), (1, 0.5)):
             for branch in (table.pos[sp], table.neg[sp]):
-                worst = max(worst, float(np.max(np.abs(s1 @ branch.unprimed - val * branch.unprimed))))
-                worst = max(worst, float(np.max(np.abs(s2 @ branch.primed - val * branch.primed))))
+                unprimed = s1 @ branch.unprimed - val * branch.unprimed
+                primed = s2 @ branch.primed - val * branch.primed
+                worst = worst_of(worst, float(np.max(np.abs(unprimed))),
+                                 float(np.max(np.abs(primed))))
     out.append(_rec(s, "spin_projection", "spin states are +-1/2 eigenvectors of the frame spin",
                     worst, 1e-12))
 
@@ -232,20 +237,20 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
         lam1 = spinors.random_sl2c(rng)
         lam2 = spinors.random_sl2c(rng)
         u12 = spinors.wigner_matrix(lam1 @ lam2, p)
-        worst_unit = max(worst_unit, float(np.max(np.abs(u12.conj().T @ u12 - np.eye(2)))))
-        worst_unit = max(worst_unit, abs(np.linalg.det(u12) - 1.0))
+        worst_unit = worst_of(worst_unit, float(np.max(np.abs(u12.conj().T @ u12 - np.eye(2)))))
+        worst_unit = worst_of(worst_unit, abs(np.linalg.det(u12) - 1.0))
         q = spinors.apply_lorentz(np.linalg.inv(lam1), p)
         chained = spinors.wigner_matrix(lam1, p) @ spinors.wigner_matrix(lam2, q)
-        worst_coc = max(worst_coc, float(np.max(np.abs(chained - u12))))
+        worst_coc = worst_of(worst_coc, float(np.max(np.abs(chained - u12))))
     out.append(_rec(s, "wigner_unitarity", "u(L,p) in SU(2)", worst_unit, 1e-10))
     out.append(_rec(s, "wigner_cocycle", "u(L1 L2, p) = u(L1, p) u(L2, L1^-1 p)",
                     worst_coc, 1e-10))
 
     if lattice.mode == "rapidity1d":
         lam = spinors.boost_z(2 * lattice.delta_eta)
-        worst = max(
-            float(np.max(np.abs(spinors.wigner_matrix(lam, p) - np.eye(2))))
-            for p in lattice.points
+        worst = worst_of(
+            *(float(np.max(np.abs(spinors.wigner_matrix(lam, p) - np.eye(2))))
+              for p in lattice.points)
         )
         out.append(_rec(s, "wigner_boost_gauge", "z-boosts mix no spin on the z-axis frames",
                         worst, 1e-12))
@@ -306,12 +311,12 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
                     if (i, sp) == (j, sq)
                     else sparse.zeros(space.dim)
                 )
-                worst_same = max(worst_same, sparse.max_abs(anti - expected))
-                worst_cross = max(worst_cross, sparse.max_abs(sparse.anticommutator(a, b)))
+                worst_same = worst_of(worst_same, sparse.max_abs(anti - expected))
+                worst_cross = worst_of(worst_cross, sparse.max_abs(sparse.anticommutator(a, b)))
             a = mode_annihilator(space, i, sp, "b")
             b = mode_annihilator(space, j, sq, "d")
-            worst_cross = max(worst_cross, sparse.max_abs(sparse.anticommutator(a, b)))
-            worst_cross = max(
+            worst_cross = worst_of(worst_cross, sparse.max_abs(sparse.anticommutator(a, b)))
+            worst_cross = worst_of(
                 worst_cross, sparse.max_abs(sparse.anticommutator(a, sparse.adjoint(b)))
             )
     out.append(_rec(s, "car_central", "{c(p,s), c(q,t)'} = delta (1/w) central projector",
@@ -332,20 +337,20 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
 
     vac = vacuum_vector(space, profile)
     worst = abs(sparse.inner(vac, vac) - 1.0)
-    worst = max(worst, abs(float(np.sum(lattice.weights * profile.z)) - 1.0))
+    worst = worst_of(worst, abs(float(np.sum(lattice.weights * profile.z)) - 1.0))
     for i in range(lattice.size):
         ip = mode_projector(space, i)
         got = sparse.inner(vac, sparse.apply_operator(ip, vac))
-        worst = max(worst, abs(got - profile.z[i]))
+        worst = worst_of(worst, abs(got - profile.z[i]))
     out.append(_rec(s, "vacuum_profile", "<O|central_i|O> = Z_i, sum_i w_i Z_i = 1",
                     worst, 1e-12))
 
     x = np.asarray(config.field_point)
-    worst = max(
-        sparse.max_abs(field_operator(space, x, a, conjugate=c)
-                       - field_operator_spectral(space, x, a, conjugate=c))
-        for a in range(4)
-        for c in (False, True)
+    worst = worst_of(
+        *(sparse.max_abs(field_operator(space, x, a, conjugate=c)
+                         - field_operator_spectral(space, x, a, conjugate=c))
+          for a in range(4)
+          for c in (False, True))
     )
     out.append(_rec(s, "field_dual_route", "Fourier sum = spectral assembly of the field",
                     worst, 1e-12))
@@ -365,7 +370,7 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
                     * np.exp(-1j * p.dot_point(x))
                     * profile.z[i]
                 )
-                worst = max(worst, abs(got - want))
+                worst = worst_of(worst, abs(got - want))
     out.append(_rec(s, "one_particle_wavefunction",
                     "<O| field b'(p,s) |O> = Z phi_pos e^{-ip.x}", worst, 1e-12))
 
@@ -382,7 +387,7 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
         want = spinors.classical_solution(
             lattice, profile.z[:, None] * f, np.zeros_like(f), x
         )[a]
-        worst = max(worst, abs(got - want))
+        worst = worst_of(worst, abs(got - want))
         got = sparse.inner(
             vac,
             sparse.apply_operator(
@@ -392,7 +397,7 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
         want = spinors.classical_solution(
             lattice, np.zeros_like(h), profile.z[:, None] * h, x
         )[a]
-        worst = max(worst, abs(got - want))
+        worst = worst_of(worst, abs(got - want))
     out.append(_rec(s, "classical_matrix_element",
                     "field matrix elements synthesize the classical solution",
                     worst, 1e-12))
@@ -439,7 +444,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
             ops = random_ops(space.lattice.size, count)
             walk = vacuum_matrix_element(nreg, prof, ops)
             explicit = vacuum_matrix_element_matrix(nreg, prof, ops)
-            worst = max(worst, abs(walk - explicit))
+            worst = worst_of(worst, abs(walk - explicit))
     out.append(_rec(s, "walk_vs_matrices", "pattern walk = explicit tensor matrices",
                     worst, 1e-10))
 
@@ -447,7 +452,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     worst = 0.0
     for count in (2, 4):
         ops = random_ops(1, count)
-        worst = max(
+        worst = worst_of(
             worst,
             abs(vacuum_matrix_element(nreg, prof1, ops)
                 - vacuum_matrix_element(nreg, prof1, ops, exact=True)),
@@ -473,15 +478,15 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
 
     ext_fd = extend_operator(nreg2, smeared_matrix(space2, OpSpec(g, "d", False)))
     worst = sparse.max_abs(sparse.anticommutator(ext_f, ext_fd))
-    worst = max(worst, sparse.max_abs(sparse.anticommutator(ext_f, sparse.adjoint(ext_fd))))
-    worst = max(worst, sparse.max_abs(sparse.anticommutator(ext_f, ext_g)))
+    worst = worst_of(worst, sparse.max_abs(sparse.anticommutator(ext_f, sparse.adjoint(ext_fd))))
+    worst = worst_of(worst, sparse.max_abs(sparse.anticommutator(ext_f, ext_g)))
     out.append(_rec(s, "extended_car_zero", "cross and like anticommutators vanish",
                     worst, 1e-12))
 
     central = extend_additive(nreg2, mode_projector(space2, 0), mean=True)
-    worst = max(
-        sparse.max_abs(sparse.commutator(central, op))
-        for op in (ext_f, sparse.adjoint(ext_g), ext_fd)
+    worst = worst_of(
+        *(sparse.max_abs(sparse.commutator(central, op))
+          for op in (ext_f, sparse.adjoint(ext_g), ext_fd))
     )
     out.append(_rec(s, "central_commutes", "mean-extended centrals commute with extended ops",
                     worst, 1e-12))
@@ -490,7 +495,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     for space, prof, ns in ((space1, prof1, (2, 64)), (space2, prof2, (2, 64))):
         for n_val in ns:
             got = vacuum_matrix_element(NRegister(space, n_val), prof, [])
-            worst = max(worst, abs(got - 1.0))
+            worst = worst_of(worst, abs(got - 1.0))
     out.append(_rec(s, "vacuum_norm", "<vac_N|vac_N> = 1", worst, 1e-15))
 
     f1 = _random_table(rng, 2)
@@ -500,7 +505,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
         got = vacuum_matrix_element(
             NRegister(space2, n_val), prof2, overlap_product_ops([f1], [g1])
         )
-        worst = max(worst, abs(got - zprod_inner(double, prof2, f1, g1)))
+        worst = worst_of(worst, abs(got - zprod_inner(double, prof2, f1, g1)))
     out.append(_rec(s, "order1_all_n", "<ext c(f) ext c(g)'> = <f,g>_Z at every N",
                     worst, 1e-13))
 
@@ -508,22 +513,22 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     gs2 = [_random_table(rng, 1) for _ in range(2)]
     rep = determinant_limit_convergence(space1, prof1, fs2, gs2, list(config.n_values_single))
     out.append(_rec(s, "order2_single_exact", "one-mode order-2 deviations are exactly zero",
-                    max(rep.deviations()), 0.0))
+                    worst_of(*rep.deviations()), 0.0))
     out.append(_flag(s, "order2_single_monotone", "deviations non-increasing in N",
                      rep.monotone))
     devs = {r.n: r.deviation for r in rep.records}
-    quarter = max(0.0, devs[64] - 0.25 * devs[8])
+    quarter = worst_of(0.0, devs[64] - 0.25 * devs[8])
     out.append(_rec(s, "order2_single_quarter", "dev(64) <= dev(8)/4", quarter, 0.0))
 
     fs3 = [_random_table(rng, 1) for _ in range(3)]
     gs3 = [_random_table(rng, 1) for _ in range(3)]
     rep = determinant_limit_convergence(space1, prof1, fs3, gs3, list(config.n_values_single))
     out.append(_rec(s, "order3_single_exact", "one-mode order-3 deviations are exactly zero",
-                    max(rep.deviations()), 0.0))
+                    worst_of(*rep.deviations()), 0.0))
     out.append(_flag(s, "order3_single_monotone", "deviations non-increasing in N",
                      rep.monotone))
     devs = {r.n: r.deviation for r in rep.records}
-    quarter = max(0.0, devs[64] - 0.25 * devs[8])
+    quarter = worst_of(0.0, devs[64] - 0.25 * devs[8])
     out.append(_rec(s, "order3_single_quarter", "dev(64) <= dev(8)/4", quarter, 0.0))
 
     fs2d = [_random_table(rng, 2) for _ in range(2)]
@@ -550,13 +555,13 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
         nreg = NRegister(space1, n_val)
         total = (vacuum_matrix_element(nreg, prof1, base, exact=True)
                  + vacuum_matrix_element(nreg, prof1, swapped, exact=True))
-        worst_exact = max(worst_exact, abs(total))
+        worst_exact = worst_of(worst_exact, abs(total))
         base_d = overlap_product_ops(fs2d, gs2d)
         swapped_d = overlap_product_ops([fs2d[1], fs2d[0]], gs2d)
         nreg_d = NRegister(space2, n_val)
         total = (vacuum_matrix_element(nreg_d, prof2, base_d)
                  + vacuum_matrix_element(nreg_d, prof2, swapped_d))
-        worst_float = max(worst_float, abs(total))
+        worst_float = worst_of(worst_float, abs(total))
     out.append(_rec(s, "antisymmetry_exact", "swapping f_1, f_2 flips the sign (rational)",
                     worst_exact, 0.0))
     out.append(_rec(s, "antisymmetry_float", "swapping f_1, f_2 flips the sign (float)",
@@ -571,7 +576,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
             OpSpec(table, "b", True),
         ]
         for n_val in (2, 8):
-            worst = max(worst, abs(vacuum_matrix_element(NRegister(space, n_val), prof, ops)))
+            worst = worst_of(worst, abs(vacuum_matrix_element(NRegister(space, n_val), prof, ops)))
     out.append(_rec(s, "repeated_amplitude", "<ext c(g)^2 ...> = 0 from nilpotency",
                     worst, 1e-14))
 
@@ -599,7 +604,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     for n_val in (2, 16):
         got = vacuum_matrix_element(NRegister(space1, n_val), prof1, ops, exact=True)
         want = zprod_inner(single, prof1, fb, fb) * zprod_inner(single, prof1, gd, gd)
-        worst = max(worst, abs(got - want))
+        worst = worst_of(worst, abs(got - want))
     out.append(_rec(s, "mixed_species_factorization",
                     "<b(f) d(g) d(g)' b(f)'> = <f,f>_Z <g,g>_Z on one mode",
                     worst, 1e-12))
@@ -619,7 +624,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
                        spec.species, spec.dagger)
                 for spec in ops
             ]
-            worst = max(
+            worst = worst_of(
                 worst, abs(vacuum_matrix_element(NRegister(space, 3), prof, table_ops))
             )
     out.append(_rec(s, "mixed_species_vanishing",

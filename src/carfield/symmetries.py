@@ -42,7 +42,7 @@ from .register import (
     number_operator,
     quadratic_exponential,
 )
-from .sparse import SparseOperator
+from .sparse import SparseOperator, worst_of
 from .spinors import (
     apply_lorentz_to_point,
     bispinor_rep,
@@ -145,7 +145,7 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
                     rhs = rhs + boost.wigner[idx][s, sp] * mode_annihilator(
                         space, src, sp, species
                     )
-                worst = max(worst, sparse.max_abs(lhs - rhs))
+                worst = worst_of(worst, sparse.max_abs(lhs - rhs))
     return worst
 
 
@@ -183,7 +183,7 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
         for b in range(4):
             if s4[a, b] != 0:
                 rhs = rhs + s4[a, b] * fields_back[b]
-        worst = max(worst, sparse.max_abs(proj @ (lhs - rhs) @ proj))
+        worst = worst_of(worst, sparse.max_abs(proj @ (lhs - rhs) @ proj))
     return worst
 
 
@@ -234,10 +234,10 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
     for a in range(4):
         psi = field_operator(space, x, a)
         rotated = u_dag @ psi @ u
-        field_res = max(field_res, sparse.max_abs(rotated - np.exp(1j * e0 * phi) * psi))
+        field_res = worst_of(field_res, sparse.max_abs(rotated - np.exp(1j * e0 * phi) * psi))
         psi_c = field_operator(space, x, a, conjugate=True)
         rotated_c = u_dag @ psi_c @ u
-        conj_res = max(conj_res, sparse.max_abs(rotated_c - np.exp(-1j * e0 * phi) * psi_c))
+        conj_res = worst_of(conj_res, sparse.max_abs(rotated_c - np.exp(-1j * e0 * phi) * psi_c))
     parity = space.parity()
     grading_res = sparse.max_abs(u_dag @ parity @ u - parity)
     q = charge_operator(space, e0)
@@ -246,8 +246,8 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
         for s in (0, 1):
             b_dag = sparse.adjoint(mode_annihilator(space, i, s, "b"))
             d_dag = sparse.adjoint(mode_annihilator(space, i, s, "d"))
-            comm_res = max(comm_res, sparse.max_abs(sparse.commutator(q, b_dag) - e0 * b_dag))
-            comm_res = max(comm_res, sparse.max_abs(sparse.commutator(q, d_dag) + e0 * d_dag))
+            comm_res = worst_of(comm_res, sparse.max_abs(sparse.commutator(q, b_dag) - e0 * b_dag))
+            comm_res = worst_of(comm_res, sparse.max_abs(sparse.commutator(q, d_dag) + e0 * d_dag))
     return GaugeReport(
         field_residual=field_res,
         conjugate_residual=conj_res,
@@ -277,7 +277,7 @@ def spin_commutator_residual(space: SingleOscillatorSpace) -> float:
         for species in ("b", "d"):
             for s, sign in ((0, -0.5), (1, 0.5)):
                 c_dag = sparse.adjoint(mode_annihilator(space, i, s, species))
-                worst = max(
+                worst = worst_of(
                     worst, sparse.max_abs(sparse.commutator(s3, c_dag) - sign * c_dag)
                 )
     return worst

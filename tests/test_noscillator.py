@@ -5,6 +5,8 @@ densest coverage: agreement with explicit tensor matrices wherever those
 fit, exact-rational against float arithmetic, and the closed-form limits.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from carfield.modes import (
     SingleOscillatorSpace,
     mode_projector,
     rapidity_lattice,
+    restricted_lattice,
     smeared_annihilator,
     uniform_profile,
 )
@@ -239,6 +242,144 @@ def test_float_walk_overflow(single_space, single_profile, double_space, double_
                                [random_table(rng, 2) * 1e3 for _ in range(4)])
     with pytest.raises(ResourceLimitError):
         vacuum_matrix_element(NRegister(double_space, 10**76), double_profile, ops4)
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_convergence_records_equal_per_n_elements(rng, modes):
+    # the float walk on two modes of the J = 1 lattice, and on all three
+    lattice = rapidity_lattice(1, 0.4, 1.0)
+    space = SingleOscillatorSpace(
+        restricted_lattice(lattice, (0, 2)) if modes == 2 else lattice)
+    profile = uniform_profile(space.lattice)
+    n_list = [1, 2, 7, 64, 10**6]
+    for m in (1, 2, 3):
+        fs = [random_table(rng, modes) for _ in range(m)]
+        gs = [random_table(rng, modes) for _ in range(m)]
+        rep = determinant_limit_convergence(space, profile, fs, gs, n_list)
+        ops = overlap_product_ops(fs, gs)
+        for rec in rep.records:
+            alone = vacuum_matrix_element(NRegister(space, rec.n), profile, ops)
+            assert rec.lhs.real.hex() == alone.real.hex()
+            assert rec.lhs.imag.hex() == alone.imag.hex()
+
+
+def test_exact_convergence_records_equal_per_n_elements(single_space, single_profile, rng):
+    n_list = [1, 2, 3, 64, 10**6]
+    for m in (1, 2, 3, 4):
+        fs = [random_table(rng, 1) for _ in range(m)]
+        gs = [random_table(rng, 1) for _ in range(m)]
+        rep = determinant_limit_convergence(single_space, single_profile, fs, gs, n_list)
+        ops = overlap_product_ops(fs, gs)
+        walk = noscillator._pattern_walk(single_space, None, ops, True)
+        for rec in rep.records:
+            alone = noscillator._evaluate_walk(
+                noscillator._pattern_walk(single_space, None, ops, True), rec.n)
+            shared = noscillator._evaluate_walk(walk, rec.n)
+            assert (alone.re, alone.im) == (shared.re, shared.im)
+            assert rec.lhs == vacuum_matrix_element(NRegister(single_space, rec.n), None, ops,
+                                                    exact=True)
+            assert rec.deviation == 0.0
+
+
+@pytest.mark.parametrize("j_max", [0, 1])
+def test_one_walk_per_convergence_call(monkeypatch, rng, j_max):
+    # one mode (exact path) and three modes (float path)
+    lattice = rapidity_lattice(j_max, 0.4, 1.0)
+    space = SingleOscillatorSpace(lattice)
+    profile = uniform_profile(lattice)
+    walks = []
+    real_walk = noscillator._pattern_walk
+
+    def counting_walk(*args, **kwargs):
+        walks.append(len(args[2]))
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(noscillator, "_pattern_walk", counting_walk)
+    for n_list in ([2], [2, 4, 8], [1, 2, 4, 8, 64, 10**6]):
+        for m in (1, 2, 3):
+            fs = [random_table(rng, lattice.size) for _ in range(m)]
+            gs = [random_table(rng, lattice.size) for _ in range(m)]
+            walks.clear()
+            rep = determinant_limit_convergence(space, profile, fs, gs, n_list)
+            assert rep.exact == (lattice.size == 1)
+            assert walks == [2 * m]
+
+
+# extreme dyadic entries: the smallest subnormal, powers near 2^+-1000 and
+# mixed exponents within one table; spin 0 is large in every f and small in
+# every g, spin 1 the reverse, so the Gram entries and det stay in float range
+_TINY = 5e-324
+
+
+def _extreme_tables(rng):
+    def mantissa():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    fs = [
+        [2.0**1000 * mantissa(), 2.0**-1000 * mantissa()],
+        [1.5 * 2.0**1023, 2.0**-1022 * mantissa()],
+        [2.0**990 * mantissa(), 2.0**-1010 * mantissa()],
+    ]
+    gs = [
+        [2.0**-1000 * mantissa(), 2.0**1000 * mantissa()],
+        [complex(_TINY, 2.0**-1000 * rng.standard_normal()), 2.0**1000 * mantissa()],
+        [2.0**-1020 * mantissa(), 2.0**1010 * mantissa()],
+    ]
+    return ([np.array([row], dtype=np.complex128) for row in fs],
+            [np.array([row], dtype=np.complex128) for row in gs])
+
+
+def test_dyadic_lift_is_exact(rng):
+    fs, gs = _extreme_tables(rng)
+    for table in fs + gs:
+        ints, shift = noscillator._dyadic_lift(table[0])
+        for z, lifted in zip(table[0], ints):
+            assert Fraction(lifted.re, 2**shift) == Fraction(z.real)
+            assert Fraction(lifted.im, 2**shift) == Fraction(z.imag)
+
+
+def test_exact_path_extreme_dyadic_amplitudes(single_space, single_profile, rng):
+    fs, gs = _extreme_tables(rng)
+    for m in (1, 2, 3):
+        rep = determinant_limit_convergence(single_space, single_profile, fs[:m], gs[:m],
+                                            [1, 2, 10**6])
+        assert rep.exact
+        assert rep.deviations() == [0.0, 0.0, 0.0]
+        # the one-mode Gram matrix has rank 2, so only M = 3 has a zero limit
+        assert (rep.limit == 0) == (m == 3)
+    # the subnormal alone: its square lies below the float range, not so the
+    # exact value
+    tiny = [np.array([[_TINY, 0.0]], dtype=np.complex128)]
+    walk = noscillator._pattern_walk(single_space, None, overlap_product_ops(tiny, tiny), True)
+    for n in (1, 2, 10**6):
+        value = noscillator._evaluate_walk(walk, n)
+        assert (value.re, value.im) == (Fraction(1, 2**2148), 0)
+    rep = determinant_limit_convergence(single_space, single_profile, tiny, tiny, [1, 2, 10**6])
+    assert rep.deviations() == [0.0, 0.0, 0.0]
+
+
+def test_exact_odd_products_vanish(single_space, rng):
+    fs, gs = _extreme_tables(rng)
+    tables = fs + gs
+    for count in (1, 3, 5):
+        ops = [OpSpec(tables[k], "bd"[k % 2], bool(k % 3)) for k in range(count)]
+        walk = noscillator._pattern_walk(single_space, None, ops, True)
+        assert not any(walk.sizes)
+        for n in (1, 2, 10**6):
+            assert vacuum_matrix_element(NRegister(single_space, n), None, ops, exact=True) == 0
+        # the parity guard still fires on a nonzero odd total
+        broken = walk._replace(sizes=[noscillator._ExactComplex(1)])
+        with pytest.raises(PreconditionError):
+            noscillator._evaluate_walk(broken, 2)
+
+
+def test_exact_order_five_sweep(single_space, single_profile, rng):
+    fs = [random_table(rng, 1) for _ in range(5)]
+    gs = [random_table(rng, 1) for _ in range(5)]
+    rep = determinant_limit_convergence(single_space, single_profile, fs, gs, [2, 64, 10**6])
+    assert rep.exact
+    assert rep.deviations() == [0.0, 0.0, 0.0]
+    assert rep.monotone
 
 
 def test_opspec_validation(single_space, single_profile, rng):

@@ -143,3 +143,13 @@ def test_max_abs_variants():
     assert sparse.max_abs(np.array([1.0, -3.0])) == 3.0
     assert sparse.max_abs(sparse.asoperator(np.diag([2.0, -5.0]))) == 5.0
 
+
+
+def test_worst_of_propagates_nan():
+    nan = float("nan")
+    assert sparse.worst_of(1e-13, 3e-14) == 1e-13
+    assert sparse.worst_of(0.5) == 0.5
+    # the builtin max keeps its first argument when a NaN comes second
+    assert max(1e-13, nan) == 1e-13
+    for values in ((nan, 1e-13, 0.0), (1e-13, 0.0, nan), (nan,)):
+        assert np.isnan(sparse.worst_of(*values))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from carfield import sparse
 from carfield.cli import main
 from carfield.config import (
     LatticeConfig,
@@ -15,7 +16,7 @@ from carfield.config import (
     load_config,
 )
 from carfield.errors import ConfigError
-from carfield.suites import SUITE_ORDER, render_text, run_report, run_suite
+from carfield.suites import SUITE_ORDER, _rec, render_text, run_report, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,23 @@ def test_render_text(fast_config):
 # --- command line
 
 
+def test_nan_residual_fails_its_check(monkeypatch, fast_config):
+    assert not _rec("s", "c", "identity", float("nan"), 1e-12).passed
+    # a NaN from the second of the 16 anticommutator blocks must reach the record
+    real_max_abs = sparse.max_abs
+    calls = []
+
+    def nan_on_second_call(a):
+        calls.append(a)
+        return float("nan") if len(calls) == 2 else real_max_abs(a)
+
+    monkeypatch.setattr(sparse, "max_abs", nan_on_second_call)
+    record = run_suite("jw_car", fast_config)[0]
+    assert record.check == "anticommutator"
+    assert np.isnan(record.residual)
+    assert not record.passed
+
+
 def test_cli_json_output(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--suite", "jw_car", "--out", str(out), "--seed", "3"])
@@ -183,10 +201,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def _run_with_config(tmp_path, data, *args):
+def _config_file(tmp_path, data):
+    """Write a config given as a mapping, or as raw file text or bytes."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    return main(["--config", str(path), *args])
+    if isinstance(data, dict):
+        data = json.dumps(data)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+    return path
+
+
+def _run_with_config(tmp_path, data, *args):
+    return main(["--config", str(_config_file(tmp_path, data)), *args])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -225,10 +250,26 @@ NAN, INF = float("nan"), float("inf")
     {"matrix_check_n": True},
     {"n_values_single": [2, 8, 64, True]},
     {"n_values_double": [2, 4.0]},
+    # files json.loads cannot turn into a value: an integer past the
+    # int-to-str digit limit, nesting past the recursion limit, and bytes
+    # that are not UTF-8
+    pytest.param('{"seed": 1' + "0" * 5000 + "}", id="int-digit-limit"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+    pytest.param(b"\xff\xfe{", id="not-utf8"),
+    # sections of the wrong JSON type
+    {"lattice": None},
+    {"lattice": []},
+    {"profile": 3},
+    {"displacement": 5},
+    {"n_values_single": 8},
 ])
 def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
-    with pytest.raises(ConfigError):
-        config_from_dict(data)
+    if isinstance(data, dict):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+    else:
+        with pytest.raises(ConfigError):
+            load_config(_config_file(tmp_path, data))
     assert _run_with_config(tmp_path, data) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
