@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from carfield.errors import CarfieldError, ConfigError
 from carfield.modes import (
     SingleOscillatorSpace,
     rapidity_lattice,
@@ -64,7 +65,13 @@ def main(argv=None) -> int:
     for m in args.orders:
         fs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(m)]
         gs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(m)]
-        report = determinant_limit_convergence(space, profile, fs, gs, args.n)
+        try:
+            report = determinant_limit_convergence(space, profile, fs, gs, args.n)
+        except CarfieldError as exc:
+            # as in the carfield CLI: a run that cannot finish exits 2 in one line
+            kind = "configuration error" if isinstance(exc, ConfigError) else type(exc).__name__
+            print(f"{kind}: {exc}", file=sys.stderr)
+            return 2
         print(f"M={m}  limit={report.limit:.12g}  exact={report.exact}  "
               f"monotone={report.monotone}  final_ratio={report.final_ratio}")
         for rec in report.records:

@@ -13,10 +13,14 @@ Lattice kinds:
   what makes lattice-level Lorentz covariance exact.
 * grid3d: centered cubic grid with weights delta^3 / ((2 pi)^3 2 E).
 
-Single-oscillator operators are mode blocks sum_i |i><i - shift| x R_i, and
-`SingleOscillatorSpace.embed` assembles every one from its (M, 16, 16) stack
-of R_i.  `field_operator_spectral` keeps its own kron of diagonal multipliers
-on purpose: the field's dual-route check compares two independent routes.
+Single-oscillator operators are mode blocks sum_i |i><i - shift| x R_i, held
+as a `ModeBlocks` (the (M, 16, 16) stack of R_i and the shift); their
+products, sums, adjoints and (anti)commutators stay in that form.
+`SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
+operator is extended to N slots, applied to a state, or compared with an
+independent CSR route.  `field_operator_spectral` keeps its own kron of
+diagonal multipliers on purpose: the field's dual-route check compares two
+independent routes.
 """
 
 from __future__ import annotations
@@ -100,6 +104,115 @@ def restricted_lattice(lattice: MomentumLattice, indices: tuple[int, ...]) -> Mo
     return MomentumLattice("restricted", points, weights, lattice.m)
 
 
+@dataclass(frozen=True, eq=False)
+class ModeBlocks:
+    """The single-oscillator operator sum_i |i><i - shift| x stack[i].
+
+    `stack` holds one 16x16 register block per mode.  Blocks whose source
+    mode i - shift is off the lattice are zero, so products and adjoints
+    stay in this form.  Nothing here prunes except `pruned` and the
+    (anti)commutators, which drop entries below DROP_TOL as their CSR
+    counterparts in `sparse` do.
+    """
+
+    stack: np.ndarray
+    shift: int = 0
+
+    # numpy scalars defer to __rmul__ instead of broadcasting over the object
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        stack = np.asarray(self.stack, dtype=np.complex128)
+        if stack.ndim != 3 or stack.shape[1:] != (REGISTER_DIM, REGISTER_DIM):
+            raise ShapeError(f"block stack must be (M, 16, 16), got {stack.shape}")
+        shift = int(self.shift)
+        if shift:
+            src = np.arange(len(stack)) - shift
+            off = (src < 0) | (src >= len(stack))
+            if stack[off].any():
+                stack = stack.copy()
+                stack[off] = 0
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "shift", shift)
+
+    @classmethod
+    def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
+        return cls(np.zeros((modes, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128), shift)
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> ModeBlocks:
+        """Mode-diagonal operator with the (M, 16) register diagonals `values`."""
+        values = np.asarray(values, dtype=np.complex128)
+        stack = np.zeros(values.shape + (REGISTER_DIM,), dtype=np.complex128)
+        idx = np.arange(REGISTER_DIM)
+        stack[:, idx, idx] = values
+        return cls(stack)
+
+    def _same_form(self, other: ModeBlocks) -> np.ndarray:
+        if other.stack.shape != self.stack.shape or other.shift != self.shift:
+            raise ShapeError(
+                f"mode blocks differ: {self.stack.shape} shift {self.shift} vs "
+                f"{other.stack.shape} shift {other.shift}"
+            )
+        return other.stack
+
+    def __add__(self, other: ModeBlocks) -> ModeBlocks:
+        return ModeBlocks(self.stack + self._same_form(other), self.shift)
+
+    def __sub__(self, other: ModeBlocks) -> ModeBlocks:
+        return ModeBlocks(self.stack - self._same_form(other), self.shift)
+
+    def __mul__(self, scalar) -> ModeBlocks:
+        return ModeBlocks(self.stack * scalar, self.shift)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> ModeBlocks:
+        return ModeBlocks(self.stack / scalar, self.shift)
+
+    def __matmul__(self, other: ModeBlocks) -> ModeBlocks:
+        """Shifts add; block i is self[i] @ other[i - self.shift], zero off the lattice.
+
+        einsum rather than matmul: it sums each entry in index order with no
+        fused multiply-add, as scipy's CSR product does, so the two agree
+        bitwise.  Pairs with a zero block are skipped.
+        """
+        m = len(self.stack)
+        if other.stack.shape != self.stack.shape:
+            raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
+        dst = np.flatnonzero(self.stack.any(axis=(1, 2)))
+        src = dst - self.shift
+        keep = (src >= 0) & (src < m)
+        dst, src = dst[keep], src[keep]
+        live = other.stack[src].any(axis=(1, 2))
+        dst, src = dst[live], src[live]
+        out = np.zeros_like(self.stack)
+        if len(dst):
+            out[dst] = np.einsum("nij,njk->nik", self.stack[dst], other.stack[src])
+        return ModeBlocks(out, self.shift + other.shift)
+
+    def adjoint(self) -> ModeBlocks:
+        """Shift -> -shift; block j is the conjugate transpose of block j + shift."""
+        m = len(self.stack)
+        dst = np.arange(m) + self.shift
+        keep = (dst >= 0) & (dst < m)
+        out = np.zeros_like(self.stack)
+        out[keep] = self.stack[dst[keep]].conj().transpose(0, 2, 1)
+        return ModeBlocks(out, -self.shift)
+
+    def pruned(self) -> ModeBlocks:
+        return ModeBlocks(sparse.prune_array(self.stack), self.shift)
+
+    def commutator(self, other: ModeBlocks) -> ModeBlocks:
+        return (self @ other - other @ self).pruned()
+
+    def anticommutator(self, other: ModeBlocks) -> ModeBlocks:
+        return (self @ other + other @ self).pruned()
+
+    def max_abs(self) -> float:
+        return sparse.max_abs(self.stack)
+
+
 class SingleOscillatorSpace:
     """Lattice modes tensored with the 16-dim register, dim = 16 M.
 
@@ -120,11 +233,14 @@ class SingleOscillatorSpace:
             [[t.neg[s].as4() for s in (0, 1)] for t in tables]
         )
 
-    def embed(self, blocks: np.ndarray, shift: int = 0) -> SparseOperator:
-        """sum_i |i><i - shift| x blocks[i] from an (M, 16, 16) stack.
+    def embed(self, blocks: ModeBlocks | np.ndarray, shift: int = 0) -> SparseOperator:
+        """sum_i |i><i - shift| x blocks[i] as pruned CSR, from a ModeBlocks or a stack.
 
-        Blocks whose source mode i - shift is off the lattice are dropped.
+        The one conversion of single-oscillator operators to CSR.  Blocks
+        whose source mode i - shift is off the lattice are dropped.
         """
+        if isinstance(blocks, ModeBlocks):
+            blocks, shift = blocks.stack, blocks.shift
         m = self.lattice.size
         blocks = np.asarray(blocks, dtype=np.complex128)
         if blocks.shape != (m, REGISTER_DIM, REGISTER_DIM):
@@ -135,46 +251,47 @@ class SingleOscillatorSpace:
         out = sp.bsr_matrix((blocks[keep], src[keep], indptr), shape=(self.dim, self.dim))
         return sparse.prune(out.tocsr())
 
-    def parity(self) -> SparseOperator:
+    def parity(self) -> ModeBlocks:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""
-        return sparse.tensor_product(sparse.identity(self.lattice.size), self.register.parity)
+        return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.parity])
 
-    def identity(self) -> SparseOperator:
-        return sparse.identity(self.dim)
+    def identity(self) -> ModeBlocks:
+        return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.identity])
 
 
-def mode_blocks(coeffs: np.ndarray, reg_ops: list[SparseOperator]) -> np.ndarray:
-    """The (M, 16, 16) stack sum_k coeffs[i, k] reg_ops[k] for embed.
+def mode_blocks(coeffs: np.ndarray, reg_ops: list[SparseOperator]) -> ModeBlocks:
+    """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k], pruned as embed prunes.
 
     Callers pass small-integer register operators on disjoint supports: each entry is exact.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    return sum(coeffs[:, k, None, None] * op.toarray() for k, op in enumerate(reg_ops))
+    stack = sum(coeffs[:, k, None, None] * op.toarray() for k, op in enumerate(reg_ops))
+    return ModeBlocks(sparse.prune_array(stack))
 
 
-def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: SparseOperator) -> SparseOperator:
+def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: SparseOperator) -> ModeBlocks:
     """(1/w_i) |i><i| x reg_op."""
     coeffs = np.eye(space.lattice.size)[:, [i]] / space.lattice.weights[i]
-    return space.embed(mode_blocks(coeffs, [reg_op]))
+    return mode_blocks(coeffs, [reg_op])
 
 
-def mode_projector(space: SingleOscillatorSpace, i: int) -> SparseOperator:
+def mode_projector(space: SingleOscillatorSpace, i: int) -> ModeBlocks:
     """Central element I_{p_i} = |p_i><p_i| x id = (1/w_i) |i><i| x id."""
     return _one_mode(space, i, space.register.identity)
 
 
-def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: str) -> SparseOperator:
+def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: str) -> ModeBlocks:
     """c_n(p_i, s) = |p_i><p_i| x c_s, normalized so {c, c'} = delta/w_i I_{p_i}."""
     return _one_mode(space, i, space.register.ladder(species, spin))
 
 
-def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> SparseOperator:
+def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> ModeBlocks:
     """c_n(f) = sum_{i,s} w_i conj(f(p_i,s)) c_n(p_i,s); the weights cancel."""
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (space.lattice.size, 2):
         raise ShapeError(f"amplitude table must be ({space.lattice.size}, 2), got {f.shape}")
     ladders = [space.register.ladder(species, s) for s in (0, 1)]
-    return space.embed(mode_blocks(np.conj(f), ladders))
+    return mode_blocks(np.conj(f), ladders)
 
 
 def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> SparseOperator:
@@ -184,7 +301,7 @@ def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> SparseOpe
 
 
 def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
-                   conjugate: bool = False) -> SparseOperator:
+                   conjugate: bool = False) -> ModeBlocks:
     """Component alpha of the field at spacetime point x, as a Fourier sum.
 
     Psi_alpha(x) = sum_i w_i sum_s [ phi_pos[s](p_i) c(p_i,s) e^{-i p.x}
@@ -203,7 +320,7 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
         for s in (0, 1):
             coeffs[i, s] = space.pos_table[i, s, alpha] * phase
             coeffs[i, 2 + s] = space.neg_table[i, s, alpha] * np.conj(phase)
-    return space.embed(mode_blocks(coeffs, ann + cre))
+    return mode_blocks(coeffs, ann + cre)
 
 
 def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,

@@ -51,6 +51,7 @@ from .errors import (
     SizeCapError,
 )
 from .modes import (
+    ModeBlocks,
     MomentumLattice,
     SingleOscillatorSpace,
     VacuumProfile,
@@ -90,11 +91,10 @@ def _check_matrix_dim(nreg: NRegister) -> None:
         )
 
 
-def _slot_sum(nreg: NRegister, op: SparseOperator, twist: SparseOperator) -> SparseOperator:
-    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k)."""
+def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: ModeBlocks) -> SparseOperator:
+    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), on CSR from embed."""
     _check_matrix_dim(nreg)
-    if op.shape != (nreg.factor_dim, nreg.factor_dim):
-        raise ShapeError(f"operator must live on the single-oscillator space, got {op.shape}")
+    op, twist = nreg.space.embed(op), nreg.space.embed(twist)
     ident = sparse.identity(nreg.factor_dim)
     total = sparse.zeros(nreg.dim)
     for k in range(nreg.n):
@@ -103,24 +103,24 @@ def _slot_sum(nreg: NRegister, op: SparseOperator, twist: SparseOperator) -> Spa
     return total
 
 
-def extend_operator(nreg: NRegister, op: SparseOperator,
-                    twist: SparseOperator | None = None) -> SparseOperator:
+def extend_operator(nreg: NRegister, op: ModeBlocks,
+                    twist: ModeBlocks | None = None) -> SparseOperator:
     """(1/sqrt N) sum over slots of twist^(k-1) x op x id^(N-k)."""
     if twist is None:
         twist = nreg.space.parity()
     return sparse.prune(_slot_sum(nreg, op, twist) / np.sqrt(nreg.n))
 
 
-def extend_additive(nreg: NRegister, op: SparseOperator, mean: bool = False) -> SparseOperator:
+def extend_additive(nreg: NRegister, op: ModeBlocks, mean: bool = False) -> SparseOperator:
     """Untwisted sum over slots; with mean=True, divided by N (central elements)."""
-    total = _slot_sum(nreg, op, sparse.identity(nreg.factor_dim))
+    total = _slot_sum(nreg, op, nreg.space.identity())
     return sparse.prune(total / nreg.n if mean else total)
 
 
-def extend_unitary(nreg: NRegister, u: SparseOperator) -> SparseOperator:
+def extend_unitary(nreg: NRegister, u: ModeBlocks) -> SparseOperator:
     """u acting on every slot: the N-fold tensor power."""
     _check_matrix_dim(nreg)
-    return sparse.tensor_many(*([u] * nreg.n))
+    return sparse.tensor_many(*([nreg.space.embed(u)] * nreg.n))
 
 
 def vacuum_state(nreg: NRegister, profile: VacuumProfile) -> np.ndarray:
@@ -140,9 +140,9 @@ class OpSpec(NamedTuple):
     dagger: bool
 
 
-def smeared_matrix(space: SingleOscillatorSpace, spec: OpSpec) -> SparseOperator:
+def smeared_matrix(space: SingleOscillatorSpace, spec: OpSpec) -> ModeBlocks:
     mat = smeared_annihilator(space, spec.amplitude, spec.species)
-    return sparse.adjoint(mat) if spec.dagger else mat
+    return mat.adjoint() if spec.dagger else mat
 
 
 def vacuum_matrix_element_matrix(nreg: NRegister, profile: VacuumProfile,

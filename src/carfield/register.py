@@ -10,13 +10,16 @@ by the N-oscillator extension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from . import sparse
 from .errors import PreconditionError
-from .sparse import SparseOperator
+from .sparse import SparseOperator, worst_of
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -57,7 +60,7 @@ class JWRegister:
 
 
 def _chain(*factors: np.ndarray) -> SparseOperator:
-    return sparse.tensor_many(*(sparse.asoperator(f) for f in factors))
+    return sparse.asoperator(functools.reduce(np.kron, factors))
 
 
 def build_register() -> JWRegister:
@@ -107,34 +110,47 @@ def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> SparseOperator:
     factorizes over the b-pair and d-pair subspaces and only needs B = e^A
     per species.  The two factors commute.
     """
-    id4 = sparse.identity(4)
-    block_b = sparse.asoperator(_pair_block(_exp2(a_b)))
-    block_d = sparse.asoperator(_pair_block(_exp2(a_d)))
-    return sparse.tensor_product(block_b, id4) @ sparse.tensor_product(id4, block_d)
+    return sp.csr_matrix(_pair_product(a_b, a_d))
 
 
-def quadratic_exponential(a: np.ndarray) -> SparseOperator:
-    """exp(b'Ab + d'Ad) with the same 2x2 form A for both species."""
-    return pair_exponential(a, a)
+def quadratic_exponential(a: np.ndarray) -> np.ndarray:
+    """exp(b'Ab + d'Ad) with the same 2x2 form A for both species, as a dense 16x16 block."""
+    return _pair_product(a, a)
+
+
+def _pair_product(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
+    """kron of the pruned b-pair and d-pair blocks: the two commuting factors' product.
+
+    einsum rather than np.kron: numpy's complex multiply may fuse a
+    multiply-add, einsum's does not, and neither does the CSR product.
+    """
+    block_b = sparse.prune_array(_pair_block(_exp2(a_b)))
+    block_d = sparse.prune_array(_pair_block(_exp2(a_d)))
+    return np.einsum("ij,kl->ikjl", block_b, block_d).reshape(REGISTER_DIM, REGISTER_DIM)
 
 
 def _exp2(a: np.ndarray) -> np.ndarray:
+    """e^A of a 2x2 form, with entries below DROP_TOL dropped before and after."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise PreconditionError(f"quadratic form must be 2x2, got {a.shape}")
-    return sparse.matrix_exponential(sparse.asoperator(a)).toarray()
+    return sparse.prune_array(expm(sparse.prune_array(a)))
 
 
 def quadratic_generator(reg: JWRegister, a_b: np.ndarray, a_d: np.ndarray) -> SparseOperator:
-    """The quadratic form b'(a_b)b + d'(a_d)d as an explicit 16x16 matrix."""
-    bs = [reg.b_minus, reg.b_plus]
-    ds = [reg.d_minus, reg.d_plus]
-    out = sparse.zeros(REGISTER_DIM)
+    """The quadratic form b'(a_b)b + d'(a_d)d as an explicit 16x16 matrix.
+
+    Summed densely in the CSR sum's term order: each c_s' c_t has entries
+    0 and +-1, so every product and sum rounds as the CSR arithmetic does.
+    """
+    bs = [reg.b_minus.toarray(), reg.b_plus.toarray()]
+    ds = [reg.d_minus.toarray(), reg.d_plus.toarray()]
+    out = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
     for s in range(2):
         for t in range(2):
-            out = out + a_b[s, t] * (sparse.adjoint(bs[s]) @ bs[t])
-            out = out + a_d[s, t] * (sparse.adjoint(ds[s]) @ ds[t])
-    return sparse.prune(out)
+            out = out + a_b[s, t] * (bs[s].conj().T @ bs[t])
+            out = out + a_d[s, t] * (ds[s].conj().T @ ds[t])
+    return sparse.asoperator(out)
 
 
 @dataclass(frozen=True)
@@ -168,7 +184,7 @@ def conjugation_report(reg: JWRegister, a: np.ndarray, alpha: float, beta: float
         for s in range(2):
             lhs = ex_inv @ ladders[s] @ ex
             rhs = u[s, 0] * ladders[0] + u[s, 1] * ladders[1]
-            su2_residual = max(su2_residual, sparse.max_abs(lhs - rhs))
+            su2_residual = worst_of(su2_residual, sparse.max_abs(lhs - rhs))
 
     y = quadratic_generator(reg, 1j * alpha * np.eye(2), 1j * beta * np.eye(2))
     ey = sparse.matrix_exponential(y)
@@ -181,11 +197,13 @@ def conjugation_report(reg: JWRegister, a: np.ndarray, alpha: float, beta: float
         (reg.d_plus, np.exp(1j * beta)),
     ):
         lhs = ey_inv @ ladder @ ey
-        phase_residual = max(phase_residual, sparse.max_abs(lhs - phase * ladder))
+        phase_residual = worst_of(phase_residual, sparse.max_abs(lhs - phase * ladder))
 
     parity_residual = 0.0
     for conj in (ex, ey):
         inv = ex_inv if conj is ex else ey_inv
-        parity_residual = max(parity_residual, sparse.max_abs(inv @ reg.parity @ conj - reg.parity))
+        parity_residual = worst_of(
+            parity_residual, sparse.max_abs(inv @ reg.parity @ conj - reg.parity)
+        )
 
     return ConjugationReport(su2_residual, phase_residual, parity_residual)

@@ -1,8 +1,10 @@
 """Sparse complex linear algebra substrate.
 
-Operators are scipy CSR matrices with complex128 entries; states are dense
-1-d numpy arrays (state dimensions stay below the cap, so dense vectors are
-cheaper than hash maps and keep inner products exact-order deterministic).
+Register and N-slot operators are scipy CSR matrices with complex128
+entries; single-oscillator operators are `modes.ModeBlocks` and reach CSR
+through `SingleOscillatorSpace.embed`.  States are dense 1-d numpy arrays
+(state dimensions stay below the cap, so dense vectors are cheaper than
+hash maps and keep inner products exact-order deterministic).
 All index flattening is row-major: kron(A, B) places B-blocks inside A,
 index = i_A * dim_B + i_B.  Higher layers must never roll their own
 flattening.
@@ -42,6 +44,13 @@ def prune(a: SparseOperator, tol: float = DROP_TOL) -> SparseOperator:
     if a.nnz:
         a.data[np.abs(a.data) < tol] = 0
         a.eliminate_zeros()
+    return a
+
+
+def prune_array(a: np.ndarray, tol: float = DROP_TOL) -> np.ndarray:
+    """Dense counterpart of prune: a copy with entries below tol set to zero."""
+    a = np.array(a, dtype=np.complex128)
+    a[np.abs(a) < tol] = 0
     return a
 
 

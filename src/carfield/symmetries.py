@@ -13,9 +13,9 @@ Conventions fixed here:
   composed with per-mode spin mixing; columns shifted off the lattice are
   dropped, so the unitary is an isometry only on the interior.
 
-Everything here stays at the single-oscillator level (dimension 16 M);
-the N-fold extension rules live in the oscillator module: unitaries
-extend as tensor powers, generators as untwisted sums.
+Everything here stays at the single-oscillator level (dimension 16 M), as
+mode-block operators; the N-fold extension rules live in the oscillator
+module: unitaries extend as tensor powers, generators as untwisted sums.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from . import sparse
 from .errors import ConfigError, PreconditionError
 from .modes import (
     RAPIDITY_1D,
+    ModeBlocks,
     MomentumLattice,
     SingleOscillatorSpace,
     VacuumProfile,
     field_operator,
-    mode_annihilator,
     mode_blocks,
     vacuum_vector,
 )
@@ -42,7 +42,7 @@ from .register import (
     number_operator,
     quadratic_exponential,
 )
-from .sparse import SparseOperator, worst_of
+from .sparse import worst_of
 from .spinors import (
     apply_lorentz_to_point,
     bispinor_rep,
@@ -70,23 +70,22 @@ def _register_charge(space: SingleOscillatorSpace) -> np.ndarray:
     return np.real(diff.diagonal()).round().astype(int)
 
 
-def four_momentum(space: SingleOscillatorSpace) -> list[SparseOperator]:
+def four_momentum(space: SingleOscillatorSpace) -> list[ModeBlocks]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
     reg = space.register
     base = number_operator(reg, "b") + number_operator(reg, "d") - 2 * sparse.identity(REGISTER_DIM)
     coeffs = np.array([_lower_components(p) for p in space.lattice.points])
-    return [space.embed(mode_blocks(coeffs[:, a:a + 1], [base])) for a in range(4)]
+    return [mode_blocks(coeffs[:, a:a + 1], [base]) for a in range(4)]
 
 
-def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> SparseOperator:
+def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> ModeBlocks:
     """exp(i y.P), assembled directly from its diagonal phases."""
     y = np.asarray(y, dtype=float)
     if y.shape != (4,):
         raise ConfigError(f"displacement must be a 4-vector, got shape {y.shape}")
     thetas = np.array([p.dot_point(y) for p in space.lattice.points])
     occ = _register_occupation(space)
-    phases = np.exp(1j * np.outer(thetas, occ - 2)).ravel()
-    return sparse.asoperator(np.diag(phases))
+    return ModeBlocks.diagonal(np.exp(1j * np.outer(thetas, occ - 2)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class BoostData:
     steps: int
     sl2c: np.ndarray          # 2x2 SL(2,C) element
     wigner: np.ndarray        # (modes, 2, 2) per-mode mixing matrices
-    unitary: SparseOperator   # mixing times shift, boundary columns dropped
+    unitary: ModeBlocks       # mixing times shift, boundary columns dropped
 
 
 def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
@@ -105,47 +104,64 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
     wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
-    mixers = [quadratic_exponential(mixing_generator(u)).toarray() for u in wigner]
-    return BoostData(steps, lam, wigner, space.embed(np.array(mixers), shift=steps))
+    mixers = np.array([quadratic_exponential(mixing_generator(u)) for u in wigner])
+    return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps).pruned())
 
 
-def interior_projector(space: SingleOscillatorSpace, steps: int) -> SparseOperator:
+def interior_projector(space: SingleOscillatorSpace, steps: int) -> ModeBlocks:
     """Projector onto modes |j| <= J - |steps|, where boundary effects cannot reach."""
     lattice = space.lattice
     if lattice.mode != RAPIDITY_1D:
         raise PreconditionError("interior projector is only defined on rapidity lattices")
     j_max = max(lattice.j_values)
     keep = np.array([1.0 if abs(j) <= j_max - abs(steps) else 0.0 for j in lattice.j_values])
-    return sparse.tensor_product(sparse.asoperator(np.diag(keep)), sparse.identity(REGISTER_DIM))
+    return mode_blocks(keep[:, None], [space.register.identity])
 
 
 def poincare_unitary(space: SingleOscillatorSpace, boost: BoostData,
-                     y: np.ndarray) -> SparseOperator:
+                     y: np.ndarray) -> ModeBlocks:
     """U_{Lambda,y} = U_{1,y} U_{Lambda,0}."""
-    return sparse.prune(translation_unitary(space, y) @ boost.unitary)
+    return (translation_unitary(space, y) @ boost.unitary).pruned()
+
+
+def _every_mode(space: SingleOscillatorSpace, spin: int, species: str,
+                modes: np.ndarray | None = None) -> ModeBlocks:
+    """sum_i c(p_i, s) over the selected modes (all by default), one block per mode.
+
+    Mode blocks never mix, so block i of any product with this sum is the
+    block of the same product with mode_annihilator(space, i, spin, species).
+    """
+    select = np.ones(space.lattice.size, dtype=bool) if modes is None else modes
+    coeffs = np.where(select, 1.0 / space.lattice.weights, 0.0)
+    return mode_blocks(coeffs[:, None], [space.register.ladder(species, spin)])
 
 
 def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float:
-    """Residual of U' c(p_j, s) U = sum_s' u_j[s,s'] c(p_{j-k}, s') over valid j."""
-    lattice = space.lattice
-    js = lattice.j_values
+    """Residual of U' c(p_j, s) U = sum_s' u_j[s,s'] c(p_{j-k}, s') over valid j.
+
+    All valid j at once: U' c(p_j, s) U is the block of mode j - k, so one
+    block product per (species, s) holds every mode's left-hand side.
+    """
+    m = space.lattice.size
     k = boost.steps
     u = boost.unitary
-    u_dag = sparse.adjoint(u)
+    u_dag = u.adjoint()
+    src = np.arange(m) - k
+    valid = (src >= 0) & (src < m)
+    # per source mode j - k, the mixing row of mode j
+    mix = np.zeros((m, 2, 2), dtype=np.complex128)
+    mix[src[valid]] = boost.wigner[valid]
+    sources = np.zeros(m, dtype=bool)
+    sources[src[valid]] = True
     worst = 0.0
-    for idx, j in enumerate(js):
-        if j - k not in js:
-            continue
-        src = js.index(j - k)
-        for species in ("b", "d"):
-            for s in (0, 1):
-                lhs = u_dag @ mode_annihilator(space, idx, s, species) @ u
-                rhs = sparse.zeros(space.dim)
-                for sp in (0, 1):
-                    rhs = rhs + boost.wigner[idx][s, sp] * mode_annihilator(
-                        space, src, sp, species
-                    )
-                worst = worst_of(worst, sparse.max_abs(lhs - rhs))
+    for species in ("b", "d"):
+        targets = [_every_mode(space, sp, species, sources) for sp in (0, 1)]
+        for s in (0, 1):
+            lhs = u_dag @ _every_mode(space, s, species, valid) @ u
+            rhs = ModeBlocks.zeros(m)
+            for sp in (0, 1):
+                rhs = rhs + ModeBlocks(mix[:, s, sp, None, None] * targets[sp].stack)
+            worst = worst_of(worst, (lhs - rhs).max_abs())
     return worst
 
 
@@ -155,8 +171,8 @@ def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData,
     u = poincare_unitary(space, boost, y)
     proj = interior_projector(space, boost.steps)
     parity = space.parity()
-    diff = sparse.adjoint(u) @ parity @ u - parity
-    return sparse.max_abs(proj @ diff @ proj)
+    diff = u.adjoint() @ parity @ u - parity
+    return (proj @ diff @ proj).max_abs()
 
 
 def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
@@ -171,7 +187,7 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     u = poincare_unitary(space, boost, y)
-    u_dag = sparse.adjoint(u)
+    u_dag = u.adjoint()
     proj = interior_projector(space, boost.steps)
     s4 = bispinor_rep(boost.sl2c)
     x_back = apply_lorentz_to_point(np.linalg.inv(boost.sl2c), x - y)
@@ -179,11 +195,11 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
     worst = 0.0
     for a in range(4):
         lhs = u_dag @ field_operator(space, x, a, conjugate=conjugate) @ u
-        rhs = sparse.zeros(space.dim)
+        rhs = ModeBlocks.zeros(space.lattice.size)
         for b in range(4):
             if s4[a, b] != 0:
                 rhs = rhs + s4[a, b] * fields_back[b]
-        worst = worst_of(worst, sparse.max_abs(proj @ (lhs - rhs) @ proj))
+        worst = worst_of(worst, (proj @ (lhs - rhs) @ proj).max_abs())
     return worst
 
 
@@ -191,7 +207,7 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
 # internal symmetries
 
 
-def charge_operator(space: SingleOscillatorSpace, e0: float = 1.0) -> SparseOperator:
+def charge_operator(space: SingleOscillatorSpace, e0: float = 1.0) -> ModeBlocks:
     """Q = e0 sum_i |i><i| x (n_b - n_d + 2); the offset is central."""
     reg = space.register
     base = (
@@ -199,17 +215,14 @@ def charge_operator(space: SingleOscillatorSpace, e0: float = 1.0) -> SparseOper
         - number_operator(reg, "d")
         + 2 * sparse.identity(REGISTER_DIM)
     )
-    return sparse.prune(
-        e0 * sparse.tensor_product(sparse.identity(space.lattice.size), base)
-    )
+    return mode_blocks(np.full((space.lattice.size, 1), e0), [base])
 
 
-def gauge_unitary(space: SingleOscillatorSpace, e0: float, phi: float) -> SparseOperator:
+def gauge_unitary(space: SingleOscillatorSpace, e0: float, phi: float) -> ModeBlocks:
     """exp(i phi Q), assembled from its diagonal."""
     charge = _register_charge(space)
     phases = np.exp(1j * phi * e0 * (charge + 2))
-    full = np.tile(phases, space.lattice.size)
-    return sparse.asoperator(np.diag(full))
+    return ModeBlocks.diagonal(np.tile(phases, (space.lattice.size, 1)))
 
 
 @dataclass(frozen=True)
@@ -228,26 +241,25 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
     fix the sign convention; the finite rotation follows from them.
     """
     u = gauge_unitary(space, e0, phi)
-    u_dag = sparse.adjoint(u)
+    u_dag = u.adjoint()
     field_res = 0.0
     conj_res = 0.0
     for a in range(4):
         psi = field_operator(space, x, a)
         rotated = u_dag @ psi @ u
-        field_res = worst_of(field_res, sparse.max_abs(rotated - np.exp(1j * e0 * phi) * psi))
+        field_res = worst_of(field_res, (rotated - np.exp(1j * e0 * phi) * psi).max_abs())
         psi_c = field_operator(space, x, a, conjugate=True)
         rotated_c = u_dag @ psi_c @ u
-        conj_res = worst_of(conj_res, sparse.max_abs(rotated_c - np.exp(-1j * e0 * phi) * psi_c))
+        conj_res = worst_of(conj_res, (rotated_c - np.exp(-1j * e0 * phi) * psi_c).max_abs())
     parity = space.parity()
-    grading_res = sparse.max_abs(u_dag @ parity @ u - parity)
+    grading_res = (u_dag @ parity @ u - parity).max_abs()
     q = charge_operator(space, e0)
     comm_res = 0.0
-    for i in range(space.lattice.size):
-        for s in (0, 1):
-            b_dag = sparse.adjoint(mode_annihilator(space, i, s, "b"))
-            d_dag = sparse.adjoint(mode_annihilator(space, i, s, "d"))
-            comm_res = worst_of(comm_res, sparse.max_abs(sparse.commutator(q, b_dag) - e0 * b_dag))
-            comm_res = worst_of(comm_res, sparse.max_abs(sparse.commutator(q, d_dag) + e0 * d_dag))
+    for s in (0, 1):
+        b_dag = _every_mode(space, s, "b").adjoint()
+        d_dag = _every_mode(space, s, "d").adjoint()
+        comm_res = worst_of(comm_res, (q.commutator(b_dag) - e0 * b_dag).max_abs())
+        comm_res = worst_of(comm_res, (q.commutator(d_dag) + e0 * d_dag).max_abs())
     return GaugeReport(
         field_residual=field_res,
         conjugate_residual=conj_res,
@@ -256,7 +268,7 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
     )
 
 
-def spin_operator(space: SingleOscillatorSpace) -> SparseOperator:
+def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
     """Third spin component: (1/2) sum over species of (n_plus - n_minus)."""
     reg = space.register
     base = sparse.zeros(REGISTER_DIM)
@@ -264,22 +276,17 @@ def spin_operator(space: SingleOscillatorSpace) -> SparseOperator:
         for s, sign in ((0, -1.0), (1, 1.0)):
             ladder = reg.ladder(species, s)
             base = base + sign * (sparse.adjoint(ladder) @ ladder)
-    return sparse.prune(
-        0.5 * sparse.tensor_product(sparse.identity(space.lattice.size), base)
-    )
+    return mode_blocks(np.full((space.lattice.size, 1), 0.5), [base])
 
 
 def spin_commutator_residual(space: SingleOscillatorSpace) -> float:
-    """Residual of [S3, c_s'] = (+-1/2) c_s' for both species and spins."""
+    """Residual of [S3, c_s'] = (+-1/2) c_s' for both species and spins, all modes at once."""
     s3 = spin_operator(space)
     worst = 0.0
-    for i in range(space.lattice.size):
-        for species in ("b", "d"):
-            for s, sign in ((0, -0.5), (1, 0.5)):
-                c_dag = sparse.adjoint(mode_annihilator(space, i, s, species))
-                worst = worst_of(
-                    worst, sparse.max_abs(sparse.commutator(s3, c_dag) - sign * c_dag)
-                )
+    for species in ("b", "d"):
+        for s, sign in ((0, -0.5), (1, 0.5)):
+            c_dag = _every_mode(space, s, species).adjoint()
+            worst = worst_of(worst, (s3.commutator(c_dag) - sign * c_dag).max_abs())
     return worst
 
 
@@ -310,7 +317,7 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     js = lattice.j_values
     k = boost.steps
     vac = vacuum_vector(space, profile)
-    moved = sparse.apply_operator(poincare_unitary(space, boost, y), vac)
+    moved = sparse.apply_operator(space.embed(poincare_unitary(space, boost, y)), vac)
 
     predicted = np.zeros(space.dim, dtype=np.complex128)
     shifted_raw = np.zeros(lattice.size, dtype=np.complex128)

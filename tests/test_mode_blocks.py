@@ -1,22 +1,31 @@
-"""The mode-block assembler against a per-mode kron reference.
+"""Mode-block operators against CSR references.
 
-Each reference below is built one coefficient at a time as
+Each builder reference below is built one coefficient at a time as
 coeff * kron(|i><j|, register operator), the way the operators read in
-their docstrings.  The assembled operators must match it bitwise, with the
-same stored entries.
+their docstrings.  The assembled operators, taken to CSR by embed, must
+match it bitwise, with the same stored entries.  The block algebra
+(products, sums, adjoints, commutators) must equal the same operations on
+the embedded CSR matrices.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carfield import sparse, symmetries
 from carfield.errors import ShapeError
 from carfield.modes import (
+    ModeBlocks,
     SingleOscillatorSpace,
     field_operator,
     grid_lattice,
     mode_annihilator,
     mode_projector,
+    rapidity_lattice,
+    restricted_lattice,
     smeared_annihilator,
 )
 from carfield.register import REGISTER_DIM, number_operator, quadratic_exponential
@@ -83,13 +92,13 @@ def test_mode_ladders_and_projectors(space):
     for i in (0, space.lattice.size - 1):
         w = space.lattice.weights[i]
         ref = sparse.prune(sparse.tensor_product(_ket_bra(space, i, i), reg.identity) / w)
-        _assert_same(mode_projector(space, i), ref)
+        _assert_same(space.embed(mode_projector(space, i)), ref)
         for species in ("b", "d"):
             for s in (0, 1):
                 ref = sparse.prune(
                     sparse.tensor_product(_ket_bra(space, i, i), reg.ladder(species, s)) / w
                 )
-                _assert_same(mode_annihilator(space, i, s, species), ref)
+                _assert_same(space.embed(mode_annihilator(space, i, s, species)), ref)
 
 
 def test_smeared_annihilator(space, rng):
@@ -100,7 +109,8 @@ def test_smeared_annihilator(space, rng):
             (i, i, np.conj(f[i, s]), space.register.ladder(species, s))
             for i in range(space.lattice.size) for s in (0, 1)
         ]
-        _assert_same(smeared_annihilator(space, f, species), _kron_sum(space, terms))
+        _assert_same(space.embed(smeared_annihilator(space, f, species)),
+                     _kron_sum(space, terms))
 
 
 def test_field_operator_components(space, rng):
@@ -117,7 +127,7 @@ def test_field_operator_components(space, rng):
                                   reg.ladder(ann, s)))
                     terms.append((i, i, space.neg_table[i, s, alpha] * np.conj(phase),
                                   sparse.adjoint(reg.ladder(cre, 1 - s))))
-            _assert_same(field_operator(space, x, alpha, conjugate=conjugate),
+            _assert_same(space.embed(field_operator(space, x, alpha, conjugate=conjugate)),
                          _kron_sum(space, terms))
 
 
@@ -131,7 +141,7 @@ def test_four_momentum(space):
             (i, i, (p.E, -p.px, -p.py, -p.pz)[a], base)
             for i, p in enumerate(space.lattice.points)
         ]
-        _assert_same(got, _kron_sum(space, terms))
+        _assert_same(space.embed(got), _kron_sum(space, terms))
 
 
 @pytest.mark.parametrize("steps", [1, -1, 6, -6])
@@ -145,8 +155,95 @@ def test_boost_unitary(default_space, steps):
         (col + steps, col, 1.0, mixers[col + steps])
         for col, j in enumerate(js) if j + steps in js
     ]
-    _assert_same(boost.unitary, _kron_sum(default_space, terms))
+    unitary = default_space.embed(boost.unitary)
+    _assert_same(unitary, _kron_sum(default_space, terms))
     dropped = [col for col, j in enumerate(js) if j + steps not in js]
     assert len(dropped) == abs(steps)
-    dense = boost.unitary.toarray().reshape(lattice.size, REGISTER_DIM, lattice.size, REGISTER_DIM)
+    dense = unitary.toarray().reshape(lattice.size, REGISTER_DIM, lattice.size, REGISTER_DIM)
     assert not dense[:, :, dropped, :].any()
+
+
+# --- the block algebra against the same operations on embedded CSR
+
+@functools.cache
+def _space_of(modes):
+    """A space with the given number of lattice modes (1 to 4)."""
+    return SingleOscillatorSpace(
+        restricted_lattice(rapidity_lattice(2, 0.4, 1.0), tuple(range(modes)))
+    )
+
+
+def _random_stack(rng, modes, integer):
+    """Sparse small-integer blocks, or dense complex ones; some blocks are zero."""
+    shape = (modes, REGISTER_DIM, REGISTER_DIM)
+    if integer:
+        stack = rng.integers(-2, 3, shape) * (rng.random(shape) < 0.1)
+        stack = stack + 1j * rng.integers(-1, 2, shape) * (rng.random(shape) < 0.05)
+    else:
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[rng.random(modes) < 0.3] = 0
+    return stack
+
+
+def _same_as_csr(space, got, want, scale, integer):
+    diff = sparse.max_abs(space.embed(got) - want)
+    assert diff == 0.0 if integer else diff <= 1e-15 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 4), shifts=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+       integer=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_algebra_matches_csr(modes, shifts, integer, seed):
+    rng = np.random.default_rng(seed)
+    space = _space_of(modes)
+    s_a, s_b = (max(-modes, min(modes, s)) for s in shifts)
+    a = ModeBlocks(_random_stack(rng, modes, integer), s_a)
+    b = ModeBlocks(_random_stack(rng, modes, integer), s_b)
+    b_same = ModeBlocks(_random_stack(rng, modes, integer), s_a)
+    big_a, big_b, big_same = space.embed(a), space.embed(b), space.embed(b_same)
+    norm_a, norm_b = a.max_abs(), b.max_abs()
+    product_scale = REGISTER_DIM * norm_a * norm_b
+
+    assert norm_a == sparse.max_abs(big_a)
+    _same_as_csr(space, a @ b, big_a @ big_b, product_scale, integer)
+    _same_as_csr(space, a + b_same, big_a + big_same, norm_a + b_same.max_abs(), integer)
+    _same_as_csr(space, a - b_same, big_a - big_same, norm_a + b_same.max_abs(), integer)
+    _same_as_csr(space, (2 - 0.5j) * a, (2 - 0.5j) * big_a, norm_a, integer)
+    _same_as_csr(space, a / 4, big_a / 4, norm_a, integer)
+    _same_as_csr(space, a.adjoint(), sparse.adjoint(big_a), norm_a, integer)
+    assert (a.adjoint().shift, (a @ b).shift) == (-s_a, s_a + s_b)
+    _same_as_csr(space, a.commutator(b), sparse.commutator(big_a, big_b),
+                 2 * product_scale, integer)
+    _same_as_csr(space, a.anticommutator(b), sparse.anticommutator(big_a, big_b),
+                 2 * product_scale, integer)
+    if s_a != s_b:
+        with pytest.raises(ShapeError):
+            a + b
+
+
+def test_block_stack_drops_blocks_off_the_lattice(default_space):
+    m = default_space.lattice.size
+    stack = np.ones((m, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+    op = ModeBlocks(stack, shift=3)
+    assert not op.stack[:3].any() and op.stack[3:].all()
+    assert stack.all()  # the caller's array is not modified
+    assert not ModeBlocks(stack, shift=-m).stack.any()
+    with pytest.raises(ShapeError):
+        ModeBlocks(stack[:, :4])
+    with pytest.raises(ShapeError):
+        op @ ModeBlocks(stack[:2])
+
+
+def test_commutators_prune_like_csr(default_space, rng):
+    # b equals a up to rounding, so [a, b] is rounding noise (about 5e-16
+    # before the prune); both routes drop it below DROP_TOL
+    m = default_space.lattice.size
+    a = ModeBlocks(0.3 * _random_stack(rng, m, integer=False))
+    b = a / 3 * 3
+    comm = a.commutator(b)
+    want = sparse.commutator(default_space.embed(a), default_space.embed(b))
+    assert sparse.max_abs(default_space.embed(comm) - want) == 0.0
+    assert comm.max_abs() == 0.0
+    anti = a.anticommutator(b)
+    want = sparse.anticommutator(default_space.embed(a), default_space.embed(b))
+    assert sparse.max_abs(default_space.embed(anti) - want) == 0.0

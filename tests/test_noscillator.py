@@ -21,6 +21,7 @@ from carfield.errors import (
     SizeCapError,
 )
 from carfield.modes import (
+    ModeBlocks,
     SingleOscillatorSpace,
     mode_projector,
     rapidity_lattice,
@@ -45,6 +46,7 @@ from carfield.noscillator import (
     vacuum_state,
     zprod_inner,
 )
+from carfield.register import REGISTER_DIM
 
 from conftest import random_table
 
@@ -78,17 +80,20 @@ def test_nregister_validation(single_space):
 def test_extend_operator_formula(double_space, rng):
     nreg = NRegister(double_space, 2)
     op = smeared_annihilator(double_space, random_table(rng, 2), "b")
-    twist = double_space.parity()
+    op_csr = double_space.embed(op)
+    twist = double_space.embed(double_space.parity())
     ident = sparse.identity(double_space.dim)
-    manual = (sparse.tensor_product(op, ident) + sparse.tensor_product(twist, op)) / np.sqrt(2)
+    manual = (sparse.tensor_product(op_csr, ident)
+              + sparse.tensor_product(twist, op_csr)) / np.sqrt(2)
     assert sparse.max_abs(extend_operator(nreg, op) - manual) == 0.0
 
 
 def test_extend_additive_and_mean(double_space):
     nreg = NRegister(double_space, 2)
     op = mode_projector(double_space, 0)
+    op_csr = double_space.embed(op)
     ident = sparse.identity(double_space.dim)
-    plain = sparse.tensor_product(op, ident) + sparse.tensor_product(ident, op)
+    plain = sparse.tensor_product(op_csr, ident) + sparse.tensor_product(ident, op_csr)
     assert sparse.max_abs(extend_additive(nreg, op) - plain) == 0.0
     assert sparse.max_abs(extend_additive(nreg, op, mean=True) - plain / 2) == 0.0
 
@@ -96,15 +101,17 @@ def test_extend_additive_and_mean(double_space):
 def test_extend_unitary_is_tensor_power(double_space, rng):
     nreg = NRegister(double_space, 2)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, double_space.dim))
-    u = sparse.asoperator(np.diag(phases))
-    expected = sparse.tensor_product(u, u)
+    u = ModeBlocks.diagonal(phases.reshape(double_space.lattice.size, REGISTER_DIM))
+    u_csr = double_space.embed(u)
+    expected = sparse.tensor_product(u_csr, u_csr)
     assert sparse.max_abs(extend_unitary(nreg, u) - expected) == 0.0
 
 
 def test_extension_dimension_guards(double_space, default_space):
     nreg = NRegister(double_space, 2)
+    # an operator of another lattice size
     with pytest.raises(ShapeError):
-        extend_operator(nreg, sparse.identity(7))
+        extend_operator(nreg, ModeBlocks.zeros(3))
     # (16 * 13)^3 blows through the cap
     big = NRegister(default_space, 3)
     with pytest.raises(SizeCapError):
@@ -121,9 +128,8 @@ def test_extended_car(double_space, rng):
     g = random_table(rng, 2)
     ext_f = extend_operator(nreg, smeared_matrix(double_space, OpSpec(f, "b", False)))
     ext_g = extend_operator(nreg, smeared_matrix(double_space, OpSpec(g, "b", False)))
-    single_anti = sparse.anticommutator(
-        smeared_annihilator(double_space, f, "b"),
-        sparse.adjoint(smeared_annihilator(double_space, g, "b")),
+    single_anti = smeared_annihilator(double_space, f, "b").anticommutator(
+        smeared_annihilator(double_space, g, "b").adjoint()
     )
     expected = extend_additive(nreg, single_anti, mean=True)
     got = sparse.anticommutator(ext_f, sparse.adjoint(ext_g))

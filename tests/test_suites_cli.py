@@ -1,11 +1,13 @@
 """Report plumbing: suite registry, determinism, config I/O, CLI exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carfield import sparse
+from carfield import noscillator, register, sparse, spinors
 from carfield.cli import main
 from carfield.config import (
     LatticeConfig,
@@ -16,6 +18,7 @@ from carfield.config import (
     load_config,
 )
 from carfield.errors import ConfigError
+from carfield.register import build_register, conjugation_report
 from carfield.suites import SUITE_ORDER, _rec, render_text, run_report, run_suite
 
 
@@ -305,3 +308,63 @@ def test_cli_reads_config_file(tmp_path):
     out = tmp_path / "r.json"
     assert main(["--config", str(cfg), "--suite", "jw_car", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 21
+
+
+def test_nan_conjugation_residual_fails_su2_check(monkeypatch, fast_config):
+    # the third max_abs call of the register layer is the second su2 term of
+    # the first conjugation report; builtin max would keep the first term
+    class NanOnThirdCall:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(sparse, name)
+
+        def max_abs(self, a):
+            self.calls += 1
+            return float("nan") if self.calls == 3 else sparse.max_abs(a)
+
+    reg = build_register()
+    a = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
+    monkeypatch.setattr(register, "sparse", NanOnThirdCall())
+    report = conjugation_report(reg, a, 0.4, -0.7)
+    assert np.isnan(report.su2_residual)
+    assert report.phase_residual < 1e-10 and report.parity_residual < 1e-10
+
+    monkeypatch.setattr(register, "sparse", NanOnThirdCall())
+    records = {r.check: r for r in run_suite("jw_car", fast_config)}
+    assert np.isnan(records["su2_conjugation"].residual)
+    assert not records["su2_conjugation"].passed
+    assert records["phase_conjugation"].passed
+
+
+def test_nan_dirac_mismatch_fails_its_flag(monkeypatch, fast_config):
+    # per momentum and spin the suite asks for two matching residuals and then
+    # two mismatched ones, so the third call is a mismatched branch
+    real_residual = spinors.dirac_residual
+    calls = []
+
+    def nan_on_third_call(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 3 else real_residual(*args)
+
+    monkeypatch.setattr(spinors, "dirac_residual", nan_on_third_call)
+    records = {r.check: r for r in run_suite("spinor", fast_config)}
+    assert records["dirac_kernel"].passed
+    assert not records["dirac_mismatch"].passed
+
+
+def _sweep_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "determinant_limit_sweep.py"
+    spec = importlib.util.spec_from_file_location("determinant_limit_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_script_budget_stop_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(noscillator, "PATTERN_CAP", 1)
+    code = _sweep_script().main(["--modes", "1", "--orders", "2", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ResourceLimitError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
