@@ -233,22 +233,15 @@ class SingleOscillatorSpace:
             [[t.neg[s].as4() for s in (0, 1)] for t in tables]
         )
 
-    def embed(self, blocks: ModeBlocks | np.ndarray, shift: int = 0) -> SparseOperator:
-        """sum_i |i><i - shift| x blocks[i] as pruned CSR, from a ModeBlocks or a stack.
-
-        The one conversion of single-oscillator operators to CSR.  Blocks
-        whose source mode i - shift is off the lattice are dropped.
-        """
-        if isinstance(blocks, ModeBlocks):
-            blocks, shift = blocks.stack, blocks.shift
+    def embed(self, op: ModeBlocks) -> SparseOperator:
+        """op as pruned CSR: the one conversion of single-oscillator operators to CSR."""
         m = self.lattice.size
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        if blocks.shape != (m, REGISTER_DIM, REGISTER_DIM):
-            raise ShapeError(f"block stack must be ({m}, 16, 16), got {blocks.shape}")
-        src = np.arange(m) - shift
+        if len(op.stack) != m:
+            raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
+        src = np.arange(m) - op.shift
         keep = (src >= 0) & (src < m)
         indptr = np.concatenate(([0], np.cumsum(keep)))
-        out = sp.bsr_matrix((blocks[keep], src[keep], indptr), shape=(self.dim, self.dim))
+        out = sp.bsr_matrix((op.stack[keep], src[keep], indptr), shape=(self.dim, self.dim))
         return sparse.prune(out.tocsr())
 
     def parity(self) -> ModeBlocks:

@@ -14,8 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
 
 from . import sparse
 from .errors import PreconditionError
@@ -110,7 +108,7 @@ def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> SparseOperator:
     factorizes over the b-pair and d-pair subspaces and only needs B = e^A
     per species.  The two factors commute.
     """
-    return sp.csr_matrix(_pair_product(a_b, a_d))
+    return sparse.asoperator(_pair_product(a_b, a_d))
 
 
 def quadratic_exponential(a: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def _exp2(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise PreconditionError(f"quadratic form must be 2x2, got {a.shape}")
-    return sparse.prune_array(expm(sparse.prune_array(a)))
+    return sparse.dense_exponential(sparse.prune_array(a))
 
 
 def quadratic_generator(reg: JWRegister, a_b: np.ndarray, a_d: np.ndarray) -> SparseOperator:

@@ -100,16 +100,24 @@ def _check_square_pair(a: SparseOperator, b: SparseOperator) -> None:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def _check_exponent(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"matrix exponential needs a square matrix, got {shape}")
+    if shape[0] > DENSE_EXP_LIMIT:
+        raise SizeCapError(f"dense exponential limited to dim {DENSE_EXP_LIMIT}, got {shape[0]}")
+
+
+def dense_exponential(a: np.ndarray) -> np.ndarray:
+    """e^A of a dense matrix via scaling-and-squaring, pruned as prune_array prunes."""
+    a = np.asarray(a, dtype=np.complex128)
+    _check_exponent(a.shape)
+    return prune_array(_dense_expm(a))
+
+
 def matrix_exponential(a: SparseOperator) -> SparseOperator:
-    """e^A via dense scaling-and-squaring; matrices here are small by contract."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix_exponential needs a square matrix, got {a.shape}")
-    if a.shape[0] > DENSE_EXP_LIMIT:
-        raise SizeCapError(
-            f"dense exponential limited to dim {DENSE_EXP_LIMIT}, got {a.shape[0]}"
-        )
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=np.complex128)
-    return asoperator(_dense_expm(dense))
+    """e^A as pruned CSR; matrices here are small by contract."""
+    _check_exponent(a.shape)
+    return asoperator(dense_exponential(a.toarray() if sp.issparse(a) else a))
 
 
 def apply_operator(a: SparseOperator, v: np.ndarray) -> np.ndarray:

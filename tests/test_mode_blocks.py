@@ -68,7 +68,7 @@ def test_embed_places_blocks_and_shifts(default_space):
     m = default_space.lattice.size
     blocks = np.zeros((m, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
     blocks[:] = default_space.register.b_minus.toarray()
-    shifted = default_space.embed(blocks, shift=2)
+    shifted = default_space.embed(ModeBlocks(blocks, 2))
     ref = _kron_sum(
         default_space,
         [(i, i - 2, 1.0, default_space.register.b_minus) for i in range(2, m)],
@@ -76,7 +76,7 @@ def test_embed_places_blocks_and_shifts(default_space):
     _assert_same(shifted, ref)
     # rows of the first two modes have no source on the lattice
     assert shifted[: 2 * REGISTER_DIM].nnz == 0
-    assert default_space.embed(blocks, shift=m).nnz == 0
+    assert default_space.embed(ModeBlocks(blocks, m)).nnz == 0
 
 
 def test_embed_rejects_wrong_stack(default_space):
@@ -84,7 +84,7 @@ def test_embed_rejects_wrong_stack(default_space):
     for shape in ((m, REGISTER_DIM, REGISTER_DIM - 1), (m - 1, REGISTER_DIM, REGISTER_DIM),
                   (REGISTER_DIM, REGISTER_DIM)):
         with pytest.raises(ShapeError):
-            default_space.embed(np.zeros(shape))
+            default_space.embed(ModeBlocks(np.zeros(shape)))
 
 
 def test_mode_ladders_and_projectors(space):
