@@ -5,8 +5,8 @@ space (lattice modes tensored with a 16-dim ladder register).  Canonical
 anticommutators close on central elements instead of numbers, and vacuum
 matrix elements of smeared operator products approach the usual Fock
 determinants as N grows.  The package builds all of this as explicit
-sparse matrices (plus an N-independent state walk), and ships residual
-check suites with a CLI harness.
+sparse matrices (plus an N-independent set-partition expansion), and ships
+residual check suites with a CLI harness.
 """
 
 from .config import LatticeConfig, ProfileConfig, RunConfig, default_config, load_config

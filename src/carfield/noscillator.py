@@ -13,22 +13,21 @@ Two evaluation paths for vacuum matrix elements of smeared operator
 products:
 
 * explicit matrices, capped at total dimension (16 M)^N <= 2^20;
-* an occupancy-pattern walk that never forms the N-fold space.  The walk
-  tracks, per product vacuum, the multiset of slots whose local state has
-  been modified, exploiting that all slots are exchangeable.  Nothing in
-  the walk depends on N: N enters only through the binomial weight of each
-  pattern and the deferred normalization, so one walk serves every N.  It
-  is exact up to rounding for any N and any lattice, and on one-mode
-  lattices it can run in exact arithmetic (every amplitude float is a
-  dyadic rational), which matters because there the finite-N matrix
-  element equals the limiting determinant identically and float noise
-  would otherwise mask the equality.  The exact path lifts each amplitude
-  table once to Gaussian integers over a power of two, runs in integers,
-  and divides once at the end.
+* a set-partition (moment-cumulant) expansion that never forms the N-fold
+  space.  It computes the single-oscillator vacuum moment of every ordered
+  sub-product of the factors, sums the products of these moments over set
+  partitions by block count, and weights j blocks by N! / (N - j)!.  Nothing
+  but that weight depends on N, so one expansion serves every N.  It is
+  exact up to rounding for any N and any lattice, and on one-mode lattices
+  it runs in exact arithmetic (every amplitude float is a dyadic rational),
+  which matters because there the finite-N matrix element equals the
+  limiting determinant identically and float noise would otherwise mask
+  the equality.  The exact path lifts each amplitude table once to Gaussian
+  integers over a power of two, runs in integers, and divides once.
 
-The walk's one budget is PATTERN_CAP (patterns and local states).  The float
-path also stops once comb(N, k) leaves the float range, near N = 10^154 for
-an order-2 overlap; the exact path has no N limit.
+Its cost depends only on the number K of factors; its one budget is
+K <= 2 MAX_SLATER_ORDER.  The float path also stops once N! / (N - j)!
+leaves the float range, near N = 10^154 for an order-2 overlap.
 """
 
 from __future__ import annotations
@@ -58,11 +57,10 @@ from .modes import (
     smeared_annihilator,
     vacuum_vector,
 )
-from .register import REGISTER_DIM, VACUUM_INDEX, build_register
+from .register import VACUUM_INDEX, build_register
 from .sparse import MAX_DIM, SparseOperator
 
 MAX_SLATER_ORDER = 8
-PATTERN_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -170,14 +168,16 @@ def zprod_inner(lattice: MomentumLattice, profile: VacuumProfile,
 
 def gram_matrix(lattice: MomentumLattice, profile: VacuumProfile,
                 fs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
+    """zprod_inner of every f with every g, bitwise, as one broadcast product and sum."""
     if len(fs) != len(gs):
         raise ShapeError(f"need equal list lengths, got {len(fs)} and {len(gs)}")
-    m = len(fs)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for k in range(m):
-        for j in range(m):
-            out[k, j] = zprod_inner(lattice, profile, fs[k], gs[j])
-    return out
+    shape = (lattice.size, 2)
+    tables = [np.asarray(t, dtype=np.complex128) for t in (*fs, *gs)]
+    if any(t.shape != shape for t in tables):
+        raise ShapeError(f"amplitude tables must be {shape}")
+    f, g = np.array(tables).reshape(2, len(fs), *shape)
+    wz = lattice.weights * profile.z
+    return np.sum(wz[:, None] * np.conj(f)[:, None] * g[None], axis=(2, 3))
 
 
 def _perm_sign(sigma: tuple[int, ...]) -> int:
@@ -210,7 +210,7 @@ def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
 
 
 # ---------------------------------------------------------------------------
-# occupancy-pattern walk
+# set-partition expansion
 
 
 class _ExactComplex:
@@ -235,8 +235,6 @@ class _ExactComplex:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self):
         return _ExactComplex(self.re, -self.im)
@@ -270,72 +268,48 @@ def _exact_quotient(num: _ExactComplex, den: int) -> _ExactComplex:
     return _ExactComplex(Fraction(num.re, den), Fraction(num.im, den))
 
 
-def _column_map(mat: SparseOperator) -> dict[int, tuple[int, int]]:
-    """{col: (row, sign)} for a matrix with at most one +-1 entry per column."""
-    dense = mat.toarray()
-    out = {}
-    for col in range(dense.shape[1]):
-        rows = np.nonzero(dense[:, col])[0]
-        if len(rows) == 0:
-            continue
-        row = int(rows[0])
-        out[col] = (row, int(round(dense[row, col].real)))
-    return out
+_REGISTER = build_register()
 
 
-def _build_ladder_maps():
-    reg = build_register()
-    maps = {}
-    for species in ("b", "d"):
-        for spin in (0, 1):
-            mat = reg.ladder(species, spin)
-            maps[(species, spin, False)] = _column_map(mat)
-            maps[(species, spin, True)] = _column_map(sparse.adjoint(mat))
-    parity = {r: (r, int(round(reg.parity[r, r].real))) for r in range(REGISTER_DIM)}
-    return maps, parity
+def _ladder_map(species: str, spin: int, dagger: bool) -> dict[int, tuple[int, int]]:
+    """{col: (row, sign)} of a register ladder or its adjoint, a signed partial permutation."""
+    coo = _REGISTER.ladder(species, spin).tocoo()
+    rows, cols = (coo.col, coo.row) if dagger else (coo.row, coo.col)
+    return {int(c): (int(r), int(v.real)) for r, c, v in zip(rows, cols, coo.data)}
 
 
-_LADDER_MAPS, _PARITY_MAP = _build_ladder_maps()
+_LADDERS = {(species, spin, dagger): _ladder_map(species, spin, dagger)
+            for species in ("b", "d") for spin in (0, 1) for dagger in (False, True)}
 
 
-def _validate_state_path(space: SingleOscillatorSpace, ops: list[OpSpec]) -> None:
-    modes = space.lattice.size
-    for spec in ops:
-        amp = np.asarray(spec.amplitude)
-        if amp.shape != (modes, 2):
-            raise ShapeError(f"amplitude table must be ({modes}, 2), got {amp.shape}")
-        if spec.species not in ("b", "d"):
-            raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
-        if not np.all(np.isfinite(amp)):
-            raise PreconditionError("amplitude table must be finite")
-
-
-class _Walk(NamedTuple):
-    """The N-independent result of a pattern walk, ready to evaluate at any N."""
+class _Expansion(NamedTuple):
+    """c_j, the N-independent sum over partitions into j blocks; exact ones carry 2**-shift."""
 
     nops: int
     exact: bool
-    # float path: (amplitude, root contraction of each slot) per pattern, in walk order
-    terms: list
-    # exact path: per pattern size k, the Gaussian-integer sum of the terms of
-    # that size; every term carries the same factor 2**-shift
-    sizes: list
+    coeffs: list
     shift: int
 
 
-def _pattern_walk(space: SingleOscillatorSpace, profile: VacuumProfile | None,
-                  ops: list[OpSpec], exact: bool) -> _Walk:
-    """Walk the occupancy patterns of a product; nothing here depends on N."""
-    _validate_state_path(space, ops)
+def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
+                    ops: list[OpSpec], exact: bool):
+    """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
+
+    Returns (blocks, shift, zero, one): blocks[k] lists (mask, omega) for the
+    subsets whose smallest factor is k, every one of even size.
+    """
+    if len(ops) > 2 * MAX_SLATER_ORDER:
+        raise ResourceLimitError(
+            f"more than {2 * MAX_SLATER_ORDER} factors exceed the expansion budget; "
+            "reduce the order M")
     lattice = space.lattice
     modes = lattice.size
-
     if exact:
         if modes != 1:
             raise PreconditionError("exact rational path requires a one-mode lattice")
         zero, one = _ExactComplex(0), _ExactComplex(1)
         # sqrt(w) O is a pure phase by normalization and cancels between bra
-        # and ket, so the per-factor vacuum coefficient is fixed to 1
+        # and ket, so the vacuum coefficient is fixed to 1
         root_coeff = [one]
     else:
         if profile is None:
@@ -345,172 +319,114 @@ def _pattern_walk(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
         ]
 
-    # per op: coefficient tables coeffs[i][s] and register column maps per spin;
-    # exact tables are Gaussian integers, op j's scaled by 2**shift_j
-    op_table = []
+    # per factor: coefficient tables coeffs[i][s] and register column maps per
+    # spin; exact tables are Gaussian integers, factor j's scaled by 2**shift_j
+    factors = []
     shift = 0
     for spec in ops:
-        amp = np.asarray(spec.amplitude, dtype=np.complex128)
-        table = amp if spec.dagger else np.conj(amp)
+        amp = np.asarray(spec.amplitude)
+        if amp.shape != (modes, 2):
+            raise ShapeError(f"amplitude table must be ({modes}, 2), got {amp.shape}")
+        if spec.species not in ("b", "d"):
+            raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
+        if not np.all(np.isfinite(amp)):
+            raise PreconditionError("amplitude table must be finite")
+        table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
         if exact:
             row, op_shift = _dyadic_lift(table[0])
             coeffs = [row]
             shift += op_shift
         else:
             coeffs = [[complex(table[i, s]) for s in (0, 1)] for i in range(modes)]
-        maps = tuple(_LADDER_MAPS[(spec.species, s, spec.dagger)] for s in (0, 1))
-        op_table.append((coeffs, maps))
+        factors.append((coeffs, [_LADDERS[(spec.species, s, spec.dagger)] for s in (0, 1)]))
 
-    # local states: sparse {(mode, register_index): amplitude}; id 0 is the
-    # per-slot vacuum factor
-    root = {(i, VACUUM_INDEX): root_coeff[i] for i in range(modes)}
-    states: list[dict] = [root]
-    children: dict[tuple, int | None] = {}
-
-    def apply_label(state_id: int, label) -> int | None:
-        key = (state_id, label)
-        if key in children:
-            return children[key]
-        vec = states[state_id]
+    def apply(k: int, vec: dict) -> dict:
+        coeffs, maps = factors[k]
         out: dict = {}
-        if label == "twist":
-            for (i, r), val in vec.items():
-                row, sign = _PARITY_MAP[r]
-                out[(i, row)] = val * sign
-        else:
-            coeffs, maps = op_table[label]
-            for (i, r), val in vec.items():
-                for s in (0, 1):
-                    hit = maps[s].get(r)
-                    if hit is None:
-                        continue
+        for (i, r), val in vec.items():
+            for s in (0, 1):
+                hit = maps[s].get(r)
+                if hit is not None:
                     row, sign = hit
                     term = coeffs[i][s] * sign * val
-                    acc = out.get((i, row))
-                    acc = term if acc is None else acc + term
-                    if not acc:
-                        out.pop((i, row), None)
-                    else:
-                        out[(i, row)] = acc
-        if not out:
-            children[key] = None
-            return None
-        states.append(out)
-        new_id = len(states) - 1
-        children[key] = new_id
-        if label == "twist":
-            children[(new_id, "twist")] = state_id  # twist is an involution
-        return new_id
+                    key = (i, row)
+                    out[key] = out[key] + term if key in out else term
+        return {key: val for key, val in out.items() if val}
 
-    def twist_prefix(key: tuple, t: int) -> list | None:
-        twisted = []
-        for sid in key[:t]:
-            tw = apply_label(sid, "twist")
-            if tw is None:
-                return None
-            twisted.append(tw)
-        return twisted
+    blocks: list[list] = [[] for _ in ops]
 
-    patterns: dict[tuple, object] = {(): one}
-    for op_index in reversed(range(len(ops))):
-        next_patterns: dict[tuple, object] = {}
+    def descend(vec: dict, mask: int, low: int) -> None:
+        # vec = A_b1 ... A_bm |vac> for mask = {b1 < ... < bm}, low = b1;
+        # prepending a smaller factor visits every subset once
+        for k in range(low):
+            ket = apply(k, vec)
+            if not ket:
+                continue  # every superset that prepends factors to it vanishes too
+            block = mask | 1 << k
+            moment = zero
+            for i in range(modes):
+                val = ket.get((i, VACUUM_INDEX))
+                if val is not None:
+                    moment = moment + root_coeff[i].conjugate() * val
+            if moment:
+                if block.bit_count() % 2:
+                    # register parity forces odd products to vanish on the vacuum
+                    raise PreconditionError("odd operator product gave a nonzero vacuum moment")
+                blocks[k].append((block, moment))
+            descend(ket, block, k)
 
-        def accumulate(key, value):
-            acc = next_patterns.get(key)
-            acc = value if acc is None else acc + value
-            if not acc:
-                next_patterns.pop(key, None)
-            else:
-                next_patterns[key] = acc
+    descend({(i, VACUUM_INDEX): root_coeff[i] for i in range(modes)}, 0, len(ops))
+    return blocks, shift, zero, one
 
-        for key, amp in patterns.items():
-            count = len(key)
-            fresh = apply_label(0, op_index)
-            for t in range(count + 1):
-                # act on an untouched slot inserted at position t
-                if fresh is None:
-                    break
-                twisted = twist_prefix(key, t)
-                if twisted is None:
-                    continue
-                accumulate(tuple(twisted) + (fresh,) + key[t:], amp)
-            for t in range(count):
-                # act on the already-modified slot at position t
-                new_id = apply_label(key[t], op_index)
-                if new_id is None:
-                    continue
-                twisted = twist_prefix(key, t)
-                if twisted is None:
-                    continue
-                accumulate(tuple(twisted) + (new_id,) + key[t + 1:], amp)
-        patterns = next_patterns
-        if len(patterns) > PATTERN_CAP or len(states) > PATTERN_CAP:
-            raise ResourceLimitError(
-                "state path exceeded the pattern budget; reduce the order M or the lattice modes"
-            )
 
-    def contract_with_root(vec: dict):
-        total = zero
-        for i in range(modes):
-            val = vec.get((i, VACUUM_INDEX))
-            if val is None:
+def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
+                         ops: list[OpSpec], exact: bool) -> _Expansion:
+    """Sum the moments over set partitions of the factors, by block count; no N enters."""
+    blocks, shift, zero, one = _vacuum_moments(space, profile, ops, exact)
+    memo = {0: [one]}
+
+    def sums(rest: int) -> list:
+        # split off the block holding the smallest remaining factor
+        if rest in memo:
+            return memo[rest]
+        out = [zero] * (rest.bit_count() + 1)
+        for block, moment in blocks[(rest & -rest).bit_length() - 1]:
+            if block & ~rest:
                 continue
-            total = total + root_coeff[i].conjugate() * val
-        return total
+            left = rest & ~block
+            # the shuffle that moves the block to the front passes, for each of
+            # its factors, every remaining factor ahead of it
+            swaps = sum((left & ((1 << k) - 1)).bit_count()
+                        for k in range(block.bit_length()) if block >> k & 1)
+            term = moment * (-1 if swaps % 2 else 1)
+            for j, coeff in enumerate(sums(left)):
+                if coeff:
+                    out[j + 1] = out[j + 1] + term * coeff
+        memo[rest] = out
+        return out
 
-    roots = [contract_with_root(vec) for vec in states]
-    if not exact:
-        terms = [(amp, tuple(roots[sid] for sid in key)) for key, amp in patterns.items()]
-        return _Walk(len(ops), False, terms, [], 0)
-    # every op acted on exactly one slot of each pattern, so every term
-    # carries the same power of two, 2**-shift
-    sizes = [zero] * (len(ops) + 1)
-    for key, amp in patterns.items():
-        term = amp
-        for sid in key:
-            if not term:
-                break
-            term = term * roots[sid]
-        sizes[len(key)] = sizes[len(key)] + term
-    return _Walk(len(ops), True, [], sizes, shift)
+    return _Expansion(len(ops), exact, sums((1 << len(ops)) - 1), shift)
 
 
-def _evaluate_walk(walk: _Walk, n: int):
-    """The walk's matrix element at N copies: complex, or an exact rational _ExactComplex."""
-    half, odd = divmod(walk.nops, 2)
-    if walk.exact:
-        total = _ExactComplex(0)
-        for count, size_sum in enumerate(walk.sizes):
-            # comb(N, k) = 0 drops patterns with more modified slots than factors
-            total = total + size_sum * math.comb(n, count)
-        if odd and total:
-            # register parity forces odd products to vanish on the vacuum
-            raise PreconditionError("odd operator product gave a nonzero exact value")
-        # the dyadic scale and the deferred 1/sqrt(N) per operator factor
-        return _exact_quotient(total, n**half << walk.shift)
+def _evaluate(expansion: _Expansion, n: int):
+    """N^(-K/2) sum_j (N)_j c_j: complex, or an exact rational _ExactComplex."""
+    # (N)_j = 0 drops partitions into more blocks than oscillators; odd
+    # products have no partition into even blocks and vanish at any scale
+    half = expansion.nops // 2
+    total = _ExactComplex(0) if expansion.exact else 0j
     try:
-        total = 0.0 + 0j
-        for amp, roots in walk.terms:
-            count = len(roots)
-            if count > n:
-                continue  # more modified slots than available factors
-            term = amp * math.comb(n, count)
-            for root in roots:
-                if not term:
-                    break
-                term = term * root
-            total = total + term
-
-        # deferred 1/sqrt(N) normalizations, one per operator factor
-        scale = 1.0 / n**half
-        if odd:
-            scale /= math.sqrt(n)
-        value = total * scale
-    except OverflowError:  # comb(N, k) or N^(M/2) past the float range
+        for j, coeff in enumerate(expansion.coeffs):
+            if coeff:
+                total = total + coeff * math.perm(n, j)
+        if expansion.exact:
+            # the dyadic scale and the deferred 1/sqrt(N) per factor
+            return _exact_quotient(total, n**half << expansion.shift)
+        value = total * (1.0 / n**half)
+    except OverflowError:  # (N)_j or N^(K/2) past the float range
         value = complex("inf")
     if not cmath.isfinite(value):
-        # finite amplitudes leave only the binomial weights comb(N, k) to overflow
-        raise ResourceLimitError("the float walk overflowed; reduce N or the amplitudes")
+        # finite amplitudes leave only the weights (N)_j to overflow
+        raise ResourceLimitError("the float expansion overflowed; reduce N or the amplitudes")
     return value
 
 
@@ -518,19 +434,20 @@ def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
                           ops: list[OpSpec], exact: bool = False) -> complex:
     """<vac_N| product of smeared extended operators |vac_N>, written left to right.
 
-    State-level evaluation: the product vacuum is exchange-symmetric, so a
-    partially applied state is a combination of "patterns", multisets of
-    modified per-slot local states with an amplitude each.  Applying one
-    extended operator branches every pattern into (insert at a fresh slot,
-    grading applied to all slots left of it) and (update a modified slot,
-    ditto).  N enters only at the end, through the binomial weight
-    comb(N, k) of a pattern with k modified slots and the deferred 1/sqrt(N)
-    per factor, so one walk serves every N.  The exact path runs in Gaussian
-    integers, each amplitude table lifted once to integers over a power of
-    two 2^e_j; it sums the terms by pattern size and divides once, by
-    2^(sum e_j) N^(K // 2) for K factors.
+    Set-partition (moment-cumulant) expansion, with no N-fold space.  Each
+    factor of the K-factor product lands on one of N slots; the twist makes
+    factors on different slots anticommute, and a slot's block survives the
+    vacuum only with even size.  So the element is
+    N^(-K/2) sum_pi (N)_|pi| sign(pi) prod_B omega(B), over set partitions pi
+    of the factors into blocks B, with omega(B) the single-oscillator vacuum
+    moment of the ordered sub-product B, sign(pi) the sign of sorting the
+    factors by block and (N)_j = N! / (N - j)!.  The moments and the sums
+    c_j over j-block partitions do not depend on N.  The exact path runs in
+    Gaussian integers, each amplitude table lifted once to integers over a
+    power of two 2^e_j, and divides once, by 2^(sum e_j) N^(K // 2).  The
+    one budget is K <= 2 MAX_SLATER_ORDER factors.
     """
-    return complex(_evaluate_walk(_pattern_walk(nreg.space, profile, ops, exact), nreg.n))
+    return complex(_evaluate(_partition_expansion(nreg.space, profile, ops, exact), nreg.n))
 
 
 def _gram_exact(fs: list[np.ndarray],
@@ -588,13 +505,13 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
                          n_list: list[int]) -> ConvergenceReport:
     """Finite-N matrix elements against the determinant limit, per N.
 
-    One pattern walk serves every N in n_list.  On one-mode lattices the
-    evaluation runs in exact rational arithmetic
-    (both the matrix element and the determinant): there the central term
-    is a scalar, the smeared operators satisfy the canonical relations on
-    the nose, and the two sides coincide identically at every finite N, so
-    float noise would otherwise produce spurious non-monotone deviation
-    sequences.  Any other lattice runs the float walk.
+    One set-partition expansion serves every N in n_list.  On one-mode
+    lattices the evaluation runs in exact rational arithmetic (both the
+    matrix element and the determinant): there the central term is a
+    scalar, the smeared operators satisfy the canonical relations on the
+    nose, and the two sides coincide identically at every finite N, so float
+    noise would otherwise produce spurious non-monotone deviation sequences.
+    Any other lattice runs the float expansion.
     """
     if len(fs) != len(gs):
         raise ShapeError(f"need equal list lengths, got {len(fs)} and {len(gs)}")
@@ -612,11 +529,11 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
         limit_value = slater_limit(lattice, profile, fs, gs)
     limit = complex(limit_value)
 
-    # the walk and the determinant stay independent routes to the limit
-    walk = _pattern_walk(space, profile, ops, exact)
+    # the expansion and the determinant stay independent routes to the limit
+    expansion = _partition_expansion(space, profile, ops, exact)
     records = []
     for n in n_list:
-        value = _evaluate_walk(walk, n)
+        value = _evaluate(expansion, n)
         records.append(ConvergenceRecord(m=m, n=n, lhs=complex(value), limit=limit,
                                          deviation=abs(value - limit_value)))
 

@@ -132,7 +132,8 @@ def apply_operator(a: SparseOperator, v: np.ndarray) -> np.ndarray:
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     if u.shape != v.shape:
         raise ShapeError(f"state dims differ: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
+    # einsum, unlike BLAS vdot, sums in an order that does not depend on the thread count
+    return complex(np.einsum("i,i->", np.conj(u), v))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

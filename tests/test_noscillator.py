@@ -1,8 +1,9 @@
-"""N-fold extension: matrix path vs pattern walk, limits, and the walk's budget.
+"""N-fold extension: matrix path vs set-partition expansion, limits, and the budget.
 
-The pattern walk is the load-bearing piece of the package, so it gets the
-densest coverage: agreement with explicit tensor matrices wherever those
-fit, exact-rational against float arithmetic, and the closed-form limits.
+The set-partition expansion is the load-bearing piece of the package, so it
+gets the densest coverage: agreement with explicit tensor matrices wherever
+those fit, exact-rational against float arithmetic, and the closed-form
+limits.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from carfield.errors import (
 from carfield.modes import (
     ModeBlocks,
     SingleOscillatorSpace,
+    VacuumProfile,
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
@@ -46,7 +48,7 @@ from carfield.noscillator import (
     vacuum_state,
     zprod_inner,
 )
-from carfield.register import REGISTER_DIM
+from carfield.register import REGISTER_DIM, VACUUM_INDEX
 
 from conftest import random_table
 
@@ -143,7 +145,7 @@ def test_vacuum_state_norm(double_space, double_profile):
         assert sparse.inner(vac, vac) == pytest.approx(1.0, abs=1e-14)
 
 
-# --- pattern walk vs explicit matrices
+# --- set-partition expansion vs explicit matrices
 
 
 def test_empty_product_is_vacuum_norm(double_space, double_profile):
@@ -175,6 +177,18 @@ def test_walk_matches_matrices_single(single_space, single_profile, rng):
         walk = vacuum_matrix_element(nreg, single_profile, ops)
         explicit = vacuum_matrix_element_matrix(nreg, single_profile, ops)
         assert abs(walk - explicit) < 1e-11
+
+
+def test_walk_matches_matrices_complex_profile(double_space, double_profile, rng):
+    # vacuum amplitudes with phases: the bra carries their conjugates
+    profile = VacuumProfile(double_profile.values * np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
+    nreg = NRegister(double_space, 2)
+    for m in (1, 2):
+        ops = overlap_product_ops([random_table(rng, 2) for _ in range(m)],
+                                  [random_table(rng, 2) for _ in range(m)])
+        got = vacuum_matrix_element(nreg, profile, ops)
+        assert abs(got) > 0.05
+        assert abs(got - vacuum_matrix_element_matrix(nreg, profile, ops)) <= 1e-12
 
 
 def test_odd_products_vanish(double_space, double_profile, rng):
@@ -212,6 +226,39 @@ def test_walk_matches_matrices_beyond_two_modes(rng, j_max):
         assert abs(walk - explicit) <= 1e-12
 
 
+def _three_mode_overlap(rng, m):
+    space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
+    fs = [random_table(rng, 3) for _ in range(m)]
+    gs = [random_table(rng, 3) for _ in range(m)]
+    return space, uniform_profile(space.lattice), fs, gs
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_high_order_overlap_matches_matrices(rng, m):
+    # a slot holds at most two b excitations, so at N = 2 both routes give 0
+    # and N = 3 is the first nonzero comparison
+    space, profile, fs, gs = _three_mode_overlap(rng, m)
+    ops = overlap_product_ops(fs, gs)
+    for n in (2, 3):
+        nreg = NRegister(space, n)
+        got = vacuum_matrix_element(nreg, profile, ops)
+        assert abs(got - vacuum_matrix_element_matrix(nreg, profile, ops)) <= 1e-12
+    assert abs(got) > 0.05
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_top_coefficient_is_determinant(rng, m):
+    # the M-block partitions of an order-M overlap are the pairings: Wick's det
+    space, profile, fs, gs = _three_mode_overlap(rng, m)
+    expansion = noscillator._partition_expansion(space, profile, overlap_product_ops(fs, gs),
+                                                 False)
+    det = slater_limit(space.lattice, profile, fs, gs)
+    assert abs(det) > 0.05
+    assert abs(expansion.coeffs[m] - det) <= 1e-12 * abs(det)
+    assert len(expansion.coeffs) == 2 * m + 1
+    assert all(c == 0 for c in expansion.coeffs[m + 1:])
+
+
 def test_three_mode_deviation_decays_to_large_n(rng):
     space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
     profile = uniform_profile(space.lattice)
@@ -223,13 +270,15 @@ def test_three_mode_deviation_decays_to_large_n(rng):
 
 
 def test_pattern_budget(monkeypatch, single_space, single_profile, rng):
+    # the factor bound 2 MAX_SLATER_ORDER is the expansion's one budget
     ops = overlap_product_ops([random_table(rng, 1) for _ in range(2)],
                               [random_table(rng, 1) for _ in range(2)])
     nreg = NRegister(single_space, 4)
     vacuum_matrix_element(nreg, single_profile, ops)
-    monkeypatch.setattr(noscillator, "PATTERN_CAP", 1)
-    with pytest.raises(ResourceLimitError):
-        vacuum_matrix_element(nreg, single_profile, ops)
+    monkeypatch.setattr(noscillator, "MAX_SLATER_ORDER", 1)
+    for exact in (False, True):
+        with pytest.raises(ResourceLimitError):
+            vacuum_matrix_element(nreg, single_profile, ops, exact=exact)
 
 
 def test_float_walk_overflow(single_space, single_profile, double_space, double_profile, rng):
@@ -276,11 +325,11 @@ def test_exact_convergence_records_equal_per_n_elements(single_space, single_pro
         gs = [random_table(rng, 1) for _ in range(m)]
         rep = determinant_limit_convergence(single_space, single_profile, fs, gs, n_list)
         ops = overlap_product_ops(fs, gs)
-        walk = noscillator._pattern_walk(single_space, None, ops, True)
+        expansion = noscillator._partition_expansion(single_space, None, ops, True)
         for rec in rep.records:
-            alone = noscillator._evaluate_walk(
-                noscillator._pattern_walk(single_space, None, ops, True), rec.n)
-            shared = noscillator._evaluate_walk(walk, rec.n)
+            alone = noscillator._evaluate(
+                noscillator._partition_expansion(single_space, None, ops, True), rec.n)
+            shared = noscillator._evaluate(expansion, rec.n)
             assert (alone.re, alone.im) == (shared.re, shared.im)
             assert rec.lhs == vacuum_matrix_element(NRegister(single_space, rec.n), None, ops,
                                                     exact=True)
@@ -289,18 +338,18 @@ def test_exact_convergence_records_equal_per_n_elements(single_space, single_pro
 
 @pytest.mark.parametrize("j_max", [0, 1])
 def test_one_walk_per_convergence_call(monkeypatch, rng, j_max):
-    # one mode (exact path) and three modes (float path)
+    # one mode (exact path) and three modes (float path): one expansion per call
     lattice = rapidity_lattice(j_max, 0.4, 1.0)
     space = SingleOscillatorSpace(lattice)
     profile = uniform_profile(lattice)
     walks = []
-    real_walk = noscillator._pattern_walk
+    real_expansion = noscillator._partition_expansion
 
-    def counting_walk(*args, **kwargs):
+    def counting_expansion(*args, **kwargs):
         walks.append(len(args[2]))
-        return real_walk(*args, **kwargs)
+        return real_expansion(*args, **kwargs)
 
-    monkeypatch.setattr(noscillator, "_pattern_walk", counting_walk)
+    monkeypatch.setattr(noscillator, "_partition_expansion", counting_expansion)
     for n_list in ([2], [2, 4, 8], [1, 2, 4, 8, 64, 10**6]):
         for m in (1, 2, 3):
             fs = [random_table(rng, lattice.size) for _ in range(m)]
@@ -356,27 +405,30 @@ def test_exact_path_extreme_dyadic_amplitudes(single_space, single_profile, rng)
     # the subnormal alone: its square lies below the float range, not so the
     # exact value
     tiny = [np.array([[_TINY, 0.0]], dtype=np.complex128)]
-    walk = noscillator._pattern_walk(single_space, None, overlap_product_ops(tiny, tiny), True)
+    expansion = noscillator._partition_expansion(single_space, None,
+                                                 overlap_product_ops(tiny, tiny), True)
     for n in (1, 2, 10**6):
-        value = noscillator._evaluate_walk(walk, n)
+        value = noscillator._evaluate(expansion, n)
         assert (value.re, value.im) == (Fraction(1, 2**2148), 0)
     rep = determinant_limit_convergence(single_space, single_profile, tiny, tiny, [1, 2, 10**6])
     assert rep.deviations() == [0.0, 0.0, 0.0]
 
 
-def test_exact_odd_products_vanish(single_space, rng):
+def test_exact_odd_products_vanish(monkeypatch, single_space, rng):
     fs, gs = _extreme_tables(rng)
     tables = fs + gs
     for count in (1, 3, 5):
         ops = [OpSpec(tables[k], "bd"[k % 2], bool(k % 3)) for k in range(count)]
-        walk = noscillator._pattern_walk(single_space, None, ops, True)
-        assert not any(walk.sizes)
+        expansion = noscillator._partition_expansion(single_space, None, ops, True)
+        assert not any(expansion.coeffs)
         for n in (1, 2, 10**6):
             assert vacuum_matrix_element(NRegister(single_space, n), None, ops, exact=True) == 0
-        # the parity guard still fires on a nonzero odd total
-        broken = walk._replace(sizes=[noscillator._ExactComplex(1)])
-        with pytest.raises(PreconditionError):
-            noscillator._evaluate_walk(broken, 2)
+    # the parity guard fires on a nonzero odd moment: a doctored ladder that
+    # keeps the register vacuum gives the one-factor product a vacuum moment
+    monkeypatch.setitem(noscillator._LADDERS, ("b", 0, False), {VACUUM_INDEX: (VACUUM_INDEX, 1)})
+    ops = [OpSpec(tables[0], "b", False)]
+    with pytest.raises(PreconditionError):
+        noscillator._partition_expansion(single_space, None, ops, True)
 
 
 def test_exact_order_five_sweep(single_space, single_profile, rng):
@@ -401,7 +453,7 @@ def test_opspec_validation(single_space, single_profile, rng):
 # --- scalar products and limits
 
 
-def test_zprod_inner_and_gram(double_lattice, double_profile, rng):
+def test_zprod_inner_and_gram(double_lattice, double_profile, default_lattice, rng):
     f = random_table(rng, 2)
     g = random_table(rng, 2)
     wz = double_lattice.weights * double_profile.z
@@ -411,6 +463,20 @@ def test_zprod_inner_and_gram(double_lattice, double_profile, rng):
         zprod_inner(double_lattice, double_profile, f[:1], g)
     gram = gram_matrix(double_lattice, double_profile, [f, g], [f, g])
     assert gram[0, 1] == pytest.approx(zprod_inner(double_lattice, double_profile, f, g))
+    # bitwise, on the full J = 6 lattice too
+    for lattice, profile in ((double_lattice, double_profile),
+                             (default_lattice, uniform_profile(default_lattice))):
+        fs = [random_table(rng, lattice.size) for _ in range(3)]
+        gs = [random_table(rng, lattice.size) for _ in range(3)]
+        gram = gram_matrix(lattice, profile, fs, gs)
+        assert gram.shape == (3, 3)
+        for k in range(3):
+            for j in range(3):
+                assert gram[k, j] == zprod_inner(lattice, profile, fs[k], gs[j])
+        with pytest.raises(ShapeError):
+            gram_matrix(lattice, profile, fs[:2] + [fs[2][:1]], gs)
+        with pytest.raises(ShapeError):
+            gram_matrix(lattice, profile, fs, gs[:2] + [gs[2][:, :1]])
     with pytest.raises(ShapeError):
         gram_matrix(double_lattice, double_profile, [f], [f, g])
 

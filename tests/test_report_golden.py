@@ -3,26 +3,51 @@
 `data/report_golden.json` holds, for seeds 1, 7 and 42, every record of the
 default report as (suite, check, float.hex(residual), tolerance, passed).
 A change that moves any residual, even by one ulp, fails here and has to
-name the move.  The environment block of the report is not pinned.
+name the move.  The environment block of the report is not pinned.  The
+pinned values do not depend on the number of BLAS or OpenMP threads.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import carfield
 from carfield import default_config, run_report
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "report_golden.json").read_text())
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN, key=int))
-def test_default_report_matches_golden(seed):
-    report = run_report(replace(default_config(), seed=int(seed)))
-    got = [
+def _pinned_rows(report):
+    return [
         [r["suite"], r["check"], float.hex(r["residual"]), r["tolerance"], r["passed"]]
         for r in report["records"]
     ]
-    assert got == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN, key=int))
+def test_default_report_matches_golden(seed):
+    report = run_report(replace(default_config(), seed=int(seed)))
+    assert _pinned_rows(report) == GOLDEN[seed]
     assert report["counts"] == {"total": 69, "passed": 69}
+
+
+def test_single_thread_report_matches_golden():
+    # the thread counts must be set before numpy loads, so the report runs in
+    # a child process
+    script = (
+        "import json\n"
+        "from dataclasses import replace\n"
+        "from carfield import default_config, run_report\n"
+        "print(json.dumps(run_report(replace(default_config(), seed=1))))\n"
+    )
+    src = str(Path(carfield.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert _pinned_rows(json.loads(done.stdout)) == GOLDEN["1"]

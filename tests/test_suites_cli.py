@@ -362,7 +362,15 @@ def _sweep_script():
 
 
 def test_sweep_script_budget_stop_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(noscillator, "PATTERN_CAP", 1)
+    # lower the factor bound once the determinant, which shares its constant,
+    # is done, so the order-2 expansion (4 factors) meets a bound of 2
+    real_moments = noscillator._vacuum_moments
+
+    def bounded_moments(*args):
+        monkeypatch.setattr(noscillator, "MAX_SLATER_ORDER", 1)
+        return real_moments(*args)
+
+    monkeypatch.setattr(noscillator, "_vacuum_moments", bounded_moments)
     code = _sweep_script().main(["--modes", "1", "--orders", "2", "--n", "2"])
     err = capsys.readouterr().err
     assert code == 2
