@@ -6,7 +6,9 @@ amplitudes, evaluates <O_N| c(f_M)..c(f_1) c(g_1)'..c(g_M)' |O_N> for each
 N in the sweep list, and compares with det of the Z-weighted Gram matrix.
 On a one-mode lattice the evaluation is exact (rational arithmetic) and the
 deviation is identically zero at every N; with two or three modes the
-deviation decays like 1/N, which is the regime worth plotting.
+deviation decays like 1/N, which is the regime worth plotting.  Above
+M = 2 x modes the Gram matrix is singular and the limit is 0; the script
+notes such orders on stderr.
 
 Typical use:
 
@@ -85,6 +87,14 @@ def main(argv=None) -> int:
             })
         if not report.monotone:
             print("    warning: deviation sequence is not monotone", file=sys.stderr)
+
+    # each mode carries two spin states, so the Gram matrix has rank <= 2 x modes
+    rank_bound = 2 * space.lattice.size
+    degenerate = [m for m in args.orders if m > rank_bound]
+    if degenerate:
+        print(f"note: the Gram matrix of {space.lattice.size} mode(s) has rank at most "
+              f"{rank_bound}, so at M = {', '.join(map(str, degenerate))} the limit is 0 "
+              "up to rounding and the deviations measure no convergence", file=sys.stderr)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -21,6 +21,8 @@ from .modes import (
     point_profile,
     uniform_profile,
 )
+from .register import REGISTER_DIM
+from .sparse import DENSE_EXP_LIMIT
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
@@ -28,7 +30,11 @@ PROFILE_KINDS = ("uniform", "gaussian", "point")
 def _require_finite(name: str, *values) -> None:
     """Reject non-numbers and NaN or inf: a NaN residual slips through max()."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        try:
+            finite = not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -57,6 +63,12 @@ class LatticeConfig:
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
             raise ConfigError(f"mass must be positive, got {self.m}")
+        # the translation route exponentiates the 16 M-dim single-oscillator
+        # generator densely; this also keeps a huge j_max from being built
+        modes = 2 * self.j_max + 1 if self.mode == RAPIDITY_1D else self.grid_n**3
+        if REGISTER_DIM * modes > DENSE_EXP_LIMIT:
+            raise ConfigError(f"the lattice has more than {DENSE_EXP_LIMIT // REGISTER_DIM} "
+                              "modes; reduce j_max or grid_n")
         # e.g. delta_eta = 400: m sinh(j delta_eta) is inf, or its square overflows
         with np.errstate(over="ignore", invalid="ignore"):
             try:

@@ -104,6 +104,17 @@ def restricted_lattice(lattice: MomentumLattice, indices: tuple[int, ...]) -> Mo
     return MomentumLattice("restricted", points, weights, lattice.m)
 
 
+def shift_sources(modes: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source mode i - shift of every mode i, and the mask of modes whose source is on the lattice.
+
+    The one map of a mode shift.  On a rapidity lattice the index is j + J,
+    so a boost by k steps sends mode j - k to j; modes j with j + k on the
+    lattice are the unmasked entries of shift_sources(modes, -k).
+    """
+    src = np.arange(modes) - shift
+    return src, (src >= 0) & (src < modes)
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBlocks:
     """The single-oscillator operator sum_i |i><i - shift| x stack[i].
@@ -127,8 +138,7 @@ class ModeBlocks:
             raise ShapeError(f"block stack must be (M, 16, 16), got {stack.shape}")
         shift = int(self.shift)
         if shift:
-            src = np.arange(len(stack)) - shift
-            off = (src < 0) | (src >= len(stack))
+            off = ~shift_sources(len(stack), shift)[1]
             if stack[off].any():
                 stack = stack.copy()
                 stack[off] = 0
@@ -180,10 +190,9 @@ class ModeBlocks:
         m = len(self.stack)
         if other.stack.shape != self.stack.shape:
             raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
-        dst = np.flatnonzero(self.stack.any(axis=(1, 2)))
-        src = dst - self.shift
-        keep = (src >= 0) & (src < m)
-        dst, src = dst[keep], src[keep]
+        src, valid = shift_sources(m, self.shift)
+        dst = np.flatnonzero(self.stack.any(axis=(1, 2)) & valid)
+        src = src[dst]
         live = other.stack[src].any(axis=(1, 2))
         dst, src = dst[live], src[live]
         out = np.zeros_like(self.stack)
@@ -193,9 +202,7 @@ class ModeBlocks:
 
     def adjoint(self) -> ModeBlocks:
         """Shift -> -shift; block j is the conjugate transpose of block j + shift."""
-        m = len(self.stack)
-        dst = np.arange(m) + self.shift
-        keep = (dst >= 0) & (dst < m)
+        dst, keep = shift_sources(len(self.stack), -self.shift)
         out = np.zeros_like(self.stack)
         out[keep] = self.stack[dst[keep]].conj().transpose(0, 2, 1)
         return ModeBlocks(out, -self.shift)
@@ -238,8 +245,7 @@ class SingleOscillatorSpace:
         m = self.lattice.size
         if len(op.stack) != m:
             raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
-        src = np.arange(m) - op.shift
-        keep = (src >= 0) & (src < m)
+        src, keep = shift_sources(m, op.shift)
         indptr = np.concatenate(([0], np.cumsum(keep)))
         out = sp.bsr_matrix((op.stack[keep], src[keep], indptr), shape=(self.dim, self.dim))
         return sparse.prune(out.tocsr())
@@ -252,17 +258,17 @@ class SingleOscillatorSpace:
         return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.identity])
 
 
-def mode_blocks(coeffs: np.ndarray, reg_ops: list[SparseOperator]) -> ModeBlocks:
+def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k], pruned as embed prunes.
 
     Callers pass small-integer register operators on disjoint supports: each entry is exact.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    stack = sum(coeffs[:, k, None, None] * op.toarray() for k, op in enumerate(reg_ops))
+    stack = sum(coeffs[:, k, None, None] * op for k, op in enumerate(reg_ops))
     return ModeBlocks(sparse.prune_array(stack))
 
 
-def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: SparseOperator) -> ModeBlocks:
+def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: np.ndarray) -> ModeBlocks:
     """(1/w_i) |i><i| x reg_op."""
     coeffs = np.eye(space.lattice.size)[:, [i]] / space.lattice.weights[i]
     return mode_blocks(coeffs, [reg_op])
@@ -305,7 +311,7 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
     ann = [space.register.ladder(ann_species, s) for s in (0, 1)]
-    cre = [sparse.adjoint(space.register.ladder(cre_species, 1 - s)) for s in (0, 1)]
+    cre = [space.register.ladder(cre_species, 1 - s).conj().T for s in (0, 1)]
     coeffs = np.zeros((space.lattice.size, 4), dtype=np.complex128)
     for i, p in enumerate(space.lattice.points):
         phase = np.exp(-1j * p.dot_point(x))
@@ -330,7 +336,7 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
         neg_mult = sparse.asoperator(np.diag(space.neg_table[:, s, alpha]))
         out = out + sparse.tensor_product(pos_mult @ w, space.register.ladder(ann_species, s))
         out = out + sparse.tensor_product(
-            neg_mult @ w_dag, sparse.adjoint(space.register.ladder(cre_species, 1 - s))
+            neg_mult @ w_dag, space.register.ladder(cre_species, 1 - s).conj().T
         )
     return sparse.prune(out)
 

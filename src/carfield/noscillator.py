@@ -192,8 +192,12 @@ def _perm_sign(sigma: tuple[int, ...]) -> int:
 def _permutation_sum(gram, scalar):
     """Signed sum over permutations of products gram[k][sigma k], in `scalar` arithmetic."""
     m = len(gram)
-    if not 1 <= m <= MAX_SLATER_ORDER:
-        raise PreconditionError(f"permutation sum limited to order {MAX_SLATER_ORDER}")
+    if m < 1:
+        raise PreconditionError("permutation sum needs at least one factor")
+    if m > MAX_SLATER_ORDER:
+        raise ResourceLimitError(
+            f"order {m} exceeds the determinant budget of order {MAX_SLATER_ORDER}; "
+            "reduce the order M")
     total = scalar(0)
     for sigma in permutations(range(m)):
         term = scalar(_perm_sign(sigma))
@@ -273,9 +277,11 @@ _REGISTER = build_register()
 
 def _ladder_map(species: str, spin: int, dagger: bool) -> dict[int, tuple[int, int]]:
     """{col: (row, sign)} of a register ladder or its adjoint, a signed partial permutation."""
-    coo = _REGISTER.ladder(species, spin).tocoo()
-    rows, cols = (coo.col, coo.row) if dagger else (coo.row, coo.col)
-    return {int(c): (int(r), int(v.real)) for r, c, v in zip(rows, cols, coo.data)}
+    ladder = _REGISTER.ladder(species, spin)
+    if dagger:
+        ladder = ladder.conj().T
+    rows, cols = np.nonzero(ladder)
+    return {int(c): (int(r), int(ladder[r, c].real)) for r, c in zip(rows, cols)}
 
 
 _LADDERS = {(species, spin, dagger): _ladder_map(species, spin, dagger)
@@ -457,11 +463,10 @@ def _gram_exact(fs: list[np.ndarray],
     Entries are Gaussian integers over one shift: row k and column j carry
     their own powers of two, so every permutation product shares 2**-shift.
     """
-    f_rows, f_shifts = zip(*(_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0]))
-                             for f in fs))
-    g_cols, g_shifts = zip(*(_dyadic_lift(np.asarray(g, dtype=np.complex128)[0]) for g in gs))
-    gram = [[fk[0] * gj[0] + fk[1] * gj[1] for gj in g_cols] for fk in f_rows]
-    return gram, sum(f_shifts) + sum(g_shifts)
+    f_rows = [_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0])) for f in fs]
+    g_cols = [_dyadic_lift(np.asarray(g, dtype=np.complex128)[0]) for g in gs]
+    gram = [[fk[0] * gj[0] + fk[1] * gj[1] for gj, _ in g_cols] for fk, _ in f_rows]
+    return gram, sum(shift for _, shift in f_rows + g_cols)
 
 
 def overlap_product_ops(fs: list[np.ndarray], gs: list[np.ndarray],

@@ -1,8 +1,9 @@
 """Sparse complex linear algebra substrate.
 
-Register and N-slot operators are scipy CSR matrices with complex128
-entries; single-oscillator operators are `modes.ModeBlocks` and reach CSR
-through `SingleOscillatorSpace.embed`.  States are dense 1-d numpy arrays
+N-slot operators are scipy CSR matrices with complex128 entries.  Register
+operators are dense (16, 16) complex128 arrays, and single-oscillator
+operators are `modes.ModeBlocks`, which reach CSR only through
+`SingleOscillatorSpace.embed`.  States are dense 1-d numpy arrays
 (state dimensions stay below the cap, so dense vectors are cheaper than
 hash maps and keep inner products exact-order deterministic).
 All index flattening is row-major: kron(A, B) places B-blocks inside A,
@@ -62,7 +63,8 @@ def zeros(dim_row: int, dim_col: int | None = None) -> SparseOperator:
     return sp.csr_matrix((dim_row, dim_col if dim_col is not None else dim_row), dtype=np.complex128)
 
 
-def tensor_product(a: SparseOperator, b: SparseOperator, max_dim: int = MAX_DIM) -> SparseOperator:
+def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray,
+                   max_dim: int = MAX_DIM) -> SparseOperator:
     out_rows = a.shape[0] * b.shape[0]
     out_cols = a.shape[1] * b.shape[1]
     if out_rows > max_dim or out_cols > max_dim:
@@ -117,7 +119,7 @@ def dense_exponential(a: np.ndarray) -> np.ndarray:
 def matrix_exponential(a: SparseOperator) -> SparseOperator:
     """e^A as pruned CSR; matrices here are small by contract."""
     _check_exponent(a.shape)
-    return asoperator(dense_exponential(a.toarray() if sp.issparse(a) else a))
+    return asoperator(dense_exponential(a.toarray()))
 
 
 def apply_operator(a: SparseOperator, v: np.ndarray) -> np.ndarray:

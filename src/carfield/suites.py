@@ -32,6 +32,7 @@ from .modes import (
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
+    shift_sources,
     smeared_annihilator,
     uniform_profile,
     vacuum_vector,
@@ -101,22 +102,21 @@ def _random_table(rng: np.random.Generator, modes: int) -> np.ndarray:
 def run_jw_car(config: RunConfig) -> list[CheckRecord]:
     rng = _suite_rng(config, "jw_car")
     reg = build_register()
-    ident = sparse.identity(REGISTER_DIM)
+    ident = reg.identity
     cs = reg.annihilators()
     s = "jw_car"
     out = []
 
+    # register operators are 0, +-1 arrays: every product below is exact
     worst = 0.0
     for a_idx, a in enumerate(cs):
         for b_idx, b in enumerate(cs):
-            anti = sparse.anticommutator(a, sparse.adjoint(b))
-            expected = ident if a_idx == b_idx else sparse.zeros(REGISTER_DIM)
-            worst = worst_of(worst, sparse.max_abs(anti - expected))
+            b_dag = b.conj().T
+            expected = ident if a_idx == b_idx else 0
+            worst = worst_of(worst, sparse.max_abs(a @ b_dag + b_dag @ a - expected))
     out.append(_rec(s, "anticommutator", "{c_a, c_b'} = delta_ab id", worst, 1e-12))
 
-    worst = worst_of(
-        *(sparse.max_abs(sparse.anticommutator(a, b)) for a in cs for b in cs)
-    )
+    worst = worst_of(*(sparse.max_abs(a @ b + b @ a) for a in cs for b in cs))
     out.append(_rec(s, "nilpotency", "{c_a, c_b} = 0", worst, 1e-12))
 
     worst = worst_of(*(sparse.max_abs(reg.parity @ a @ reg.parity + a) for a in cs))
@@ -132,7 +132,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
     targets = (7, 11, 13, 14)
     worst = 0.0
     for a, target in zip(cs, targets):
-        created = sparse.apply_operator(sparse.adjoint(a), reg.vacuum)
+        created = sparse.apply_operator(a.conj().T, reg.vacuum)
         expected = sparse.basis_state(REGISTER_DIM, target)
         worst = worst_of(worst, float(np.max(np.abs(created - expected))))
     out.append(_rec(s, "creation_pattern", "c_a' |vac> = +|one-particle_a>", worst, 1e-12))
@@ -142,7 +142,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
         a_b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a_d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         closed = pair_exponential(a_b, a_d)
-        dense = sparse.matrix_exponential(quadratic_generator(reg, a_b, a_d))
+        dense = sparse.dense_exponential(quadratic_generator(reg, a_b, a_d))
         worst = worst_of(worst, sparse.max_abs(closed - dense))
     out.append(_rec(s, "pair_exponential", "exp(b'Ab + d'Bd) closed block form", worst, 1e-10))
 
@@ -269,15 +269,12 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
         y = np.asarray(config.displacement)
         tf = np.zeros_like(f)
         tg = np.zeros_like(g)
-        js = list(lattice.j_values)
-        for idx, j in enumerate(js):
-            if j - steps not in js:
-                continue
-            src = js.index(j - steps)
+        src, valid = shift_sources(lattice.size, steps)
+        for idx in np.flatnonzero(valid):
             u = spinors.wigner_matrix(lam, lattice.points[idx])
             phase = np.exp(1j * lattice.points[idx].dot_point(y))
-            tf[idx] = phase * (u @ f[src])
-            tg[idx] = phase * (u @ g[src])
+            tf[idx] = phase * (u @ f[src[idx]])
+            tg[idx] = phase * (u @ g[src[idx]])
         x = np.asarray(config.field_point)
         x_fwd = spinors.apply_lorentz_to_point(lam, x) + y
         lhs = spinors.classical_solution(lattice, tf, tg, x_fwd)
@@ -657,8 +654,8 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
                     symmetries.boost_mode_residual(space, boost0), 1e-10))
 
     u = boost0.unitary
-    js = list(lattice.j_values)
-    keep = np.array([1.0 if j + boost0.steps in js else 0.0 for j in js])
+    # the modes whose image under the boost stays on the lattice
+    keep = shift_sources(lattice.size, -boost0.steps)[1]
     src_proj = mode_blocks(keep[:, None], [space.register.identity])
     out.append(_rec(s, "boost_isometry", "U'U projects on the modes that stay on the lattice",
                     (u.adjoint() @ u - src_proj).max_abs(), 1e-12))

@@ -34,13 +34,14 @@ from .modes import (
     VacuumProfile,
     field_operator,
     mode_blocks,
+    shift_sources,
     vacuum_vector,
 )
 from .register import (
     REGISTER_DIM,
     VACUUM_INDEX,
     number_operator,
-    quadratic_exponential,
+    pair_exponential,
 )
 from .sparse import worst_of
 from .spinors import (
@@ -73,7 +74,7 @@ def _register_charge(space: SingleOscillatorSpace) -> np.ndarray:
 def four_momentum(space: SingleOscillatorSpace) -> list[ModeBlocks]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
     reg = space.register
-    base = number_operator(reg, "b") + number_operator(reg, "d") - 2 * sparse.identity(REGISTER_DIM)
+    base = number_operator(reg, "b") + number_operator(reg, "d") - 2 * reg.identity
     coeffs = np.array([_lower_components(p) for p in space.lattice.points])
     return [mode_blocks(coeffs[:, a:a + 1], [base]) for a in range(4)]
 
@@ -104,7 +105,7 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
     wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
-    mixers = np.array([quadratic_exponential(mixing_generator(u)) for u in wigner])
+    mixers = np.array([pair_exponential(g, g) for g in map(mixing_generator, wigner)])
     return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps).pruned())
 
 
@@ -146,13 +147,11 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
     k = boost.steps
     u = boost.unitary
     u_dag = u.adjoint()
-    src = np.arange(m) - k
-    valid = (src >= 0) & (src < m)
+    src, valid = shift_sources(m, k)
     # per source mode j - k, the mixing row of mode j
     mix = np.zeros((m, 2, 2), dtype=np.complex128)
     mix[src[valid]] = boost.wigner[valid]
-    sources = np.zeros(m, dtype=bool)
-    sources[src[valid]] = True
+    sources = shift_sources(m, -k)[1]
     worst = 0.0
     for species in ("b", "d"):
         targets = [_every_mode(space, sp, species, sources) for sp in (0, 1)]
@@ -213,7 +212,7 @@ def charge_operator(space: SingleOscillatorSpace, e0: float = 1.0) -> ModeBlocks
     base = (
         number_operator(reg, "b")
         - number_operator(reg, "d")
-        + 2 * sparse.identity(REGISTER_DIM)
+        + 2 * reg.identity
     )
     return mode_blocks(np.full((space.lattice.size, 1), e0), [base])
 
@@ -271,11 +270,11 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
 def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
     """Third spin component: (1/2) sum over species of (n_plus - n_minus)."""
     reg = space.register
-    base = sparse.zeros(REGISTER_DIM)
+    base = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
     for species in ("b", "d"):
         for s, sign in ((0, -1.0), (1, 1.0)):
             ladder = reg.ladder(species, s)
-            base = base + sign * (sparse.adjoint(ladder) @ ladder)
+            base = base + sign * (ladder.conj().T @ ladder)
     return mode_blocks(np.full((space.lattice.size, 1), 0.5), [base])
 
 
@@ -314,20 +313,17 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     """
     y = np.asarray(y, dtype=float)
     lattice = space.lattice
-    js = lattice.j_values
     k = boost.steps
     vac = vacuum_vector(space, profile)
     moved = sparse.apply_operator(space.embed(poincare_unitary(space, boost, y)), vac)
 
     predicted = np.zeros(space.dim, dtype=np.complex128)
     shifted_raw = np.zeros(lattice.size, dtype=np.complex128)
-    for idx, j in enumerate(js):
-        if j - k not in js:
-            continue
-        src = js.index(j - k)
+    src, valid = shift_sources(lattice.size, k)
+    for idx in np.flatnonzero(valid):
         theta = lattice.points[idx].dot_point(y)
-        amp = np.sqrt(lattice.weights[idx]) * profile.values[src]
-        shifted_raw[idx] = profile.values[src]
+        amp = np.sqrt(lattice.weights[idx]) * profile.values[src[idx]]
+        shifted_raw[idx] = profile.values[src[idx]]
         predicted[idx * REGISTER_DIM + VACUUM_INDEX] = amp * np.exp(-2j * theta)
     residual = float(np.max(np.abs(moved - predicted)))
 
@@ -341,9 +337,7 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     phase_removed_residual = float(np.max(np.abs(unphased - plain)))
 
     norm_deficit = 1.0 - float(np.vdot(moved, moved).real)
-    dropped = [
-        idx for idx, j in enumerate(js) if j + k not in js
-    ]
+    dropped = np.flatnonzero(~shift_sources(lattice.size, -k)[1])
     expected_deficit = float(
         sum(lattice.weights[idx] * profile.z[idx] for idx in dropped)
     )

@@ -33,10 +33,9 @@ from carfield.noscillator import (
     zprod_inner,
 )
 from carfield.register import (
-    REGISTER_DIM,
     build_register,
     conjugation_report,
-    quadratic_exponential,
+    pair_exponential,
     quadratic_generator,
 )
 
@@ -61,15 +60,15 @@ def _ball_momenta(rng, count, radius=10.0, m=1.0):
 def test_criterion_01_car_table():
     reg = build_register()
     cs = reg.annihilators()
-    ops = cs + [sparse.adjoint(c) for c in cs]
-    ident = sparse.identity(REGISTER_DIM)
+    ops = cs + [c.conj().T for c in cs]
+    ident = reg.identity
     worst = 0.0
     pairs = 0
     for i in range(8):
         for j in range(i + 1, 8):
             pairs += 1
-            anti = sparse.anticommutator(ops[i], ops[j])
-            expected = ident if j == i + 4 else sparse.zeros(REGISTER_DIM)
+            anti = ops[i] @ ops[j] + ops[j] @ ops[i]
+            expected = ident if j == i + 4 else 0
             worst = max(worst, sparse.max_abs(anti - expected))
     assert pairs == 28
     _verdict(1, "register CAR table", worst <= 1e-14,
@@ -85,8 +84,8 @@ def test_criterion_02_block_exponential():
         norm = np.linalg.norm(a, 2)
         if norm > 2.0:
             a *= 2.0 / norm
-        closed = quadratic_exponential(a)
-        dense = sparse.matrix_exponential(quadratic_generator(reg, a, a))
+        closed = pair_exponential(a, a)
+        dense = sparse.dense_exponential(quadratic_generator(reg, a, a))
         worst = max(worst, sparse.max_abs(closed - dense))
     _verdict(2, "block exponential identity", worst <= 1e-10,
              f"50 draws with |A| <= 2, residual {worst:.2e} <= 1e-10")

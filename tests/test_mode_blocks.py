@@ -28,7 +28,7 @@ from carfield.modes import (
     restricted_lattice,
     smeared_annihilator,
 )
-from carfield.register import REGISTER_DIM, number_operator, quadratic_exponential
+from carfield.register import REGISTER_DIM, number_operator, pair_exponential
 from carfield.spinors import mixing_generator
 
 from conftest import random_table
@@ -67,7 +67,7 @@ def _assert_same(got, ref):
 def test_embed_places_blocks_and_shifts(default_space):
     m = default_space.lattice.size
     blocks = np.zeros((m, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
-    blocks[:] = default_space.register.b_minus.toarray()
+    blocks[:] = default_space.register.b_minus
     shifted = default_space.embed(ModeBlocks(blocks, 2))
     ref = _kron_sum(
         default_space,
@@ -126,7 +126,7 @@ def test_field_operator_components(space, rng):
                     terms.append((i, i, space.pos_table[i, s, alpha] * phase,
                                   reg.ladder(ann, s)))
                     terms.append((i, i, space.neg_table[i, s, alpha] * np.conj(phase),
-                                  sparse.adjoint(reg.ladder(cre, 1 - s))))
+                                  reg.ladder(cre, 1 - s).conj().T))
             _assert_same(space.embed(field_operator(space, x, alpha, conjugate=conjugate)),
                          _kron_sum(space, terms))
 
@@ -134,7 +134,7 @@ def test_field_operator_components(space, rng):
 def test_four_momentum(space):
     reg = space.register
     base = (
-        number_operator(reg, "b") + number_operator(reg, "d") - 2 * sparse.identity(REGISTER_DIM)
+        number_operator(reg, "b") + number_operator(reg, "d") - 2 * reg.identity
     )
     for a, got in enumerate(symmetries.four_momentum(space)):
         terms = [
@@ -149,7 +149,7 @@ def test_boost_unitary(default_space, steps):
     lattice = default_space.lattice
     js = lattice.j_values
     boost = symmetries.boost_unitary(default_space, steps)
-    mixers = [quadratic_exponential(mixing_generator(u)) for u in boost.wigner]
+    mixers = [pair_exponential(g, g) for g in map(mixing_generator, boost.wigner)]
     # |j + steps><j| x mixer(j + steps) for every j whose image stays on the lattice
     terms = [
         (col + steps, col, 1.0, mixers[col + steps])

@@ -129,7 +129,7 @@ def test_embedding_and_parity(default_space):
     par = default_space.parity()
     assert (par @ par - default_space.identity()).max_abs() == 0.0
     blocks = np.zeros((default_space.lattice.size, REGISTER_DIM, REGISTER_DIM), dtype=complex)
-    blocks[2] = default_space.register.b_minus.toarray()
+    blocks[2] = default_space.register.b_minus
     op = default_space.embed(ModeBlocks(blocks))
     assert op.shape == (default_space.dim, default_space.dim)
     # embed places block i in the i-th 16-dim diagonal block

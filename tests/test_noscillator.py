@@ -487,7 +487,7 @@ def test_slater_limit_is_det(double_lattice, double_profile, rng):
     gram = gram_matrix(double_lattice, double_profile, fs, gs)
     expected = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
     assert slater_limit(double_lattice, double_profile, fs, gs) == pytest.approx(expected)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ResourceLimitError):
         slater_limit(double_lattice, double_profile, [fs[0]] * 9, [gs[0]] * 9)
 
 
@@ -521,11 +521,20 @@ def test_convergence_report_validation(single_space, single_profile, rng):
         determinant_limit_convergence(single_space, single_profile, f, g, [4, 2])
     with pytest.raises(ConfigError):
         determinant_limit_convergence(single_space, single_profile, f, g, [])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ResourceLimitError):
         determinant_limit_convergence(single_space, single_profile, f * (MAX_SLATER_ORDER + 1),
                                       g * (MAX_SLATER_ORDER + 1), [2])
     with pytest.raises(ShapeError):
         determinant_limit_convergence(single_space, single_profile, f, g * 2, [2])
+
+
+def test_empty_determinant_is_a_precondition_error(single_space, single_profile,
+                                                   double_lattice, double_profile):
+    # an empty product is no budget stop; the exact one-mode Gram once crashed on it
+    with pytest.raises(PreconditionError):
+        slater_limit(double_lattice, double_profile, [], [])
+    with pytest.raises(PreconditionError):
+        determinant_limit_convergence(single_space, single_profile, [], [], [2])
 
 
 def test_one_mode_finite_n_equals_limit(single_space, single_profile, rng):

@@ -13,7 +13,6 @@ from carfield.register import (
     conjugation_report,
     number_operator,
     pair_exponential,
-    quadratic_exponential,
     quadratic_generator,
 )
 
@@ -27,17 +26,23 @@ def small_2x2():
     )
 
 
+def test_register_operators_are_dense_arrays(reg):
+    for op in (*reg.annihilators(), reg.identity, reg.parity):
+        assert isinstance(op, np.ndarray)
+        assert op.shape == (REGISTER_DIM, REGISTER_DIM) and op.dtype == np.complex128
+
+
 def test_car_anticommutators(reg):
     cs = reg.annihilators()
-    ident = sparse.identity(REGISTER_DIM)
     for i, a in enumerate(cs):
         for j, b in enumerate(cs):
-            anti = sparse.anticommutator(a, sparse.adjoint(b))
+            b_dag = b.conj().T
+            anti = a @ b_dag + b_dag @ a
             if i == j:
-                assert sparse.max_abs(anti - ident) == 0.0
+                assert sparse.max_abs(anti - reg.identity) == 0.0
             else:
                 assert sparse.max_abs(anti) == 0.0
-            assert sparse.max_abs(sparse.anticommutator(a, b)) == 0.0
+            assert sparse.max_abs(a @ b + b @ a) == 0.0
 
 
 def test_ladders_are_nilpotent(reg):
@@ -47,7 +52,7 @@ def test_ladders_are_nilpotent(reg):
 
 def test_grading(reg):
     g = reg.parity
-    assert sparse.max_abs(g @ g - sparse.identity(REGISTER_DIM)) == 0.0
+    assert sparse.max_abs(g @ g - reg.identity) == 0.0
     for a in reg.annihilators():
         assert sparse.max_abs(g @ a @ g + a) == 0.0
     # vacuum is even
@@ -65,7 +70,7 @@ def test_creation_pattern(reg):
     targets = {"b-": 7, "b+": 11, "d-": 13, "d+": 14}
     labels = ["b-", "b+", "d-", "d+"]
     for label, a in zip(labels, reg.annihilators()):
-        created = sparse.apply_operator(sparse.adjoint(a), reg.vacuum)
+        created = sparse.apply_operator(a.conj().T, reg.vacuum)
         expected = sparse.basis_state(REGISTER_DIM, targets[label])
         np.testing.assert_array_equal(created, expected)
 
@@ -90,13 +95,18 @@ def test_number_operator_counts(reg):
 @given(a_b=small_2x2(), a_d=small_2x2())
 def test_pair_exponential_matches_dense(reg, a_b, a_d):
     closed = pair_exponential(a_b, a_d)
-    dense = sparse.matrix_exponential(quadratic_generator(reg, a_b, a_d))
+    dense = sparse.dense_exponential(quadratic_generator(reg, a_b, a_d))
     assert sparse.max_abs(closed - dense) < 1e-10
 
 
-def test_quadratic_exponential_is_pair_with_equal_blocks(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert sparse.max_abs(quadratic_exponential(a) - pair_exponential(a, a)) == 0.0
+def test_pair_exponential_species_factors_commute(rng):
+    # exp(b'Ab + d'Bd) = exp(b'Ab) exp(d'Bd), in either order
+    a_b, a_d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    zero = np.zeros((2, 2))
+    only_b, only_d = pair_exponential(a_b, zero), pair_exponential(zero, a_d)
+    both = pair_exponential(a_b, a_d)
+    assert sparse.max_abs(only_b @ only_d - both) == 0.0
+    assert sparse.max_abs(only_d @ only_b - both) == 0.0
 
 
 def test_pair_exponential_rejects_wrong_shape():

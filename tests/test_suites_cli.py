@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carfield import noscillator, register, sparse, spinors
 from carfield.cli import main
@@ -265,6 +267,12 @@ NAN, INF = float("nan"), float("inf")
     {"profile": 3},
     {"displacement": 5},
     {"n_values_single": 8},
+    # an integer past the float range, and lattices too large to build or to
+    # exponentiate densely
+    {"lattice": {"delta_eta": 10**400}},
+    {"lattice": {"j_max": 10**400}},
+    {"lattice": {"j_max": 128}},
+    {"lattice": {"mode": "grid3d", "grid_n": 7}},
 ])
 def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
     if isinstance(data, dict):
@@ -362,17 +370,86 @@ def _sweep_script():
 
 
 def test_sweep_script_budget_stop_exits_2(monkeypatch, capsys):
-    # lower the factor bound once the determinant, which shares its constant,
-    # is done, so the order-2 expansion (4 factors) meets a bound of 2
-    real_moments = noscillator._vacuum_moments
-
-    def bounded_moments(*args):
-        monkeypatch.setattr(noscillator, "MAX_SLATER_ORDER", 1)
-        return real_moments(*args)
-
-    monkeypatch.setattr(noscillator, "_vacuum_moments", bounded_moments)
+    # an order-2 determinant meets a bound of order 1
+    monkeypatch.setattr(noscillator, "MAX_SLATER_ORDER", 1)
     code = _sweep_script().main(["--modes", "1", "--orders", "2", "--n", "2"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("ResourceLimitError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_script_notes_zero_limit_by_rank(capsys):
+    # one mode has two spin states: the Gram matrix has rank <= 2, so det = 0 from M = 3
+    sweep = _sweep_script()
+    assert sweep.main(["--modes", "1", "--orders", "3", "--n", "2,4"]) == 0
+    noted = capsys.readouterr()
+    assert sweep.main(["--modes", "1", "--orders", "2", "--n", "2,4"]) == 0
+    plain = capsys.readouterr()
+    notes = [line for line in noted.err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1 and "M = 3" in notes[0]
+    assert "note:" not in plain.err
+    assert noted.out.startswith("M=3  limit=0+0j")
+
+
+# --- exit contract: 0 all passed, 1 a check failed, 2 the run could not finish
+
+_JUNK = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, None,
+                     10**400, -(10**400), 2**63, "1", "", [], {}, [1.0, 2.0]]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.integers(-(2**64), 2**64),
+)
+
+
+def _small_floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+_FOUR_VECTORS = st.lists(_small_floats(-1.0, 1.0), min_size=4, max_size=4)
+_VALID = {
+    ("lattice", "mode"): st.sampled_from(["rapidity1d", "grid3d"]),
+    ("lattice", "m"): _small_floats(0.5, 2.0),
+    ("lattice", "j_max"): st.integers(0, 3),
+    ("lattice", "delta_eta"): _small_floats(0.1, 0.6),
+    ("lattice", "grid_n"): st.integers(1, 2),
+    ("lattice", "grid_spacing"): _small_floats(0.5, 2.0),
+    ("profile", "kind"): st.sampled_from(["uniform", "gaussian", "point"]),
+    ("profile", "width"): _small_floats(0.3, 3.0),
+    ("profile", "center"): _small_floats(-1.0, 1.0),
+    ("profile", "index"): st.integers(0, 6),
+    (None, "seed"): st.integers(0, 2**32),
+    (None, "e0"): _small_floats(-2.0, 2.0),
+    (None, "boost_steps"): st.integers(-3, 3),
+    (None, "displacement"): _FOUR_VECTORS,
+    (None, "field_point"): _FOUR_VECTORS,
+    (None, "n_values_single"): st.sampled_from([[8, 64], [2, 8, 64], [1, 8, 16, 64]]),
+    (None, "n_values_double"): st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(sorted),
+    (None, "matrix_check_n"): st.integers(1, 2),
+}
+# a whole section, or any key, may also hold a value of the wrong kind
+_TARGETS = sorted(_VALID, key=str) + [(None, "lattice"), (None, "profile"), (None, "unknown")]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_contract_on_random_configs(tmp_path, capsys, data):
+    config: dict = {}
+    for (section, key), values in _VALID.items():
+        if data.draw(st.booleans()):
+            config.setdefault(section, {})[key] = data.draw(values)
+    config = {**config.pop(None, {}), **config}
+    if data.draw(st.booleans()):
+        section, key = data.draw(st.sampled_from(_TARGETS))
+        (config.setdefault(section, {}) if section else config)[key] = data.draw(_JUNK)
+    suite = data.draw(st.sampled_from(SUITE_ORDER))
+    code = _run_with_config(tmp_path, config, "--suite", suite)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+    else:
+        assert json.loads(captured.out)["overall_pass"] == (code == 0)
