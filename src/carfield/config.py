@@ -22,7 +22,7 @@ from .modes import (
     uniform_profile,
 )
 from .register import REGISTER_DIM
-from .sparse import DENSE_EXP_LIMIT
+from .sparse import DENSE_EXP_LIMIT, MAX_DIM
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
@@ -154,6 +154,14 @@ class RunConfig:
             raise ConfigError(f"n_values_single must contain 8 and 64, got {self.n_values_single}")
         if self.matrix_check_n < 1:
             raise ConfigError(f"matrix_check_n must be >= 1, got {self.matrix_check_n}")
+        # the N-slot checks build (16 M)^N matrices on this lattice and on the
+        # two-mode engine lattice; as 16 M >= 32, N >= 21 is past the cap
+        # without forming the power
+        factor = REGISTER_DIM * max(self.lattice.build().size, 2)
+        n = self.matrix_check_n
+        if n >= MAX_DIM.bit_length() or factor**n > MAX_DIM:
+            raise ConfigError(f"(16 M)^N exceeds cap {MAX_DIM} at 16 M = {factor}, N = {n}; "
+                              "reduce matrix_check_n or the lattice")
 
     def to_dict(self) -> dict:
         out = asdict(self)

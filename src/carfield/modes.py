@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import register as reg_mod
 from . import sparse, spinors
 from .errors import ConfigError, DegenerateVacuumError, ShapeError
-from .register import REGISTER_DIM, JWRegister, build_register
+from .register import REGISTER_DIM, build_register
 from .sparse import SparseOperator
 from .spinors import FourMomentum
 
@@ -224,21 +224,17 @@ class SingleOscillatorSpace:
     """Lattice modes tensored with the 16-dim register, dim = 16 M.
 
     Mode index is the slow index: basis = |i> x |register r|, flattened
-    row-major as i * 16 + r.  Bispinor tables per mode are precomputed.
+    row-major as i * 16 + r.  The eigen-bispinors of each mode are
+    precomputed as pos_table and neg_table, indexed [mode, spin, component].
     """
 
-    def __init__(self, lattice: MomentumLattice, register: JWRegister | None = None):
+    def __init__(self, lattice: MomentumLattice):
         self.lattice = lattice
-        self.register = register if register is not None else build_register()
+        self.register = build_register()
         self.dim = REGISTER_DIM * lattice.size
         tables = [spinors.eigen_bispinors(spinors.build_spin_frame(p)) for p in lattice.points]
-        # [mode, spin, component] for each frequency branch
-        self.pos_table = np.array(
-            [[t.pos[s].as4() for s in (0, 1)] for t in tables]
-        )
-        self.neg_table = np.array(
-            [[t.neg[s].as4() for s in (0, 1)] for t in tables]
-        )
+        self.pos_table = np.array([pos for pos, _ in tables])
+        self.neg_table = np.array([neg for _, neg in tables])
 
     def embed(self, op: ModeBlocks) -> SparseOperator:
         """op as pruned CSR: the one conversion of single-oscillator operators to CSR."""

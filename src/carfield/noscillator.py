@@ -101,12 +101,9 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: ModeBlocks) -> SparseOpera
     return total
 
 
-def extend_operator(nreg: NRegister, op: ModeBlocks,
-                    twist: ModeBlocks | None = None) -> SparseOperator:
-    """(1/sqrt N) sum over slots of twist^(k-1) x op x id^(N-k)."""
-    if twist is None:
-        twist = nreg.space.parity()
-    return sparse.prune(_slot_sum(nreg, op, twist) / np.sqrt(nreg.n))
+def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
+    """(1/sqrt N) sum over slots of g^(k-1) x op x id^(N-k), g the grading."""
+    return sparse.prune(_slot_sum(nreg, op, nreg.space.parity()) / np.sqrt(nreg.n))
 
 
 def extend_additive(nreg: NRegister, op: ModeBlocks, mean: bool = False) -> SparseOperator:

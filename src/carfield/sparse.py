@@ -40,18 +40,18 @@ def asoperator(a) -> SparseOperator:
     return prune(m)
 
 
-def prune(a: SparseOperator, tol: float = DROP_TOL) -> SparseOperator:
+def prune(a: SparseOperator) -> SparseOperator:
     a = a.tocsr()
     if a.nnz:
-        a.data[np.abs(a.data) < tol] = 0
+        a.data[np.abs(a.data) < DROP_TOL] = 0
         a.eliminate_zeros()
     return a
 
 
-def prune_array(a: np.ndarray, tol: float = DROP_TOL) -> np.ndarray:
-    """Dense counterpart of prune: a copy with entries below tol set to zero."""
+def prune_array(a: np.ndarray) -> np.ndarray:
+    """Dense counterpart of prune: a copy with entries below DROP_TOL set to zero."""
     a = np.array(a, dtype=np.complex128)
-    a[np.abs(a) < tol] = 0
+    a[np.abs(a) < DROP_TOL] = 0
     return a
 
 
@@ -63,21 +63,20 @@ def zeros(dim_row: int, dim_col: int | None = None) -> SparseOperator:
     return sp.csr_matrix((dim_row, dim_col if dim_col is not None else dim_row), dtype=np.complex128)
 
 
-def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray,
-                   max_dim: int = MAX_DIM) -> SparseOperator:
+def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray) -> SparseOperator:
     out_rows = a.shape[0] * b.shape[0]
     out_cols = a.shape[1] * b.shape[1]
-    if out_rows > max_dim or out_cols > max_dim:
+    if out_rows > MAX_DIM or out_cols > MAX_DIM:
         raise SizeCapError(
-            f"tensor product of {a.shape} and {b.shape} exceeds cap {max_dim}"
+            f"tensor product of {a.shape} and {b.shape} exceeds cap {MAX_DIM}"
         )
     return prune(sp.kron(a, b, format="csr"))
 
 
-def tensor_many(*ops: SparseOperator, max_dim: int = MAX_DIM) -> SparseOperator:
+def tensor_many(*ops: SparseOperator) -> SparseOperator:
     out = ops[0].tocsr()
     for op in ops[1:]:
-        out = tensor_product(out, op, max_dim=max_dim)
+        out = tensor_product(out, op)
     return out
 
 

@@ -2,9 +2,11 @@
 
 Conventions, fixed once (see CONVENTIONS.md):
 
+* A 2-spinor is a (2,) complex128 array of lower-index components; a
+  bispinor is a (4,) array, the unprimed part over the primed part.
 * epsilon_{01} = epsilon^{01} = +1; raising a lower index is xi^A =
-  eps^{AB} xi_B, numerically EPSILON @ xi; the contraction a_A b^A equals
-  a0*b1 - a1*b0.
+  eps^{AB} xi_B, numerically EPSILON @ xi; the contraction a_A b^A is
+  `contract(a, b)` = a0*b1 - a1*b0.
 * Soldering: p_{AA'} = (E*id + p.sigma)/sqrt(2), so det = m^2/2.
 * Spin frames are gauged by the reference spinor o = (1,0) with the
   fallback o' = (0,1) when the momentum is nearly aligned with the primary
@@ -76,45 +78,9 @@ class FourMomentum:
         return float(self.E * x[0] - self.px * x[1] - self.py * x[2] - self.pz * x[3])
 
 
-@dataclass(frozen=True)
-class TwoSpinor:
-    """2-spinor with explicit index type; components are stored as given."""
-
-    c0: complex
-    c1: complex
-    primed: bool = False
-    upper: bool = False
-
-    def array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=np.complex128)
-
-    def raised(self) -> "TwoSpinor":
-        if self.upper:
-            raise ShapeError("index already upper")
-        v = EPSILON @ self.array()
-        return TwoSpinor(complex(v[0]), complex(v[1]), primed=self.primed, upper=True)
-
-    def lowered(self) -> "TwoSpinor":
-        if not self.upper:
-            raise ShapeError("index already lower")
-        v = np.linalg.inv(EPSILON) @ self.array()
-        return TwoSpinor(complex(v[0]), complex(v[1]), primed=self.primed, upper=False)
-
-    def conjugated(self) -> "TwoSpinor":
-        return TwoSpinor(
-            complex(np.conj(self.c0)),
-            complex(np.conj(self.c1)),
-            primed=not self.primed,
-            upper=self.upper,
-        )
-
-    def contract(self, other: "TwoSpinor") -> complex:
-        """a_A b^A for two lower spinors of the same prime type."""
-        if self.upper or other.upper:
-            raise ShapeError("contract expects two lower-index spinors")
-        if self.primed != other.primed:
-            raise ShapeError("cannot contract primed with unprimed")
-        return complex(self.c0 * other.c1 - self.c1 * other.c0)
+def contract(a: np.ndarray, b: np.ndarray) -> complex:
+    """a_A b^A = a0 b1 - a1 b0 for two lower-index 2-spinors of one prime type."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def momentum_to_hermitian(p: FourMomentum) -> np.ndarray:
@@ -148,16 +114,10 @@ def hermitian_to_momentum(m: np.ndarray, mass: float) -> FourMomentum:
 
 @dataclass(frozen=True)
 class SpinFrame:
-    omega: TwoSpinor
-    pi: TwoSpinor
+    omega: np.ndarray
+    pi: np.ndarray
     momentum: FourMomentum
     used_fallback: bool
-
-    def omega_array(self) -> np.ndarray:
-        return self.omega.array()
-
-    def pi_array(self) -> np.ndarray:
-        return self.pi.array()
 
 
 def build_spin_frame(p: FourMomentum) -> SpinFrame:
@@ -182,8 +142,8 @@ def build_spin_frame(p: FourMomentum) -> SpinFrame:
         om = np.array([1.0 / sq, 0.0])
         fallback = False
     return SpinFrame(
-        omega=TwoSpinor(complex(om[0]), complex(om[1])),
-        pi=TwoSpinor(complex(pi[0]), complex(pi[1])),
+        omega=om.astype(np.complex128),
+        pi=pi.astype(np.complex128),
         momentum=p,
         used_fallback=fallback,
     )
@@ -194,50 +154,20 @@ def null_vector(xi: np.ndarray) -> np.ndarray:
     return hermitian_to_point(np.outer(xi, np.conj(xi)))
 
 
-@dataclass(frozen=True)
-class Bispinor:
-    """4-component object (unprimed lower 2-spinor stacked over primed lower)."""
-
-    unprimed: np.ndarray
-    primed: np.ndarray
-
-    def as4(self) -> np.ndarray:
-        return np.concatenate([self.unprimed, self.primed]).astype(np.complex128)
-
-
-@dataclass(frozen=True)
-class BispinorTable:
-    """Plane-wave eigen-bispinors indexed by [frequency branch][spin]."""
-
-    pos: tuple[Bispinor, Bispinor]
-    neg: tuple[Bispinor, Bispinor]
-
-    def branch(self, frequency_sign: int) -> tuple[Bispinor, Bispinor]:
-        if frequency_sign == 1:
-            return self.pos
-        if frequency_sign == -1:
-            return self.neg
-        raise ShapeError(f"frequency_sign must be +-1, got {frequency_sign}")
-
-
-def eigen_bispinors(frame: SpinFrame) -> BispinorTable:
+def eigen_bispinors(frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]:
     """The four sign combinations of the plane-wave solutions.
 
+    Returns (pos, neg), each a (2, 4) array indexed [spin, component]:
     pos[+] = (+c om, -pibar), pos[-] = (-pi, -c ombar),
     neg[+] = (-c om, -pibar), neg[-] = (-pi, +c ombar), with c = m/sqrt(2).
     """
-    om = frame.omega_array()
-    pi = frame.pi_array()
+    om, pi = frame.omega, frame.pi
     c = frame.momentum.m / np.sqrt(2)
-    pos = (
-        Bispinor(unprimed=-pi, primed=-c * np.conj(om)),
-        Bispinor(unprimed=c * om, primed=-np.conj(pi)),
-    )
-    neg = (
-        Bispinor(unprimed=-pi, primed=c * np.conj(om)),
-        Bispinor(unprimed=-c * om, primed=-np.conj(pi)),
-    )
-    return BispinorTable(pos=pos, neg=neg)
+    pos = np.array([np.concatenate([-pi, -c * np.conj(om)]),
+                    np.concatenate([c * om, -np.conj(pi)])])
+    neg = np.array([np.concatenate([-pi, c * np.conj(om)]),
+                    np.concatenate([-c * om, -np.conj(pi)])])
+    return pos, neg
 
 
 def dirac_matrix(p: FourMomentum, frequency_sign: int) -> np.ndarray:
@@ -259,8 +189,8 @@ def dirac_matrix(p: FourMomentum, frequency_sign: int) -> np.ndarray:
     return d
 
 
-def dirac_residual(p: FourMomentum, psi: Bispinor, frequency_sign: int) -> float:
-    v = psi.as4()
+def dirac_residual(p: FourMomentum, psi: np.ndarray, frequency_sign: int) -> float:
+    v = np.asarray(psi, dtype=np.complex128)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise UndefinedResidualError("residual of the zero bispinor is undefined")
@@ -272,8 +202,7 @@ def pauli_lubanski_projection(frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]
 
     Each block is trace-free and squares to id/4; eigenvalues are +-1/2.
     """
-    om = frame.omega_array()
-    pi = frame.pi_array()
+    om, pi = frame.omega, frame.pi
     s_unprimed = 0.5 * (np.outer(pi, EPSILON @ om) + np.outer(om, EPSILON @ pi))
     s_primed = -np.conj(s_unprimed)
     return s_unprimed, s_primed
@@ -284,8 +213,8 @@ def boost_z(eta: float) -> np.ndarray:
     return np.diag([np.exp(eta / 2), np.exp(-eta / 2)]).astype(np.complex128)
 
 
-def random_sl2c(rng: np.random.Generator, scale: float = 0.7) -> np.ndarray:
-    c = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * scale / 2
+def random_sl2c(rng: np.random.Generator) -> np.ndarray:
+    c = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.7 / 2
     return expm(c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2])
 
 
@@ -316,17 +245,10 @@ def wigner_matrix(lam: np.ndarray, p: FourMomentum) -> np.ndarray:
     """
     lam_inv = np.linalg.inv(lam)
     q = apply_lorentz(lam_inv, p)
-    frame_p = build_spin_frame(p)
+    om_p = build_spin_frame(p).omega
     frame_q = build_spin_frame(q)
-    om_p = frame_p.omega_array()
-    om_q = lam @ frame_q.omega_array()
-    pi_q = lam @ frame_q.pi_array()
-
-    def contract(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    z = contract(om_p, pi_q)
-    w = contract(om_p, om_q)
+    z = contract(om_p, lam @ frame_q.pi)
+    w = contract(om_p, lam @ frame_q.omega)
     c = p.m / np.sqrt(2)
     return np.array([[z, -c * w], [c * np.conj(w), np.conj(z)]])
 
@@ -336,28 +258,24 @@ def mixing_generator(u: np.ndarray) -> np.ndarray:
     return logm(u)
 
 
-def classical_solution(lattice, f: np.ndarray, g: np.ndarray, x: np.ndarray,
-                       conjugate: bool = False) -> np.ndarray:
+def classical_solution(lattice, f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Discretized plane-wave synthesis of the classical field at point x.
 
     psi(x) = sum_i w_i sum_s [ phi_pos[s](p_i) f(i,s) e^{-i p.x}
                                + phi_neg[s](p_i) conj(g(i,-s)) e^{+i p.x} ].
-    The conjugate flag swaps the roles of f and g.
     """
     f = np.asarray(f, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
     n = len(lattice.points)
     if f.shape != (n, 2) or g.shape != (n, 2):
         raise ShapeError(f"amplitude tables must have shape ({n}, 2)")
-    if conjugate:
-        f, g = g, f
     out = np.zeros(4, dtype=np.complex128)
     for i, p in enumerate(lattice.points):
-        table = eigen_bispinors(build_spin_frame(p))
+        pos, neg = eigen_bispinors(build_spin_frame(p))
         phase = np.exp(-1j * p.dot_point(x))
         for s in (SPIN_MINUS, SPIN_PLUS):
             out = out + lattice.weights[i] * (
-                table.pos[s].as4() * f[i, s] * phase
-                + table.neg[s].as4() * np.conj(g[i, 1 - s]) * np.conj(phase)
+                pos[s] * f[i, s] * phase
+                + neg[s] * np.conj(g[i, 1 - s]) * np.conj(phase)
             )
     return out

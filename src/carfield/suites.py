@@ -175,15 +175,15 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     for _ in range(40):
         v = rng.uniform(-5, 5, 3)
         momenta.append(spinors.FourMomentum.from_spatial(*(float(c) for c in v), m))
+    frames = [spinors.build_spin_frame(p) for p in momenta]
+    tables = [spinors.eigen_bispinors(frame) for frame in frames[:20]]
     out = []
 
     worst_norm = worst_recon = worst_det = 0.0
-    for p in momenta:
-        frame = spinors.build_spin_frame(p)
-        worst_norm = worst_of(worst_norm, abs(frame.omega.contract(frame.pi) - 1.0))
+    for p, frame in zip(momenta, frames):
+        om, pi = frame.omega, frame.pi
+        worst_norm = worst_of(worst_norm, abs(spinors.contract(om, pi) - 1.0))
         herm = spinors.momentum_to_hermitian(p)
-        pi = frame.pi_array()
-        om = frame.omega_array()
         recon = np.outer(pi, np.conj(pi)) + (m**2 / 2) * np.outer(om, np.conj(om))
         worst_recon = worst_of(worst_recon, float(np.max(np.abs(recon - herm))) / p.E)
         worst_det = worst_of(worst_det, abs(np.linalg.det(herm) - m**2 / 2) / p.E**2)
@@ -196,20 +196,19 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     frame = spinors.build_spin_frame(rest)
     golden_om = np.array([2**0.25, 0.0])
     golden_pi = np.array([0.0, 2**-0.25])
-    worst = float(np.max(np.abs(frame.omega_array() - golden_om)))
-    worst = worst_of(worst, float(np.max(np.abs(frame.pi_array() - golden_pi))))
+    worst = float(np.max(np.abs(frame.omega - golden_om)))
+    worst = worst_of(worst, float(np.max(np.abs(frame.pi - golden_pi))))
     out.append(_rec(s, "rest_frame_values", "rest frame om = (2^1/4, 0), pi = (0, 2^-1/4)",
                     worst, 1e-14))
 
     worst_match = 0.0
     mismatches = []
-    for p in momenta[:20]:
-        table = spinors.eigen_bispinors(spinors.build_spin_frame(p))
+    for p, (pos, neg) in zip(momenta, tables):
         for sp in (0, 1):
-            worst_match = worst_of(worst_match, spinors.dirac_residual(p, table.pos[sp], +1))
-            worst_match = worst_of(worst_match, spinors.dirac_residual(p, table.neg[sp], -1))
-            mismatches.append(spinors.dirac_residual(p, table.pos[sp], -1))
-            mismatches.append(spinors.dirac_residual(p, table.neg[sp], +1))
+            worst_match = worst_of(worst_match, spinors.dirac_residual(p, pos[sp], +1))
+            worst_match = worst_of(worst_match, spinors.dirac_residual(p, neg[sp], -1))
+            mismatches.append(spinors.dirac_residual(p, pos[sp], -1))
+            mismatches.append(spinors.dirac_residual(p, neg[sp], +1))
     out.append(_rec(s, "dirac_kernel", "matching branches solve the momentum Dirac system",
                     worst_match, 1e-12))
     # a NaN mismatch compares False and fails the flag
@@ -217,17 +216,15 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
                      all(r > 1.0 for r in mismatches)))
 
     worst = 0.0
-    for p in momenta[:20]:
-        frame = spinors.build_spin_frame(p)
+    for frame, (pos, neg) in zip(frames, tables):
         s1, s2 = spinors.pauli_lubanski_projection(frame)
         for block in (s1, s2):
             worst = worst_of(worst, abs(np.trace(block)))
             worst = worst_of(worst, float(np.max(np.abs(block @ block - 0.25 * np.eye(2)))))
-        table = spinors.eigen_bispinors(frame)
         for sp, val in ((0, -0.5), (1, 0.5)):
-            for branch in (table.pos[sp], table.neg[sp]):
-                unprimed = s1 @ branch.unprimed - val * branch.unprimed
-                primed = s2 @ branch.primed - val * branch.primed
+            for branch in (pos[sp], neg[sp]):
+                unprimed = s1 @ branch[:2] - val * branch[:2]
+                primed = s2 @ branch[2:] - val * branch[2:]
                 worst = worst_of(worst, float(np.max(np.abs(unprimed))),
                                  float(np.max(np.abs(primed))))
     out.append(_rec(s, "spin_projection", "spin states are +-1/2 eigenvectors of the frame spin",
@@ -499,43 +496,31 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "order1_all_n", "<ext c(f) ext c(g)'> = <f,g>_Z at every N",
                     worst, 1e-13))
 
-    fs2 = [_random_table(rng, 1) for _ in range(2)]
-    gs2 = [_random_table(rng, 1) for _ in range(2)]
-    rep = determinant_limit_convergence(space1, prof1, fs2, gs2, list(config.n_values_single))
-    out.append(_rec(s, "order2_single_exact", "one-mode order-2 deviations are exactly zero",
-                    worst_of(*rep.deviations()), 0.0))
-    out.append(_flag(s, "order2_single_monotone", "deviations non-increasing in N",
-                     rep.monotone))
-    devs = {r.n: r.deviation for r in rep.records}
-    quarter = worst_of(0.0, devs[64] - 0.25 * devs[8])
-    out.append(_rec(s, "order2_single_quarter", "dev(64) <= dev(8)/4", quarter, 0.0))
+    def random_tables(modes: int, order: int):
+        return ([_random_table(rng, modes) for _ in range(order)],
+                [_random_table(rng, modes) for _ in range(order)])
 
-    fs3 = [_random_table(rng, 1) for _ in range(3)]
-    gs3 = [_random_table(rng, 1) for _ in range(3)]
-    rep = determinant_limit_convergence(space1, prof1, fs3, gs3, list(config.n_values_single))
-    out.append(_rec(s, "order3_single_exact", "one-mode order-3 deviations are exactly zero",
-                    worst_of(*rep.deviations()), 0.0))
-    out.append(_flag(s, "order3_single_monotone", "deviations non-increasing in N",
-                     rep.monotone))
-    devs = {r.n: r.deviation for r in rep.records}
-    quarter = worst_of(0.0, devs[64] - 0.25 * devs[8])
-    out.append(_rec(s, "order3_single_quarter", "dev(64) <= dev(8)/4", quarter, 0.0))
+    single_tables = {order: random_tables(1, order) for order in (2, 3)}
+    for order, (fs, gs) in single_tables.items():
+        rep = determinant_limit_convergence(space1, prof1, fs, gs, list(config.n_values_single))
+        out.append(_rec(s, f"order{order}_single_exact",
+                        f"one-mode order-{order} deviations are exactly zero",
+                        worst_of(*rep.deviations()), 0.0))
+        out.append(_flag(s, f"order{order}_single_monotone", "deviations non-increasing in N",
+                         rep.monotone))
+        devs = {r.n: r.deviation for r in rep.records}
+        quarter = worst_of(0.0, devs[64] - 0.25 * devs[8])
+        out.append(_rec(s, f"order{order}_single_quarter", "dev(64) <= dev(8)/4", quarter, 0.0))
 
-    fs2d = [_random_table(rng, 2) for _ in range(2)]
-    gs2d = [_random_table(rng, 2) for _ in range(2)]
-    rep2 = determinant_limit_convergence(space2, prof2, fs2d, gs2d, list(config.n_values_double))
-    out.append(_flag(s, "order2_double_monotone", "two-mode deviations non-increasing",
-                     rep2.monotone))
-    out.append(_rec(s, "order2_double_decay", "dev(N_max)/dev(N_min) tracks 1/N",
-                    rep2.final_ratio if rep2.final_ratio is not None else 1.0, 0.35))
-
-    fs3d = [_random_table(rng, 2) for _ in range(3)]
-    gs3d = [_random_table(rng, 2) for _ in range(3)]
-    rep3 = determinant_limit_convergence(space2, prof2, fs3d, gs3d, list(config.n_values_double))
-    out.append(_flag(s, "order3_double_monotone", "two-mode deviations non-increasing",
-                     rep3.monotone))
-    out.append(_rec(s, "order3_double_decay", "dev(N_max)/dev(N_min) tracks 1/N",
-                    rep3.final_ratio if rep3.final_ratio is not None else 1.0, 0.35))
+    double_tables = {order: random_tables(2, order) for order in (2, 3)}
+    for order, (fs, gs) in double_tables.items():
+        rep = determinant_limit_convergence(space2, prof2, fs, gs, list(config.n_values_double))
+        out.append(_flag(s, f"order{order}_double_monotone", "two-mode deviations non-increasing",
+                         rep.monotone))
+        out.append(_rec(s, f"order{order}_double_decay", "dev(N_max)/dev(N_min) tracks 1/N",
+                        rep.final_ratio if rep.final_ratio is not None else 1.0, 0.35))
+    fs2, gs2 = single_tables[2]
+    fs2d, gs2d = double_tables[2]
 
     worst_exact = 0.0
     worst_float = 0.0

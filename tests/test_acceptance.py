@@ -124,14 +124,14 @@ def test_criterion_04_spin_frame_reconstruction():
     for p in momenta:
         frame = spinors.build_spin_frame(p)
         fallbacks += frame.used_fallback
-        pi = frame.pi_array()
-        om = frame.omega_array()
+        pi = frame.pi
+        om = frame.omega
         recon = np.outer(pi, np.conj(pi)) + (p.m**2 / 2) * np.outer(om, np.conj(om))
         worst_recon = max(
             worst_recon,
             float(np.max(np.abs(recon - spinors.momentum_to_hermitian(p)))) / p.E,
         )
-        worst_norm = max(worst_norm, abs(frame.omega.contract(frame.pi) - 1.0))
+        worst_norm = max(worst_norm, abs(spinors.contract(om, pi) - 1.0))
     ok = worst_recon <= 1e-11 and worst_norm <= 1e-12 and fallbacks >= 2
     _verdict(4, "spin-frame reconstruction", ok,
              f"1000 momenta + {fallbacks} fallback hits, "
@@ -145,16 +145,16 @@ def test_criterion_05_eigen_bispinors():
     worst_dirac = worst_spin = 0.0
     for p in momenta:
         frame = spinors.build_spin_frame(p)
-        table = spinors.eigen_bispinors(frame)
+        pos, neg = spinors.eigen_bispinors(frame)
         s_un, s_pr = spinors.pauli_lubanski_projection(frame)
         for s, val in ((0, -0.5), (1, 0.5)):
-            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, table.pos[s], +1))
-            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, table.neg[s], -1))
-            for branch in (table.pos[s], table.neg[s]):
+            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, pos[s], +1))
+            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, neg[s], -1))
+            for branch in (pos[s], neg[s]):
                 worst_spin = max(worst_spin, float(np.max(np.abs(
-                    s_un @ branch.unprimed - val * branch.unprimed))))
+                    s_un @ branch[:2] - val * branch[:2]))))
                 worst_spin = max(worst_spin, float(np.max(np.abs(
-                    s_pr @ branch.primed - val * branch.primed))))
+                    s_pr @ branch[2:] - val * branch[2:]))))
     ok = worst_dirac <= 1e-12 and worst_spin <= 1e-12
     _verdict(5, "eigen-bispinors", ok,
              f"Dirac residual {worst_dirac:.2e} <= 1e-12, "

@@ -54,7 +54,6 @@ def test_tensor_product_cap():
     big = sparse.identity(2048)
     with pytest.raises(SizeCapError):
         sparse.tensor_product(big, big)
-    assert sparse.tensor_product(big, big, max_dim=2**22).shape == (2**22, 2**22)
 
 
 def test_tensor_many_associates(rng):

@@ -49,20 +49,13 @@ def test_dot_point_signature():
 
 
 def test_two_spinor_index_handling():
-    xi = spinors.TwoSpinor(1.0, 2.0)
-    up = xi.raised()
-    assert up.upper
-    np.testing.assert_allclose(up.array(), [2.0, -1.0])
-    np.testing.assert_allclose(up.lowered().array(), xi.array())
-    with pytest.raises(ShapeError):
-        up.raised()
-    with pytest.raises(ShapeError):
-        xi.lowered()
-    assert xi.conjugated().primed
-    with pytest.raises(ShapeError):
-        xi.contract(xi.conjugated())
-    with pytest.raises(ShapeError):
-        xi.contract(up)
+    # raising is xi^A = eps^{AB} xi_B; a_A b^A = a0 b1 - a1 b0 is antisymmetric
+    np.testing.assert_array_equal(spinors.EPSILON @ np.array([1, 2]), [2, -1])
+    a = np.array([0.3 + 0.2j, -1.1 + 0.7j])
+    b = np.array([2.0 - 0.5j, 0.4 + 1.3j])
+    assert spinors.contract(a, b) == a[0] * b[1] - a[1] * b[0]
+    assert spinors.contract(a, b) == -spinors.contract(b, a)
+    assert spinors.contract(a, a) == 0
 
 
 def test_soldering_roundtrip(rng):
@@ -85,9 +78,9 @@ def test_soldering_determinant():
 @given(p=spatial_momenta())
 def test_frame_identities(p):
     frame = spinors.build_spin_frame(p)
-    assert abs(frame.omega.contract(frame.pi) - 1.0) < 1e-12
-    pi = frame.pi_array()
-    om = frame.omega_array()
+    assert abs(spinors.contract(frame.omega, frame.pi) - 1.0) < 1e-12
+    pi = frame.pi
+    om = frame.omega
     recon = np.outer(pi, np.conj(pi)) + (p.m**2 / 2) * np.outer(om, np.conj(om))
     assert np.max(np.abs(recon - spinors.momentum_to_hermitian(p))) < 1e-11 * p.E
 
@@ -95,8 +88,8 @@ def test_frame_identities(p):
 def test_rest_frame_golden_values():
     frame = spinors.build_spin_frame(spinors.FourMomentum.at_rest(1.0))
     assert not frame.used_fallback
-    np.testing.assert_allclose(frame.omega_array(), [2**0.25, 0.0], atol=1e-14)
-    np.testing.assert_allclose(frame.pi_array(), [0.0, 2**-0.25], atol=1e-14)
+    np.testing.assert_allclose(frame.omega, [2**0.25, 0.0], atol=1e-14)
+    np.testing.assert_allclose(frame.pi, [0.0, 2**-0.25], atol=1e-14)
 
 
 def test_fallback_branch():
@@ -104,10 +97,10 @@ def test_fallback_branch():
     p = spinors.FourMomentum.from_spatial(0.0, 0.0, 1e9, 1.0)
     frame = spinors.build_spin_frame(p)
     assert frame.used_fallback
-    assert abs(frame.omega.contract(frame.pi) - 1.0) < 1e-12
-    recon = np.outer(frame.pi_array(), np.conj(frame.pi_array())) + (
+    assert abs(spinors.contract(frame.omega, frame.pi) - 1.0) < 1e-12
+    recon = np.outer(frame.pi, np.conj(frame.pi)) + (
         p.m**2 / 2
-    ) * np.outer(frame.omega_array(), np.conj(frame.omega_array()))
+    ) * np.outer(frame.omega, np.conj(frame.omega))
     assert np.max(np.abs(recon - spinors.momentum_to_hermitian(p))) < 1e-11 * p.E
     # moderate momenta and the -z direction keep the primary gauge
     assert not spinors.build_spin_frame(
@@ -137,29 +130,22 @@ def test_null_vector_is_null_and_future():
 def test_dirac_kernel_and_mismatch(rng):
     for _ in range(10):
         p = spinors.FourMomentum.from_spatial(*rng.uniform(-4, 4, 3), 1.0)
-        table = spinors.eigen_bispinors(spinors.build_spin_frame(p))
+        pos, neg = spinors.eigen_bispinors(spinors.build_spin_frame(p))
+        assert pos.shape == neg.shape == (2, 4)
         for s in (0, 1):
-            assert spinors.dirac_residual(p, table.pos[s], +1) < 1e-12
-            assert spinors.dirac_residual(p, table.neg[s], -1) < 1e-12
-            assert spinors.dirac_residual(p, table.pos[s], -1) > 1.0
-            assert spinors.dirac_residual(p, table.neg[s], +1) > 1.0
+            assert spinors.dirac_residual(p, pos[s], +1) < 1e-12
+            assert spinors.dirac_residual(p, neg[s], -1) < 1e-12
+            assert spinors.dirac_residual(p, pos[s], -1) > 1.0
+            assert spinors.dirac_residual(p, neg[s], +1) > 1.0
 
 
 def test_dirac_guards():
     p = spinors.FourMomentum.at_rest(1.0)
     with pytest.raises(ShapeError):
         spinors.dirac_matrix(p, 0)
-    zero = spinors.Bispinor(np.zeros(2), np.zeros(2))
+    zero = np.zeros(4)
     with pytest.raises(UndefinedResidualError):
         spinors.dirac_residual(p, zero, +1)
-
-
-def test_bispinor_table_branch_lookup():
-    table = spinors.eigen_bispinors(spinors.build_spin_frame(spinors.FourMomentum.at_rest(1.0)))
-    assert table.branch(1) is table.pos
-    assert table.branch(-1) is table.neg
-    with pytest.raises(ShapeError):
-        table.branch(2)
 
 
 def test_pauli_lubanski_projection(rng):
@@ -170,11 +156,11 @@ def test_pauli_lubanski_projection(rng):
         for block in (s_un, s_pr):
             assert abs(np.trace(block)) < 1e-13
             assert np.max(np.abs(block @ block - 0.25 * np.eye(2))) < 1e-12
-        table = spinors.eigen_bispinors(frame)
+        pos, neg = spinors.eigen_bispinors(frame)
         for s, val in ((0, -0.5), (1, 0.5)):
-            for branch in (table.pos[s], table.neg[s]):
-                assert np.max(np.abs(s_un @ branch.unprimed - val * branch.unprimed)) < 1e-12
-                assert np.max(np.abs(s_pr @ branch.primed - val * branch.primed)) < 1e-12
+            for branch in (pos[s], neg[s]):
+                assert np.max(np.abs(s_un @ branch[:2] - val * branch[:2])) < 1e-12
+                assert np.max(np.abs(s_pr @ branch[2:] - val * branch[2:])) < 1e-12
 
 
 # --- Lorentz action and spin mixing
@@ -243,16 +229,6 @@ def test_classical_solution_shape_guard():
     good = np.zeros((3, 2))
     with pytest.raises(ShapeError):
         spinors.classical_solution(lattice, bad, good, np.zeros(4))
-
-
-def test_classical_solution_conjugate_swaps_tables(rng):
-    lattice = rapidity_lattice(1, 0.4, 1.0)
-    f = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    x = np.array([0.2, -0.1, 0.4, 0.3])
-    lhs = spinors.classical_solution(lattice, f, g, x, conjugate=True)
-    rhs = spinors.classical_solution(lattice, g, f, x)
-    np.testing.assert_array_equal(lhs, rhs)
 
 
 def test_classical_solution_is_linear(rng):
