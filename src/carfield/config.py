@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,6 +27,12 @@ from .sparse import DENSE_EXP_LIMIT, MAX_DIM
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
+# a rejected value is echoed cut to a few dozen characters, so that the
+# error stays one short line whatever the config holds
+_SHORT = reprlib.Repr()
+_SHORT.maxlong = _SHORT.maxstring = _SHORT.maxother = 20
+_shown = _SHORT.repr
+
 
 def _require_finite(name: str, *values) -> None:
     """Reject non-numbers and NaN or inf: a NaN residual slips through max()."""
@@ -35,14 +42,14 @@ def _require_finite(name: str, *values) -> None:
         except OverflowError:  # an integer past the float range
             finite = False
         if not finite:
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            raise ConfigError(f"{name} must be a finite number, got {_shown(v)}")
 
 
 def _require_int(name: str, *values) -> None:
     """Reject non-integers, bool included: true would otherwise run as 1."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
+            raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class LatticeConfig:
         if self.mode not in (RAPIDITY_1D, GRID_3D):
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
-            raise ConfigError(f"mass must be positive, got {self.m}")
+            raise ConfigError(f"mass must be positive, got {_shown(self.m)}")
         # the translation route exponentiates the 16 M-dim single-oscillator
         # generator densely; this also keeps a huge j_max from being built
         modes = 2 * self.j_max + 1 if self.mode == RAPIDITY_1D else self.grid_n**3
@@ -103,7 +110,7 @@ class ProfileConfig:
             _require_finite(name, getattr(self, name))
         _require_int("index", self.index)
         if self.width <= 0:
-            raise ConfigError(f"profile width must be positive, got {self.width}")
+            raise ConfigError(f"profile width must be positive, got {_shown(self.width)}")
 
     def build(self, lattice: MomentumLattice) -> VacuumProfile:
         if self.kind == "uniform":
@@ -130,37 +137,41 @@ class RunConfig:
         for name in ("seed", "boost_steps", "matrix_check_n"):
             _require_int(name, getattr(self, name))
         if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be a nonnegative integer, got {_shown(self.seed)}")
         if self.profile.kind == "point" and not 0 <= self.profile.index < self.lattice.build().size:
-            raise ConfigError(f"point profile index must lie on the lattice, got {self.profile.index}")
+            raise ConfigError("point profile index must lie on the lattice, "
+                              f"got {_shown(self.profile.index)}")
         if self.boost_steps == 0:
             raise ConfigError("boost steps must be nonzero")
         if self.lattice.mode == RAPIDITY_1D and abs(self.boost_steps) > self.lattice.j_max:
-            raise ConfigError(f"|boost_steps| > j_max empties the interior, got {self.boost_steps}")
+            raise ConfigError("|boost_steps| > j_max empties the interior, "
+                              f"got {_shown(self.boost_steps)}")
         _require_finite("e0", self.e0)
         for name in ("displacement", "field_point"):
             value = tuple(getattr(self, name))
             if len(value) != 4:
-                raise ConfigError(f"{name} must be a 4-vector, got {value}")
+                raise ConfigError(f"{name} must be a 4-vector, got {_shown(value)}")
             _require_finite(name, *value)
             object.__setattr__(self, name, tuple(float(v) for v in value))
         for name in ("n_values_single", "n_values_double"):
             value = tuple(getattr(self, name))
             _require_int(name, *value)
             if len(value) == 0 or value[0] < 1 or list(value) != sorted(value):
-                raise ConfigError(f"{name} must be ascending positive integers, got {value}")
+                raise ConfigError(f"{name} must be ascending positive integers, "
+                                  f"got {_shown(value)}")
             object.__setattr__(self, name, value)
         if not {8, 64} <= set(self.n_values_single):  # the quarter checks compare these
-            raise ConfigError(f"n_values_single must contain 8 and 64, got {self.n_values_single}")
+            raise ConfigError("n_values_single must contain 8 and 64, "
+                              f"got {_shown(self.n_values_single)}")
         if self.matrix_check_n < 1:
-            raise ConfigError(f"matrix_check_n must be >= 1, got {self.matrix_check_n}")
+            raise ConfigError(f"matrix_check_n must be >= 1, got {_shown(self.matrix_check_n)}")
         # the N-slot checks build (16 M)^N matrices on this lattice and on the
         # two-mode engine lattice; as 16 M >= 32, N >= 21 is past the cap
         # without forming the power
         factor = REGISTER_DIM * max(self.lattice.build().size, 2)
         n = self.matrix_check_n
         if n >= MAX_DIM.bit_length() or factor**n > MAX_DIM:
-            raise ConfigError(f"(16 M)^N exceeds cap {MAX_DIM} at 16 M = {factor}, N = {n}; "
+            raise ConfigError(f"(16 M)^N > {MAX_DIM} at 16 M = {factor}, N = {_shown(n)}; "
                               "reduce matrix_check_n or the lattice")
 
     def to_dict(self) -> dict:
@@ -178,7 +189,7 @@ def _from_mapping(cls, data: dict, where: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {_shown(sorted(unknown))}")
     return cls(**data)
 
 
@@ -196,21 +207,26 @@ def config_from_dict(data: dict) -> RunConfig:
     allowed = {f.name for f in fields(RunConfig)} - {"lattice", "profile"}
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {_shown(sorted(unknown))}")
     return RunConfig(lattice=lattice, profile=profile, **data)
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except OSError as exc:
+        # str(exc) repeats the path
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from exc
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # a malformed document, an integer past the int-to-str digit limit,
-        # or nesting deeper than the decoder's recursion limit
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} cannot be parsed as JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise ConfigError(f"config file {path} holds an integer of too many digits") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config file {path} nests deeper than the JSON decoder can") from exc
     return config_from_dict(data)
 
 

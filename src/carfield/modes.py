@@ -18,9 +18,11 @@ as a `ModeBlocks` (the (M, 16, 16) stack of R_i and the shift); their
 products, sums, adjoints and (anti)commutators stay in that form.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots, applied to a state, or compared with an
-independent CSR route.  `field_operator_spectral` keeps its own kron of
-diagonal multipliers on purpose: the field's dual-route check compares two
-independent routes.
+independent CSR route.  `field_operator_spectral` keeps its own assembly
+on purpose, with no `ModeBlocks`: it places the kron of each diagonal
+multiplier with a register ladder by index arithmetic, all four terms in one
+COO triple converted to CSR once, so the field's dual-route check compares
+two independent routes.
 """
 
 from __future__ import annotations
@@ -320,20 +322,34 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
 
 def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
                             conjugate: bool = False) -> SparseOperator:
-    """Same operator assembled from the diagonal W(x) and amplitude multipliers."""
+    """Same operator assembled from the diagonal W(x) and amplitude multipliers.
+
+    Each term kron(multiplier W(x)^(+-1), register ladder) places the ladder
+    entry (r, c) at (16 i + r, 16 i + c), scaled by the mode-i multiplier; all
+    four terms go into one COO triple and one CSR conversion.
+    """
     if not 0 <= alpha < 4:
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    w = plane_wave_unitary(space, x)
-    w_dag = sparse.adjoint(w)
-    out = sparse.zeros(space.dim)
+    phases = plane_wave_unitary(space, x).diagonal()
+    terms = []
     for s in (0, 1):
-        pos_mult = sparse.asoperator(np.diag(space.pos_table[:, s, alpha]))
-        neg_mult = sparse.asoperator(np.diag(space.neg_table[:, s, alpha]))
-        out = out + sparse.tensor_product(pos_mult @ w, space.register.ladder(ann_species, s))
-        out = out + sparse.tensor_product(
-            neg_mult @ w_dag, space.register.ladder(cre_species, 1 - s).conj().T
-        )
+        terms.append((space.pos_table[:, s, alpha], phases,
+                      space.register.ladder(ann_species, s)))
+        terms.append((space.neg_table[:, s, alpha], np.conj(phases),
+                      space.register.ladder(cre_species, 1 - s).conj().T))
+    offsets = REGISTER_DIM * np.arange(space.lattice.size)[:, None]
+    rows, cols, data = [], [], []
+    for amplitudes, w, ladder in terms:
+        # scalar products, as the CSR product computed them: numpy's vectorized
+        # complex multiply can round differently
+        multiplier = np.array([a * p for a, p in zip(amplitudes, w)])
+        r, c = np.nonzero(ladder)
+        rows.append((offsets + r).ravel())
+        cols.append((offsets + c).ravel())
+        data.append((multiplier[:, None] * ladder[r, c]).ravel())
+    out = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(space.dim, space.dim))
     return sparse.prune(out)
 
 

@@ -12,7 +12,9 @@ sums, central elements as untwisted means, unitaries as tensor powers.
 Two evaluation paths for vacuum matrix elements of smeared operator
 products:
 
-* explicit matrices, capped at total dimension (16 M)^N <= 2^20;
+* explicit matrices, capped at total dimension (16 M)^N <= 2^20; each
+  extension is one COO assembly by index arithmetic, with no chain of
+  tensor products;
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It computes the single-oscillator vacuum moment of every ordered
   sub-product of the factors, sums the products of these moments over set
@@ -89,26 +91,62 @@ def _check_matrix_dim(nreg: NRegister) -> None:
         )
 
 
-def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: ModeBlocks) -> SparseOperator:
-    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), on CSR from embed."""
+def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOperator:
+    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), twist a (16 M,) diagonal.
+
+    One CSR assembly.  Slot k places op entry (r, c) at row
+    (l d + r) d^(N-k-1) + b and column (l d + c) d^(N-k-1) + b, for every left
+    index l and right index b, with value twist(l) op[r, c], twist(l) the
+    product of the twist diagonal over the k left slots.  Slot terms meet only
+    on the diagonal, which is summed densely in slot order, as the kron
+    chain's left-to-right CSR additions sum it; the other entries have no
+    duplicates and go straight into arrays of their final size.
+    """
     _check_matrix_dim(nreg)
-    op, twist = nreg.space.embed(op), nreg.space.embed(twist)
-    ident = sparse.identity(nreg.factor_dim)
-    total = sparse.zeros(nreg.dim)
-    for k in range(nreg.n):
-        factors = [twist] * k + [op] + [ident] * (nreg.n - k - 1)
-        total = total + sparse.tensor_many(*factors)
-    return total
+    op = nreg.space.embed(op)
+    d, n = nreg.factor_dim, nreg.n
+    entries = op.tocoo()
+    off = entries.row != entries.col
+    rows, cols, data = entries.row[off], entries.col[off], entries.data[off]
+    lefts = [np.ones(1, dtype=np.complex128)]
+    for _ in range(n - 1):
+        lefts.append(np.kron(lefts[-1], twist))
+    op_diag = op.diagonal()
+    at = np.zeros(0, dtype=np.int32)
+    if op_diag.any():
+        diag = np.zeros(nreg.dim, dtype=np.complex128)
+        for k, left in enumerate(lefts):
+            diag.reshape(-1, d ** (n - k - 1))[:] += np.kron(left, op_diag)[:, None]
+        at = np.flatnonzero(diag).astype(np.int32)
+    per_slot = len(data) * d ** (n - 1)
+    out_rows = np.empty(n * per_slot + len(at), dtype=np.int32)
+    out_cols = np.empty_like(out_rows)
+    out_data = np.empty(len(out_rows), dtype=np.complex128)
+    for k, left in enumerate(lefts):
+        right = d ** (n - k - 1)
+        shape = (len(left), len(data), right)
+        l = np.arange(len(left), dtype=np.int32)[:, None, None] * d
+        b = np.arange(right, dtype=np.int32)
+        part = slice(k * per_slot, (k + 1) * per_slot)
+        out_rows[part].reshape(shape)[:] = (l + rows[:, None]) * right + b
+        out_cols[part].reshape(shape)[:] = (l + cols[:, None]) * right + b
+        out_data[part].reshape(shape)[:] = (left[:, None] * data)[:, :, None]
+    tail = slice(n * per_slot, None)
+    out_rows[tail] = out_cols[tail] = at
+    if len(at):
+        out_data[tail] = diag[at]
+    return SparseOperator((out_data, (out_rows, out_cols)), shape=(nreg.dim, nreg.dim))
 
 
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
     """(1/sqrt N) sum over slots of g^(k-1) x op x id^(N-k), g the grading."""
-    return sparse.prune(_slot_sum(nreg, op, nreg.space.parity()) / np.sqrt(nreg.n))
+    parity = np.tile(np.diag(nreg.space.register.parity), nreg.space.lattice.size)
+    return sparse.prune(_slot_sum(nreg, op, parity) / np.sqrt(nreg.n))
 
 
 def extend_additive(nreg: NRegister, op: ModeBlocks, mean: bool = False) -> SparseOperator:
     """Untwisted sum over slots; with mean=True, divided by N (central elements)."""
-    total = _slot_sum(nreg, op, nreg.space.identity())
+    total = _slot_sum(nreg, op, np.ones(nreg.factor_dim))
     return sparse.prune(total / nreg.n if mean else total)
 
 

@@ -7,8 +7,9 @@ operators are `modes.ModeBlocks`, which reach CSR only through
 (state dimensions stay below the cap, so dense vectors are cheaper than
 hash maps and keep inner products exact-order deterministic).
 All index flattening is row-major: kron(A, B) places B-blocks inside A,
-index = i_A * dim_B + i_B.  Higher layers must never roll their own
-flattening.
+index = i_A * dim_B + i_B.  The N-slot sums and the spectral field compute
+these indices directly, in one COO assembly each, and tests pin them
+bitwise against tensor_product chains; no other layer rolls its own.
 """
 
 from __future__ import annotations

@@ -191,6 +191,37 @@ def test_field_operator_dual_route(default_space, rng):
             assert sparse.max_abs(default_space.embed(direct) - spectral) < 1e-12
 
 
+def _spectral_kron_terms(space, x, alpha, conjugate):
+    """The spectral field as a CSR sum of per-term krons of diagonal multipliers with W(x)."""
+    ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
+    w = plane_wave_unitary(space, x)
+    w_dag = sparse.adjoint(w)
+    out = sparse.zeros(space.dim)
+    for s in (0, 1):
+        pos_mult = sparse.asoperator(np.diag(space.pos_table[:, s, alpha]))
+        neg_mult = sparse.asoperator(np.diag(space.neg_table[:, s, alpha]))
+        out = out + sparse.tensor_product(pos_mult @ w, space.register.ladder(ann_species, s))
+        out = out + sparse.tensor_product(
+            neg_mult @ w_dag, space.register.ladder(cre_species, 1 - s).conj().T
+        )
+    return sparse.prune(out)
+
+
+def test_field_operator_spectral_equals_kron_terms_bitwise(default_space, rng):
+    # the grid lattice's bispinors are complex, so the rounding of each
+    # multiplier product shows there
+    grid_space = SingleOscillatorSpace(grid_lattice(2, 1.0, 1.0))
+    for space in (default_space, grid_space):
+        x = rng.uniform(-2, 2, 4)
+        for alpha in range(4):
+            for conj in (False, True):
+                got = field_operator_spectral(space, x, alpha, conjugate=conj)
+                want = _spectral_kron_terms(space, x, alpha, conj)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+
+
 def test_field_operator_component_guard(default_space):
     with pytest.raises(ShapeError):
         field_operator(default_space, np.zeros(4), 4)

@@ -100,6 +100,49 @@ def test_extend_additive_and_mean(double_space):
     assert sparse.max_abs(extend_additive(nreg, op, mean=True) - plain / 2) == 0.0
 
 
+def _kron_chain_slot_sum(space, n, op, twist):
+    """Sum over slots of twist^(k-1) x op x id^(N-k): one kron chain per slot, added left to right."""
+    op, twist = space.embed(op), space.embed(twist)
+    ident = sparse.identity(space.dim)
+    total = sparse.zeros(space.dim**n)
+    for k in range(n):
+        total = total + sparse.tensor_many(*([twist] * k + [op] + [ident] * (n - k - 1)))
+    return total
+
+
+def _assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def _slot_sum_cases(space, rng):
+    m = space.lattice.size
+    dense = rng.standard_normal((m, 16, 16)) + 1j * rng.standard_normal((m, 16, 16))
+    return {
+        "ladder": smeared_annihilator(space, random_table(rng, m), "d"),
+        "projector": mode_projector(space, m - 1),
+        "shifted": ModeBlocks(dense, shift=1),
+        # full blocks: rows past 16 entries, and N terms summed on the diagonal
+        "dense": ModeBlocks(dense),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("space_name", ["single_space", "double_space"])
+def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
+    space = request.getfixturevalue(space_name)
+    nreg = NRegister(space, n)
+    for name, op in _slot_sum_cases(space, rng).items():
+        if name == "dense" and nreg.dim > 4096:
+            continue  # 1.5 million entries at 2 modes, N = 3
+        twisted = _kron_chain_slot_sum(space, n, op, space.parity())
+        _assert_same_csr(extend_operator(nreg, op), sparse.prune(twisted / np.sqrt(n)))
+        plain = _kron_chain_slot_sum(space, n, op, space.identity())
+        _assert_same_csr(extend_additive(nreg, op), sparse.prune(plain))
+        _assert_same_csr(extend_additive(nreg, op, mean=True), sparse.prune(plain / n))
+
+
 def test_extend_unitary_is_tensor_power(double_space, rng):
     nreg = NRegister(double_space, 2)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, double_space.dim))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,9 @@ def test_load_config(tmp_path):
     config = load_config(str(path))
     assert config.seed == 11
     assert config.lattice.j_max == 2
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as missing:
         load_config(str(tmp_path / "missing.json"))
+    assert str(missing.value).count("missing.json") == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
@@ -276,6 +278,14 @@ OVERSIZED = ({"matrix_check_n": 5}, {"matrix_check_n": 3000}, {"lattice": {"j_ma
     # exponentiate densely
     {"lattice": {"delta_eta": 10**400}},
     {"lattice": {"j_max": 10**400}},
+    # values echoed in the message, past the float range or the digit limit
+    {"seed": -10**400},
+    {"boost_steps": -10**400},
+    {"matrix_check_n": 10**400},
+    {"n_values_single": [2, 8, 64, 10**400, 1]},
+    {"profile": {"kind": "point", "index": 10**4000}},
+    {"e0": "x" * 5000},
+    {"x" * 5000: 1},
     {"lattice": {"j_max": 128}},
     {"lattice": {"mode": "grid3d", "grid_n": 7}},
     *OVERSIZED,
@@ -292,8 +302,8 @@ def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
     assert captured.out == ""
     err = captured.err
     assert err.startswith("configuration error:") and err.count("\n") == 1
-    if data in OVERSIZED:
-        assert len(err) < 120
+    # echoed values are cut short; the file path is the caller's own text
+    assert len(err.replace(str(tmp_path), "")) < 120
 
 
 def test_config_accepts_boost_steps_up_to_j_max():
@@ -312,6 +322,34 @@ def test_cli_run_error_exits_2_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("ResourceLimitError:") and captured.err.count("\n") == 1
     assert len(captured.err) < 120
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, also where a carfield module imports it by name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "carfield" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_report_suites_build_no_kron_chain(monkeypatch):
+    # the N-slot extensions and the spectral field are single CSR assemblies,
+    # and the classical solutions do not depend on the field component
+    krons = _count_calls(monkeypatch, sparse, "tensor_product")
+    solutions = _count_calls(monkeypatch, spinors, "classical_solution")
+    config = default_config()
+    run_suite("mode_space", config)
+    assert len(solutions) == 2
+    run_suite("n_oscillator", config)
+    run_suite("symmetries", config)
+    assert krons == []
 
 
 def test_cli_reads_config_file(tmp_path):
