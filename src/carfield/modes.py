@@ -252,9 +252,6 @@ class SingleOscillatorSpace:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""
         return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.parity])
 
-    def identity(self) -> ModeBlocks:
-        return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.identity])
-
 
 def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k], pruned as embed prunes.
@@ -291,10 +288,9 @@ def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: st
     return mode_blocks(np.conj(f), ladders)
 
 
-def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> SparseOperator:
-    """Mode-diagonal W(x) with phases e^{-i p_i . x}; exactly unitary."""
-    phases = np.array([np.exp(-1j * p.dot_point(x)) for p in space.lattice.points])
-    return sparse.asoperator(np.diag(phases))
+def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> np.ndarray:
+    """The mode-diagonal unitary W(x) as its (M,) diagonal, the phases e^{-i p_i . x}."""
+    return np.array([np.exp(-1j * p.dot_point(x)) for p in space.lattice.points])
 
 
 def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
@@ -331,7 +327,7 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
     if not 0 <= alpha < 4:
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    phases = plane_wave_unitary(space, x).diagonal()
+    phases = plane_wave_unitary(space, x)
     terms = []
     for s in (0, 1):
         terms.append((space.pos_table[:, s, alpha], phases,

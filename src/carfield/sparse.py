@@ -56,14 +56,6 @@ def prune_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def identity(dim: int) -> SparseOperator:
-    return sp.identity(dim, dtype=np.complex128, format="csr")
-
-
-def zeros(dim_row: int, dim_col: int | None = None) -> SparseOperator:
-    return sp.csr_matrix((dim_row, dim_col if dim_col is not None else dim_row), dtype=np.complex128)
-
-
 def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray) -> SparseOperator:
     out_rows = a.shape[0] * b.shape[0]
     out_cols = a.shape[1] * b.shape[1]

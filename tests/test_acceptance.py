@@ -10,6 +10,7 @@ fixed seeds so the numbers below are reproducible bit for bit.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carfield import sparse, spinors, symmetries
 from carfield.modes import (
@@ -292,7 +293,7 @@ def test_criterion_10_poincare_suite():
     profile = uniform_profile(lattice)
 
     momenta = [space.embed(op) for op in symmetries.four_momentum(space)]
-    gen = sparse.zeros(space.dim)
+    gen = sp.csr_matrix((space.dim, space.dim), dtype=np.complex128)
     for a in range(4):
         gen = gen + float(Y[a]) * momenta[a]
     translation = sparse.max_abs(

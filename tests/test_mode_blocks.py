@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +53,7 @@ def _ket_bra(space, i, j):
 
 def _kron_sum(space, terms):
     """sum of coeff * |i><j| x reg_op over (i, j, coeff, reg_op), one kron each."""
-    out = sparse.zeros(space.dim)
+    out = sp.csr_matrix((space.dim, space.dim), dtype=np.complex128)
     for i, j, coeff, reg_op in terms:
         if coeff != 0:
             out = out + coeff * sparse.tensor_product(_ket_bra(space, i, j), reg_op)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from carfield import sparse, spinors
 from carfield.errors import ConfigError, DegenerateVacuumError, ShapeError
@@ -127,7 +128,8 @@ def test_vacuum_vector(default_space, default_profile):
 
 def test_embedding_and_parity(default_space):
     par = default_space.parity()
-    assert (par @ par - default_space.identity()).max_abs() == 0.0
+    identity = ModeBlocks.diagonal(np.ones((default_space.lattice.size, REGISTER_DIM)))
+    assert (par @ par - identity).max_abs() == 0.0
     blocks = np.zeros((default_space.lattice.size, REGISTER_DIM, REGISTER_DIM), dtype=complex)
     blocks[2] = default_space.register.b_minus
     op = default_space.embed(ModeBlocks(blocks))
@@ -177,9 +179,10 @@ def test_plane_wave_unitary_group(default_space, rng):
     x = rng.uniform(-1, 1, 4)
     y = rng.uniform(-1, 1, 4)
     wx = plane_wave_unitary(default_space, x)
-    assert sparse.max_abs(wx @ sparse.adjoint(wx) - sparse.identity(default_space.lattice.size)) < 1e-14
+    assert wx.shape == (default_space.lattice.size,)
+    assert np.max(np.abs(np.abs(wx) - 1.0)) < 1e-14
     combined = plane_wave_unitary(default_space, x + y)
-    assert sparse.max_abs(wx @ plane_wave_unitary(default_space, y) - combined) < 1e-14
+    assert np.max(np.abs(wx * plane_wave_unitary(default_space, y) - combined)) < 1e-14
 
 
 def test_field_operator_dual_route(default_space, rng):
@@ -194,9 +197,9 @@ def test_field_operator_dual_route(default_space, rng):
 def _spectral_kron_terms(space, x, alpha, conjugate):
     """The spectral field as a CSR sum of per-term krons of diagonal multipliers with W(x)."""
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    w = plane_wave_unitary(space, x)
+    w = sparse.asoperator(np.diag(plane_wave_unitary(space, x)))
     w_dag = sparse.adjoint(w)
-    out = sparse.zeros(space.dim)
+    out = sp.csr_matrix((space.dim, space.dim), dtype=np.complex128)
     for s in (0, 1):
         pos_mult = sparse.asoperator(np.diag(space.pos_table[:, s, alpha]))
         neg_mult = sparse.asoperator(np.diag(space.neg_table[:, s, alpha]))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,7 +85,7 @@ def test_extend_operator_formula(double_space, rng):
     op = smeared_annihilator(double_space, random_table(rng, 2), "b")
     op_csr = double_space.embed(op)
     twist = double_space.embed(double_space.parity())
-    ident = sparse.identity(double_space.dim)
+    ident = sp.identity(double_space.dim, dtype=np.complex128, format="csr")
     manual = (sparse.tensor_product(op_csr, ident)
               + sparse.tensor_product(twist, op_csr)) / np.sqrt(2)
     assert sparse.max_abs(extend_operator(nreg, op) - manual) == 0.0
@@ -94,17 +95,21 @@ def test_extend_additive_and_mean(double_space):
     nreg = NRegister(double_space, 2)
     op = mode_projector(double_space, 0)
     op_csr = double_space.embed(op)
-    ident = sparse.identity(double_space.dim)
+    ident = sp.identity(double_space.dim, dtype=np.complex128, format="csr")
     plain = sparse.tensor_product(op_csr, ident) + sparse.tensor_product(ident, op_csr)
     assert sparse.max_abs(extend_additive(nreg, op) - plain) == 0.0
     assert sparse.max_abs(extend_additive(nreg, op, mean=True) - plain / 2) == 0.0
 
 
+def _identity(space):
+    return ModeBlocks.diagonal(np.ones((space.lattice.size, REGISTER_DIM)))
+
+
 def _kron_chain_slot_sum(space, n, op, twist):
     """Sum over slots of twist^(k-1) x op x id^(N-k): one kron chain per slot, added left to right."""
     op, twist = space.embed(op), space.embed(twist)
-    ident = sparse.identity(space.dim)
-    total = sparse.zeros(space.dim**n)
+    ident = sp.identity(space.dim, dtype=np.complex128, format="csr")
+    total = sp.csr_matrix((space.dim**n, space.dim**n), dtype=np.complex128)
     for k in range(n):
         total = total + sparse.tensor_many(*([twist] * k + [op] + [ident] * (n - k - 1)))
     return total
@@ -138,7 +143,7 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
             continue  # 1.5 million entries at 2 modes, N = 3
         twisted = _kron_chain_slot_sum(space, n, op, space.parity())
         _assert_same_csr(extend_operator(nreg, op), sparse.prune(twisted / np.sqrt(n)))
-        plain = _kron_chain_slot_sum(space, n, op, space.identity())
+        plain = _kron_chain_slot_sum(space, n, op, _identity(space))
         _assert_same_csr(extend_additive(nreg, op), sparse.prune(plain))
         _assert_same_csr(extend_additive(nreg, op, mean=True), sparse.prune(plain / n))
 
@@ -160,11 +165,11 @@ def test_extension_dimension_guards(double_space, default_space):
     # (16 * 13)^3 blows through the cap
     big = NRegister(default_space, 3)
     with pytest.raises(SizeCapError):
-        extend_operator(big, default_space.identity())
+        extend_operator(big, _identity(default_space))
     with pytest.raises(SizeCapError):
-        extend_additive(big, default_space.identity())
+        extend_additive(big, _identity(default_space))
     with pytest.raises(SizeCapError):
-        extend_unitary(big, default_space.identity())
+        extend_unitary(big, _identity(default_space))
 
 
 def test_extended_car(double_space, rng):

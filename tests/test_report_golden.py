@@ -36,6 +36,16 @@ def test_default_report_matches_golden(seed):
     assert report["counts"] == {"total": 69, "passed": 69}
 
 
+def _run_child(script, **env):
+    """Run a Python script in a fresh interpreter that imports this carfield; its stdout."""
+    src = str(Path(carfield.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return done.stdout
+
+
 def test_single_thread_report_matches_golden():
     # the thread counts must be set before numpy loads, so the report runs in
     # a child process
@@ -45,9 +55,20 @@ def test_single_thread_report_matches_golden():
         "from carfield import default_config, run_report\n"
         "print(json.dumps(run_report(replace(default_config(), seed=1))))\n"
     )
-    src = str(Path(carfield.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    assert _pinned_rows(json.loads(done.stdout)) == GOLDEN["1"]
+    out = _run_child(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    assert _pinned_rows(json.loads(out)) == GOLDEN["1"]
+
+
+def test_report_loads_no_sparse_linalg_or_special():
+    # scipy.linalg.logm pulled in both packages (63 modules, about 5 MB of
+    # resident memory); the report needs neither
+    script = (
+        "import json, sys\n"
+        "from carfield import default_config, run_report\n"
+        "report = run_report(default_config())\n"
+        "print(json.dumps([report['counts'], sorted(sys.modules)]))\n"
+    )
+    counts, modules = json.loads(_run_child(script))
+    assert counts == {"total": 69, "passed": 69}
+    assert "scipy.sparse.linalg" not in modules
+    assert "scipy.special" not in modules

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ def test_tensor_product_matches_numpy(rng):
 def test_tensor_flattening_is_row_major():
     # kron(A, B) must put B-blocks inside A: index = i_A * dim_B + i_B
     a = sparse.asoperator(np.array([[0, 1], [0, 0]]))
-    b = sparse.identity(3)
+    b = sp.identity(3, dtype=np.complex128, format="csr")
     out = sparse.tensor_product(a, b)
     v = sparse.basis_state(6, 3 + 2)  # i_A = 1, i_B = 2
     moved = sparse.apply_operator(out, v)
@@ -51,7 +52,7 @@ def test_tensor_flattening_is_row_major():
 
 
 def test_tensor_product_cap():
-    big = sparse.identity(2048)
+    big = sp.identity(2048, dtype=np.complex128, format="csr")
     with pytest.raises(SizeCapError):
         sparse.tensor_product(big, big)
 
@@ -91,12 +92,12 @@ def test_commutators(rng):
 
 
 def test_commutator_shape_errors():
-    a = sparse.identity(2)
-    b = sparse.identity(3)
+    a = sp.identity(2, dtype=np.complex128, format="csr")
+    b = sp.identity(3, dtype=np.complex128, format="csr")
     with pytest.raises(ShapeError):
         sparse.commutator(a, b)
     with pytest.raises(ShapeError):
-        sparse.anticommutator(sparse.zeros(2, 3), sparse.zeros(2, 3))
+        sparse.anticommutator(sp.csr_matrix((2, 3), dtype=np.complex128), sp.csr_matrix((2, 3), dtype=np.complex128))
 
 
 def test_matrix_exponential_matches_scipy(rng):
@@ -107,9 +108,9 @@ def test_matrix_exponential_matches_scipy(rng):
 
 def test_matrix_exponential_guards():
     with pytest.raises(ShapeError):
-        sparse.matrix_exponential(sparse.zeros(2, 3))
+        sparse.matrix_exponential(sp.csr_matrix((2, 3), dtype=np.complex128))
     with pytest.raises(SizeCapError):
-        sparse.matrix_exponential(sparse.identity(sparse.DENSE_EXP_LIMIT + 1))
+        sparse.matrix_exponential(sp.identity(sparse.DENSE_EXP_LIMIT + 1, dtype=np.complex128, format="csr"))
 
 
 def test_apply_operator_and_inner(rng):
@@ -137,7 +138,7 @@ def test_basis_state():
 
 
 def test_max_abs_variants():
-    assert sparse.max_abs(sparse.zeros(4)) == 0.0
+    assert sparse.max_abs(sp.csr_matrix((4, 4), dtype=np.complex128)) == 0.0
     assert sparse.max_abs(np.array([])) == 0.0
     assert sparse.max_abs(np.array([1.0, -3.0])) == 3.0
     assert sparse.max_abs(sparse.asoperator(np.diag([2.0, -5.0]))) == 5.0

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, logm
 
-from carfield import spinors
+from carfield import spinors, symmetries
 from carfield.errors import (
     PreconditionError,
     ShapeError,
     UndefinedResidualError,
     UnsupportedMassError,
 )
-from carfield.modes import rapidity_lattice
+from carfield.modes import ModeBlocks, rapidity_lattice
+from carfield.register import pair_exponential
 
 momentum_components = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -214,10 +216,73 @@ def test_mixing_generator_inverts_exponential(rng):
     p = spinors.FourMomentum.from_spatial(*rng.uniform(-2, 2, 3), 1.0)
     u = spinors.wigner_matrix(spinors.random_sl2c(rng), p)
     a = spinors.mixing_generator(u)
-    from scipy.linalg import expm
-
     assert np.max(np.abs(expm(a) - u)) < 1e-12
     assert abs(np.trace(a)) < 1e-10  # su(2) generator
+
+
+def _assert_principal_generator(u):
+    a = spinors.mixing_generator(u)
+    assert np.max(np.abs(a - logm(u))) <= 1e-14
+    assert np.max(np.abs(expm(a) - u)) <= 1e-12
+    assert abs(np.trace(a)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mixing_generator_matches_logm_on_wigner_matrices(seed):
+    rng = np.random.default_rng(seed)
+    p = spinors.FourMomentum.from_spatial(*rng.uniform(-4, 4, 3), 1.0)
+    _assert_principal_generator(spinors.wigner_matrix(spinors.random_sl2c(rng), p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3))
+def test_mixing_generator_matches_logm_on_su2(c):
+    # exp(i c.sigma) rotates by |c| <= sqrt(3), like random_sl2c's draws,
+    # away from the branch cut at angle pi
+    _assert_principal_generator(expm(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI))))
+
+
+def test_mixing_generator_is_exact_on_diagonals(rng):
+    assert np.array_equal(spinors.mixing_generator(np.eye(2)), np.zeros((2, 2)))
+    for _ in range(50):
+        u = np.diag(np.exp(1j * rng.uniform(-3, 3, 2)))
+        got = spinors.mixing_generator(u)
+        assert np.array_equal(got, logm(u))
+        assert np.array_equal(got, np.diag(np.log(np.diag(u))))
+    # a Jordan block has s = 0 and a nonzero nilpotent part
+    jordan = np.array([[1.0, 0.5], [0.0, 1.0]])
+    assert np.array_equal(spinors.mixing_generator(jordan), [[0.0, 0.5], [0.0, 0.0]])
+    assert np.max(np.abs(logm(jordan) - spinors.mixing_generator(jordan))) <= 1e-15
+
+
+def test_mixing_generator_guards_the_branch_cut():
+    guard = spinors.LOG_BRANCH_GUARD
+    rotation = expm(0.3j * spinors.PAULI[0])
+    with pytest.raises(PreconditionError):
+        spinors.mixing_generator(-np.eye(2))
+    for angle in (np.pi, np.pi - guard / 2):
+        # rotations by the angle about z, and about a tilted axis
+        u = np.diag(np.exp([1j * angle, -1j * angle]))
+        with pytest.raises(PreconditionError):
+            spinors.mixing_generator(u)
+        with pytest.raises(PreconditionError):
+            spinors.mixing_generator(rotation @ u @ rotation.conj().T)
+    with pytest.raises(PreconditionError):
+        spinors.mixing_generator(np.diag([1.0, guard / 2]))
+    with pytest.raises(ShapeError):
+        spinors.mixing_generator(np.eye(3))
+    u = np.diag(np.exp([1j * (np.pi - 1e-6), -1j * (np.pi - 1e-6)]))
+    assert np.max(np.abs(expm(spinors.mixing_generator(u)) - u)) < 1e-12
+
+
+def test_boost_mixers_equal_logm_mixers_bitwise(default_space):
+    # a drifted mixer would also reach test_mode_blocks::test_boost_unitary,
+    # which builds its reference with mixing_generator itself
+    for steps in range(-6, 7):
+        boost = symmetries.boost_unitary(default_space, steps)
+        mixers = np.array([pair_exponential(logm(w), logm(w)) for w in boost.wigner])
+        assert np.array_equal(boost.unitary.stack, ModeBlocks(mixers, steps).pruned().stack)
 
 
 # --- classical solutions

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -333,6 +334,7 @@ def _count_calls(monkeypatch, module, name):
         calls.append(name)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counted)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "carfield" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
@@ -341,8 +343,10 @@ def _count_calls(monkeypatch, module, name):
 
 def test_report_suites_build_no_kron_chain(monkeypatch):
     # the N-slot extensions and the spectral field are single CSR assemblies,
-    # and the classical solutions do not depend on the field component
+    # and the classical solutions do not depend on the field component; a kron
+    # chain is caught with or without the tensor_product wrapper
     krons = _count_calls(monkeypatch, sparse, "tensor_product")
+    scipy_krons = _count_calls(monkeypatch, scipy.sparse, "kron")
     solutions = _count_calls(monkeypatch, spinors, "classical_solution")
     config = default_config()
     run_suite("mode_space", config)
@@ -350,6 +354,7 @@ def test_report_suites_build_no_kron_chain(monkeypatch):
     run_suite("n_oscillator", config)
     run_suite("symmetries", config)
     assert krons == []
+    assert scipy_krons == []
 
 
 def test_cli_reads_config_file(tmp_path):
