@@ -19,6 +19,7 @@ import numpy as np
 from . import sparse
 from .errors import PreconditionError
 from .sparse import worst_of
+from .spinors import exponential
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -81,11 +82,15 @@ def number_operator(reg: JWRegister, species: str) -> np.ndarray:
 
 
 def _exp2(a: np.ndarray) -> np.ndarray:
-    """e^A of a 2x2 form, with entries below DROP_TOL dropped before and after."""
+    """e^A of a 2x2 form by the closed form `spinors.exponential`.
+
+    Entries below DROP_TOL are dropped before and after, so a form whose
+    off-diagonal entries are noise takes the exact diagonal route.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise PreconditionError(f"quadratic form must be 2x2, got {a.shape}")
-    return sparse.dense_exponential(sparse.prune_array(a))
+    return sparse.prune_array(exponential(sparse.prune_array(a)))
 
 
 def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
@@ -95,9 +100,11 @@ def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
     factorizes over the b-pair and d-pair subspaces, which commute, and only
     needs B = e^A per species.  On one pair, in the basis (ee, eg, ge, gg),
     the doubly-excited amplitude picks up det B, the one-particle block is B
-    in spin order (-, +), and the empty sector is fixed.  The kron of the two
-    blocks is an einsum: numpy's complex multiply may fuse a multiply-add,
-    einsum's does not.
+    in spin order (-, +), and the empty sector is fixed.  B comes from the
+    closed 2x2 form of `_exp2`, so a check against `sparse.dense_exponential`
+    of the 16x16 generator compares two independent algorithms.  The kron of
+    the two blocks is an einsum: numpy's complex multiply may fuse a
+    multiply-add, einsum's does not.
     """
     blocks = []
     for a in (a_b, a_d):

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm as _dense_expm
 
 from .errors import ShapeError, SizeCapError
 
@@ -31,6 +30,15 @@ MAX_DIM = 2**20
 
 # largest dimension for which a dense matrix exponential is attempted
 DENSE_EXP_LIMIT = 4096
+
+# Higham (2005): the degree-13 Pade approximant is accurate to double
+# precision for 1-norms up to THETA_13; larger A is scaled down by 2^s first
+THETA_13 = 5.371920351148152
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
 
 SparseOperator = sp.csr_matrix
 
@@ -102,10 +110,38 @@ def _check_exponent(shape: tuple[int, ...]) -> None:
 
 
 def dense_exponential(a: np.ndarray) -> np.ndarray:
-    """e^A of a dense matrix via scaling-and-squaring, pruned as prune_array prunes."""
+    """e^A of a dense matrix, pruned as prune_array prunes.
+
+    Higham's scaling and squaring (SIAM J. Matrix Anal. Appl. 26 (2005)
+    1179): with s = max(0, ceil(log2(|A|_1 / THETA_13))), the degree-13 Pade
+    approximant r(A / 2^s) = (V - U)^{-1} (V + U), with U odd and V even in
+    A, is squared s times.  A diagonal A takes the exponential of each
+    diagonal entry, as scipy.linalg.expm does, and a non-finite A gives NaN.
+    """
     a = np.asarray(a, dtype=np.complex128)
     _check_exponent(a.shape)
-    return prune_array(_dense_expm(a))
+    diagonal = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diagonal):
+        return prune_array(np.diag(np.exp(diagonal)))
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        # NaN in every entry, as scipy.linalg.expm gives, so a residual built
+        # on it fails its check
+        return np.full(a.shape, complex(math.nan, math.nan))
+    s = max(0, math.ceil(math.log2(norm / THETA_13)))
+    a = a / 2**s
+    b = _PADE_13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return prune_array(r)
 
 
 def matrix_exponential(a: SparseOperator) -> SparseOperator:

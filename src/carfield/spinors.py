@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import PreconditionError, ShapeError, UndefinedResidualError, UnsupportedMassError
 
@@ -218,7 +217,7 @@ def boost_z(eta: float) -> np.ndarray:
 
 def random_sl2c(rng: np.random.Generator) -> np.ndarray:
     c = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.7 / 2
-    return expm(c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2])
+    return exponential(c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2])
 
 
 def bispinor_rep(lam: np.ndarray) -> np.ndarray:
@@ -254,6 +253,32 @@ def wigner_matrix(lam: np.ndarray, p: FourMomentum) -> np.ndarray:
     w = contract(om_p, lam @ frame_q.omega)
     c = p.m / np.sqrt(2)
     return np.array([[z, -c * w], [c * np.conj(w), np.conj(z)]])
+
+
+def exponential(a: np.ndarray) -> np.ndarray:
+    """e^A of a 2x2 matrix in closed form, the inverse of mixing_generator.
+
+    With c = tr A / 2 and B = A - c id, B^2 = s^2 id for s^2 = B00^2 + B01 B10,
+    so
+
+        e^A = e^c (cosh s id + sinh(s) / s B),
+
+    which at s = 0 is e^c (id + B); either root s gives the same value.  A
+    diagonal A takes the exponential of each entry.  The result is accurate
+    normwise; for large |Re s| the terms cosh s and sinh s nearly cancel in
+    an entry that is small next to the norm.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (2, 2):
+        raise ShapeError(f"exponential needs a 2x2 matrix, got shape {a.shape}")
+    if a[0, 1] == 0 and a[1, 0] == 0:
+        return np.diag(np.exp(np.diag(a)))
+    c = (a[0, 0] + a[1, 1]) / 2
+    b = a - c * np.eye(2)
+    s = np.sqrt(b[0, 0] ** 2 + b[0, 1] * b[1, 0])
+    if s == 0:
+        return np.exp(c) * (np.eye(2) + b)
+    return np.exp(c) * (np.cosh(s) * np.eye(2) + np.sinh(s) / s * b)
 
 
 def mixing_generator(u: np.ndarray) -> np.ndarray:

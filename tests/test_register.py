@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,15 @@ def test_pair_exponential_matches_dense(reg, a_b, a_d):
     closed = pair_exponential(a_b, a_d)
     dense = sparse.dense_exponential(quadratic_generator(reg, a_b, a_d))
     assert sparse.max_abs(closed - dense) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(a_b=small_2x2(), a_d=small_2x2())
+def test_dense_exponential_matches_scipy_on_quadratic_generators(reg, a_b, a_d):
+    x = quadratic_generator(reg, a_b, a_d)
+    ref = scipy.linalg.expm(x)
+    got = sparse.dense_exponential(x)
+    assert np.linalg.norm(got - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
 
 
 def test_pair_exponential_species_factors_commute(rng):

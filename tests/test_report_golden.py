@@ -61,9 +61,11 @@ def test_single_thread_report_matches_golden():
 
 def test_report_loads_no_sparse_linalg_or_special():
     # scipy.linalg.logm pulled in both packages (63 modules, about 5 MB of
-    # resident memory); the report needs neither
+    # resident memory), and scipy.linalg.expm scipy.linalg itself (about
+    # 8 MB); the CLI and the report need none of them
     script = (
         "import json, sys\n"
+        "import carfield.cli\n"
         "from carfield import default_config, run_report\n"
         "report = run_report(default_config())\n"
         "print(json.dumps([report['counts'], sorted(sys.modules)]))\n"
@@ -72,3 +74,4 @@ def test_report_loads_no_sparse_linalg_or_special():
     assert counts == {"total": 69, "passed": 69}
     assert "scipy.sparse.linalg" not in modules
     assert "scipy.special" not in modules
+    assert "scipy.linalg" not in modules

@@ -106,6 +106,47 @@ def test_matrix_exponential_matches_scipy(rng):
     np.testing.assert_allclose(got, scipy.linalg.expm(a), atol=1e-11)
 
 
+def _normwise_error(got, ref):
+    return np.linalg.norm(got - ref, 1) / np.linalg.norm(ref, 1)
+
+
+@pytest.mark.parametrize("n", [3, 16, 40])
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, sparse.THETA_13, 20.0, 50.0])
+def test_dense_exponential_matches_scipy_across_scales(rng, n, norm):
+    # 1-norms up to THETA_13 take no scaling step, larger ones up to four
+    a = _random_dense(rng, n)
+    a *= norm / np.abs(a).sum(axis=0).max()
+    assert _normwise_error(sparse.dense_exponential(a), scipy.linalg.expm(a)) <= 1e-13
+
+
+def test_dense_exponential_of_a_nilpotent_matrix(rng):
+    # e^N of a strictly upper-triangular N is the finite series sum_k N^k / k!
+    n = 8
+    a = np.triu(_random_dense(rng, n), 1) * 3
+    series = np.eye(n, dtype=np.complex128)
+    term = np.eye(n, dtype=np.complex128)
+    for k in range(1, n):
+        term = term @ a / k
+        series = series + term
+    got = sparse.dense_exponential(a)
+    assert np.array_equal(np.tril(got, -1), np.zeros((n, n)))
+    assert _normwise_error(got, series) <= 1e-13
+    assert _normwise_error(got, scipy.linalg.expm(a)) <= 1e-13
+
+
+def test_dense_exponential_is_exact_on_diagonals(rng):
+    d = np.diag(_random_dense(rng, 1, 40)[0])
+    assert np.array_equal(sparse.dense_exponential(d), scipy.linalg.expm(d))
+    assert np.array_equal(sparse.dense_exponential(np.zeros((5, 5))), np.eye(5))
+
+
+def test_dense_exponential_of_a_non_finite_matrix_is_nan():
+    for bad in (np.nan, np.inf):
+        a = np.ones((3, 3), dtype=np.complex128)
+        a[0, 1] = bad
+        assert np.isnan(sparse.dense_exponential(a)).all()
+
+
 def test_matrix_exponential_guards():
     with pytest.raises(ShapeError):
         sparse.matrix_exponential(sp.csr_matrix((2, 3), dtype=np.complex128))

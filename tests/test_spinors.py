@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -236,11 +236,68 @@ def test_mixing_generator_matches_logm_on_wigner_matrices(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3))
+@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)] * 3))
 def test_mixing_generator_matches_logm_on_su2(c):
     # exp(i c.sigma) rotates by |c| <= sqrt(3), like random_sl2c's draws,
-    # away from the branch cut at angle pi
+    # away from the branch cut at angle pi; logm raises on subnormal angles,
+    # which test_mixing_generator_is_exact_on_tiny_z_rotations covers
     _assert_principal_generator(expm(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.tuples(st.just(0.0), st.just(0.0), st.floats(-1e-200, 1e-200)))
+@example(c=(0.0, 0.0, 2.225073858507e-311))
+def test_mixing_generator_is_exact_on_tiny_z_rotations(c):
+    # at these angles cos c = 1 and sin c = c exactly and |e^{ic}| - 1 ~ c^2 / 2
+    # underflows, so both closed forms are exact; scipy's logm raises
+    # "R is not upper triangular" on the subnormal example
+    u = spinors.exponential(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI)))
+    a = spinors.mixing_generator(u)
+    assert np.array_equal(a, np.diag([1j * c[2], -1j * c[2]]))
+    assert np.array_equal(spinors.exponential(a), u)
+
+
+# --- the closed-form 2x2 exponential
+
+
+def _normwise_error(got, ref):
+    return np.linalg.norm(got - ref, 1) / np.linalg.norm(ref, 1)
+
+
+complex_entries = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(complex_entries, min_size=4, max_size=4))
+def test_exponential_matches_expm(v):
+    # the report's 2x2 exponents have entries of a few units at most
+    a = np.array(v, dtype=np.complex128).reshape(2, 2)
+    assert _normwise_error(spinors.exponential(a), expm(a)) <= 1e-13
+
+
+def test_exponential_is_exact_on_diagonals(rng):
+    assert np.array_equal(spinors.exponential(np.zeros((2, 2))), np.eye(2))
+    for _ in range(50):
+        d = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
+        assert np.array_equal(spinors.exponential(np.diag(d)), np.diag(np.exp(d)))
+    with pytest.raises(ShapeError):
+        spinors.exponential(np.eye(3))
+
+
+def test_exponential_of_a_jordan_block():
+    # s = 0 with a nonzero nilpotent part: e^{lam id + N} = e^lam (id + N)
+    for lam in (0.0, 1.5, -0.7 + 2j):
+        got = spinors.exponential([[lam, 1.0], [0.0, lam]])
+        assert np.max(np.abs(got - np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]]))) <= (
+            1e-15 * abs(np.exp(lam))
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3))
+def test_exponential_inverts_mixing_generator(c):
+    u = expm(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI)))
+    assert np.max(np.abs(spinors.exponential(spinors.mixing_generator(u)) - u)) <= 1e-14
 
 
 def test_mixing_generator_is_exact_on_diagonals(rng):
