@@ -22,10 +22,15 @@ from .modes import (
     point_profile,
     uniform_profile,
 )
+from .noscillator import MATRIX_CHECK_N
 from .register import REGISTER_DIM
-from .sparse import DENSE_EXP_LIMIT, MAX_DIM
+from .sparse import MAX_DIM
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
+
+# the most lattice modes M for which the report's N-slot matrices fit:
+# (16 M)^N <= MAX_DIM at N = MATRIX_CHECK_N
+MAX_MODES = int(MAX_DIM ** (1 / MATRIX_CHECK_N)) // REGISTER_DIM
 
 # a rejected value is echoed cut to a few dozen characters, so that the
 # error stays one short line whatever the config holds
@@ -64,18 +69,20 @@ class LatticeConfig:
     def __post_init__(self):
         for name in ("m", "delta_eta", "grid_spacing"):
             _require_finite(name, getattr(self, name))
+            # an integer past int64 would reach numpy's cosh as an object
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("j_max", "grid_n"):
             _require_int(name, getattr(self, name))
         if self.mode not in (RAPIDITY_1D, GRID_3D):
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
             raise ConfigError(f"mass must be positive, got {_shown(self.m)}")
-        # the translation route exponentiates the 16 M-dim single-oscillator
-        # generator densely; this also keeps a huge j_max from being built
+        # MAX_MODES also keeps the translation route's dense exponential of the
+        # 16 M-dim generator small; checked before a huge j_max is built
         modes = 2 * self.j_max + 1 if self.mode == RAPIDITY_1D else self.grid_n**3
-        if REGISTER_DIM * modes > DENSE_EXP_LIMIT:
-            raise ConfigError(f"the lattice has more than {DENSE_EXP_LIMIT // REGISTER_DIM} "
-                              "modes; reduce j_max or grid_n")
+        if modes > MAX_MODES:
+            raise ConfigError(f"the lattice has more than {MAX_MODES} modes; "
+                              "reduce j_max or grid_n")
         # e.g. delta_eta = 400: m sinh(j delta_eta) is inf, or its square overflows
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -125,16 +132,12 @@ class RunConfig:
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
     profile: ProfileConfig = field(default_factory=ProfileConfig)
     seed: int = 7
-    e0: float = 1.0
     boost_steps: int = 1
     displacement: tuple[float, float, float, float] = (0.3, 0.05, -0.1, 0.2)
     field_point: tuple[float, float, float, float] = (0.15, -0.3, 0.2, 0.4)
-    n_values_single: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
-    n_values_double: tuple[int, ...] = (2, 4, 8)
-    matrix_check_n: int = 2
 
     def __post_init__(self):
-        for name in ("seed", "boost_steps", "matrix_check_n"):
+        for name in ("seed", "boost_steps"):
             _require_int(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {_shown(self.seed)}")
@@ -146,40 +149,17 @@ class RunConfig:
         if self.lattice.mode == RAPIDITY_1D and abs(self.boost_steps) > self.lattice.j_max:
             raise ConfigError("|boost_steps| > j_max empties the interior, "
                               f"got {_shown(self.boost_steps)}")
-        _require_finite("e0", self.e0)
         for name in ("displacement", "field_point"):
             value = tuple(getattr(self, name))
             if len(value) != 4:
                 raise ConfigError(f"{name} must be a 4-vector, got {_shown(value)}")
             _require_finite(name, *value)
             object.__setattr__(self, name, tuple(float(v) for v in value))
-        for name in ("n_values_single", "n_values_double"):
-            value = tuple(getattr(self, name))
-            _require_int(name, *value)
-            if len(value) == 0 or value[0] < 1 or list(value) != sorted(value):
-                raise ConfigError(f"{name} must be ascending positive integers, "
-                                  f"got {_shown(value)}")
-            object.__setattr__(self, name, value)
-        if not {8, 64} <= set(self.n_values_single):  # the quarter checks compare these
-            raise ConfigError("n_values_single must contain 8 and 64, "
-                              f"got {_shown(self.n_values_single)}")
-        if self.matrix_check_n < 1:
-            raise ConfigError(f"matrix_check_n must be >= 1, got {_shown(self.matrix_check_n)}")
-        # the N-slot checks build (16 M)^N matrices on this lattice and on the
-        # two-mode engine lattice; as 16 M >= 32, N >= 21 is past the cap
-        # without forming the power
-        factor = REGISTER_DIM * max(self.lattice.build().size, 2)
-        n = self.matrix_check_n
-        if n >= MAX_DIM.bit_length() or factor**n > MAX_DIM:
-            raise ConfigError(f"(16 M)^N > {MAX_DIM} at 16 M = {factor}, N = {_shown(n)}; "
-                              "reduce matrix_check_n or the lattice")
 
     def to_dict(self) -> dict:
         out = asdict(self)
         out["displacement"] = list(self.displacement)
         out["field_point"] = list(self.field_point)
-        out["n_values_single"] = list(self.n_values_single)
-        out["n_values_double"] = list(self.n_values_double)
         return out
 
 
@@ -199,7 +179,7 @@ def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
     lattice = _from_mapping(LatticeConfig, data.pop("lattice", {}), "lattice")
     profile = _from_mapping(ProfileConfig, data.pop("profile", {}), "profile")
-    for name in ("displacement", "field_point", "n_values_single", "n_values_double"):
+    for name in ("displacement", "field_point"):
         if name in data:
             if not isinstance(data[name], (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {type(data[name]).__name__}")

@@ -57,11 +57,6 @@ class MomentumLattice:
     def size(self) -> int:
         return len(self.points)
 
-    def index_of_j(self, j: int) -> int:
-        if self.j_values is None:
-            raise ConfigError("j-indexing only defined for rapidity lattices")
-        return self.j_values.index(j)
-
 
 def rapidity_lattice(j_max: int, delta_eta: float, m: float) -> MomentumLattice:
     if j_max < 0 or delta_eta <= 0 or m <= 0:
@@ -389,10 +384,6 @@ def point_profile(lattice: MomentumLattice, index: int) -> VacuumProfile:
     raw = np.zeros(lattice.size)
     raw[index] = 1.0
     return _normalized_profile(lattice, raw)
-
-
-def profile_from_values(lattice: MomentumLattice, values: np.ndarray) -> VacuumProfile:
-    return _normalized_profile(lattice, values)
 
 
 def vacuum_vector(space: SingleOscillatorSpace, profile: VacuumProfile) -> np.ndarray:

@@ -64,6 +64,12 @@ from .sparse import MAX_DIM, SparseOperator
 
 MAX_SLATER_ORDER = 8
 
+# N of the report's explicit N-slot matrix checks (extended_car,
+# extended_car_zero, central_commutes, vacuum_energy_expectation): the least N
+# at which a grading twist enters _slot_sum.  Config load bounds the lattice
+# by (16 M)^N <= MAX_DIM at this N.
+MATRIX_CHECK_N = 2
+
 
 @dataclass(frozen=True)
 class NRegister:

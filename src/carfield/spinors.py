@@ -57,10 +57,6 @@ class FourMomentum:
             )
 
     @classmethod
-    def at_rest(cls, m: float) -> "FourMomentum":
-        return cls(E=m, px=0.0, py=0.0, pz=0.0, m=m)
-
-    @classmethod
     def from_spatial(cls, px: float, py: float, pz: float, m: float) -> "FourMomentum":
         return cls(E=float(np.sqrt(m**2 + px**2 + py**2 + pz**2)), px=px, py=py, pz=pz, m=m)
 
@@ -149,11 +145,6 @@ def build_spin_frame(p: FourMomentum) -> SpinFrame:
         momentum=p,
         used_fallback=fallback,
     )
-
-
-def null_vector(xi: np.ndarray) -> np.ndarray:
-    """Real null 4-vector of a 2-spinor, from the rank-1 matrix xi xibar."""
-    return hermitian_to_point(np.outer(xi, np.conj(xi)))
 
 
 def eigen_bispinors(frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]:

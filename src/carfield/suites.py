@@ -38,6 +38,7 @@ from .modes import (
     vacuum_vector,
 )
 from .noscillator import (
+    MATRIX_CHECK_N,
     NRegister,
     OpSpec,
     extend_additive,
@@ -211,9 +212,10 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
             mismatches.append(spinors.dirac_residual(p, neg[sp], +1))
     out.append(_rec(s, "dirac_kernel", "matching branches solve the momentum Dirac system",
                     worst_match, 1e-12))
-    # a NaN mismatch compares False and fails the flag
+    # the least mismatched residual is sqrt(2) m, reached at rest; a NaN
+    # mismatch compares False and fails the flag
     out.append(_flag(s, "dirac_mismatch", "mismatched branches stay order-1 away",
-                     all(r > 1.0 for r in mismatches)))
+                     all(r > m for r in mismatches)))
 
     worst = 0.0
     for frame, (pos, neg) in zip(frames, tables):
@@ -391,6 +393,12 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # suite 4: N-oscillator limit
 
+# the one-mode N grid; the order{2,3}_single_quarter gates read N = 8 and N = 64
+N_VALUES_SINGLE = (2, 4, 8, 16, 32, 64)
+# the two-mode N grid; the 0.35 gate of order{2,3}_double_decay assumes
+# N_max / N_min = 4, as the deviation falls as 1/N
+N_VALUES_DOUBLE = (2, 4, 8)
+
 
 def _engine_lattices(config: RunConfig):
     single = rapidity_lattice(0, config.lattice.delta_eta, config.lattice.m)
@@ -443,8 +451,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
         )
     out.append(_rec(s, "exact_vs_float", "rational and float walks agree", worst, 1e-12))
 
-    n = config.matrix_check_n
-    nreg2 = NRegister(space2, n)
+    nreg2 = NRegister(space2, MATRIX_CHECK_N)
     f = _random_table(rng, 2)
     g = _random_table(rng, 2)
     ext_f = extend_operator(nreg2, smeared_matrix(space2, OpSpec(f, "b", False)))
@@ -498,7 +505,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
 
     single_tables = {order: random_tables(1, order) for order in (2, 3)}
     for order, (fs, gs) in single_tables.items():
-        rep = determinant_limit_convergence(space1, prof1, fs, gs, list(config.n_values_single))
+        rep = determinant_limit_convergence(space1, prof1, fs, gs, list(N_VALUES_SINGLE))
         out.append(_rec(s, f"order{order}_single_exact",
                         f"one-mode order-{order} deviations are exactly zero",
                         worst_of(*rep.deviations()), 0.0))
@@ -510,7 +517,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
 
     double_tables = {order: random_tables(2, order) for order in (2, 3)}
     for order, (fs, gs) in double_tables.items():
-        rep = determinant_limit_convergence(space2, prof2, fs, gs, list(config.n_values_double))
+        rep = determinant_limit_convergence(space2, prof2, fs, gs, list(N_VALUES_DOUBLE))
         out.append(_flag(s, f"order{order}_double_monotone", "two-mode deviations non-increasing",
                          rep.monotone))
         out.append(_rec(s, f"order{order}_double_decay", "dev(N_max)/dev(N_min) tracks 1/N",
@@ -607,6 +614,11 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # suite 5: symmetries
 
+# the charge unit of the gauge checks: at e0 = 0 the rotation is the identity
+# and they read 0 whatever the gauge code does; at e0 = 1e6 the rounding of
+# e^{i e0 phi} alone fails their 1e-12 gates
+E0 = 1.0
+
 
 def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     rng = _suite_rng(config, "symmetries")
@@ -651,7 +663,7 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "grading_invariance", "Poincare maps preserve the grading (interior)",
                     symmetries.grading_invariance_residual(space, boost0, y), 1e-12))
 
-    gauge = symmetries.gauge_check(space, config.e0, float(rng.uniform(0.2, 1.2)), x)
+    gauge = symmetries.gauge_check(space, E0, float(rng.uniform(0.2, 1.2)), x)
     out.append(_rec(s, "gauge_field_phase", "e^{-i phi Q} Psi e^{i phi Q} = e^{+i e0 phi} Psi",
                     gauge.field_residual, 1e-12))
     out.append(_rec(s, "gauge_conjugate_phase", "conjugate field rotates with e^{-i e0 phi}",
@@ -676,11 +688,10 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
                     abs(vac_rep.norm_deficit - vac_rep.expected_deficit), 1e-12))
 
     formula = symmetries.fermion_vacuum_energy(lattice, profile, 1)
-    n_small = config.matrix_check_n
-    expectation = symmetries.vacuum_energy_expectation(space, profile, n_small)
+    expectation = symmetries.vacuum_energy_expectation(space, profile, MATRIX_CHECK_N)
     out.append(_rec(s, "vacuum_energy_expectation",
                     "<vac_N| ext P_0 |vac_N> = -2 N sum w E Z",
-                    abs(expectation - n_small * formula), 1e-10))
+                    abs(expectation - MATRIX_CHECK_N * formula), 1e-10))
 
     rest = rapidity_lattice(0, config.lattice.delta_eta, 1.0)
     rest_profile = uniform_profile(rest)

@@ -142,7 +142,7 @@ def test_criterion_04_spin_frame_reconstruction():
 
 def test_criterion_05_eigen_bispinors():
     rng = np.random.default_rng(105)
-    momenta = _ball_momenta(rng, 60) + [spinors.FourMomentum.at_rest(1.0)]
+    momenta = _ball_momenta(rng, 60) + [spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.0)]
     worst_dirac = worst_spin = 0.0
     for p in momenta:
         frame = spinors.build_spin_frame(p)

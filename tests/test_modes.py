@@ -11,6 +11,7 @@ from carfield.modes import (
     RAPIDITY_1D,
     ModeBlocks,
     SingleOscillatorSpace,
+    _normalized_profile,
     build_lattice,
     field_operator,
     field_operator_spectral,
@@ -20,7 +21,6 @@ from carfield.modes import (
     mode_projector,
     plane_wave_unitary,
     point_profile,
-    profile_from_values,
     rapidity_lattice,
     restricted_lattice,
     smeared_annihilator,
@@ -40,8 +40,7 @@ def test_rapidity_lattice_structure():
     assert lat.size == 7
     assert lat.j_values == tuple(range(-3, 4))
     np.testing.assert_array_equal(lat.weights, np.full(7, 0.5))
-    assert lat.index_of_j(-3) == 0
-    p = lat.points[lat.index_of_j(2)]
+    p = lat.points[2 + 3]
     assert p.E == pytest.approx(2 * np.cosh(1.0))
 
 
@@ -49,8 +48,8 @@ def test_rapidity_lattice_closed_under_step_boosts():
     lat = rapidity_lattice(3, 0.4, 1.0)
     lam = spinors.boost_z(0.4)
     for j in range(-3, 3):
-        moved = spinors.apply_lorentz(lam, lat.points[lat.index_of_j(j)])
-        target = lat.points[lat.index_of_j(j + 1)]
+        moved = spinors.apply_lorentz(lam, lat.points[j + 3])
+        target = lat.points[j + 1 + 3]
         np.testing.assert_allclose(moved.as_vector(), target.as_vector(), atol=1e-12)
 
 
@@ -59,8 +58,6 @@ def test_grid_lattice_weights():
     assert lat.size == 8
     for p, w in zip(lat.points, lat.weights):
         assert w == pytest.approx(1.0 / ((2 * np.pi) ** 3 * 2 * p.E))
-    with pytest.raises(ConfigError):
-        lat.index_of_j(0)
 
 
 def test_lattice_validation():
@@ -102,9 +99,9 @@ def test_profile_normalization(default_lattice):
 
 def test_profile_guards(default_lattice):
     with pytest.raises(DegenerateVacuumError):
-        profile_from_values(default_lattice, np.zeros(default_lattice.size))
+        _normalized_profile(default_lattice, np.zeros(default_lattice.size))
     with pytest.raises(ShapeError):
-        profile_from_values(default_lattice, np.ones(3))
+        _normalized_profile(default_lattice, np.ones(3))
     with pytest.raises(ConfigError):
         gaussian_profile(default_lattice, width=0.0)
 

@@ -39,7 +39,7 @@ def test_four_momentum_constructors():
     p = spinors.FourMomentum.from_rapidity(0.7, 2.0)
     assert p.E == pytest.approx(2 * np.cosh(0.7))
     assert p.pz == pytest.approx(2 * np.sinh(0.7))
-    assert spinors.FourMomentum.at_rest(1.5).E == 1.5
+    assert spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.5).E == 1.5
     q = spinors.FourMomentum.from_spatial(0.3, -0.4, 1.2, 1.0)
     assert q.E == pytest.approx(np.sqrt(1 + 0.09 + 0.16 + 1.44))
 
@@ -88,7 +88,7 @@ def test_frame_identities(p):
 
 
 def test_rest_frame_golden_values():
-    frame = spinors.build_spin_frame(spinors.FourMomentum.at_rest(1.0))
+    frame = spinors.build_spin_frame(spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.0))
     assert not frame.used_fallback
     np.testing.assert_allclose(frame.omega, [2**0.25, 0.0], atol=1e-14)
     np.testing.assert_allclose(frame.pi, [0.0, 2**-0.25], atol=1e-14)
@@ -119,13 +119,6 @@ def test_spin_frame_needs_mass():
         spinors.build_spin_frame(light)
 
 
-def test_null_vector_is_null_and_future():
-    xi = np.array([0.3 + 0.2j, -1.1 + 0.7j])
-    v = spinors.null_vector(xi)
-    assert v[0] > 0
-    assert v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2 == pytest.approx(0.0, abs=1e-14)
-
-
 # --- eigen-bispinors
 
 
@@ -142,7 +135,7 @@ def test_dirac_kernel_and_mismatch(rng):
 
 
 def test_dirac_guards():
-    p = spinors.FourMomentum.at_rest(1.0)
+    p = spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ShapeError):
         spinors.dirac_matrix(p, 0)
     zero = np.zeros(4)

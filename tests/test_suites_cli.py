@@ -11,7 +11,7 @@ import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carfield import noscillator, register, sparse, spinors
+from carfield import noscillator, register, sparse, spinors, suites
 from carfield.cli import main
 from carfield.config import (
     LatticeConfig,
@@ -59,8 +59,6 @@ def test_config_validation():
         RunConfig(boost_steps=0)
     with pytest.raises(ConfigError):
         RunConfig(displacement=(1.0, 2.0))
-    with pytest.raises(ConfigError):
-        RunConfig(n_values_single=(8, 4))
     with pytest.raises(ConfigError):
         LatticeConfig(mode="weird")
     with pytest.raises(ConfigError):
@@ -224,11 +222,6 @@ def _run_with_config(tmp_path, data, *args):
 
 NAN, INF = float("nan"), float("inf")
 
-# N-slot matrices past the size cap: (16 * 13)^5 on the default lattice;
-# (16 * 13)^3000, whose message must not print the power (past the int-to-str
-# digit limit); and (16 * 81)^2 on a lattice small enough to exponentiate
-OVERSIZED = ({"matrix_check_n": 5}, {"matrix_check_n": 3000}, {"lattice": {"j_max": 40}})
-
 
 @pytest.mark.parametrize("data", [
     # a NaN residual passes max(), so non-finite inputs would fake a pass
@@ -238,15 +231,28 @@ OVERSIZED = ({"matrix_check_n": 5}, {"matrix_check_n": 3000}, {"lattice": {"j_ma
     {"profile": {"width": INF}},
     {"profile": {"width": "a"}},
     {"profile": {"center": NAN}},
-    {"e0": NAN},
     {"displacement": [NAN, 0, 0, 0]},
     {"field_point": [0, 0, -INF, 0]},
     # past j_max the interior projector is empty and covariance checks are vacuous
     {"boost_steps": 7},
     {"boost_steps": -7},
-    # the single-N quarter checks compare N = 8 with N = 64
-    {"n_values_single": [2, 4]},
-    {"n_values_single": [2, 8, 16]},
+    # the report's own N grids, matrix N and charge unit are fixed: keys that
+    # set them are unknown, at their old defaults and at the values that made
+    # a check vacuous (e0 = 0, matrix_check_n = 1) or fail for the wrong
+    # reason (e0 = 1e6, a two-mode N grid spanning less than a factor 4), and
+    # the least one-mode grid the quarter checks allowed
+    {"e0": 1.0},
+    {"matrix_check_n": 2},
+    {"n_values_single": [2, 4, 8, 16, 32, 64]},
+    {"n_values_double": [2, 4, 8]},
+    {"e0": 0.0},
+    {"e0": 1e6},
+    {"matrix_check_n": 1},
+    {"n_values_double": [2]},
+    {"n_values_double": [2, 4]},
+    {"n_values_double": [4, 8]},
+    {"n_values_double": [64, 128]},
+    {"n_values_single": [8, 64]},
     # off-lattice point index, momenta that overflow a float, and bools or
     # floats where an integer belongs
     {"profile": {"kind": "point", "index": 99}},
@@ -260,36 +266,35 @@ OVERSIZED = ({"matrix_check_n": 5}, {"matrix_check_n": 3000}, {"lattice": {"j_ma
     {"lattice": {"mode": "grid3d", "grid_n": 2.0}},
     {"profile": {"index": False}},
     {"boost_steps": 1.5},
-    {"matrix_check_n": True},
-    {"n_values_single": [2, 8, 64, True]},
-    {"n_values_double": [2, 4.0]},
+    # sections of the wrong JSON type
+    {"lattice": None},
+    {"lattice": []},
+    {"profile": 3},
+    {"displacement": 5},
+    # an integer past the float range, and lattices too large to build or to
+    # exponentiate densely
+    {"lattice": {"delta_eta": 10**400}},
+    {"lattice": {"j_max": 10**400}},
+    {"lattice": {"mode": "grid3d", "grid_n": 10**400}},
+    # values echoed in the message, past the float range or the digit limit
+    {"seed": -10**400},
+    {"boost_steps": -10**400},
+    {"profile": {"kind": "point", "index": 10**4000}},
+    {"x" * 5000: 1},
+    {"lattice": {"j_max": 128}},
+    {"lattice": {"mode": "grid3d", "grid_n": 7}},
+    # more than 64 modes: the N-slot matrices (16 M)^2 pass the size cap
+    {"lattice": {"j_max": 32}},
+    {"lattice": {"j_max": 40}},
+    {"lattice": {"mode": "grid3d", "grid_n": 5}},
+    # an integer rapidity step past int64, whose momenta overflow a float
+    {"lattice": {"delta_eta": 2**63}},
     # files json.loads cannot turn into a value: an integer past the
     # int-to-str digit limit, nesting past the recursion limit, and bytes
     # that are not UTF-8
     pytest.param('{"seed": 1' + "0" * 5000 + "}", id="int-digit-limit"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
     pytest.param(b"\xff\xfe{", id="not-utf8"),
-    # sections of the wrong JSON type
-    {"lattice": None},
-    {"lattice": []},
-    {"profile": 3},
-    {"displacement": 5},
-    {"n_values_single": 8},
-    # an integer past the float range, and lattices too large to build or to
-    # exponentiate densely
-    {"lattice": {"delta_eta": 10**400}},
-    {"lattice": {"j_max": 10**400}},
-    # values echoed in the message, past the float range or the digit limit
-    {"seed": -10**400},
-    {"boost_steps": -10**400},
-    {"matrix_check_n": 10**400},
-    {"n_values_single": [2, 8, 64, 10**400, 1]},
-    {"profile": {"kind": "point", "index": 10**4000}},
-    {"e0": "x" * 5000},
-    {"x" * 5000: 1},
-    {"lattice": {"j_max": 128}},
-    {"lattice": {"mode": "grid3d", "grid_n": 7}},
-    *OVERSIZED,
 ])
 def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
     if isinstance(data, dict):
@@ -314,11 +319,27 @@ def test_config_accepts_boost_steps_up_to_j_max():
     assert RunConfig(lattice=grid, boost_steps=7).boost_steps == 7
 
 
-def test_cli_run_error_exits_2_with_one_line(tmp_path, capsys):
+def test_config_accepts_lattices_up_to_64_modes():
+    assert LatticeConfig(j_max=31).build().size == 63
+    assert LatticeConfig(mode="grid3d", grid_n=4).build().size == 64
+
+
+def test_example_config_is_the_default():
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    assert json.loads(path.read_text()) == default_config().to_dict()
+
+
+def test_report_passes_below_unit_mass():
+    # the least mismatched Dirac residual is sqrt(2) m, below 1 at m = 0.5
+    report = run_report(RunConfig(lattice=LatticeConfig(m=0.5)))
+    assert report["counts"] == {"total": 69, "passed": 69}
+
+
+def test_cli_run_error_exits_2_with_one_line(monkeypatch, capsys):
     # the run stops, no check has failed: comb(10^200, 2) is past the float
     # range of the walk
-    data = {"n_values_double": [2, 4, 10**200]}
-    assert _run_with_config(tmp_path, data, "--suite", "n_oscillator") == 2
+    monkeypatch.setattr(suites, "N_VALUES_DOUBLE", (2, 4, 10**200))
+    assert main(["--suite", "n_oscillator"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ResourceLimitError:") and captured.err.count("\n") == 1
@@ -408,6 +429,19 @@ def test_nan_dirac_mismatch_fails_its_flag(monkeypatch, fast_config):
     assert not records["dirac_mismatch"].passed
 
 
+def test_swapped_branches_fail_dirac_mismatch(monkeypatch, fast_config):
+    # a negative branch equal to the positive one solves the wrong Dirac system
+    real_bispinors = spinors.eigen_bispinors
+
+    def positive_twice(frame):
+        pos, _ = real_bispinors(frame)
+        return pos, pos
+
+    monkeypatch.setattr(spinors, "eigen_bispinors", positive_twice)
+    records = {r.check: r for r in run_suite("spinor", fast_config)}
+    assert not records["dirac_mismatch"].passed
+
+
 def _sweep_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "determinant_limit_sweep.py"
     spec = importlib.util.spec_from_file_location("determinant_limit_sweep", path)
@@ -466,13 +500,9 @@ _VALID = {
     ("profile", "center"): _small_floats(-1.0, 1.0),
     ("profile", "index"): st.integers(0, 6),
     (None, "seed"): st.integers(0, 2**32),
-    (None, "e0"): _small_floats(-2.0, 2.0),
     (None, "boost_steps"): st.integers(-3, 3),
     (None, "displacement"): _FOUR_VECTORS,
     (None, "field_point"): _FOUR_VECTORS,
-    (None, "n_values_single"): st.sampled_from([[8, 64], [2, 8, 64], [1, 8, 16, 64]]),
-    (None, "n_values_double"): st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(sorted),
-    (None, "matrix_check_n"): st.integers(1, 2),
 }
 # a whole section, or any key, may also hold a value of the wrong kind
 _TARGETS = sorted(_VALID, key=str) + [(None, "lattice"), (None, "profile"), (None, "unknown")]
