@@ -32,6 +32,11 @@ PROFILE_KINDS = ("uniform", "gaussian", "point")
 # (16 M)^N <= MAX_DIM at N = MATRIX_CHECK_N
 MAX_MODES = int(MAX_DIM ** (1 / MATRIX_CHECK_N)) // REGISTER_DIM
 
+# the largest rapidity asinh(|p|/m) a lattice may reach: rounding in the boost
+# residuals grows like e^(2 eta) and meets their 1e-12 tolerance near eta = 4
+# (CONVENTIONS.md, "Rapidity bound")
+MAX_RAPIDITY = 3.6
+
 # a rejected value is echoed cut to a few dozen characters, so that the
 # error stays one short line whatever the config holds
 _SHORT = reprlib.Repr()
@@ -86,11 +91,17 @@ class LatticeConfig:
         # e.g. delta_eta = 400: m sinh(j delta_eta) is inf, or its square overflows
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                finite = all(np.isfinite(p.as_vector()).all() for p in self.build().points)
+                points = self.build().points
+                finite = all(np.isfinite(p.as_vector()).all() for p in points)
             except OverflowError:
                 finite = False
-        if not finite:
-            raise ConfigError("lattice momenta overflow a float; reduce m, delta_eta or grid_spacing")
+            if not finite:
+                raise ConfigError("lattice momenta overflow a float; "
+                                  "reduce m, delta_eta or grid_spacing")
+            edge = max(np.arcsinh(np.linalg.norm(p.spatial()) / self.m) for p in points)
+        if not edge <= MAX_RAPIDITY:
+            raise ConfigError(f"the lattice reaches rapidity {edge:.3g}, past {MAX_RAPIDITY}; "
+                              "reduce j_max, delta_eta or grid_spacing")
 
     def build(self) -> MomentumLattice:
         return build_lattice(

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import register as reg_mod
 from . import sparse, spinors
@@ -181,8 +180,8 @@ class ModeBlocks:
         """Shifts add; block i is self[i] @ other[i - self.shift], zero off the lattice.
 
         einsum rather than matmul: it sums each entry in index order with no
-        fused multiply-add, as scipy's CSR product does, so the two agree
-        bitwise.  Pairs with a zero block are skipped.
+        fused multiply-add, as the CSR product in `sparse` does, so the two
+        agree bitwise.  Pairs with a zero block are skipped.
         """
         m = len(self.stack)
         if other.stack.shape != self.stack.shape:
@@ -234,14 +233,22 @@ class SingleOscillatorSpace:
         self.neg_table = np.array([neg for _, neg in tables])
 
     def embed(self, op: ModeBlocks) -> SparseOperator:
-        """op as pruned CSR: the one conversion of single-oscillator operators to CSR."""
+        """op as pruned CSR: the one conversion of single-oscillator operators to CSR.
+
+        Block i fills rows 16 i .. 16 i + 15 at columns 16 (i - shift) + c;
+        one block per row of blocks, so row-major order is canonical order.
+        """
         m = self.lattice.size
         if len(op.stack) != m:
             raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
         src, keep = shift_sources(m, op.shift)
-        indptr = np.concatenate(([0], np.cumsum(keep)))
-        out = sp.bsr_matrix((op.stack[keep], src[keep], indptr), shape=(self.dim, self.dim))
-        return sparse.prune(out.tocsr())
+        modes = np.flatnonzero(keep)
+        blocks = op.stack[modes]
+        live = sparse.kept_by_prune(blocks)
+        block, r, c = np.nonzero(live)
+        rows = REGISTER_DIM * modes[block] + r
+        cols = REGISTER_DIM * src[modes[block]] + c
+        return SparseOperator.from_sorted(blocks[live], rows, cols, (self.dim, self.dim))
 
     def parity(self) -> ModeBlocks:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""
@@ -339,8 +346,8 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
         rows.append((offsets + r).ravel())
         cols.append((offsets + c).ravel())
         data.append((multiplier[:, None] * ladder[r, c]).ravel())
-    out = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(space.dim, space.dim))
+    out = SparseOperator.from_coo(np.concatenate(data), np.concatenate(rows),
+                                  np.concatenate(cols), (space.dim, space.dim))
     return sparse.prune(out)
 
 

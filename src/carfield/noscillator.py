@@ -111,9 +111,9 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
     _check_matrix_dim(nreg)
     op = nreg.space.embed(op)
     d, n = nreg.factor_dim, nreg.n
-    entries = op.tocoo()
-    off = entries.row != entries.col
-    rows, cols, data = entries.row[off], entries.col[off], entries.data[off]
+    rows, cols, data = op.coo()
+    off = rows != cols
+    rows, cols, data = rows[off], cols[off], data[off]
     lefts = [np.ones(1, dtype=np.complex128)]
     for _ in range(n - 1):
         lefts.append(np.kron(lefts[-1], twist))
@@ -141,7 +141,7 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
     out_rows[tail] = out_cols[tail] = at
     if len(at):
         out_data[tail] = diag[at]
-    return SparseOperator((out_data, (out_rows, out_cols)), shape=(nreg.dim, nreg.dim))
+    return SparseOperator.from_coo(out_data, out_rows, out_cols, (nreg.dim, nreg.dim))
 
 
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:

@@ -17,7 +17,6 @@ import platform
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import sparse, spinors, symmetries
 from .config import RunConfig
@@ -741,7 +740,6 @@ def run_report(config: RunConfig, suite_names: list[str] | None = None) -> dict:
         "environment": {
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
         },
         "suites": names,
         "records": [asdict(r) for r in records],

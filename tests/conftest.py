@@ -1,8 +1,14 @@
-"""Shared fixtures: one register, a default lattice, and small engine lattices."""
+"""Shared fixtures: one register, a default lattice, and small engine lattices.
+
+Also the scipy.sparse bridge: scipy is the tests' independent reference for
+carfield's own CSR type, and carfield itself never imports it.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from carfield import sparse
 from carfield.modes import (
     SingleOscillatorSpace,
     gaussian_profile,
@@ -72,3 +78,34 @@ def rng():
 
 def random_table(rng, modes):
     return rng.standard_normal((modes, 2)) + 1j * rng.standard_normal((modes, 2))
+
+
+def to_scipy(op):
+    """A copy of a carfield operator as a scipy CSR matrix."""
+    return scipy.sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape, copy=True)
+
+
+def scipy_pruned(m):
+    """The prune rule applied to a scipy matrix: entries below DROP_TOL dropped."""
+    m = scipy.sparse.csr_matrix(m, copy=True)
+    m.data[np.abs(m.data) < sparse.DROP_TOL] = 0
+    m.eliminate_zeros()
+    return m
+
+
+def assert_same_csr(got, want):
+    """A carfield operator holds the same CSR arrays as a scipy matrix, value for value."""
+    want = scipy.sparse.csr_matrix(want, copy=True)
+    want.sort_indices()  # a scipy product leaves its columns unsorted; sorting moves no value
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def zero_operator(dim):
+    return sparse.SparseOperator.from_coo([], [], [], (dim, dim))
+
+
+def identity_operator(dim):
+    return sparse.asoperator(np.eye(dim))

@@ -10,7 +10,6 @@ fixed seeds so the numbers below are reproducible bit for bit.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from carfield import sparse, spinors, symmetries
 from carfield.modes import (
@@ -39,6 +38,7 @@ from carfield.register import (
     pair_exponential,
     quadratic_generator,
 )
+from conftest import zero_operator
 
 Y = np.array([0.3, 0.05, -0.1, 0.2])
 X = np.array([0.15, -0.3, 0.2, 0.4])
@@ -293,7 +293,7 @@ def test_criterion_10_poincare_suite():
     profile = uniform_profile(lattice)
 
     momenta = [space.embed(op) for op in symmetries.four_momentum(space)]
-    gen = sp.csr_matrix((space.dim, space.dim), dtype=np.complex128)
+    gen = zero_operator(space.dim)
     for a in range(4):
         gen = gen + float(Y[a]) * momenta[a]
     translation = sparse.max_abs(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +51,13 @@ from carfield.noscillator import (
 )
 from carfield.register import REGISTER_DIM, VACUUM_INDEX
 
-from conftest import random_table
+from conftest import (
+    assert_same_csr,
+    identity_operator,
+    random_table,
+    scipy_pruned,
+    to_scipy,
+)
 
 amplitude_entries = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -85,7 +91,7 @@ def test_extend_operator_formula(double_space, rng):
     op = smeared_annihilator(double_space, random_table(rng, 2), "b")
     op_csr = double_space.embed(op)
     twist = double_space.embed(double_space.parity())
-    ident = sp.identity(double_space.dim, dtype=np.complex128, format="csr")
+    ident = identity_operator(double_space.dim)
     manual = (sparse.tensor_product(op_csr, ident)
               + sparse.tensor_product(twist, op_csr)) / np.sqrt(2)
     assert sparse.max_abs(extend_operator(nreg, op) - manual) == 0.0
@@ -95,7 +101,7 @@ def test_extend_additive_and_mean(double_space):
     nreg = NRegister(double_space, 2)
     op = mode_projector(double_space, 0)
     op_csr = double_space.embed(op)
-    ident = sp.identity(double_space.dim, dtype=np.complex128, format="csr")
+    ident = identity_operator(double_space.dim)
     plain = sparse.tensor_product(op_csr, ident) + sparse.tensor_product(ident, op_csr)
     assert sparse.max_abs(extend_additive(nreg, op) - plain) == 0.0
     assert sparse.max_abs(extend_additive(nreg, op, mean=True) - plain / 2) == 0.0
@@ -106,19 +112,17 @@ def _identity(space):
 
 
 def _kron_chain_slot_sum(space, n, op, twist):
-    """Sum over slots of twist^(k-1) x op x id^(N-k): one kron chain per slot, added left to right."""
-    op, twist = space.embed(op), space.embed(twist)
-    ident = sp.identity(space.dim, dtype=np.complex128, format="csr")
-    total = sp.csr_matrix((space.dim**n, space.dim**n), dtype=np.complex128)
+    """Sum over slots of twist^(k-1) x op x id^(N-k): a scipy kron chain per slot, left to right."""
+    op, twist = to_scipy(space.embed(op)), to_scipy(space.embed(twist))
+    ident = scipy.sparse.identity(space.dim, dtype=np.complex128, format="csr")
+    total = scipy.sparse.csr_matrix((space.dim**n, space.dim**n), dtype=np.complex128)
     for k in range(n):
-        total = total + sparse.tensor_many(*([twist] * k + [op] + [ident] * (n - k - 1)))
+        chain = [twist] * k + [op] + [ident] * (n - k - 1)
+        term = chain[0]
+        for factor in chain[1:]:
+            term = scipy_pruned(scipy.sparse.kron(term, factor, format="csr"))
+        total = total + term
     return total
-
-
-def _assert_same_csr(got, want):
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
 
 
 def _slot_sum_cases(space, rng):
@@ -142,10 +146,10 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
         if name == "dense" and nreg.dim > 4096:
             continue  # 1.5 million entries at 2 modes, N = 3
         twisted = _kron_chain_slot_sum(space, n, op, space.parity())
-        _assert_same_csr(extend_operator(nreg, op), sparse.prune(twisted / np.sqrt(n)))
+        assert_same_csr(extend_operator(nreg, op), scipy_pruned(twisted / np.sqrt(n)))
         plain = _kron_chain_slot_sum(space, n, op, _identity(space))
-        _assert_same_csr(extend_additive(nreg, op), sparse.prune(plain))
-        _assert_same_csr(extend_additive(nreg, op, mean=True), sparse.prune(plain / n))
+        assert_same_csr(extend_additive(nreg, op), scipy_pruned(plain))
+        assert_same_csr(extend_additive(nreg, op, mean=True), scipy_pruned(plain / n))
 
 
 def test_extend_unitary_is_tensor_power(double_space, rng):

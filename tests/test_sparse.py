@@ -1,14 +1,23 @@
-"""Substrate tests: tensor products, adjoints, exponentials, and caps."""
+"""Substrate tests: the CSR type against scipy.sparse, tensor products, exponentials, caps.
+
+The hypothesis properties pin every operation of `sparse.SparseOperator`
+bitwise against scipy.sparse, the tests' independent reference: same
+pattern, same column order, same values.  Matrices are drawn with exact
+zeros (so rows come out empty and products cancel exactly), entries below
+DROP_TOL, and non-square shapes.
+"""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.linalg
+import scipy.sparse as sp
+from conftest import assert_same_csr, identity_operator, scipy_pruned, to_scipy, zero_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carfield import sparse
 from carfield.errors import ShapeError, SizeCapError
+from carfield.sparse import SparseOperator
 
 
 def _random_dense(rng, n, m=None):
@@ -20,6 +29,14 @@ small_complex = st.complex_numbers(
     max_magnitude=5, allow_nan=False, allow_infinity=False
 )
 
+# exact zeros and small integers make empty rows and exact cancellations
+# likely; 1e-15 lies below DROP_TOL
+entries = st.one_of(
+    st.sampled_from([0j, 0j, 0j, 1 + 0j, -1 + 0j, 2j, 0.5 - 1j, 1e-15 + 0j]),
+    small_complex,
+)
+sides = st.integers(1, 6)
+
 
 def matrices(n):
     return st.lists(small_complex, min_size=n * n, max_size=n * n).map(
@@ -27,11 +44,154 @@ def matrices(n):
     )
 
 
+def dense(rows, cols):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda vals: np.array(vals, dtype=np.complex128).reshape(rows, cols)
+    )
+
+
+def _operator(a):
+    """Every nonzero of a, the entries below DROP_TOL included."""
+    rows, cols = np.nonzero(a)
+    return SparseOperator.from_coo(a[rows, cols], rows, cols, a.shape)
+
+
+@st.composite
+def operators(draw, rows=None, cols=None):
+    rows = draw(sides) if rows is None else rows
+    cols = draw(sides) if cols is None else cols
+    return _operator(draw(dense(rows, cols)))
+
+
+@st.composite
+def coo_triples(draw, unique):
+    """At most 16 triples: scipy sums duplicates in input order only for that few per row."""
+    shape = (draw(sides), draw(sides))
+    cells = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    at = draw(st.lists(cells, max_size=16, unique=unique))
+    data = np.array(draw(st.lists(entries, min_size=len(at), max_size=len(at))),
+                    dtype=np.complex128)
+    rows = np.array([r for r, _ in at], dtype=np.int64)
+    cols = np.array([c for _, c in at], dtype=np.int64)
+    return shape, data, rows, cols
+
+
+def _scipy_assembly(shape, data, rows, cols):
+    # scipy keeps an explicit zero when no entry repeats; carfield drops it always
+    want = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    want.eliminate_zeros()
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples=coo_triples(unique=True))
+def test_coo_assembly_matches_scipy(triples):
+    shape, data, rows, cols = triples
+    got = SparseOperator.from_coo(data, rows, cols, shape)
+    assert_same_csr(got, _scipy_assembly(shape, data, rows, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples=coo_triples(unique=False))
+def test_coo_assembly_sums_duplicates_as_scipy(triples):
+    shape, data, rows, cols = triples
+    got = SparseOperator.from_coo(data, rows, cols, shape)
+    assert_same_csr(got, _scipy_assembly(shape, data, rows, cols))
+
+
+def test_coo_assembly_rejects_entries_outside_the_shape():
+    for rows, cols in (([2], [0]), ([0], [3]), ([-1], [0])):
+        with pytest.raises(ShapeError):
+            SparseOperator.from_coo([1.0], rows, cols, (2, 3))
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = draw(sides), draw(sides), draw(sides)
+    return draw(operators(n, k)), draw(operators(k, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=product_pairs())
+def test_product_matches_scipy(pair):
+    a, b = pair
+    assert_same_csr(a @ b, to_scipy(a) @ to_scipy(b))
+
+
+def test_product_sums_long_runs_in_order(rng):
+    # 40 terms per entry, past the runs of 8 where numpy's reductions turn pairwise
+    a = _operator(_random_dense(rng, 3, 40) * 10.0 ** rng.integers(-8, 8, (3, 40)))
+    b = _operator(_random_dense(rng, 40, 5))
+    assert_same_csr(a @ b, to_scipy(a) @ to_scipy(b))
+    v = _random_dense(rng, 40, 1)[:, 0]
+    assert np.array_equal(a @ v, to_scipy(a) @ v)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    rows, cols = draw(sides), draw(sides)
+    return draw(operators(rows, cols)), draw(operators(rows, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=same_shape_pairs(), scale=st.sampled_from([1.0, 0.0, -1.0, 2j]))
+def test_sum_and_difference_match_scipy(pair, scale):
+    # scale 0 leaves explicit zeros in the pattern, which the sum drops as scipy does
+    a, b = pair
+    b = scale * b
+    assert_same_csr(a + b, to_scipy(a) + to_scipy(b))
+    assert_same_csr(a - b, to_scipy(a) - to_scipy(b))
+    assert_same_csr(b - a, to_scipy(b) - to_scipy(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=operators(), scalar=entries, divisor=st.sampled_from([3.0, np.sqrt(2.0), 1j, 0.7 + 2j]))
+def test_scalar_multiple_and_quotient_match_scipy(a, scalar, divisor):
+    assert_same_csr(scalar * a, scalar * to_scipy(a))
+    assert_same_csr(a * scalar, to_scipy(a) * scalar)
+    assert_same_csr(a / divisor, to_scipy(a) / divisor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=operators())
+def test_adjoint_diagonal_and_prune_match_scipy(a):
+    ref = to_scipy(a)
+    assert_same_csr(sparse.adjoint(a), ref.conj().T.tocsr())
+    assert np.array_equal(a.diagonal(), ref.diagonal())
+    assert np.array_equal(a.toarray(), ref.toarray())
+    assert_same_csr(sparse.prune(a), scipy_pruned(ref))
+    assert_same_csr(sparse.asoperator(a.toarray()), scipy_pruned(ref))
+
+
+@st.composite
+def operator_and_vector(draw):
+    a = draw(operators())
+    v = draw(st.lists(entries, min_size=a.shape[1], max_size=a.shape[1]))
+    return a, np.array(v, dtype=np.complex128)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=operator_and_vector())
+def test_matvec_matches_scipy(case):
+    a, v = case
+    assert np.array_equal(a @ v, to_scipy(a) @ v)
+    want = to_scipy(a) @ v
+    want[np.abs(want) < sparse.DROP_TOL] = 0
+    assert np.array_equal(sparse.apply_operator(a, v), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=operators(), b=operators())
+def test_kron_matches_scipy(a, b):
+    want = scipy_pruned(sp.kron(to_scipy(a), to_scipy(b), format="csr"))
+    assert_same_csr(sparse.tensor_product(a, b), want)
+
+
 def test_asoperator_prunes_noise():
     a = np.array([[1.0, 1e-16], [0.0, 2.0]])
     op = sparse.asoperator(a)
     assert op.nnz == 2
-    assert op[0, 1] == 0
+    assert op.toarray()[0, 1] == 0
 
 
 def test_tensor_product_matches_numpy(rng):
@@ -44,15 +204,14 @@ def test_tensor_product_matches_numpy(rng):
 def test_tensor_flattening_is_row_major():
     # kron(A, B) must put B-blocks inside A: index = i_A * dim_B + i_B
     a = sparse.asoperator(np.array([[0, 1], [0, 0]]))
-    b = sp.identity(3, dtype=np.complex128, format="csr")
-    out = sparse.tensor_product(a, b)
+    out = sparse.tensor_product(a, identity_operator(3))
     v = sparse.basis_state(6, 3 + 2)  # i_A = 1, i_B = 2
     moved = sparse.apply_operator(out, v)
     np.testing.assert_array_equal(moved, sparse.basis_state(6, 2))
 
 
 def test_tensor_product_cap():
-    big = sp.identity(2048, dtype=np.complex128, format="csr")
+    big = identity_operator(2048)
     with pytest.raises(SizeCapError):
         sparse.tensor_product(big, big)
 
@@ -92,12 +251,17 @@ def test_commutators(rng):
 
 
 def test_commutator_shape_errors():
-    a = sp.identity(2, dtype=np.complex128, format="csr")
-    b = sp.identity(3, dtype=np.complex128, format="csr")
+    a = identity_operator(2)
+    b = identity_operator(3)
     with pytest.raises(ShapeError):
         sparse.commutator(a, b)
+    wide = SparseOperator.from_coo([], [], [], (2, 3))
     with pytest.raises(ShapeError):
-        sparse.anticommutator(sp.csr_matrix((2, 3), dtype=np.complex128), sp.csr_matrix((2, 3), dtype=np.complex128))
+        sparse.anticommutator(wide, wide)
+    with pytest.raises(ShapeError):
+        a @ b
+    with pytest.raises(ShapeError):
+        a + b
 
 
 def test_matrix_exponential_matches_scipy(rng):
@@ -149,9 +313,9 @@ def test_dense_exponential_of_a_non_finite_matrix_is_nan():
 
 def test_matrix_exponential_guards():
     with pytest.raises(ShapeError):
-        sparse.matrix_exponential(sp.csr_matrix((2, 3), dtype=np.complex128))
+        sparse.matrix_exponential(SparseOperator.from_coo([], [], [], (2, 3)))
     with pytest.raises(SizeCapError):
-        sparse.matrix_exponential(sp.identity(sparse.DENSE_EXP_LIMIT + 1, dtype=np.complex128, format="csr"))
+        sparse.matrix_exponential(identity_operator(sparse.DENSE_EXP_LIMIT + 1))
 
 
 def test_apply_operator_and_inner(rng):
@@ -179,11 +343,10 @@ def test_basis_state():
 
 
 def test_max_abs_variants():
-    assert sparse.max_abs(sp.csr_matrix((4, 4), dtype=np.complex128)) == 0.0
+    assert sparse.max_abs(zero_operator(4)) == 0.0
     assert sparse.max_abs(np.array([])) == 0.0
     assert sparse.max_abs(np.array([1.0, -3.0])) == 3.0
     assert sparse.max_abs(sparse.asoperator(np.diag([2.0, -5.0]))) == 5.0
-
 
 
 def test_worst_of_propagates_nan():

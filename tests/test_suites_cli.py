@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from carfield import noscillator, register, sparse, spinors, suites
 from carfield.cli import main
 from carfield.config import (
+    MAX_RAPIDITY,
     LatticeConfig,
     ProfileConfig,
     RunConfig,
@@ -107,7 +107,7 @@ def test_report_structure(fast_config):
         assert set(rec) == {"suite", "check", "identity", "residual", "tolerance", "passed"}
         assert rec["passed"] == (rec["residual"] <= rec["tolerance"])
     assert report["config"]["seed"] == fast_config.seed
-    assert set(report["environment"]) == {"numpy", "python", "scipy"}
+    assert set(report["environment"]) == {"numpy", "python"}
 
 
 def test_suites_run_in_canonical_order(fast_config):
@@ -289,6 +289,12 @@ NAN, INF = float("nan"), float("inf")
     {"lattice": {"mode": "grid3d", "grid_n": 5}},
     # an integer rapidity step past int64, whose momenta overflow a float
     {"lattice": {"delta_eta": 2**63}},
+    # edge rapidities past MAX_RAPIDITY, where boost residuals fail by rounding
+    {"lattice": {"j_max": 31}},
+    {"lattice": {"delta_eta": 0.9}},
+    {"lattice": {"j_max": 10}},
+    {"lattice": {"mode": "grid3d", "grid_spacing": 30.0}},
+    {"lattice": {"mode": "grid3d", "m": 0.1, "grid_spacing": 3.0}},
     # files json.loads cannot turn into a value: an integer past the
     # int-to-str digit limit, nesting past the recursion limit, and bytes
     # that are not UTF-8
@@ -320,8 +326,19 @@ def test_config_accepts_boost_steps_up_to_j_max():
 
 
 def test_config_accepts_lattices_up_to_64_modes():
-    assert LatticeConfig(j_max=31).build().size == 63
+    assert LatticeConfig(j_max=31, delta_eta=0.11).build().size == 63
     assert LatticeConfig(mode="grid3d", grid_n=4).build().size == 64
+
+
+def test_config_accepts_lattices_up_to_the_rapidity_bound():
+    # edge rapidity j_max delta_eta on a rapidity lattice, asinh(|p|/m) on a grid
+    assert LatticeConfig(j_max=9, delta_eta=0.4).build().size == 19
+    assert LatticeConfig(j_max=1, delta_eta=0.999 * MAX_RAPIDITY).build().size == 3
+    # the 2-point grid's corners sit at |p| = spacing sqrt(3) / 2
+    edge_spacing = 2 * np.sinh(MAX_RAPIDITY) / np.sqrt(3)
+    assert LatticeConfig(mode="grid3d", grid_spacing=0.999 * edge_spacing).build().size == 8
+    with pytest.raises(ConfigError):
+        LatticeConfig(mode="grid3d", grid_spacing=1.001 * edge_spacing)
 
 
 def test_example_config_is_the_default():
@@ -364,10 +381,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_report_suites_build_no_kron_chain(monkeypatch):
     # the N-slot extensions and the spectral field are single CSR assemblies,
-    # and the classical solutions do not depend on the field component; a kron
-    # chain is caught with or without the tensor_product wrapper
+    # and the classical solutions do not depend on the field component
     krons = _count_calls(monkeypatch, sparse, "tensor_product")
-    scipy_krons = _count_calls(monkeypatch, scipy.sparse, "kron")
     solutions = _count_calls(monkeypatch, spinors, "classical_solution")
     config = default_config()
     run_suite("mode_space", config)
@@ -375,7 +390,6 @@ def test_report_suites_build_no_kron_chain(monkeypatch):
     run_suite("n_oscillator", config)
     run_suite("symmetries", config)
     assert krons == []
-    assert scipy_krons == []
 
 
 def test_cli_reads_config_file(tmp_path):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from carfield import sparse, symmetries
 from carfield.errors import ConfigError, PreconditionError
@@ -18,6 +17,7 @@ from carfield.modes import (
 )
 from carfield.noscillator import NRegister, extend_additive, vacuum_state
 from carfield.register import REGISTER_DIM
+from conftest import zero_operator
 
 Y = np.array([0.3, 0.05, -0.1, 0.2])
 X = np.array([0.15, -0.3, 0.2, 0.4])
@@ -37,7 +37,7 @@ def small_profile(small_space):
 
 
 def test_four_momentum_components(small_space):
-    momenta = [small_space.embed(op) for op in symmetries.four_momentum(small_space)]
+    momenta = [small_space.embed(op).toarray() for op in symmetries.four_momentum(small_space)]
     p = small_space.lattice.points[0]
     # diagonal value is (lowered component) * (occupation - 2); the register
     # vacuum sits at index 15 with occupation 0, index 7 holds one b- particle
@@ -52,7 +52,7 @@ def test_four_momentum_components(small_space):
 def test_translation_unitary_is_exp_momentum(small_space):
     direct = small_space.embed(symmetries.translation_unitary(small_space, Y))
     momenta = [small_space.embed(op) for op in symmetries.four_momentum(small_space)]
-    gen = sp.csr_matrix((small_space.dim, small_space.dim), dtype=np.complex128)
+    gen = zero_operator(small_space.dim)
     for a in range(4):
         gen = gen + float(Y[a]) * momenta[a]
     via_exp = sparse.matrix_exponential(1j * gen)
