@@ -37,6 +37,11 @@ MAX_MODES = int(MAX_DIM ** (1 / MATRIX_CHECK_N)) // REGISTER_DIM
 # (CONVENTIONS.md, "Rapidity bound")
 MAX_RAPIDITY = 3.6
 
+# the largest energy sqrt(m^2 + |p|^2) a lattice may reach: the dimensionful
+# spinor.dirac_kernel residual grows like eps E and meets its absolute 1e-12
+# tolerance near E = 130 (CONVENTIONS.md, "Energy bound")
+MAX_ENERGY = 64.0
+
 # a rejected value is echoed cut to a few dozen characters, so that the
 # error stays one short line whatever the config holds
 _SHORT = reprlib.Repr()
@@ -102,6 +107,10 @@ class LatticeConfig:
         if not edge <= MAX_RAPIDITY:
             raise ConfigError(f"the lattice reaches rapidity {edge:.3g}, past {MAX_RAPIDITY}; "
                               "reduce j_max, delta_eta or grid_spacing")
+        energy = max(p.E for p in points)
+        if not energy <= MAX_ENERGY:
+            raise ConfigError(f"the lattice reaches energy {energy:.3g}, past {MAX_ENERGY:g}; "
+                              "reduce m, j_max, delta_eta or grid_spacing")
 
     def build(self) -> MomentumLattice:
         return build_lattice(

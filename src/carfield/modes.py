@@ -15,7 +15,12 @@ Lattice kinds:
 
 Single-oscillator operators are mode blocks sum_i |i><i - shift| x R_i, held
 as a `ModeBlocks` (the (M, 16, 16) stack of R_i and the shift); their
-products, sums, adjoints and (anti)commutators stay in that form.
+products, sums, adjoints and (anti)commutators stay in that form.  Each
+operator keeps the range of modes whose blocks may be nonzero and the
+register entries that may be nonzero in them, so the algebra touches only
+those.  A block product computes only the terms a_ij b_jk whose positions
+are set in both patterns, from a plan cached per pair of patterns, and sums
+them by the summation rule of `sparse`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots, applied to a state, or compared with an
 independent CSR route.  `field_operator_spectral` keeps its own assembly
@@ -27,6 +32,7 @@ two independent routes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +117,68 @@ def shift_sources(modes: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return src, (src >= 0) & (src < modes)
 
 
+def _source_range(modes: int, shift: int) -> tuple[int, int]:
+    """The unmasked modes of shift_sources(modes, shift), as the slice bounds [lo, hi)."""
+    lo = min(max(shift, 0), modes)
+    return lo, max(min(modes + shift, modes), lo)
+
+
+# the (left, right) register patterns whose product plans are kept; a
+# default report uses 79 distinct pairs
+PLAN_CACHE_SIZE = 256
+
+_NO_MODES = (0, 0)
+
+
+def _pattern_bits(mask: np.ndarray) -> int:
+    """A (16, 16) boolean register pattern as an int with bit 16 r + c set for entry (r, c)."""
+    return int.from_bytes(np.packbits(mask, axis=None, bitorder="little").tobytes(), "little")
+
+
+def _pattern_mask(bits: int) -> np.ndarray:
+    raw = np.frombuffer(bits.to_bytes(REGISTER_DIM**2 // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").view(bool).reshape(REGISTER_DIM, REGISTER_DIM)
+
+
+def _hull(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The least mode range holding both ranges; empty ranges add nothing."""
+    if a[0] >= a[1]:
+        return b
+    if b[0] >= b[1]:
+        return a
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _product_plan(left: int, right: int) -> tuple:
+    """The terms a_ij b_jk of a block product whose positions are set in both patterns.
+
+    Returns (lefts, rights, entries, widths, pattern).  Term t multiplies
+    the flat register entries lefts[t] = 16 i + j and rights[t] = 16 j + k.
+    `entries` lists the output entries 16 i + k, those with the most terms
+    first, and `pattern` is their bits.  The terms are grouped by rank:
+    group r holds the r-th term, in ascending j, of each of the first
+    widths[r] entries, so adding the groups in turn to zeros sums every
+    entry from 0 in ascending j.
+    """
+    # np.nonzero lists (i, j, k) in row-major order, so a stable sort by the
+    # output entry keeps each entry's terms in ascending j
+    i, j, k = np.nonzero(_pattern_mask(left)[:, :, None] & _pattern_mask(right)[None])
+    entry = i * REGISTER_DIM + k
+    by_entry = np.argsort(entry, kind="stable")
+    i, j, k, entry = i[by_entry], j[by_entry], k[by_entry], entry[by_entry]
+    rank = np.arange(len(entry)) - np.searchsorted(entry, entry)
+    counts = np.bincount(entry, minlength=REGISTER_DIM**2)
+    # a copy: the cached plan should not keep the whole 256-entry sort alive
+    entries = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)].copy()
+    slot = np.empty(REGISTER_DIM**2, dtype=np.intp)
+    slot[entries] = np.arange(len(entries))
+    order = np.lexsort((slot[entry], rank))
+    widths = tuple(int(np.count_nonzero(counts > r)) for r in range(counts.max()))
+    return ((i * REGISTER_DIM + j)[order], (j * REGISTER_DIM + k)[order], entries, widths,
+            _pattern_bits(counts > 0))
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBlocks:
     """The single-oscillator operator sum_i |i><i - shift| x stack[i].
@@ -120,6 +188,14 @@ class ModeBlocks:
     stay in this form.  Nothing here prunes except `pruned` and the
     (anti)commutators, which drop entries below DROP_TOL as their CSR
     counterparts in `sparse` do.
+
+    Two bounds let the algebra skip what is zero.  `_live` is a mode range
+    [lo, hi) outside which every block is zero, and `_pattern` the register
+    entries (as `_pattern_bits`) that may be nonzero in some block.  Both
+    may be larger than the exact ones.  Results of the algebra carry them
+    over from their operands; a stack from outside is scanned once, when
+    they are first needed.  No stack is changed after construction, which
+    the bounds rely on.
     """
 
     stack: np.ndarray
@@ -133,17 +209,50 @@ class ModeBlocks:
         if stack.ndim != 3 or stack.shape[1:] != (REGISTER_DIM, REGISTER_DIM):
             raise ShapeError(f"block stack must be (M, 16, 16), got {stack.shape}")
         shift = int(self.shift)
-        if shift:
-            off = ~shift_sources(len(stack), shift)[1]
-            if stack[off].any():
-                stack = stack.copy()
-                stack[off] = 0
+        lo, hi = _source_range(len(stack), shift)
+        if shift and (stack[:lo].any() or stack[hi:].any()):
+            stack = stack.copy()
+            stack[:lo] = 0
+            stack[hi:] = 0
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "shift", shift)
 
     @classmethod
+    def _placed(cls, blocks, modes: int, live: tuple[int, int], shift: int,
+                pattern: int | None = None) -> ModeBlocks:
+        """A result of the algebra: the new `blocks` on the modes `live` = [lo, hi), zero elsewhere.
+
+        Nothing is checked: the caller knows that no block of `blocks` is off
+        the lattice.  A pattern of None is scanned when it is first needed.
+        """
+        lo, hi = live
+        if live == (0, modes) and blocks.flags.c_contiguous:
+            stack = blocks
+        else:
+            stack = np.zeros((modes, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+            if lo < hi:
+                stack[lo:hi] = blocks
+            else:
+                live = _NO_MODES
+        op = object.__new__(cls)
+        op.__dict__.update(stack=stack, shift=shift, _live=live)
+        if pattern is not None:
+            op.__dict__["_pattern"] = pattern
+        return op
+
+    @functools.cached_property
+    def _live(self) -> tuple[int, int]:
+        live = np.flatnonzero(self.stack.any(axis=(1, 2)))
+        return (int(live[0]), int(live[-1]) + 1) if len(live) else _NO_MODES
+
+    @functools.cached_property
+    def _pattern(self) -> int:
+        lo, hi = self._live
+        return _pattern_bits(self.stack[lo:hi].any(axis=0))
+
+    @classmethod
     def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
-        return cls(np.zeros((modes, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128), shift)
+        return cls._placed(None, modes, _NO_MODES, int(shift), 0)
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> ModeBlocks:
@@ -154,57 +263,82 @@ class ModeBlocks:
         stack[:, idx, idx] = values
         return cls(stack)
 
-    def _same_form(self, other: ModeBlocks) -> np.ndarray:
+    def _combine(self, other: ModeBlocks, op) -> ModeBlocks:
         if other.stack.shape != self.stack.shape or other.shift != self.shift:
             raise ShapeError(
                 f"mode blocks differ: {self.stack.shape} shift {self.shift} vs "
                 f"{other.stack.shape} shift {other.shift}"
             )
-        return other.stack
+        lo, hi = live = _hull(self._live, other._live)
+        return ModeBlocks._placed(op(self.stack[lo:hi], other.stack[lo:hi]), len(self.stack),
+                                  live, self.shift, self._pattern | other._pattern)
 
     def __add__(self, other: ModeBlocks) -> ModeBlocks:
-        return ModeBlocks(self.stack + self._same_form(other), self.shift)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: ModeBlocks) -> ModeBlocks:
-        return ModeBlocks(self.stack - self._same_form(other), self.shift)
+        return self._combine(other, np.subtract)
+
+    def _scaled(self, op, scalar) -> ModeBlocks:
+        # the pattern is scanned again: a non-finite scalar turns zeros into NaN
+        lo, hi = self._live
+        return ModeBlocks._placed(op(self.stack[lo:hi], scalar), len(self.stack), self._live,
+                                  self.shift)
 
     def __mul__(self, scalar) -> ModeBlocks:
-        return ModeBlocks(self.stack * scalar, self.shift)
+        return self._scaled(np.multiply, scalar)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> ModeBlocks:
-        return ModeBlocks(self.stack / scalar, self.shift)
+        return self._scaled(np.true_divide, scalar)
 
     def __matmul__(self, other: ModeBlocks) -> ModeBlocks:
         """Shifts add; block i is self[i] @ other[i - self.shift], zero off the lattice.
 
-        einsum rather than matmul: it sums each entry in index order with no
-        fused multiply-add, as the CSR product in `sparse` does, so the two
-        agree bitwise.  Pairs with a zero block are skipped.
+        Only live block pairs are multiplied, and in them only the terms
+        a_ij b_jk whose register positions are set in both patterns, listed
+        by the cached `_product_plan`; a term with a zero factor counts as
+        0, as in the CSR product, which stores no zeros.  Each term is
+        einsum's complex product, with no fused multiply-add, and each entry
+        adds its terms to 0 one at a time in ascending j: the summation rule
+        of the CSR product in `sparse`, so the two agree bitwise.
         """
         m = len(self.stack)
         if other.stack.shape != self.stack.shape:
             raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
-        src, valid = shift_sources(m, self.shift)
-        dst = np.flatnonzero(self.stack.any(axis=(1, 2)) & valid)
-        src = src[dst]
-        live = other.stack[src].any(axis=(1, 2))
-        dst, src = dst[live], src[live]
-        out = np.zeros_like(self.stack)
-        if len(dst):
-            out[dst] = np.einsum("nij,njk->nik", self.stack[dst], other.stack[src])
-        return ModeBlocks(out, self.shift + other.shift)
+        shift = self.shift + other.shift
+        (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
+        lo, hi = max(a_lo, b_lo + self.shift), min(a_hi, b_hi + self.shift)
+        if lo >= hi:
+            return ModeBlocks.zeros(m, shift)
+        lefts, rights, entries, widths, pattern = _product_plan(self._pattern, other._pattern)
+        left = self.stack[lo:hi].reshape(hi - lo, -1)[:, lefts]
+        right = other.stack[lo - self.shift:hi - self.shift].reshape(hi - lo, -1)[:, rights]
+        terms = np.einsum("nt,nt->nt", left, right)
+        # 0 * NaN and 0 * inf would be NaN; the CSR product never forms them
+        terms[(left == 0) | (right == 0)] = 0
+        sums = np.zeros((hi - lo, len(entries)), dtype=np.complex128)
+        start = 0
+        for width in widths:
+            sums[:, :width] += terms[:, start:start + width]
+            start += width
+        blocks = np.zeros((hi - lo, REGISTER_DIM**2), dtype=np.complex128)
+        blocks[:, entries] = sums
+        return ModeBlocks._placed(blocks.reshape(-1, REGISTER_DIM, REGISTER_DIM), m, (lo, hi),
+                                  shift, pattern)
 
     def adjoint(self) -> ModeBlocks:
         """Shift -> -shift; block j is the conjugate transpose of block j + shift."""
-        dst, keep = shift_sources(len(self.stack), -self.shift)
-        out = np.zeros_like(self.stack)
-        out[keep] = self.stack[dst[keep]].conj().transpose(0, 2, 1)
-        return ModeBlocks(out, -self.shift)
+        lo, hi = self._live
+        blocks = self.stack[lo:hi].conj().transpose(0, 2, 1)
+        return ModeBlocks._placed(blocks, len(self.stack), (lo - self.shift, hi - self.shift),
+                                  -self.shift)
 
     def pruned(self) -> ModeBlocks:
-        return ModeBlocks(sparse.prune_array(self.stack), self.shift)
+        lo, hi = self._live
+        return ModeBlocks._placed(sparse.prune_array(self.stack[lo:hi]), len(self.stack),
+                                  self._live, self.shift, self._pattern)
 
     def commutator(self, other: ModeBlocks) -> ModeBlocks:
         return (self @ other - other @ self).pruned()
@@ -213,7 +347,8 @@ class ModeBlocks:
         return (self @ other + other @ self).pruned()
 
     def max_abs(self) -> float:
-        return sparse.max_abs(self.stack)
+        lo, hi = self._live
+        return sparse.max_abs(self.stack[lo:hi])
 
 
 class SingleOscillatorSpace:
@@ -241,13 +376,12 @@ class SingleOscillatorSpace:
         m = self.lattice.size
         if len(op.stack) != m:
             raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
-        src, keep = shift_sources(m, op.shift)
-        modes = np.flatnonzero(keep)
-        blocks = op.stack[modes]
+        lo, hi = op._live
+        blocks = op.stack[lo:hi]
         live = sparse.kept_by_prune(blocks)
         block, r, c = np.nonzero(live)
-        rows = REGISTER_DIM * modes[block] + r
-        cols = REGISTER_DIM * src[modes[block]] + c
+        rows = REGISTER_DIM * (lo + block) + r
+        cols = REGISTER_DIM * (lo + block - op.shift) + c
         return SparseOperator.from_sorted(blocks[live], rows, cols, (self.dim, self.dim))
 
     def parity(self) -> ModeBlocks:
@@ -258,11 +392,22 @@ class SingleOscillatorSpace:
 def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k], pruned as embed prunes.
 
-    Callers pass small-integer register operators on disjoint supports: each entry is exact.
+    Callers pass small-integer register operators on disjoint supports: each
+    entry is exact.  Only the entries where some reg_op with a nonzero
+    coefficient is nonzero are computed, on the modes from the first to the
+    last nonzero row of coeffs.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    stack = sum(coeffs[:, k, None, None] * op for k, op in enumerate(reg_ops))
-    return ModeBlocks(sparse.prune_array(stack))
+    ops = np.reshape(np.asarray(reg_ops, dtype=np.complex128), (len(reg_ops), -1))
+    support = ops[coeffs.any(axis=0)].any(axis=0)
+    rows = np.flatnonzero(coeffs.any(axis=1))
+    lo, hi = live = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else _NO_MODES
+    blocks = np.zeros((hi - lo, REGISTER_DIM**2), dtype=np.complex128)
+    # einsum adds the terms to 0 in k order, with no fused multiply-add
+    blocks[:, support] = sparse.prune_array(np.einsum("ik,kt->it", coeffs[lo:hi],
+                                                      ops[:, support]))
+    return ModeBlocks._placed(blocks.reshape(-1, REGISTER_DIM, REGISTER_DIM), len(coeffs), live,
+                              0, _pattern_bits(support))
 
 
 def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: np.ndarray) -> ModeBlocks:
@@ -308,13 +453,10 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
     ann = [space.register.ladder(ann_species, s) for s in (0, 1)]
     cre = [space.register.ladder(cre_species, 1 - s).conj().T for s in (0, 1)]
-    coeffs = np.zeros((space.lattice.size, 4), dtype=np.complex128)
-    for i, p in enumerate(space.lattice.points):
-        phase = np.exp(-1j * p.dot_point(x))
-        # scalar products: numpy's vectorized complex multiply can round differently
-        for s in (0, 1):
-            coeffs[i, s] = space.pos_table[i, s, alpha] * phase
-            coeffs[i, 2 + s] = space.neg_table[i, s, alpha] * np.conj(phase)
+    phases = plane_wave_unitary(space, x)
+    # einsum products: numpy's vectorized complex multiply can fuse multiply-adds
+    coeffs = np.hstack([np.einsum("is,i->is", space.pos_table[:, :, alpha], phases),
+                        np.einsum("is,i->is", space.neg_table[:, :, alpha], np.conj(phases))])
     return mode_blocks(coeffs, ann + cre)
 
 

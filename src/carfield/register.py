@@ -6,7 +6,8 @@ dense (16, 16) complex arrays, as is every register operator here.  Each
 is the last basis vector, index 15.  The grading operator ``parity`` (a
 sigma3 string over all four factors) anticommutes with every ladder
 operator and fixes the vacuum; it is the twist inserted by the N-oscillator
-extension.  Products sum with einsum, as `modes.ModeBlocks` does.
+extension.  Products sum with einsum in index order, the summation rule of
+`sparse` that `modes.ModeBlocks` products follow too.
 """
 
 from __future__ import annotations

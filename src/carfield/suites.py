@@ -22,6 +22,7 @@ from . import sparse, spinors, symmetries
 from .config import RunConfig
 from .errors import ConfigError
 from .modes import (
+    RAPIDITY_1D,
     ModeBlocks,
     SingleOscillatorSpace,
     field_operator,
@@ -623,8 +624,6 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     rng = _suite_rng(config, "symmetries")
     s = "symmetries"
     lattice = config.lattice.build()
-    if lattice.mode != "rapidity1d":
-        raise ConfigError("the symmetries suite needs a rapidity lattice")
     space = SingleOscillatorSpace(lattice)
     profile = config.profile.build(lattice)
     y = np.asarray(config.displacement)
@@ -716,9 +715,16 @@ SUITE_FUNCS = {
 }
 
 
+def _check_suite_config(name: str, config: RunConfig) -> None:
+    """Refuse a config that the suite cannot run on, before any suite runs."""
+    if name == "symmetries" and config.lattice.mode != RAPIDITY_1D:
+        raise ConfigError("the symmetries suite needs a rapidity lattice")
+
+
 def run_suite(name: str, config: RunConfig) -> list[CheckRecord]:
     if name not in SUITE_FUNCS:
         raise ConfigError(f"unknown suite {name!r}; choose from {list(SUITE_ORDER)}")
+    _check_suite_config(name, config)
     return SUITE_FUNCS[name](config)
 
 
@@ -731,6 +737,8 @@ def run_report(config: RunConfig, suite_names: list[str] | None = None) -> dict:
             raise ConfigError(f"unknown suites {unknown}; choose from {list(SUITE_ORDER)}")
         requested = set(suite_names)
         names = [n for n in SUITE_ORDER if n in requested]
+    for name in names:
+        _check_suite_config(name, config)
     records = []
     for name in names:
         records.extend(run_suite(name, config))

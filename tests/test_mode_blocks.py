@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carfield import modes as modes_module
 from carfield import sparse, symmetries
 from carfield.errors import ShapeError
 from carfield.modes import (
@@ -26,9 +27,10 @@ from carfield.modes import (
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
+    shift_sources,
     smeared_annihilator,
 )
-from carfield.register import REGISTER_DIM, number_operator, pair_exponential
+from carfield.register import REGISTER_DIM, build_register, number_operator, pair_exponential
 from carfield.spinors import mixing_generator
 
 from conftest import random_table, zero_operator
@@ -247,3 +249,134 @@ def test_commutators_prune_like_csr(default_space, rng):
     anti = a.anticommutator(b)
     want = sparse.anticommutator(default_space.embed(a), default_space.embed(b))
     assert sparse.max_abs(default_space.embed(anti) - want) == 0.0
+
+
+# --- the planned product against a dense einsum reference
+
+def _dense_product(a, b):
+    """a @ b as one dense einsum over the live block pairs, every term of every entry."""
+    src, valid = shift_sources(len(a.stack), a.shift)
+    dst = np.flatnonzero(a.stack.any(axis=(1, 2)) & valid)
+    src = src[dst]
+    live = b.stack[src].any(axis=(1, 2))
+    dst, src = dst[live], src[live]
+    out = np.zeros_like(a.stack)
+    if len(dst):
+        out[dst] = np.einsum("nij,njk->nik", a.stack[dst], b.stack[src])
+    return out
+
+
+def _ladder_blocks(rng, modes):
+    """Per mode, a random complex combination of two or three register ladders or their adjoints."""
+    reg = build_register()
+    ladders = [reg.ladder(sp, s) for sp in ("b", "d") for s in (0, 1)]
+    ladders += [op.conj().T for op in ladders]
+    stack = np.zeros((modes, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+    for i in range(modes):
+        for k in rng.choice(len(ladders), size=rng.integers(2, 4), replace=False):
+            stack[i] += complex(*rng.standard_normal(2)) * ladders[k]
+    return stack
+
+
+def _stack_of(kind, rng, modes):
+    shape = (modes, REGISTER_DIM, REGISTER_DIM)
+    if kind == "zero":
+        return np.zeros(shape, dtype=np.complex128)
+    if kind == "ladder":
+        stack = _ladder_blocks(rng, modes)
+    elif kind == "dense":
+        # every entry nonzero, so every output entry sums 16 terms
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:  # "single": one live block of scattered entries
+        stack = np.zeros(shape, dtype=np.complex128)
+        i = rng.integers(modes)
+        stack[i] = (rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])) \
+            * (rng.random(shape[1:]) < 0.3)
+        return stack
+    stack[rng.random(modes) < 0.25] = 0
+    return stack
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+KINDS = st.sampled_from(["ladder", "dense", "zero", "single"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(modes=st.integers(1, 5), kinds=st.tuples(KINDS, KINDS), shift_seeds=st.tuples(
+    st.integers(0, 10), st.integers(0, 10)), seed=st.integers(0, 2**32 - 1))
+def test_planned_product_equals_dense_einsum_bitwise(modes, kinds, shift_seeds, seed):
+    rng = np.random.default_rng(seed)
+    # every shift in [-modes, modes]
+    s_a, s_b = (s % (2 * modes + 1) - modes for s in shift_seeds)
+    a = ModeBlocks(_stack_of(kinds[0], rng, modes), s_a)
+    b = ModeBlocks(_stack_of(kinds[1], rng, modes), s_b)
+    want = _dense_product(a, b)
+    modes_module._product_plan.cache_clear()
+    cold = a @ b
+    warm = ModeBlocks(a.stack.copy(), s_a) @ ModeBlocks(b.stack.copy(), s_b)
+    assert modes_module._product_plan.cache_info().hits >= 1 or not want.any()
+    assert cold.shift == warm.shift == s_a + s_b
+    _same_bits(cold.stack, want)
+    _same_bits(warm.stack, want)
+
+
+def test_planned_product_on_the_default_lattice(default_space, rng):
+    m = default_space.lattice.size
+    field = field_operator(default_space, rng.uniform(-1, 1, 4), 2)
+    boost = symmetries.boost_unitary(default_space, 2).unitary
+    ladder = mode_annihilator(default_space, 4, 1, "d")
+    for a, b in [(field, field.adjoint()), (boost.adjoint(), field), (field, boost),
+                 (ladder, boost), (boost, ladder.adjoint()), (ladder, ladder.adjoint()),
+                 (ModeBlocks(_stack_of("dense", rng, m), -3), boost)]:
+        _same_bits((a @ b).stack, _dense_product(a, b))
+    # no live block pair: modes 4 and 7 never meet
+    other = mode_annihilator(default_space, 7, 0, "b")
+    assert not (ladder @ other.adjoint()).stack.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-np.inf, np.nan)])
+def test_nonfinite_entries_meet_zeros_as_in_the_csr_product(bad):
+    space = _space_of(3)
+    a = np.zeros((3, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+    b = np.zeros_like(a)
+    a[0, 2, 5] = 1.5
+    a[1, 2, 7] = 2.0 - 1j  # column 5 is zero in this block only
+    b[1, 5, 3] = bad       # meets that zero
+    b[1, 7, 3] = 1.0
+    b[2, 4, 4] = bad       # block 2 of a is zero
+    b[0, 9, 1] = bad       # column 9 of a is zero in every block
+    a, b = ModeBlocks(a), ModeBlocks(b)
+    got = space.embed(a @ b).toarray()
+    want = (space.embed(a) @ space.embed(b)).toarray()
+    np.testing.assert_array_equal(got, want)
+    assert np.isfinite(got).all() and got[16 + 2, 16 + 3] == 2.0 - 1j
+    # a dense einsum multiplies each zero with the bad entry
+    assert np.isnan(_dense_product(a, b)[1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_entry_on_a_live_term_reaches_max_abs(bad):
+    space = _space_of(3)
+    a = np.zeros((3, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+    a[1, 2, 5] = bad
+    a[1, 2, 7] = 1.0
+    b = a.copy()
+    b[1, 5, 3] = b[1, 7, 3] = 1.0
+    a, b = ModeBlocks(a), ModeBlocks(b)
+    product = a @ b
+    want = (space.embed(a) @ space.embed(b)).toarray()
+    np.testing.assert_array_equal(space.embed(product).toarray(), want)
+    assert not np.isfinite(want).all()
+    # no residual hides it: a NaN stays NaN, and an inf stays inf or becomes NaN
+    # (inf - inf), so each residual fails any tolerance
+    with np.errstate(invalid="ignore"):
+        residuals = [product.max_abs(), a.commutator(b).max_abs(),
+                     a.anticommutator(b).max_abs(), (product - product).max_abs()]
+    if np.isnan(bad):
+        assert all(np.isnan(r) for r in residuals)
+    else:
+        assert not any(r <= 1.0 for r in residuals)

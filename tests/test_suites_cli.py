@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from carfield import noscillator, register, sparse, spinors, suites
 from carfield.cli import main
 from carfield.config import (
+    MAX_ENERGY,
     MAX_RAPIDITY,
     LatticeConfig,
     ProfileConfig,
@@ -295,6 +296,12 @@ NAN, INF = float("nan"), float("inf")
     {"lattice": {"j_max": 10}},
     {"lattice": {"mode": "grid3d", "grid_spacing": 30.0}},
     {"lattice": {"mode": "grid3d", "m": 0.1, "grid_spacing": 3.0}},
+    # lattice energies past MAX_ENERGY, where spinor.dirac_kernel and
+    # spinor.classical_covariance fail by rounding
+    {"lattice": {"m": 1000}},
+    {"lattice": {"m": 64, "delta_eta": 0.6}},
+    {"lattice": {"m": 12}},
+    {"lattice": {"mode": "grid3d", "m": 65}},
     # files json.loads cannot turn into a value: an integer past the
     # int-to-str digit limit, nesting past the recursion limit, and bytes
     # that are not UTF-8
@@ -339,6 +346,20 @@ def test_config_accepts_lattices_up_to_the_rapidity_bound():
     assert LatticeConfig(mode="grid3d", grid_spacing=0.999 * edge_spacing).build().size == 8
     with pytest.raises(ConfigError):
         LatticeConfig(mode="grid3d", grid_spacing=1.001 * edge_spacing)
+
+
+def test_config_accepts_lattices_up_to_the_energy_bound():
+    # the largest energy is m cosh(j_max delta_eta) on a rapidity lattice, and
+    # sqrt(m^2 + 3 spacing^2 / 4) at the corners of the 2-point grid
+    edge_mass = MAX_ENERGY / np.cosh(6 * 0.4)
+    assert LatticeConfig(m=0.999 * edge_mass).build().size == 13
+    with pytest.raises(ConfigError, match="energy"):
+        LatticeConfig(m=1.001 * edge_mass)
+    corner = np.sqrt(3) / 2
+    edge_mass = np.sqrt(MAX_ENERGY**2 - corner**2)
+    assert LatticeConfig(mode="grid3d", m=0.999 * edge_mass).build().size == 8
+    with pytest.raises(ConfigError, match="energy"):
+        LatticeConfig(mode="grid3d", m=1.001 * edge_mass)
 
 
 def test_example_config_is_the_default():
@@ -390,6 +411,24 @@ def test_report_suites_build_no_kron_chain(monkeypatch):
     run_suite("n_oscillator", config)
     run_suite("symmetries", config)
     assert krons == []
+
+
+def test_cli_refuses_a_grid_report_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    # the symmetries suite needs a rapidity lattice; a full report on a grid
+    # must say so before it spends time on the other four suites
+    called = []
+    for name in SUITE_ORDER:
+        monkeypatch.setitem(suites.SUITE_FUNCS, name, lambda config, name=name: called.append(name))
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"lattice": {"mode": "grid3d"}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: the symmetries suite needs a rapidity lattice\n"
+    assert called == []
+    assert not (tmp_path / "r.json").exists()
+    with pytest.raises(ConfigError, match="needs a rapidity lattice"):
+        run_suite("symmetries", config_from_dict({"lattice": {"mode": "grid3d"}}))
+    assert called == []
 
 
 def test_cli_reads_config_file(tmp_path):
