@@ -21,8 +21,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
+from carfield.draws import default_rng
 from carfield.errors import CarfieldError, ConfigError
 from carfield.modes import (
     SingleOscillatorSpace,
@@ -57,10 +56,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", help="write the records as JSON to this path")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error("--seed must be nonnegative")
 
     space = build_space(args.modes)
     profile = uniform_profile(space.lattice)
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     shape = (space.lattice.size, 2)
 
     rows = []

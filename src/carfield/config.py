@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateVacuumError
 from .modes import (
     GRID_3D,
     RAPIDITY_1D,
@@ -161,9 +161,17 @@ class RunConfig:
             _require_int(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {_shown(self.seed)}")
-        if self.profile.kind == "point" and not 0 <= self.profile.index < self.lattice.build().size:
+        lattice = self.lattice.build()
+        if self.profile.kind == "point" and not 0 <= self.profile.index < lattice.size:
             raise ConfigError("point profile index must lie on the lattice, "
                               f"got {_shown(self.profile.index)}")
+        # a Gaussian far off the lattice underflows to 0 on every mode, and the
+        # report would stop at the first suite that builds the vacuum
+        try:
+            self.profile.build(lattice)
+        except DegenerateVacuumError as exc:
+            raise ConfigError("the vacuum profile is identically zero on this lattice; "
+                              "widen it or move its center") from exc
         if self.boost_steps == 0:
             raise ConfigError("boost steps must be nonzero")
         if self.lattice.mode == RAPIDITY_1D and abs(self.boost_steps) > self.lattice.j_max:

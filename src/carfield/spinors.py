@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import Generator
 from .errors import PreconditionError, ShapeError, UndefinedResidualError, UnsupportedMassError
 
 EPSILON = np.array([[0, 1], [-1, 0]], dtype=np.complex128)
@@ -206,7 +207,7 @@ def boost_z(eta: float) -> np.ndarray:
     return np.diag([np.exp(eta / 2), np.exp(-eta / 2)]).astype(np.complex128)
 
 
-def random_sl2c(rng: np.random.Generator) -> np.ndarray:
+def random_sl2c(rng: Generator) -> np.ndarray:
     c = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.7 / 2
     return exponential(c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2])
 

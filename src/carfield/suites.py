@@ -9,6 +9,8 @@ a fixed tolerance; boolean checks encode failure as residual 1.
 Randomized inputs are drawn from a generator seeded per suite as
 (seed, suite index), so reports are reproducible and byte-identical for
 a given configuration, and independent of which subset of suites runs.
+The generator is `draws.default_rng`, numpy's PCG64 stream reproduced bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import sparse, spinors, symmetries
 from .config import RunConfig
+from .draws import Generator, default_rng
 from .errors import ConfigError
 from .modes import (
     RAPIDITY_1D,
@@ -88,11 +91,11 @@ def _flag(suite: str, check: str, identity: str, ok: bool) -> CheckRecord:
     return _rec(suite, check, identity, 0.0 if ok else 1.0, 0.0)
 
 
-def _suite_rng(config: RunConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng([config.seed, SUITE_ORDER.index(name)])
+def _suite_rng(config: RunConfig, name: str) -> Generator:
+    return default_rng([config.seed, SUITE_ORDER.index(name)])
 
 
-def _random_table(rng: np.random.Generator, modes: int) -> np.ndarray:
+def _random_table(rng: Generator, modes: int) -> np.ndarray:
     return rng.standard_normal((modes, 2)) + 1j * rng.standard_normal((modes, 2))
 
 
@@ -437,8 +440,8 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
             walk = vacuum_matrix_element(nreg, prof, ops)
             explicit = vacuum_matrix_element_matrix(nreg, prof, ops)
             worst = worst_of(worst, abs(walk - explicit))
-    out.append(_rec(s, "walk_vs_matrices", "pattern walk = explicit tensor matrices",
-                    worst, 1e-10))
+    out.append(_rec(s, "walk_vs_matrices",
+                    "set-partition expansion = explicit tensor matrices", worst, 1e-10))
 
     nreg = NRegister(space1, 5)
     worst = 0.0
@@ -449,7 +452,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
             abs(vacuum_matrix_element(nreg, prof1, ops)
                 - vacuum_matrix_element(nreg, prof1, ops, exact=True)),
         )
-    out.append(_rec(s, "exact_vs_float", "rational and float walks agree", worst, 1e-12))
+    out.append(_rec(s, "exact_vs_float", "exact and float expansions agree", worst, 1e-12))
 
     nreg2 = NRegister(space2, MATRIX_CHECK_N)
     f = _random_table(rng, 2)
@@ -732,6 +735,10 @@ def run_report(config: RunConfig, suite_names: list[str] | None = None) -> dict:
     if suite_names is None:
         names = list(SUITE_ORDER)
     else:
+        if not suite_names:
+            # zero checks would report a pass that verified nothing
+            raise ConfigError("no suites selected; name at least one of "
+                              f"{', '.join(SUITE_ORDER)}")
         unknown = [n for n in suite_names if n not in SUITE_FUNCS]
         if unknown:
             raise ConfigError(f"unknown suites {unknown}; choose from {list(SUITE_ORDER)}")

@@ -59,9 +59,9 @@ def test_single_thread_report_matches_golden():
     assert _pinned_rows(json.loads(out)) == GOLDEN["1"]
 
 
-def test_report_loads_no_scipy():
-    # carfield owns its CSR type, exponentials and logarithms; scipy.sparse
-    # alone held about 22 MB of a report's 60 MB resident memory
+@pytest.fixture(scope="module")
+def report_modules():
+    """The modules a fresh process holds after `import carfield.cli` and a default report."""
     script = (
         "import json, sys\n"
         "import carfield.cli\n"
@@ -71,4 +71,17 @@ def test_report_loads_no_scipy():
     )
     counts, modules = json.loads(_run_child(script))
     assert counts == {"total": 69, "passed": 69}
-    assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+    return modules
+
+
+def test_report_loads_no_scipy(report_modules):
+    # carfield owns its CSR type, exponentials and logarithms; scipy.sparse
+    # alone held about 22 MB of a report's 60 MB resident memory
+    assert [name for name in report_modules if name.split(".")[0] == "scipy"] == []
+
+
+def test_report_loads_no_numpy_random(report_modules):
+    # carfield owns its seeded draws; numpy's random package loaded 11
+    # extension modules and, through secrets and hashlib, OpenSSL's libcrypto
+    assert [name for name in report_modules
+            if name.startswith("numpy.random") or name in ("secrets", "hashlib")] == []

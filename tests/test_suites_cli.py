@@ -191,12 +191,16 @@ def test_cli_comma_separated_suites(tmp_path):
     assert json.loads(out.read_text())["suites"] == ["jw_car", "mode_space"]
 
 
-def test_cli_empty_suite_selection_warns(capsys):
-    code = main(["--suite", ""])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert "no suites selected" in captured.err
-    assert json.loads(captured.out)["counts"]["total"] == 0
+def test_cli_refuses_an_empty_suite_selection(capsys):
+    # zero checks run would read as a pass
+    for raw in ("", " , "):
+        assert main(["--suite", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: no suites selected")
+        assert captured.err.count("\n") == 1
+    with pytest.raises(ConfigError, match="no suites selected"):
+        run_report(default_config(), [])
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -302,6 +306,10 @@ NAN, INF = float("nan"), float("inf")
     {"lattice": {"m": 64, "delta_eta": 0.6}},
     {"lattice": {"m": 12}},
     {"lattice": {"mode": "grid3d", "m": 65}},
+    # Gaussian profiles that underflow to 0 on every lattice mode, which the
+    # mode_space suite would meet only after jw_car and spinor had run
+    {"profile": {"kind": "gaussian", "width": 0.02, "center": 40}},
+    {"profile": {"kind": "gaussian", "width": 0.1, "center": 5.2}},
     # files json.loads cannot turn into a value: an integer past the
     # int-to-str digit limit, nesting past the recursion limit, and bytes
     # that are not UTF-8
