@@ -526,7 +526,8 @@ def gaussian_profile(lattice: MomentumLattice, width: float = 1.0, center: float
         xs = np.array([j * lattice.delta_eta for j in lattice.j_values])
     else:
         xs = np.array([np.linalg.norm(p.spatial()) for p in lattice.points])
-    return _normalized_profile(lattice, np.exp(-((xs - center) ** 2) / (2 * width**2)))
+    # divided before squaring: width**2 leaves the float range past width 1.3e154
+    return _normalized_profile(lattice, np.exp(-0.5 * ((xs - center) / width) ** 2))
 
 
 def point_profile(lattice: MomentumLattice, index: int) -> VacuumProfile:

@@ -104,6 +104,9 @@ def test_profile_guards(default_lattice):
         _normalized_profile(default_lattice, np.ones(3))
     with pytest.raises(ConfigError):
         gaussian_profile(default_lattice, width=0.0)
+    # a width whose square leaves the float range is a uniform profile
+    wide = gaussian_profile(default_lattice, width=1.5e154)
+    np.testing.assert_array_equal(wide.values, uniform_profile(default_lattice).values)
 
 
 def test_point_profile_support(default_lattice):

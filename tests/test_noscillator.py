@@ -6,6 +6,7 @@ those fit, exact-rational against float arithmetic, and the closed-form
 limits.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -278,10 +279,10 @@ def test_walk_matches_matrices_beyond_two_modes(rng, j_max):
         assert abs(walk - explicit) <= 1e-12
 
 
-def _three_mode_overlap(rng, m):
-    space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
-    fs = [random_table(rng, 3) for _ in range(m)]
-    gs = [random_table(rng, 3) for _ in range(m)]
+def _rapidity_overlap(rng, m, j_max=1):
+    space = SingleOscillatorSpace(rapidity_lattice(j_max, 0.4, 1.0))
+    fs = [random_table(rng, space.lattice.size) for _ in range(m)]
+    gs = [random_table(rng, space.lattice.size) for _ in range(m)]
     return space, uniform_profile(space.lattice), fs, gs
 
 
@@ -289,7 +290,7 @@ def _three_mode_overlap(rng, m):
 def test_high_order_overlap_matches_matrices(rng, m):
     # a slot holds at most two b excitations, so at N = 2 both routes give 0
     # and N = 3 is the first nonzero comparison
-    space, profile, fs, gs = _three_mode_overlap(rng, m)
+    space, profile, fs, gs = _rapidity_overlap(rng, m)
     ops = overlap_product_ops(fs, gs)
     for n in (2, 3):
         nreg = NRegister(space, n)
@@ -298,10 +299,11 @@ def test_high_order_overlap_matches_matrices(rng, m):
     assert abs(got) > 0.05
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 8])
 def test_top_coefficient_is_determinant(rng, m):
-    # the M-block partitions of an order-M overlap are the pairings: Wick's det
-    space, profile, fs, gs = _three_mode_overlap(rng, m)
+    # the M-block partitions of an order-M overlap are the pairings: Wick's det;
+    # 3 modes hold 6 one-particle states, so M = 8 runs on the 5-mode lattice
+    space, profile, fs, gs = _rapidity_overlap(rng, m, j_max=1 if m <= 6 else 2)
     expansion = noscillator._partition_expansion(space, profile, overlap_product_ops(fs, gs),
                                                  False)
     det = slater_limit(space.lattice, profile, fs, gs)
@@ -541,6 +543,92 @@ def test_slater_limit_is_det(double_lattice, double_profile, rng):
     assert slater_limit(double_lattice, double_profile, fs, gs) == pytest.approx(expected)
     with pytest.raises(ResourceLimitError):
         slater_limit(double_lattice, double_profile, [fs[0]] * 9, [gs[0]] * 9)
+
+
+def _permutation_sum(gram, scalar):
+    """The Leibniz formula: the signed sum over permutations of gram[k][sigma k] products."""
+    m = len(gram)
+    total = scalar(0)
+    for sigma in itertools.permutations(range(m)):
+        inversions = sum(sigma[a] > sigma[b] for a in range(m) for b in range(a + 1, m))
+        term = scalar(-1 if inversions % 2 else 1)
+        for k in range(m):
+            term = term * gram[k][sigma[k]]
+        total = total + term
+    return total
+
+
+def _gaussian_matrix(rng, m, bound=9):
+    parts = rng.integers(-bound, bound + 1, size=(2, m, m))
+    return [[noscillator._ExactComplex(int(parts[0, k, j]), int(parts[1, k, j]))
+             for j in range(m)] for k in range(m)]
+
+
+def _assert_same_exact(got, want):
+    assert (got.re, got.im) == (want.re, want.im)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_bareiss_det_equals_permutation_sum(rng, m):
+    zero = noscillator._ExactComplex(0)
+    for _ in range(2):
+        gram = _gaussian_matrix(rng, m)
+        # a zero leading pivot, whose column still holds a nonzero entry
+        swapped = [row[:] for row in gram]
+        swapped[0][0] = zero
+        if m > 1:
+            swapped[-1][0] = noscillator._ExactComplex(0, 1)
+        # entries past the float range: no pivot may be chosen by magnitude
+        huge = [[entry * 2**1100 for entry in row] for row in gram]
+        # a zero first column, and two equal rows: det 0
+        empty_column = [[zero] + row[1:] for row in gram]
+        cases = [gram, swapped, huge, empty_column]
+        if m > 1:
+            cases.append(gram[:-1] + [gram[0][:]])
+        for case in cases:
+            want = _permutation_sum(case, noscillator._ExactComplex)
+            _assert_same_exact(noscillator._bareiss_det(case), want)
+        assert not noscillator._bareiss_det(empty_column)
+
+
+def test_bareiss_det_of_one_mode_grams(rng):
+    # two spins give a rank-2 one-mode Gram: exact 0 from M = 3 on
+    for m in (1, 2, 3, 4):
+        fs = [random_table(rng, 1) for _ in range(m)]
+        gs = [random_table(rng, 1) for _ in range(m)]
+        gram, _ = noscillator._gram_exact(fs, gs)
+        got = noscillator._bareiss_det(gram)
+        _assert_same_exact(got, _permutation_sum(gram, noscillator._ExactComplex))
+        assert bool(got) == (m <= 2)
+
+
+def test_divide_exactly_refuses_a_remainder():
+    num, den = noscillator._ExactComplex(7, 1), noscillator._ExactComplex(2, -3)
+    _assert_same_exact(noscillator._divide_exactly(num * den, den), num)
+    with pytest.raises(ArithmeticError):
+        noscillator._divide_exactly(num, den)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_slater_limit_matches_permutation_sum(rng, m):
+    space, profile, fs, gs = _rapidity_overlap(rng, m, j_max=2)
+    want = _permutation_sum(gram_matrix(space.lattice, profile, fs, gs), complex)
+    assert abs(want) > 0.05
+    assert abs(slater_limit(space.lattice, profile, fs, gs) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tables_are_a_precondition_error(single_space, single_profile, double_space,
+                                                    double_profile, rng, modes, bad):
+    space, profile = ((single_space, single_profile) if modes == 1
+                      else (double_space, double_profile))
+    good = random_table(rng, modes)
+    bad_table = random_table(rng, modes)
+    bad_table[0, 1] = bad
+    for fs, gs in (([good, bad_table], [good, good]), ([good, good], [bad_table, good])):
+        with pytest.raises(PreconditionError, match="finite"):
+            determinant_limit_convergence(space, profile, fs, gs, [2, 4])
 
 
 def test_order_one_matrix_element_is_z_product(double_space, double_profile, rng):
