@@ -18,9 +18,13 @@ products:
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It sums products of single-oscillator vacuum moments over set
   partitions of the factors by block count and weights j blocks by
-  N! / (N - j)!, so one expansion serves every N.  On one-mode lattices,
-  where the finite-N element equals the limiting determinant identically,
-  it runs exactly, in Gaussian integers over a power of two.
+  N! / (N - j)!, so one expansion serves every N.  Which register entries
+  each factor reaches, which subsets meet the vacuum and how partitions
+  split depend only on the (species, dagger) word and the mode count: they
+  are compiled once into a cached plan, and a call runs only the arithmetic.
+  On one-mode lattices, where the finite-N element equals the limiting
+  determinant identically, it runs exactly, in Gaussian integers over a
+  power of two, and rounds once per float it returns.
 
 The limiting determinant is a pivoted LU det in floats and, on one mode, a
 fraction-free (Bareiss) det in Gaussian integers.  The expansion's one
@@ -32,6 +36,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -66,12 +73,23 @@ MAX_SLATER_ORDER = 8
 MATRIX_CHECK_N = 2
 
 
+def _oscillator_count(n) -> int:
+    """N as a Python int, from any integer type; a float or a bool is a ConfigError."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ConfigError(f"oscillator count must be an integer, got {type(n).__name__}")
+
+
 @dataclass(frozen=True)
 class NRegister:
     space: SingleOscillatorSpace
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _oscillator_count(self.n))
         if self.n < 1:
             raise ConfigError(f"oscillator count must be >= 1, got {self.n}")
 
@@ -231,7 +249,7 @@ def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
 
 
 class _ExactComplex:
-    """Complex number with exact parts: Python ints (a Gaussian integer) or Fractions."""
+    """Gaussian integer: a complex number with Python int parts."""
 
     __slots__ = ("re", "im")
 
@@ -246,12 +264,14 @@ class _ExactComplex:
         return _ExactComplex(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _ExactComplex(self.re * other, self.im * other)
         return _ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    def scaled(self, k: int) -> _ExactComplex:
+        """The product with the integer k."""
+        return _ExactComplex(self.re * k, self.im * k)
 
     def conjugate(self):
         return _ExactComplex(self.re, -self.im)
@@ -259,11 +279,37 @@ class _ExactComplex:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
+
+class _ExactQuotient:
+    """The exact rational num / den, den > 0, kept as integers.
+
+    Each float part is one int true division, which rounds correctly, so it
+    equals float(Fraction(num.re, den)) with no gcd taken.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: _ExactComplex, den: int):
+        self.num = num
+        self.den = den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num.re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num.im, self.den)
+
+    def __sub__(self, other):
+        return _ExactQuotient(self.num.scaled(other.den) - other.num.scaled(self.den),
+                              self.den * other.den)
+
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.num.re / self.den, self.num.im / self.den)
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(self.num.re / self.den, self.num.im / self.den)
 
 
 def _dyadic_lift(values) -> tuple[list[_ExactComplex], int]:
@@ -278,11 +324,6 @@ def _dyadic_lift(values) -> tuple[list[_ExactComplex], int]:
     full = 1 << shift
     return [_ExactComplex(p_re * (full // q_re), p_im * (full // q_im))
             for (p_re, q_re), (p_im, q_im) in ratios], shift
-
-
-def _exact_quotient(num: _ExactComplex, den: int) -> _ExactComplex:
-    """The exact rational num / den: the one division of an exact result."""
-    return _ExactComplex(Fraction(num.re, den), Fraction(num.im, den))
 
 
 def _divide_exactly(num: _ExactComplex, den: _ExactComplex) -> _ExactComplex:
@@ -314,7 +355,7 @@ def _bareiss_det(gram: list[list[_ExactComplex]]) -> _ExactComplex:
             for j in range(k + 1, m):
                 a[i][j] = _divide_exactly(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
-    return prev * sign
+    return prev.scaled(sign)
 
 
 _REGISTER = build_register()
@@ -342,12 +383,132 @@ class _Expansion(NamedTuple):
     shift: int
 
 
+class _Plan(NamedTuple):
+    """What an expansion's operator word and mode count fix, with no value in it.
+
+    `steps` is the depth-first walk over ordered sub-products, in pre-order.
+    Step t applies factor k to its parent ket (0 the vacuum, u + 1 step u)
+    and holds (parent, k, entries, size, vacuum, odd, skip): its (source,
+    signed coefficient, destination) entries in the order the walk meets
+    them, its ket size, its (mode, entry) vacuum entries, whether its subset
+    is odd, and the step after its subtree.  `signs` gives, per factor, the
+    (mode, spin, ladder sign) of each signed coefficient.  `rests` lists the
+    remaining sets of the partition sum, each after the ones it uses: its
+    length and a (step, rest, negate) entry per block.  Entries are stored
+    flat, one tuple of ints per step or rest.  `maps` are the register
+    ladders the walk read, and `size` counts the entries.
+    """
+
+    maps: tuple
+    signs: tuple
+    steps: tuple
+    rests: tuple
+    size: int
+
+
+def _compile_plan(maps: tuple, modes: int) -> _Plan:
+    """The plan of a word whose factor k acts by the register maps maps[k][spin]."""
+    steps: list = []
+    signs: list[dict] = [{} for _ in maps]
+    blocks: list[list] = [[] for _ in maps]
+
+    def descend(keys: list, parent: int, mask: int, low: int) -> None:
+        # keys are the entries of A_b1 ... A_bm |vac> for mask = {b1 < ... < bm},
+        # low = b1; prepending a smaller factor visits every subset once
+        for k in range(low):
+            index: dict = {}
+            entries = []
+            for a, (i, r) in enumerate(keys):
+                for s in (0, 1):
+                    hit = maps[k][s].get(r)
+                    if hit is not None:
+                        row, sign = hit
+                        c = signs[k].setdefault((i, s, sign), len(signs[k]))
+                        entries += a, c, index.setdefault((i, row), len(index))
+            if not entries:
+                continue  # every superset that prepends factors to it vanishes too
+            block = mask | 1 << k
+            vacuum = []
+            for i in range(modes):
+                if (i, VACUUM_INDEX) in index:
+                    vacuum += i, index[(i, VACUUM_INDEX)]
+            at = len(steps)
+            steps.append(None)
+            if vacuum:
+                blocks[k].append((block, at))
+            descend(list(index), at + 1, block, k)
+            steps[at] = (parent, k, tuple(entries), len(index), tuple(vacuum),
+                         block.bit_count() % 2 == 1, len(steps))
+
+    descend([(i, VACUUM_INDEX) for i in range(modes)], 0, 0, len(maps))
+    rests: list = []
+    where = {0: 0}  # a remaining set's place among the sums, 0 the empty set
+
+    def split(rest: int) -> int:
+        # split off the block holding the smallest remaining factor
+        if rest not in where:
+            entries = []
+            for block, at in blocks[(rest & -rest).bit_length() - 1]:
+                if block & ~rest:
+                    continue
+                left = rest & ~block
+                # the shuffle that moves the block to the front passes, for each
+                # of its factors, every remaining factor ahead of it
+                swaps = sum((left & ((1 << k) - 1)).bit_count()
+                            for k in range(block.bit_length()) if block >> k & 1)
+                entries += at, split(left), swaps % 2 == 1
+            rests.append((rest.bit_count() + 1, tuple(entries)))
+            where[rest] = len(rests)
+        return where[rest]
+
+    split((1 << len(maps)) - 1)
+    size = (sum(len(step[2]) // 3 + len(step[4]) // 2 for step in steps)
+            + sum(len(entries) // 3 for _, entries in rests))
+    return _Plan(maps, tuple(tuple(table) for table in signs), tuple(steps), tuple(rests), size)
+
+
+# the plan entries the cache keeps, at most about 9 MB of plans: an order-8
+# overlap on 5 modes has 76 596 entries (2.5 MB), a default report's 22
+# plans 539 in all
+PLAN_CACHE_ENTRIES = 1 << 18
+
+
+class _PlanCache:
+    """Least recently used plans by (word, modes), bounded by the entries they hold."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.plans: OrderedDict = OrderedDict()
+        self.entries = 0
+        self._lock = threading.Lock()  # the plans and their entry count change together
+
+    def plan(self, word: tuple, modes: int) -> _Plan:
+        maps = tuple((_LADDERS[(species, 0, dagger)], _LADDERS[(species, 1, dagger)])
+                     for species, dagger in word)
+        key = (word, modes)
+        with self._lock:
+            plan = self.plans.pop(key, None)
+            if plan is not None:
+                self.entries -= plan.size
+            if plan is None or plan.maps != maps:
+                plan = _compile_plan(maps, modes)
+            if plan.size <= self.capacity:
+                self.plans[key] = plan
+                self.entries += plan.size
+                while self.entries > self.capacity:
+                    self.entries -= self.plans.popitem(last=False)[1].size
+        return plan
+
+
+_PLANS = _PlanCache(PLAN_CACHE_ENTRIES)
+
+
 def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
                     ops: list[OpSpec], exact: bool):
     """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
 
-    Returns (blocks, shift, zero, one): blocks[k] lists (mask, omega) for the
-    subsets whose smallest factor is k, every one of even size.
+    Returns (plan, moments, shift, zero, one): moments[t] is omega of the
+    subset of plan step t, None where it is zero, as on every odd subset.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -360,8 +521,8 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             raise PreconditionError("exact rational path requires a one-mode lattice")
         zero, one = _ExactComplex(0), _ExactComplex(1)
         # sqrt(w) O is a pure phase by normalization and cancels between bra
-        # and ket, so the vacuum coefficient is fixed to 1
-        root_coeff = [one]
+        # and ket, so the vacuum coefficient is fixed to 1 and weighs nothing
+        root_coeff, weights = [one], None
     else:
         if profile is None:
             raise PreconditionError("float path needs a vacuum profile")
@@ -369,9 +530,10 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
         root_coeff = [
             complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
         ]
+        weights = [c.conjugate() for c in root_coeff]
 
-    # per factor: coefficient tables coeffs[i][s] and register column maps per
-    # spin; exact tables are Gaussian integers, factor j's scaled by 2**shift_j
+    # per factor: coefficient tables coeffs[i][s]; exact tables are Gaussian
+    # integers, factor j's scaled by 2**shift_j
     factors = []
     shift = 0
     for spec in ops:
@@ -380,98 +542,92 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             raise ShapeError(f"amplitude table must be ({modes}, 2), got {amp.shape}")
         if spec.species not in ("b", "d"):
             raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
-        if not np.all(np.isfinite(amp)):
+        if not np.isfinite(amp).all():
             raise PreconditionError("amplitude table must be finite")
         table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
         if exact:
             row, op_shift = _dyadic_lift(table[0])
-            coeffs = [row]
+            factors.append([row])
             shift += op_shift
         else:
-            coeffs = [[complex(table[i, s]) for s in (0, 1)] for i in range(modes)]
-        factors.append((coeffs, [_LADDERS[(spec.species, s, spec.dagger)] for s in (0, 1)]))
+            factors.append([[complex(table[i, s]) for s in (0, 1)] for i in range(modes)])
 
-    def apply(k: int, vec: dict) -> dict:
-        coeffs, maps = factors[k]
-        out: dict = {}
-        for (i, r), val in vec.items():
-            for s in (0, 1):
-                hit = maps[s].get(r)
-                if hit is not None:
-                    row, sign = hit
-                    term = coeffs[i][s] * sign * val
-                    key = (i, row)
-                    out[key] = out[key] + term if key in out else term
-        return {key: val for key, val in out.items() if val}
-
-    blocks: list[list] = [[] for _ in ops]
-
-    def descend(vec: dict, mask: int, low: int) -> None:
-        # vec = A_b1 ... A_bm |vac> for mask = {b1 < ... < bm}, low = b1;
-        # prepending a smaller factor visits every subset once
-        for k in range(low):
-            ket = apply(k, vec)
-            if not ket:
-                continue  # every superset that prepends factors to it vanishes too
-            block = mask | 1 << k
-            moment = zero
-            for i in range(modes):
-                val = ket.get((i, VACUUM_INDEX))
-                if val is not None:
-                    moment = moment + root_coeff[i].conjugate() * val
-            if moment:
-                if block.bit_count() % 2:
-                    # register parity forces odd products to vanish on the vacuum
-                    raise PreconditionError("odd operator product gave a nonzero vacuum moment")
-                blocks[k].append((block, moment))
-            descend(ket, block, k)
-
-    descend({(i, VACUUM_INDEX): root_coeff[i] for i in range(modes)}, 0, len(ops))
-    return blocks, shift, zero, one
+    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
+    # the ladder signs folded into each factor's coefficients
+    if exact:
+        tables = [[coeffs[i][s].scaled(sign) for i, s, sign in signs]
+                  for coeffs, signs in zip(factors, plan.signs)]
+    else:
+        tables = [[coeffs[i][s] * sign for i, s, sign in signs]
+                  for coeffs, signs in zip(factors, plan.signs)]
+    kets = [root_coeff] + [None] * len(plan.steps)
+    moments = [None] * len(plan.steps)
+    t = 0
+    while t < len(plan.steps):
+        parent, k, entries, size, vacuum, odd, skip = plan.steps[t]
+        src, table = kets[parent], tables[k]
+        ket = [None] * size
+        flat = iter(entries)
+        for a, c, d in zip(flat, flat, flat):
+            val = src[a]
+            if val:  # zero entries give no term
+                term = table[c] * val
+                ket[d] = term if ket[d] is None else ket[d] + term
+        if not any(ket):
+            t = skip  # every superset that prepends factors to it vanishes too
+            continue
+        kets[t + 1] = ket
+        moment = zero
+        flat = iter(vacuum)
+        for i, d in zip(flat, flat):
+            val = ket[d]
+            if val:
+                moment = moment + (val if weights is None else weights[i] * val)
+        if moment:
+            if odd:
+                # register parity forces odd products to vanish on the vacuum
+                raise PreconditionError("odd operator product gave a nonzero vacuum moment")
+            moments[t] = moment
+        t += 1
+    return plan, moments, shift, zero, one
 
 
 def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
                          ops: list[OpSpec], exact: bool) -> _Expansion:
     """Sum the moments over set partitions of the factors, by block count; no N enters."""
-    blocks, shift, zero, one = _vacuum_moments(space, profile, ops, exact)
-    memo = {0: [one]}
-
-    def sums(rest: int) -> list:
-        # split off the block holding the smallest remaining factor
-        if rest in memo:
-            return memo[rest]
-        out = [zero] * (rest.bit_count() + 1)
-        for block, moment in blocks[(rest & -rest).bit_length() - 1]:
-            if block & ~rest:
+    plan, moments, shift, zero, one = _vacuum_moments(space, profile, ops, exact)
+    sums = [[one]]
+    for length, entries in plan.rests:
+        out = [zero] * length
+        flat = iter(entries)
+        for t, left, negate in zip(flat, flat, flat):
+            moment = moments[t]
+            if moment is None:
                 continue
-            left = rest & ~block
-            # the shuffle that moves the block to the front passes, for each of
-            # its factors, every remaining factor ahead of it
-            swaps = sum((left & ((1 << k) - 1)).bit_count()
-                        for k in range(block.bit_length()) if block >> k & 1)
-            term = moment * (-1 if swaps % 2 else 1)
-            for j, coeff in enumerate(sums(left)):
+            for j, coeff in enumerate(sums[left], 1):
                 if coeff:
-                    out[j + 1] = out[j + 1] + term * coeff
-        memo[rest] = out
-        return out
-
-    return _Expansion(len(ops), exact, sums((1 << len(ops)) - 1), shift)
+                    out[j] = out[j] - moment * coeff if negate else out[j] + moment * coeff
+        sums.append(out)
+    return _Expansion(len(ops), exact, sums[-1], shift)
 
 
 def _evaluate(expansion: _Expansion, n: int):
-    """N^(-K/2) sum_j (N)_j c_j: complex, or an exact rational _ExactComplex."""
+    """N^(-K/2) sum_j (N)_j c_j: complex, or an exact rational _ExactQuotient."""
     # (N)_j = 0 drops partitions into more blocks than oscillators; odd
     # products have no partition into even blocks and vanish at any scale
     half = expansion.nops // 2
-    total = _ExactComplex(0) if expansion.exact else 0j
+    if expansion.exact:
+        total = _ExactComplex(0)
+        for j, coeff in enumerate(expansion.coeffs):
+            if coeff:
+                total = total + coeff.scaled(math.perm(n, j))
+        # the dyadic scale and the deferred 1/sqrt(N) per factor
+        return _ExactQuotient(total, n**half << expansion.shift)
+    total = 0j
     try:
         for j, coeff in enumerate(expansion.coeffs):
             if coeff:
                 total = total + coeff * math.perm(n, j)
-        if expansion.exact:
-            # the dyadic scale and the deferred 1/sqrt(N) per factor
-            return _exact_quotient(total, n**half << expansion.shift)
         value = total * (1.0 / n**half)
     except OverflowError:  # (N)_j or N^(K/2) past the float range
         value = complex("inf")
@@ -564,7 +720,8 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     (the limit by `_bareiss_det`), lest float noise fake non-monotone
     deviations; any other lattice runs in floats (the limit by `slater_limit`).
     """
-    if list(n_list) != sorted(n_list) or len(n_list) == 0 or n_list[0] < 1:
+    n_list = [_oscillator_count(n) for n in n_list]
+    if n_list != sorted(n_list) or len(n_list) == 0 or n_list[0] < 1:
         raise ConfigError("n_list must be a nonempty ascending list of positive integers")
     ops = overlap_product_ops(fs, gs)
     m = len(fs)
@@ -575,7 +732,7 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     expansion = _partition_expansion(space, profile, ops, exact)
     if exact:
         gram, shift = _gram_exact(fs, gs)
-        limit_value = _exact_quotient(_bareiss_det(gram), 1 << shift)
+        limit_value = _ExactQuotient(_bareiss_det(gram), 1 << shift)
     else:
         limit_value = slater_limit(lattice, profile, fs, gs)
     limit = complex(limit_value)

@@ -6,7 +6,11 @@ those fit, exact-rational against float arithmetic, and the closed-form
 limits.
 """
 
+import contextlib
+import functools
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -79,12 +83,19 @@ def tables_1mode(count):
 # --- extension maps
 
 
-def test_nregister_validation(single_space):
+def test_nregister_validation(single_space, single_profile):
     with pytest.raises(ConfigError):
         NRegister(single_space, 0)
     nreg = NRegister(single_space, 3)
     assert nreg.factor_dim == 16
     assert nreg.dim == 16**3
+    # N is an integer: a float is not rounded, and a bool is no count
+    for bad in (2.5, 2.0, True, np.True_, "3", None):
+        with pytest.raises(ConfigError, match="^oscillator count must be an integer"):
+            NRegister(single_space, bad)
+    nreg = NRegister(single_space, np.int64(3))
+    assert type(nreg.n) is int and nreg.dim == 16**3
+    assert vacuum_matrix_element(NRegister(single_space, np.int8(100)), single_profile, []) == 1
 
 
 def test_extend_operator_formula(double_space, rng):
@@ -504,6 +515,275 @@ def test_opspec_validation(single_space, single_profile, rng):
         vacuum_matrix_element(nreg, single_profile, [OpSpec(np.full((1, 2), np.nan), "b", False)])
 
 
+# --- the compiled plan against the walk it replaced
+
+
+def _times(x, k):
+    """x times the integer k: a complex product, or a scaled Gaussian integer."""
+    return x.scaled(k) if isinstance(x, noscillator._ExactComplex) else x * k
+
+
+def _reference_expansion(space, profile, ops, exact):
+    """The dict walk and memoized partition sum that the compiled plan replaced.
+
+    Moments of the ordered sub-products come from one register product per
+    subset, visited depth first with zero entries dropped; the partition sum
+    is memoized over the remaining factors.  The plan's value pass makes the
+    same float operations in the same order, except that it adds or
+    subtracts moment * coeff where this walk first multiplies the moment by
+    the shuffle sign; moments and sums never hold a negative zero, so the
+    two agree bit for bit.
+    """
+    lattice = space.lattice
+    modes = lattice.size
+    if exact:
+        zero, one = noscillator._ExactComplex(0), noscillator._ExactComplex(1)
+        root_coeff = [one]
+    else:
+        zero, one = 0.0 + 0j, 1.0 + 0j
+        root_coeff = [
+            complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
+        ]
+    factors = []
+    shift = 0
+    for spec in ops:
+        amp = np.asarray(spec.amplitude)
+        table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
+        if exact:
+            row, op_shift = noscillator._dyadic_lift(table[0])
+            coeffs = [row]
+            shift += op_shift
+        else:
+            coeffs = [[complex(table[i, s]) for s in (0, 1)] for i in range(modes)]
+        factors.append((coeffs, [noscillator._LADDERS[(spec.species, s, spec.dagger)]
+                                 for s in (0, 1)]))
+
+    def apply(k, vec):
+        coeffs, maps = factors[k]
+        out = {}
+        for (i, r), val in vec.items():
+            for s in (0, 1):
+                hit = maps[s].get(r)
+                if hit is not None:
+                    row, sign = hit
+                    term = _times(coeffs[i][s], sign) * val
+                    key = (i, row)
+                    out[key] = out[key] + term if key in out else term
+        return {key: val for key, val in out.items() if val}
+
+    blocks = [[] for _ in ops]
+
+    def descend(vec, mask, low):
+        for k in range(low):
+            ket = apply(k, vec)
+            if not ket:
+                continue
+            block = mask | 1 << k
+            moment = zero
+            for i in range(modes):
+                val = ket.get((i, VACUUM_INDEX))
+                if val is not None:
+                    moment = moment + root_coeff[i].conjugate() * val
+            if moment:
+                assert block.bit_count() % 2 == 0
+                blocks[k].append((block, moment))
+            descend(ket, block, k)
+
+    descend({(i, VACUUM_INDEX): root_coeff[i] for i in range(modes)}, 0, len(ops))
+    memo = {0: [one]}
+
+    def sums(rest):
+        if rest in memo:
+            return memo[rest]
+        out = [zero] * (rest.bit_count() + 1)
+        for block, moment in blocks[(rest & -rest).bit_length() - 1]:
+            if block & ~rest:
+                continue
+            left = rest & ~block
+            swaps = sum((left & ((1 << k) - 1)).bit_count()
+                        for k in range(block.bit_length()) if block >> k & 1)
+            term = _times(moment, -1 if swaps % 2 else 1)
+            for j, coeff in enumerate(sums(left)):
+                if coeff:
+                    out[j + 1] = out[j + 1] + term * coeff
+        memo[rest] = out
+        return out
+
+    return noscillator._Expansion(len(ops), exact, sums((1 << len(ops)) - 1), shift)
+
+
+def _bits(expansion):
+    """The coefficients as exact integers, or as the hex of each float part."""
+    if expansion.exact:
+        parts = [(c.re, c.im) for c in expansion.coeffs]
+    else:
+        parts = [(c.real.hex(), c.imag.hex()) for c in expansion.coeffs]
+    return expansion.nops, expansion.exact, parts, expansion.shift
+
+
+@functools.cache
+def _engine_space(modes):
+    """The one-, two- and three-mode lattices of the expansion tests, with their profiles."""
+    lattice = rapidity_lattice(1, 0.4, 1.0)
+    lattice = {1: rapidity_lattice(0, 0.4, 1.0), 2: restricted_lattice(lattice, (0, 2)),
+               3: lattice}[modes]
+    return SingleOscillatorSpace(lattice), uniform_profile(lattice)
+
+
+@contextlib.contextmanager
+def _plan_cache(capacity=noscillator.PLAN_CACHE_ENTRIES):
+    """A fresh plan cache for the duration of the block."""
+    saved = noscillator._PLANS
+    noscillator._PLANS = noscillator._PlanCache(capacity)
+    try:
+        yield noscillator._PLANS
+    finally:
+        noscillator._PLANS = saved
+
+
+# exact zeros are drawn often: they drop ket entries and moments
+_plan_entries = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _products(draw):
+    """A mode count and a product of K = 0..8 factors, or an overlap product.
+
+    Tables come from a pool of at most three, so factors repeat and give
+    nilpotent products.
+    """
+    modes = draw(st.integers(1, 3))
+    table = st.lists(_plan_entries, min_size=4 * modes, max_size=4 * modes).map(
+        lambda xs: (np.array(xs[::2]) + 1j * np.array(xs[1::2])).reshape(modes, 2))
+    pool = draw(st.lists(table, min_size=1, max_size=3))
+    pick = st.sampled_from(pool)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        return modes, overlap_product_ops([draw(pick) for _ in range(m)],
+                                          [draw(pick) for _ in range(m)],
+                                          species=draw(st.sampled_from("bd")))
+    return modes, [OpSpec(draw(pick), draw(st.sampled_from("bd")), draw(st.booleans()))
+                   for _ in range(draw(st.integers(0, 8)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_products())
+def test_plan_expansion_equals_the_walk_bitwise(case):
+    modes, ops = case
+    space, profile = _engine_space(modes)
+    for exact in ((False, True) if modes == 1 else (False,)):
+        want = _bits(_reference_expansion(space, profile, ops, exact))
+        with _plan_cache():
+            cold = noscillator._partition_expansion(space, profile, ops, exact)
+            warm = noscillator._partition_expansion(space, profile, ops, exact)
+        assert _bits(cold) == want
+        assert _bits(warm) == want
+
+
+def _word_plan(space, profile, ops):
+    return noscillator._vacuum_moments(space, profile, ops, False)[0]
+
+
+def test_one_plan_per_word_serves_every_table(rng):
+    space, profile = _engine_space(1)
+    products = [overlap_product_ops([random_table(rng, 1) for _ in range(3)],
+                                    [random_table(rng, 1) for _ in range(3)]) for _ in range(2)]
+    with _plan_cache() as cache:
+        plans = [_word_plan(space, profile, ops) for ops in products]
+        assert plans[0] is plans[1]
+        assert len(cache.plans) == 1
+        got = [noscillator._partition_expansion(space, None, ops, True) for ops in products]
+    want = [_reference_expansion(space, None, ops, True) for ops in products]
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    assert _bits(got[0]) != _bits(got[1])
+
+
+def test_one_word_on_two_mode_counts_has_two_plans(rng):
+    fs, gs = [random_table(rng, 2) for _ in range(2)], [random_table(rng, 2) for _ in range(2)]
+    products = {1: overlap_product_ops([f[:1] for f in fs], [g[:1] for g in gs]),
+                2: overlap_product_ops(fs, gs)}
+    word = tuple((op.species, op.dagger) for op in products[1])
+    with _plan_cache() as cache:
+        for modes, ops in products.items():
+            space, profile = _engine_space(modes)
+            got = noscillator._partition_expansion(space, profile, ops, False)
+            assert _bits(got) == _bits(_reference_expansion(space, profile, ops, False))
+        assert set(cache.plans) == {(word, 1), (word, 2)}
+        assert cache.plans[(word, 1)].size < cache.plans[(word, 2)].size
+
+
+def test_a_full_plan_cache_evicts_and_results_hold(rng):
+    space, profile = _engine_space(2)
+    products = [overlap_product_ops([random_table(rng, 2) for _ in range(m)],
+                                    [random_table(rng, 2) for _ in range(m)], species=species)
+                for m in (1, 2, 3) for species in "bd"]
+    want = [_bits(_reference_expansion(space, profile, ops, False)) for ops in products]
+    with _plan_cache() as cache:
+        sizes = [_word_plan(space, profile, ops).size for ops in products]
+    # room for the two largest plans but not for every plan
+    capacity = sum(sorted(sizes)[-2:])
+    with _plan_cache(capacity) as cache:
+        for _ in range(2):
+            for ops, expected in zip(products, want):
+                got = noscillator._partition_expansion(space, profile, ops, False)
+                assert _bits(got) == expected
+                assert cache.entries == sum(plan.size for plan in cache.plans.values())
+                assert cache.entries <= capacity
+        assert 0 < len(cache.plans) < len(products)
+        # the most recently used plan stays
+        last = tuple((op.species, op.dagger) for op in products[-1])
+        assert list(cache.plans)[-1] == (last, 2)
+    # a plan larger than the whole cache runs and is not kept
+    with _plan_cache(min(sizes) - 1) as cache:
+        assert _bits(noscillator._partition_expansion(space, profile, products[0], False)) == want[0]
+        assert not cache.plans and cache.entries == 0
+
+
+def test_threads_share_a_small_plan_cache(rng):
+    space, profile = _engine_space(2)
+    products = [overlap_product_ops([random_table(rng, 2) for _ in range(m)],
+                                    [random_table(rng, 2) for _ in range(m)], species=species)
+                for m in (1, 2, 3) for species in "bd"]
+    want = [_bits(_reference_expansion(space, profile, ops, False)) for ops in products]
+    errors = []
+
+    def work(offset):
+        try:
+            for r in range(12):
+                k = (offset + r) % len(products)
+                got = noscillator._partition_expansion(space, profile, products[k], False)
+                if _bits(got) != want[k]:
+                    errors.append(f"word {k} differs")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # room for about two of the six plans, so threads evict each other's
+        with _plan_cache(2 * _word_plan(space, profile, products[-1]).size) as cache:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert cache.entries == sum(plan.size for plan in cache.plans.values())
+            assert cache.entries <= cache.capacity
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_the_factor_budget_stops_before_a_plan(single_space, single_profile, rng):
+    ops = [OpSpec(random_table(rng, 1), "bd"[k % 2], bool(k % 3)) for k in range(17)]
+    with _plan_cache() as cache:
+        for exact in (False, True, False):
+            with pytest.raises(ResourceLimitError):
+                noscillator._partition_expansion(single_space, single_profile, ops, exact)
+        assert not cache.plans
+
+
 # --- scalar products and limits
 
 
@@ -579,7 +859,7 @@ def test_bareiss_det_equals_permutation_sum(rng, m):
         if m > 1:
             swapped[-1][0] = noscillator._ExactComplex(0, 1)
         # entries past the float range: no pivot may be chosen by magnitude
-        huge = [[entry * 2**1100 for entry in row] for row in gram]
+        huge = [[entry.scaled(2**1100) for entry in row] for row in gram]
         # a zero first column, and two equal rows: det 0
         empty_column = [[zero] + row[1:] for row in gram]
         cases = [gram, swapped, huge, empty_column]
@@ -661,6 +941,12 @@ def test_convergence_report_validation(single_space, single_profile, rng):
         determinant_limit_convergence(single_space, single_profile, f, g, [4, 2])
     with pytest.raises(ConfigError):
         determinant_limit_convergence(single_space, single_profile, f, g, [])
+    for n_list in ([2, 2.5], [True, 2], [2.0], [1, np.True_]):
+        with pytest.raises(ConfigError, match="^oscillator count must be an integer"):
+            determinant_limit_convergence(single_space, single_profile, f, g, n_list)
+    rep = determinant_limit_convergence(single_space, single_profile, f, g,
+                                        [np.int64(2), np.int8(100)])
+    assert [(type(r.n), r.n) for r in rep.records] == [(int, 2), (int, 100)]
     with pytest.raises(ResourceLimitError):
         determinant_limit_convergence(single_space, single_profile, f * (MAX_SLATER_ORDER + 1),
                                       g * (MAX_SLATER_ORDER + 1), [2])
