@@ -4,11 +4,11 @@
 For each requested order M the script draws seeded random smearing
 amplitudes, evaluates <O_N| c(f_M)..c(f_1) c(g_1)'..c(g_M)' |O_N> for each
 N in the sweep list, and compares with det of the Z-weighted Gram matrix.
-On a one-mode lattice the evaluation is exact (rational arithmetic) and the
-deviation is identically zero at every N; with two or three modes the
-deviation decays like 1/N, which is the regime worth plotting.  Above
-M = 2 x modes the Gram matrix is singular and the limit is 0; the script
-notes such orders on stderr.
+On a one-mode lattice the evaluation is exact (Gaussian integers over a
+power of two) and the deviation is identically zero at every N; with two or
+three modes the deviation decays like 1/N, which is the regime worth
+plotting.  Above M = 2 x modes the Gram matrix is singular and the limit
+is 0; the script notes such orders on stderr.
 
 Typical use:
 
@@ -98,10 +98,14 @@ def main(argv=None) -> int:
               "up to rounding and the deviations measure no convergence", file=sys.stderr)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"seed": args.seed, "modes": args.modes, "records": rows},
-                      handle, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump({"seed": args.seed, "modes": args.modes, "records": rows},
+                          handle, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"cannot write records to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(rows)} records to {args.out}")
     return 0
 

@@ -60,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         payload = render_text(report) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            print(f"cannot write report to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if report["overall_pass"] else 1

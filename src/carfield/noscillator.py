@@ -40,7 +40,6 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -293,14 +292,6 @@ class _ExactQuotient:
         self.num = num
         self.den = den
 
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.num.re, self.den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.num.im, self.den)
-
     def __sub__(self, other):
         return _ExactQuotient(self.num.scaled(other.den) - other.num.scaled(self.den),
                               self.den * other.den)
@@ -395,19 +386,19 @@ class _Plan(NamedTuple):
     (mode, spin, ladder sign) of each signed coefficient.  `rests` lists the
     remaining sets of the partition sum, each after the ones it uses: its
     length and a (step, rest, negate) entry per block.  Entries are stored
-    flat, one tuple of ints per step or rest.  `maps` are the register
-    ladders the walk read, and `size` counts the entries.
+    flat, one tuple of ints per step or rest, and `size` counts them.
     """
 
-    maps: tuple
     signs: tuple
     steps: tuple
     rests: tuple
     size: int
 
 
-def _compile_plan(maps: tuple, modes: int) -> _Plan:
-    """The plan of a word whose factor k acts by the register maps maps[k][spin]."""
+def _compile_plan(word: tuple, modes: int) -> _Plan:
+    """The plan of a (species, dagger) word on `modes` lattice modes."""
+    maps = [(_LADDERS[(species, 0, dagger)], _LADDERS[(species, 1, dagger)])
+            for species, dagger in word]
     steps: list = []
     signs: list[dict] = [{} for _ in maps]
     blocks: list[list] = [[] for _ in maps]
@@ -464,7 +455,7 @@ def _compile_plan(maps: tuple, modes: int) -> _Plan:
     split((1 << len(maps)) - 1)
     size = (sum(len(step[2]) // 3 + len(step[4]) // 2 for step in steps)
             + sum(len(entries) // 3 for _, entries in rests))
-    return _Plan(maps, tuple(tuple(table) for table in signs), tuple(steps), tuple(rests), size)
+    return _Plan(tuple(tuple(table) for table in signs), tuple(steps), tuple(rests), size)
 
 
 # the plan entries the cache keeps, at most about 9 MB of plans: an order-8
@@ -483,15 +474,13 @@ class _PlanCache:
         self._lock = threading.Lock()  # the plans and their entry count change together
 
     def plan(self, word: tuple, modes: int) -> _Plan:
-        maps = tuple((_LADDERS[(species, 0, dagger)], _LADDERS[(species, 1, dagger)])
-                     for species, dagger in word)
         key = (word, modes)
         with self._lock:
             plan = self.plans.pop(key, None)
-            if plan is not None:
+            if plan is None:
+                plan = _compile_plan(word, modes)
+            else:
                 self.entries -= plan.size
-            if plan is None or plan.maps != maps:
-                plan = _compile_plan(maps, modes)
             if plan.size <= self.capacity:
                 self.plans[key] = plan
                 self.entries += plan.size

@@ -94,29 +94,36 @@ def _exp2(a: np.ndarray) -> np.ndarray:
     return sparse.prune_array(exponential(sparse.prune_array(a)))
 
 
-def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
-    """exp(b'(a_b)b + d'(a_d)d) assembled from the closed block form.
+def pair_unitary(u_b: np.ndarray, u_d: np.ndarray) -> np.ndarray:
+    """Gamma(u_b) Gamma(u_d), the register operator of per-species 2x2 mixings.
 
-    Quadratic forms preserve particle number per species, so the exponential
-    factorizes over the b-pair and d-pair subspaces, which commute, and only
-    needs B = e^A per species.  On one pair, in the basis (ee, eg, ge, gg),
-    the doubly-excited amplitude picks up det B, the one-particle block is B
-    in spin order (-, +), and the empty sector is fixed.  B comes from the
-    closed 2x2 form of `_exp2`, so a check against `sparse.dense_exponential`
-    of the 16x16 generator compares two independent algorithms.  The kron of
-    the two blocks is an einsum: numpy's complex multiply may fuse a
-    multiply-add, einsum's does not.
+    For unitary u, Gamma(u)' c_s Gamma(u) = sum_s' u[s, s'] c_s' on its
+    species.  Gamma preserves particle number per species, so it factorizes
+    over the b-pair and d-pair subspaces, which commute.  On one pair, in
+    the basis (ee, eg, ge, gg), the doubly-excited amplitude picks up det u,
+    the one-particle block is u in spin order (-, +), and the empty sector
+    is fixed.  The kron of the two blocks is an einsum: numpy's complex
+    multiply may fuse a multiply-add, einsum's does not.
     """
     blocks = []
-    for a in (a_b, a_d):
-        b = _exp2(a)
+    for u in (u_b, u_d):
         block = np.zeros((4, 4), dtype=np.complex128)
-        block[0, 0] = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-        block[1:3, 1:3] = b
+        block[0, 0] = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        block[1:3, 1:3] = u
         block[3, 3] = 1.0
         blocks.append(sparse.prune_array(block))
     out = np.einsum("ij,kl->ikjl", *blocks).reshape(REGISTER_DIM, REGISTER_DIM)
     return sparse.prune_array(out)
+
+
+def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
+    """exp(b'(a_b)b + d'(a_d)d), the `pair_unitary` of e^(a_b) and e^(a_d).
+
+    Each e^A comes from the closed 2x2 form of `_exp2`, so a check against
+    `sparse.dense_exponential` of the 16x16 generator compares two
+    independent algorithms.
+    """
+    return pair_unitary(_exp2(a_b), _exp2(a_d))
 
 
 def quadratic_generator(reg: JWRegister, a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:

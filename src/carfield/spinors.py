@@ -33,9 +33,6 @@ PAULI = (
 
 ON_SHELL_RTOL = 1e-12
 FALLBACK_THRESHOLD = 1e-8
-# mixing_generator's eigenvalues must keep this distance from the closed
-# negative real axis, where the principal logarithm is cut
-LOG_BRANCH_GUARD = 1e-8
 SPIN_MINUS = 0
 SPIN_PLUS = 1
 
@@ -248,7 +245,7 @@ def wigner_matrix(lam: np.ndarray, p: FourMomentum) -> np.ndarray:
 
 
 def exponential(a: np.ndarray) -> np.ndarray:
-    """e^A of a 2x2 matrix in closed form, the inverse of mixing_generator.
+    """e^A of a 2x2 matrix in closed form.
 
     With c = tr A / 2 and B = A - c id, B^2 = s^2 id for s^2 = B00^2 + B01 B10,
     so
@@ -271,41 +268,6 @@ def exponential(a: np.ndarray) -> np.ndarray:
     if s == 0:
         return np.exp(c) * (np.eye(2) + b)
     return np.exp(c) * (np.cosh(s) * np.eye(2) + np.sinh(s) / s * b)
-
-
-def mixing_generator(u: np.ndarray) -> np.ndarray:
-    """A with e^A = u, principal branch, in closed form for a 2x2 matrix.
-
-    With c = tr u / 2 and B = u - c id, B^2 = s^2 id for s^2 = B00^2 + B01 B10,
-    so the eigenvalues are c +- s and
-
-        log u = (log(c + s) + log(c - s)) / 2 id + (log(c + s) - log(c - s)) / (2 s) B,
-
-    which at s = 0 is its limit log(c) id + B / c.  A diagonal u takes the
-    logarithm of each entry.  Each eigenvalue gets its principal logarithm,
-    imaginary part in (-pi, pi]; an eigenvalue closer than LOG_BRANCH_GUARD
-    to the negative real axis (or to 0) raises PreconditionError, because
-    there rounding decides the branch and 1/s blows up (u near -id).
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ShapeError(f"mixing generator needs a 2x2 matrix, got shape {u.shape}")
-    diagonal = u[0, 1] == 0 and u[1, 0] == 0
-    c = (u[0, 0] + u[1, 1]) / 2
-    b = u - c * np.eye(2)
-    s = np.sqrt(b[0, 0] ** 2 + b[0, 1] * b[1, 0])
-    lam = np.diag(u) if diagonal else np.array([c + s, c - s])
-    # distance of each eigenvalue from the closed negative real axis
-    if np.where(lam.real <= 0, np.abs(lam.imag), np.abs(lam)).min() < LOG_BRANCH_GUARD:
-        raise PreconditionError(
-            f"eigenvalues {lam} lie within {LOG_BRANCH_GUARD} of the logarithm's branch cut"
-        )
-    log_lam = np.log(lam)
-    if diagonal:
-        return np.diag(log_lam)
-    if s == 0:
-        return log_lam[0] * np.eye(2) + b / c
-    return (log_lam[0] + log_lam[1]) / 2 * np.eye(2) + (log_lam[0] - log_lam[1]) / (2 * s) * b
 
 
 def classical_solution(lattice, f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -41,14 +41,13 @@ from .register import (
     REGISTER_DIM,
     VACUUM_INDEX,
     number_operator,
-    pair_exponential,
+    pair_unitary,
 )
 from .sparse import worst_of
 from .spinors import (
     apply_lorentz_to_point,
     bispinor_rep,
     boost_z,
-    mixing_generator,
     wigner_matrix,
 )
 
@@ -105,7 +104,7 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
     wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
-    mixers = np.array([pair_exponential(g, g) for g in map(mixing_generator, wigner)])
+    mixers = np.array([pair_unitary(w, w) for w in wigner])
     return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps).pruned())
 
 

@@ -30,8 +30,7 @@ from carfield.modes import (
     shift_sources,
     smeared_annihilator,
 )
-from carfield.register import REGISTER_DIM, build_register, number_operator, pair_exponential
-from carfield.spinors import mixing_generator
+from carfield.register import REGISTER_DIM, build_register, number_operator, pair_unitary
 
 from conftest import random_table, zero_operator
 
@@ -151,7 +150,7 @@ def test_boost_unitary(default_space, steps):
     lattice = default_space.lattice
     js = lattice.j_values
     boost = symmetries.boost_unitary(default_space, steps)
-    mixers = [pair_exponential(g, g) for g in map(mixing_generator, boost.wigner)]
+    mixers = [pair_unitary(w, w) for w in boost.wigner]
     # |j + steps><j| x mixer(j + steps) for every j whose image stays on the lattice
     terms = [
         (col + steps, col, 1.0, mixers[col + steps])

@@ -11,9 +11,11 @@ from carfield.errors import PreconditionError
 from carfield.register import (
     REGISTER_DIM,
     VACUUM_INDEX,
+    _exp2,
     conjugation_report,
     number_operator,
     pair_exponential,
+    pair_unitary,
     quadratic_generator,
 )
 
@@ -122,6 +124,34 @@ def test_pair_exponential_species_factors_commute(rng):
 def test_pair_exponential_rejects_wrong_shape():
     with pytest.raises(PreconditionError):
         pair_exponential(np.eye(3), np.eye(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a_b=small_2x2(), a_d=small_2x2())
+def test_pair_unitary_of_exponentials_is_pair_exponential_bitwise(a_b, a_d):
+    for a in (a_b, np.diag(np.diag(a_b))):
+        got = pair_unitary(_exp2(a), _exp2(a_d))
+        assert np.array_equal(got, pair_exponential(a, a_d))
+
+
+def _random_su2(rng):
+    # a uniform unit quaternion (a, b, c, d) as [[a + ib, c + id], [-c + id, a - ib]]
+    q = rng.standard_normal(4)
+    q = q / np.linalg.norm(q)
+    return np.array([[q[0] + 1j * q[1], q[2] + 1j * q[3]],
+                     [-q[2] + 1j * q[3], q[0] - 1j * q[1]]])
+
+
+def test_pair_unitary_mixes_each_species(reg, rng):
+    # Gamma(u_b) Gamma(u_d) conjugates c_s to sum_s' u[s, s'] c_s' per species
+    for _ in range(20):
+        u_b, u_d = _random_su2(rng), _random_su2(rng)
+        gamma = pair_unitary(u_b, u_d)
+        for u, ladders in ((u_b, [reg.b_minus, reg.b_plus]), (u_d, [reg.d_minus, reg.d_plus])):
+            for s in range(2):
+                lhs = gamma.conj().T @ ladders[s] @ gamma
+                rhs = u[s, 0] * ladders[0] + u[s, 1] * ladders[1]
+                assert sparse.max_abs(lhs - rhs) <= 1e-14
 
 
 def test_conjugation_report_residuals(reg, rng):

@@ -75,7 +75,7 @@ def report_modules():
 
 
 def test_report_loads_no_scipy(report_modules):
-    # carfield owns its CSR type, exponentials and logarithms; scipy.sparse
+    # carfield owns its CSR type and exponentials; scipy.sparse
     # alone held about 22 MB of a report's 60 MB resident memory
     assert [name for name in report_modules if name.split(".")[0] == "scipy"] == []
 
@@ -85,3 +85,9 @@ def test_report_loads_no_numpy_random(report_modules):
     # extension modules and, through secrets and hashlib, OpenSSL's libcrypto
     assert [name for name in report_modules
             if name.startswith("numpy.random") or name in ("secrets", "hashlib")] == []
+
+
+def test_report_loads_no_fractions(report_modules):
+    # the exact path runs in Gaussian integers over a power of two; fractions
+    # would load decimal and its C extension into every report
+    assert [name for name in report_modules if name in ("fractions", "decimal")] == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -14,7 +14,7 @@ from carfield.errors import (
     UnsupportedMassError,
 )
 from carfield.modes import ModeBlocks, rapidity_lattice
-from carfield.register import pair_exponential
+from carfield.register import quadratic_generator
 
 momentum_components = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -205,51 +205,6 @@ def test_z_boosts_mix_no_spin_on_axis():
         assert np.max(np.abs(spinors.wigner_matrix(lam, p) - np.eye(2))) < 1e-12
 
 
-def test_mixing_generator_inverts_exponential(rng):
-    p = spinors.FourMomentum.from_spatial(*rng.uniform(-2, 2, 3), 1.0)
-    u = spinors.wigner_matrix(spinors.random_sl2c(rng), p)
-    a = spinors.mixing_generator(u)
-    assert np.max(np.abs(expm(a) - u)) < 1e-12
-    assert abs(np.trace(a)) < 1e-10  # su(2) generator
-
-
-def _assert_principal_generator(u):
-    a = spinors.mixing_generator(u)
-    assert np.max(np.abs(a - logm(u))) <= 1e-14
-    assert np.max(np.abs(expm(a) - u)) <= 1e-12
-    assert abs(np.trace(a)) <= 1e-10
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_mixing_generator_matches_logm_on_wigner_matrices(seed):
-    rng = np.random.default_rng(seed)
-    p = spinors.FourMomentum.from_spatial(*rng.uniform(-4, 4, 3), 1.0)
-    _assert_principal_generator(spinors.wigner_matrix(spinors.random_sl2c(rng), p))
-
-
-@settings(max_examples=100, deadline=None)
-@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)] * 3))
-def test_mixing_generator_matches_logm_on_su2(c):
-    # exp(i c.sigma) rotates by |c| <= sqrt(3), like random_sl2c's draws,
-    # away from the branch cut at angle pi; logm raises on subnormal angles,
-    # which test_mixing_generator_is_exact_on_tiny_z_rotations covers
-    _assert_principal_generator(expm(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI))))
-
-
-@settings(max_examples=100, deadline=None)
-@given(c=st.tuples(st.just(0.0), st.just(0.0), st.floats(-1e-200, 1e-200)))
-@example(c=(0.0, 0.0, 2.225073858507e-311))
-def test_mixing_generator_is_exact_on_tiny_z_rotations(c):
-    # at these angles cos c = 1 and sin c = c exactly and |e^{ic}| - 1 ~ c^2 / 2
-    # underflows, so both closed forms are exact; scipy's logm raises
-    # "R is not upper triangular" on the subnormal example
-    u = spinors.exponential(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI)))
-    a = spinors.mixing_generator(u)
-    assert np.array_equal(a, np.diag([1j * c[2], -1j * c[2]]))
-    assert np.array_equal(spinors.exponential(a), u)
-
-
 # --- the closed-form 2x2 exponential
 
 
@@ -286,53 +241,17 @@ def test_exponential_of_a_jordan_block():
         )
 
 
-@settings(max_examples=100, deadline=None)
-@given(c=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3))
-def test_exponential_inverts_mixing_generator(c):
-    u = expm(1j * sum(ck * pk for ck, pk in zip(c, spinors.PAULI)))
-    assert np.max(np.abs(spinors.exponential(spinors.mixing_generator(u)) - u)) <= 1e-14
-
-
-def test_mixing_generator_is_exact_on_diagonals(rng):
-    assert np.array_equal(spinors.mixing_generator(np.eye(2)), np.zeros((2, 2)))
-    for _ in range(50):
-        u = np.diag(np.exp(1j * rng.uniform(-3, 3, 2)))
-        got = spinors.mixing_generator(u)
-        assert np.array_equal(got, logm(u))
-        assert np.array_equal(got, np.diag(np.log(np.diag(u))))
-    # a Jordan block has s = 0 and a nonzero nilpotent part
-    jordan = np.array([[1.0, 0.5], [0.0, 1.0]])
-    assert np.array_equal(spinors.mixing_generator(jordan), [[0.0, 0.5], [0.0, 0.0]])
-    assert np.max(np.abs(logm(jordan) - spinors.mixing_generator(jordan))) <= 1e-15
-
-
-def test_mixing_generator_guards_the_branch_cut():
-    guard = spinors.LOG_BRANCH_GUARD
-    rotation = expm(0.3j * spinors.PAULI[0])
-    with pytest.raises(PreconditionError):
-        spinors.mixing_generator(-np.eye(2))
-    for angle in (np.pi, np.pi - guard / 2):
-        # rotations by the angle about z, and about a tilted axis
-        u = np.diag(np.exp([1j * angle, -1j * angle]))
-        with pytest.raises(PreconditionError):
-            spinors.mixing_generator(u)
-        with pytest.raises(PreconditionError):
-            spinors.mixing_generator(rotation @ u @ rotation.conj().T)
-    with pytest.raises(PreconditionError):
-        spinors.mixing_generator(np.diag([1.0, guard / 2]))
-    with pytest.raises(ShapeError):
-        spinors.mixing_generator(np.eye(3))
-    u = np.diag(np.exp([1j * (np.pi - 1e-6), -1j * (np.pi - 1e-6)]))
-    assert np.max(np.abs(expm(spinors.mixing_generator(u)) - u)) < 1e-12
-
-
-def test_boost_mixers_equal_logm_mixers_bitwise(default_space):
-    # a drifted mixer would also reach test_mode_blocks::test_boost_unitary,
-    # which builds its reference with mixing_generator itself
+def test_boost_mixers_match_dense_expm_of_logm(default_space, reg):
+    # Gamma(W) from the block assembler against scipy's dense exponential of
+    # the quadratic generator of log W; test_mode_blocks::test_boost_unitary
+    # pins the placement of the mixers
     for steps in range(-6, 7):
         boost = symmetries.boost_unitary(default_space, steps)
-        mixers = np.array([pair_exponential(logm(w), logm(w)) for w in boost.wigner])
-        assert np.array_equal(boost.unitary.stack, ModeBlocks(mixers, steps).pruned().stack)
+        dense = np.array([expm(quadratic_generator(reg, logm(w), logm(w)))
+                          for w in boost.wigner])
+        want = ModeBlocks(dense, steps).pruned()
+        assert boost.unitary.shift == want.shift
+        assert np.max(np.abs(boost.unitary.stack - want.stack)) <= 1e-14
 
 
 # --- classical solutions

@@ -212,6 +212,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    # the checks ran and passed; the report could not be written
+    for out in (tmp_path / "no_such_dir" / "r.json", tmp_path):
+        assert main(["--suite", "jw_car", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write report to {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _config_file(tmp_path, data):
     """Write a config given as a mapping, or as raw file text or bytes."""
     path = tmp_path / "cfg.json"
@@ -519,6 +529,16 @@ def test_sweep_script_budget_stop_exits_2(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("ResourceLimitError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_sweep_script_unwritable_out_exits_2(tmp_path, capsys):
+    sweep = _sweep_script()
+    for out in (tmp_path / "no_such_dir" / "sweep.json", tmp_path):
+        code = sweep.main(["--modes", "1", "--orders", "2", "--n", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot write records to {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_sweep_script_notes_zero_limit_by_rank(capsys):
