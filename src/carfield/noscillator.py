@@ -24,7 +24,10 @@ products:
   are compiled once into a cached plan, and a call runs only the arithmetic.
   On one-mode lattices, where the finite-N element equals the limiting
   determinant identically, it runs exactly, in Gaussian integers over a
-  power of two, and rounds once per float it returns.
+  power of two.  A Gaussian integer is a plain (re, im) pair of Python
+  ints, with the arithmetic written out in the loops, and a quotient is
+  such a pair over an int denominator; `_rounded` rounds each float part
+  once, and an exact value past the float range is a ResourceLimitError.
 
 The limiting determinant is a pivoted LU det in floats and, on one mode, a
 fraction-free (Bareiss) det in Gaussian integers.  The expansion's one
@@ -247,85 +250,43 @@ def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
 # set-partition expansion
 
 
-class _ExactComplex:
-    """Gaussian integer: a complex number with Python int parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return _ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return _ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scaled(self, k: int) -> _ExactComplex:
-        """The product with the integer k."""
-        return _ExactComplex(self.re * k, self.im * k)
-
-    def conjugate(self):
-        return _ExactComplex(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-
-class _ExactQuotient:
-    """The exact rational num / den, den > 0, kept as integers.
-
-    Each float part is one int true division, which rounds correctly, so it
-    equals float(Fraction(num.re, den)) with no gcd taken.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: _ExactComplex, den: int):
-        self.num = num
-        self.den = den
-
-    def __sub__(self, other):
-        return _ExactQuotient(self.num.scaled(other.den) - other.num.scaled(self.den),
-                              self.den * other.den)
-
-    def __complex__(self) -> complex:
-        return complex(self.num.re / self.den, self.num.im / self.den)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.num.re / self.den, self.num.im / self.den)
-
-
-def _dyadic_lift(values) -> tuple[list[_ExactComplex], int]:
+def _dyadic_lift(values: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Gaussian integers m_k and one shift t >= 0 with values[k] == m_k / 2**t exactly.
 
     Every finite float is p / 2**e with integer p, so a table of them shares
-    the largest e as one power of two.
+    the largest e as one power of two.  A Gaussian integer is an (re, im)
+    pair of Python ints.
     """
-    ratios = [(float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio())
-              for z in values]
-    shift = max(q.bit_length() - 1 for pair in ratios for _, q in pair)
-    full = 1 << shift
-    return [_ExactComplex(p_re * (full // q_re), p_im * (full // q_im))
-            for (p_re, q_re), (p_im, q_im) in ratios], shift
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in values.tolist()]
+    full = max(q for pair in ratios for _, q in pair)  # each q is a power of two
+    return [(p_re * (full // q_re), p_im * (full // q_im))
+            for (p_re, q_re), (p_im, q_im) in ratios], full.bit_length() - 1
 
 
-def _divide_exactly(num: _ExactComplex, den: _ExactComplex) -> _ExactComplex:
+def _rounded(num: tuple[int, int], den: int) -> complex:
+    """The exact quotient num / den, den > 0, with each part rounded once.
+
+    Int true division rounds correctly, so each part equals
+    float(Fraction(part, den)) with no gcd taken.  A part past the float
+    range is a ResourceLimitError.
+    """
+    try:
+        return complex(num[0] / den, num[1] / den)
+    except OverflowError:
+        raise ResourceLimitError("the exact value leaves the float range; "
+                                 "reduce the amplitudes") from None
+
+
+def _divide_exactly(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int]:
     """The Gaussian integer num / den; raises unless den divides num."""
-    prod, norm = num * den.conjugate(), den.re * den.re + den.im * den.im
-    if prod.re % norm or prod.im % norm:
+    (a, b), (c, d) = num, den
+    re, im, norm = a * c + b * d, b * c - a * d, c * c + d * d
+    if re % norm or im % norm:
         raise ArithmeticError("inexact division in fraction-free elimination")
-    return _ExactComplex(prod.re // norm, prod.im // norm)
+    return re // norm, im // norm
 
 
-def _bareiss_det(gram: list[list[_ExactComplex]]) -> _ExactComplex:
+def _bareiss_det(gram: list[list[tuple[int, int]]]) -> tuple[int, int]:
     """det of a square Gaussian-integer matrix by fraction-free (Bareiss) elimination.
 
     Each division by the previous pivot is exact, as Gaussian integers form an
@@ -334,19 +295,23 @@ def _bareiss_det(gram: list[list[_ExactComplex]]) -> _ExactComplex:
     """
     a = [list(row) for row in gram]
     m = len(a)
-    sign, prev = 1, _ExactComplex(1)
+    sign, prev = 1, (1, 0)
     for k in range(m):
-        pivot = next((r for r in range(k, m) if a[r][k]), None)
+        pivot = next((r for r in range(k, m) if a[r][k] != (0, 0)), None)
         if pivot is None:
-            return _ExactComplex(0)
+            return 0, 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        pr, pi = a[k][k]
         for i in range(k + 1, m):
+            lr, li = a[i][k]
             for j in range(k + 1, m):
-                a[i][j] = _divide_exactly(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-        prev = a[k][k]
-    return prev.scaled(sign)
+                (xr, xi), (ur, ui) = a[i][j], a[k][j]
+                a[i][j] = _divide_exactly((xr * pr - xi * pi - lr * ur + li * ui,
+                                           xr * pi + xi * pr - lr * ui - li * ur), prev)
+        prev = pr, pi
+    return prev[0] * sign, prev[1] * sign
 
 
 _REGISTER = build_register()
@@ -366,7 +331,10 @@ _LADDERS = {(species, spin, dagger): _ladder_map(species, spin, dagger)
 
 
 class _Expansion(NamedTuple):
-    """c_j, the N-independent sum over partitions into j blocks; exact ones carry 2**-shift."""
+    """c_j, the N-independent sum over partitions into j blocks.
+
+    Exact ones are (re, im) pairs of ints and carry 2**-shift.
+    """
 
     nops: int
     exact: bool
@@ -496,8 +464,9 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
                     ops: list[OpSpec], exact: bool):
     """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
 
-    Returns (plan, moments, shift, zero, one): moments[t] is omega of the
-    subset of plan step t, None where it is zero, as on every odd subset.
+    Returns (plan, moments, shift): moments[t] is omega of the subset of plan
+    step t, None where it is zero, as on every odd subset; an exact moment is
+    an (re, im) pair of ints carrying 2**-shift.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -508,21 +477,11 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
     if exact:
         if modes != 1:
             raise PreconditionError("exact rational path requires a one-mode lattice")
-        zero, one = _ExactComplex(0), _ExactComplex(1)
-        # sqrt(w) O is a pure phase by normalization and cancels between bra
-        # and ket, so the vacuum coefficient is fixed to 1 and weighs nothing
-        root_coeff, weights = [one], None
-    else:
-        if profile is None:
-            raise PreconditionError("float path needs a vacuum profile")
-        zero, one = 0.0 + 0j, 1.0 + 0j
-        root_coeff = [
-            complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
-        ]
-        weights = [c.conjugate() for c in root_coeff]
+    elif profile is None:
+        raise PreconditionError("float path needs a vacuum profile")
 
-    # per factor: coefficient tables coeffs[i][s]; exact tables are Gaussian
-    # integers, factor j's scaled by 2**shift_j
+    # per factor: coefficient tables coeffs[i][s]; an exact factor is its one
+    # mode's row of Gaussian integers, factor j's scaled by 2**shift_j
     factors = []
     shift = 0
     for spec in ops:
@@ -536,19 +495,21 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
         table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
         if exact:
             row, op_shift = _dyadic_lift(table[0])
-            factors.append([row])
+            factors.append(row)
             shift += op_shift
         else:
             factors.append([[complex(table[i, s]) for s in (0, 1)] for i in range(modes)])
 
     plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
-    # the ladder signs folded into each factor's coefficients
     if exact:
-        tables = [[coeffs[i][s].scaled(sign) for i, s, sign in signs]
-                  for coeffs, signs in zip(factors, plan.signs)]
-    else:
-        tables = [[coeffs[i][s] * sign for i, s, sign in signs]
-                  for coeffs, signs in zip(factors, plan.signs)]
+        return plan, _exact_moments(plan, factors), shift
+    root_coeff = [
+        complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
+    ]
+    weights = [c.conjugate() for c in root_coeff]
+    # the ladder signs folded into each factor's coefficients
+    tables = [[coeffs[i][s] * sign for i, s, sign in signs]
+              for coeffs, signs in zip(factors, plan.signs)]
     kets = [root_coeff] + [None] * len(plan.steps)
     moments = [None] * len(plan.steps)
     t = 0
@@ -566,28 +527,70 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             t = skip  # every superset that prepends factors to it vanishes too
             continue
         kets[t + 1] = ket
-        moment = zero
+        moment = 0j
         flat = iter(vacuum)
         for i, d in zip(flat, flat):
             val = ket[d]
             if val:
-                moment = moment + (val if weights is None else weights[i] * val)
+                moment = moment + weights[i] * val
         if moment:
             if odd:
                 # register parity forces odd products to vanish on the vacuum
                 raise PreconditionError("odd operator product gave a nonzero vacuum moment")
             moments[t] = moment
         t += 1
-    return plan, moments, shift, zero, one
+    return plan, moments, shift
+
+
+def _exact_moments(plan: _Plan, rows: list) -> list:
+    """The one-mode value pass of `_vacuum_moments`, in Gaussian integers.
+
+    A ket is kept as separate re and im int lists and the arithmetic is
+    written out, with no call per operation.  sqrt(w) O is a pure phase by
+    normalization and cancels between bra and ket, so the vacuum coefficient
+    is fixed to 1 and weighs nothing.
+    """
+    # the ladder signs folded into each factor's coefficients
+    tables = [([row[s][0] * sign for _, s, sign in signs],
+               [row[s][1] * sign for _, s, sign in signs])
+              for row, signs in zip(rows, plan.signs)]
+    kets = [([1], [0])] + [None] * len(plan.steps)
+    moments = [None] * len(plan.steps)
+    t = 0
+    while t < len(plan.steps):
+        parent, k, entries, size, vacuum, odd, skip = plan.steps[t]
+        (src_re, src_im), (tab_re, tab_im) = kets[parent], tables[k]
+        ket_re, ket_im = [0] * size, [0] * size
+        flat = iter(entries)
+        for a, c, d in zip(flat, flat, flat):
+            x_re, x_im = src_re[a], src_im[a]
+            if x_re or x_im:  # zero entries give no term
+                y_re, y_im = tab_re[c], tab_im[c]
+                ket_re[d] += y_re * x_re - y_im * x_im
+                ket_im[d] += y_re * x_im + y_im * x_re
+        if not (any(ket_re) or any(ket_im)):
+            t = skip  # every superset that prepends factors to it vanishes too
+            continue
+        kets[t + 1] = ket_re, ket_im
+        if vacuum:  # one mode: the single (mode 0, entry) pair
+            m_re, m_im = ket_re[vacuum[1]], ket_im[vacuum[1]]
+            if m_re or m_im:
+                if odd:
+                    raise PreconditionError("odd operator product gave a nonzero vacuum moment")
+                moments[t] = m_re, m_im
+        t += 1
+    return moments
 
 
 def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
                          ops: list[OpSpec], exact: bool) -> _Expansion:
     """Sum the moments over set partitions of the factors, by block count; no N enters."""
-    plan, moments, shift, zero, one = _vacuum_moments(space, profile, ops, exact)
-    sums = [[one]]
+    plan, moments, shift = _vacuum_moments(space, profile, ops, exact)
+    if exact:
+        return _Expansion(len(ops), exact, _exact_partition_sum(plan, moments), shift)
+    sums = [[1.0 + 0j]]
     for length, entries in plan.rests:
-        out = [zero] * length
+        out = [0j] * length
         flat = iter(entries)
         for t, left, negate in zip(flat, flat, flat):
             moment = moments[t]
@@ -600,18 +603,40 @@ def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | 
     return _Expansion(len(ops), exact, sums[-1], shift)
 
 
+def _exact_partition_sum(plan: _Plan, moments: list) -> list[tuple[int, int]]:
+    """The partition sum of `_partition_expansion` in Gaussian integers, as (re, im) pairs."""
+    sums = [([1], [0])]
+    for length, entries in plan.rests:
+        out_re, out_im = [0] * length, [0] * length
+        flat = iter(entries)
+        for t, left, negate in zip(flat, flat, flat):
+            moment = moments[t]
+            if moment is None:
+                continue
+            # the shuffle sign, folded into the moment once per entry
+            m_re, m_im = (-moment[0], -moment[1]) if negate else moment
+            for j, c_re, c_im in zip(range(1, length), *sums[left]):
+                if c_re or c_im:
+                    out_re[j] += m_re * c_re - m_im * c_im
+                    out_im[j] += m_re * c_im + m_im * c_re
+        sums.append((out_re, out_im))
+    return list(zip(*sums[-1]))
+
+
 def _evaluate(expansion: _Expansion, n: int):
-    """N^(-K/2) sum_j (N)_j c_j: complex, or an exact rational _ExactQuotient."""
+    """N^(-K/2) sum_j (N)_j c_j: complex, or the exact quotient (num, den), den > 0."""
     # (N)_j = 0 drops partitions into more blocks than oscillators; odd
     # products have no partition into even blocks and vanish at any scale
     half = expansion.nops // 2
     if expansion.exact:
-        total = _ExactComplex(0)
-        for j, coeff in enumerate(expansion.coeffs):
-            if coeff:
-                total = total + coeff.scaled(math.perm(n, j))
+        re = im = 0
+        for j, (c_re, c_im) in enumerate(expansion.coeffs):
+            if c_re or c_im:
+                weight = math.perm(n, j)
+                re += c_re * weight
+                im += c_im * weight
         # the dyadic scale and the deferred 1/sqrt(N) per factor
-        return _ExactQuotient(total, n**half << expansion.shift)
+        return (re, im), n**half << expansion.shift
     total = 0j
     try:
         for j, coeff in enumerate(expansion.coeffs):
@@ -640,14 +665,16 @@ def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
     factors by block and (N)_j = N! / (N - j)!.  The moments and the sums
     c_j over j-block partitions do not depend on N.  The exact path runs in
     Gaussian integers, each amplitude table lifted once to integers over a
-    power of two 2^e_j, and divides once, by 2^(sum e_j) N^(K // 2).  The
-    one budget is K <= 2 MAX_SLATER_ORDER factors.
+    power of two 2^e_j, and divides once, by 2^(sum e_j) N^(K // 2); a
+    value past the float range is a ResourceLimitError.  The one budget is
+    K <= 2 MAX_SLATER_ORDER factors.
     """
-    return complex(_evaluate(_partition_expansion(nreg.space, profile, ops, exact), nreg.n))
+    value = _evaluate(_partition_expansion(nreg.space, profile, ops, exact), nreg.n)
+    return _rounded(*value) if exact else value
 
 
 def _gram_exact(fs: list[np.ndarray],
-                gs: list[np.ndarray]) -> tuple[list[list[_ExactComplex]], int]:
+                gs: list[np.ndarray]) -> tuple[list[list[tuple[int, int]]], int]:
     """Gram matrix on a normalized one-mode lattice, with w Z taken as 1.
 
     Normalization makes the true w Z equal to 1, and that is the value used
@@ -658,7 +685,9 @@ def _gram_exact(fs: list[np.ndarray],
     """
     f_rows = [_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0])) for f in fs]
     g_cols = [_dyadic_lift(np.asarray(g, dtype=np.complex128)[0]) for g in gs]
-    gram = [[fk[0] * gj[0] + fk[1] * gj[1] for gj, _ in g_cols] for fk, _ in f_rows]
+    gram = [[(f0[0] * g0[0] - f0[1] * g0[1] + f1[0] * g1[0] - f1[1] * g1[1],
+              f0[0] * g0[1] + f0[1] * g0[0] + f1[0] * g1[1] + f1[1] * g1[0])
+             for (g0, g1), _ in g_cols] for (f0, f1), _ in f_rows]
     _check_slater_order(len(gram))
     return gram, sum(shift for _, shift in f_rows + g_cols)
 
@@ -721,15 +750,23 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     expansion = _partition_expansion(space, profile, ops, exact)
     if exact:
         gram, shift = _gram_exact(fs, gs)
-        limit_value = _ExactQuotient(_bareiss_det(gram), 1 << shift)
+        (det_re, det_im), det_den = _bareiss_det(gram), 1 << shift
+        limit = _rounded((det_re, det_im), det_den)
     else:
-        limit_value = slater_limit(lattice, profile, fs, gs)
-    limit = complex(limit_value)
+        limit = slater_limit(lattice, profile, fs, gs)
     records = []
     for n in n_list:
         value = _evaluate(expansion, n)
-        records.append(ConvergenceRecord(m=m, n=n, lhs=complex(value), limit=limit,
-                                         deviation=abs(value - limit_value)))
+        if exact:
+            (re, im), den = value
+            lhs = _rounded((re, im), den)
+            # the difference of the two quotients, over the product of their denominators
+            gap = _rounded((re * det_den - det_re * den, im * det_den - det_im * den),
+                           den * det_den)
+            deviation = math.hypot(gap.real, gap.imag)
+        else:
+            lhs, deviation = value, abs(value - limit)
+        records.append(ConvergenceRecord(m=m, n=n, lhs=lhs, limit=limit, deviation=deviation))
 
     devs = [r.deviation for r in records]
     monotone = all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))

@@ -80,6 +80,40 @@ def tables_1mode(count):
     )
 
 
+class _Gaussian:
+    """A Gaussian integer for the test references.
+
+    The package keeps its exact values as plain (re, im) pairs of ints with
+    the arithmetic written out; the references multiply these instead, so
+    they share no arithmetic with the code they check.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return _Gaussian(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return _Gaussian(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def scaled(self, k):
+        return _Gaussian(self.re * k, self.im * k)
+
+    def conjugate(self):
+        return _Gaussian(self.re, -self.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def pair(self):
+        return self.re, self.im
+
+
 # --- extension maps
 
 
@@ -364,6 +398,17 @@ def test_float_walk_overflow(single_space, single_profile, double_space, double_
         vacuum_matrix_element(NRegister(double_space, 10**76), double_profile, ops4)
 
 
+def test_exact_path_overflow(single_space, single_profile):
+    # exact values past the float range stop as a budget error, as the float
+    # path does, not as a bare OverflowError: det = 1e1200 here
+    fs = gs = [np.array([[1e300, 0]]), np.array([[0, 1e300]])]
+    with pytest.raises(ResourceLimitError, match="leaves the float range"):
+        determinant_limit_convergence(single_space, single_profile, fs, gs, [2, 4])
+    with pytest.raises(ResourceLimitError, match="leaves the float range"):
+        vacuum_matrix_element(NRegister(single_space, 2), single_profile,
+                              overlap_product_ops(fs, gs), exact=True)
+
+
 @pytest.mark.parametrize("modes", [2, 3])
 def test_convergence_records_equal_per_n_elements(rng, modes):
     # the float walk on two modes of the J = 1 lattice, and on all three
@@ -384,8 +429,9 @@ def test_convergence_records_equal_per_n_elements(rng, modes):
 
 
 def _fractions(quotient):
-    """The exact real and imaginary parts of an _ExactQuotient."""
-    return Fraction(quotient.num.re, quotient.den), Fraction(quotient.num.im, quotient.den)
+    """The exact real and imaginary parts of an exact quotient ((re, im), den)."""
+    (re, im), den = quotient
+    return Fraction(re, den), Fraction(im, den)
 
 
 def test_exact_convergence_records_equal_per_n_elements(single_space, single_profile, rng):
@@ -458,9 +504,9 @@ def test_dyadic_lift_is_exact(rng):
     fs, gs = _extreme_tables(rng)
     for table in fs + gs:
         ints, shift = noscillator._dyadic_lift(table[0])
-        for z, lifted in zip(table[0], ints):
-            assert Fraction(lifted.re, 2**shift) == Fraction(z.real)
-            assert Fraction(lifted.im, 2**shift) == Fraction(z.imag)
+        for z, (re, im) in zip(table[0], ints):
+            assert Fraction(re, 2**shift) == Fraction(z.real)
+            assert Fraction(im, 2**shift) == Fraction(z.imag)
 
 
 def test_exact_path_extreme_dyadic_amplitudes(single_space, single_profile, rng):
@@ -472,6 +518,10 @@ def test_exact_path_extreme_dyadic_amplitudes(single_space, single_profile, rng)
         assert rep.deviations() == [0.0, 0.0, 0.0]
         # the one-mode Gram matrix has rank 2, so only M = 3 has a zero limit
         assert (rep.limit == 0) == (m == 3)
+        # the integers and the shift of the expansion, against the dict walk
+        ops = overlap_product_ops(fs[:m], gs[:m])
+        assert (_bits(noscillator._partition_expansion(single_space, None, ops, True))
+                == _bits(_reference_expansion(single_space, None, ops, True)))
     # the subnormal alone: its square lies below the float range, not so the
     # exact value
     tiny = [np.array([[_TINY, 0.0]], dtype=np.complex128)]
@@ -490,7 +540,7 @@ def test_exact_odd_products_vanish(monkeypatch, single_space, rng):
     for count in (1, 3, 5):
         ops = [OpSpec(tables[k], "bd"[k % 2], bool(k % 3)) for k in range(count)]
         expansion = noscillator._partition_expansion(single_space, None, ops, True)
-        assert not any(expansion.coeffs)
+        assert all(coeff == (0, 0) for coeff in expansion.coeffs)
         for n in (1, 2, 10**6):
             assert vacuum_matrix_element(NRegister(single_space, n), None, ops, exact=True) == 0
     # the parity guard fires on a nonzero odd moment: a doctored ladder that
@@ -526,7 +576,7 @@ def test_opspec_validation(single_space, single_profile, rng):
 
 def _times(x, k):
     """x times the integer k: a complex product, or a scaled Gaussian integer."""
-    return x.scaled(k) if isinstance(x, noscillator._ExactComplex) else x * k
+    return x.scaled(k) if isinstance(x, _Gaussian) else x * k
 
 
 def _reference_expansion(space, profile, ops, exact):
@@ -543,7 +593,7 @@ def _reference_expansion(space, profile, ops, exact):
     lattice = space.lattice
     modes = lattice.size
     if exact:
-        zero, one = noscillator._ExactComplex(0), noscillator._ExactComplex(1)
+        zero, one = _Gaussian(0), _Gaussian(1)
         root_coeff = [one]
     else:
         zero, one = 0.0 + 0j, 1.0 + 0j
@@ -557,7 +607,7 @@ def _reference_expansion(space, profile, ops, exact):
         table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
         if exact:
             row, op_shift = noscillator._dyadic_lift(table[0])
-            coeffs = [row]
+            coeffs = [[_Gaussian(re, im) for re, im in row]]
             shift += op_shift
         else:
             coeffs = [[complex(table[i, s]) for s in (0, 1)] for i in range(modes)]
@@ -615,13 +665,16 @@ def _reference_expansion(space, profile, ops, exact):
         memo[rest] = out
         return out
 
-    return noscillator._Expansion(len(ops), exact, sums((1 << len(ops)) - 1), shift)
+    coeffs = sums((1 << len(ops)) - 1)
+    if exact:  # the package's form of an exact coefficient
+        coeffs = [coeff.pair() for coeff in coeffs]
+    return noscillator._Expansion(len(ops), exact, coeffs, shift)
 
 
 def _bits(expansion):
     """The coefficients as exact integers, or as the hex of each float part."""
     if expansion.exact:
-        parts = [(c.re, c.im) for c in expansion.coeffs]
+        parts = [tuple(c) for c in expansion.coeffs]
     else:
         parts = [(c.real.hex(), c.imag.hex()) for c in expansion.coeffs]
     return expansion.nops, expansion.exact, parts, expansion.shift
@@ -684,6 +737,18 @@ def test_plan_expansion_equals_the_walk_bitwise(case):
             warm = noscillator._partition_expansion(space, profile, ops, exact)
         assert _bits(cold) == want
         assert _bits(warm) == want
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_exact_plan_expansion_equals_the_walk_at_high_order(rng, m):
+    # the Hypothesis draw stops at overlap order 4; these orders reach
+    # integers of several hundred bits
+    space, _ = _engine_space(1)
+    ops = overlap_product_ops([random_table(rng, 1) for _ in range(m)],
+                              [random_table(rng, 1) for _ in range(m)])
+    want = _bits(_reference_expansion(space, None, ops, True))
+    assert want[3] > 500
+    assert _bits(noscillator._partition_expansion(space, None, ops, True)) == want
 
 
 def _word_plan(space, profile, ops):
@@ -846,35 +911,39 @@ def _permutation_sum(gram, scalar):
 
 def _gaussian_matrix(rng, m, bound=9):
     parts = rng.integers(-bound, bound + 1, size=(2, m, m))
-    return [[noscillator._ExactComplex(int(parts[0, k, j]), int(parts[1, k, j]))
-             for j in range(m)] for k in range(m)]
+    return [[(int(parts[0, k, j]), int(parts[1, k, j])) for j in range(m)] for k in range(m)]
+
+
+def _exact_permutation_sum(gram):
+    """The permutation sum of a matrix of (re, im) pairs, in the tests' Gaussian integers."""
+    return _permutation_sum([[_Gaussian(re, im) for re, im in row] for row in gram], _Gaussian)
 
 
 def _assert_same_exact(got, want):
-    assert (got.re, got.im) == (want.re, want.im)
+    assert tuple(got) == want.pair()
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_bareiss_det_equals_permutation_sum(rng, m):
-    zero = noscillator._ExactComplex(0)
+    zero = (0, 0)
     for _ in range(2):
         gram = _gaussian_matrix(rng, m)
         # a zero leading pivot, whose column still holds a nonzero entry
         swapped = [row[:] for row in gram]
         swapped[0][0] = zero
         if m > 1:
-            swapped[-1][0] = noscillator._ExactComplex(0, 1)
+            swapped[-1][0] = (0, 1)
         # entries past the float range: no pivot may be chosen by magnitude
-        huge = [[entry.scaled(2**1100) for entry in row] for row in gram]
+        huge = [[(re * 2**1100, im * 2**1100) for re, im in row] for row in gram]
         # a zero first column, and two equal rows: det 0
         empty_column = [[zero] + row[1:] for row in gram]
         cases = [gram, swapped, huge, empty_column]
         if m > 1:
             cases.append(gram[:-1] + [gram[0][:]])
         for case in cases:
-            want = _permutation_sum(case, noscillator._ExactComplex)
+            want = _exact_permutation_sum(case)
             _assert_same_exact(noscillator._bareiss_det(case), want)
-        assert not noscillator._bareiss_det(empty_column)
+        assert noscillator._bareiss_det(empty_column) == zero
 
 
 def test_bareiss_det_of_one_mode_grams(rng):
@@ -884,15 +953,15 @@ def test_bareiss_det_of_one_mode_grams(rng):
         gs = [random_table(rng, 1) for _ in range(m)]
         gram, _ = noscillator._gram_exact(fs, gs)
         got = noscillator._bareiss_det(gram)
-        _assert_same_exact(got, _permutation_sum(gram, noscillator._ExactComplex))
-        assert bool(got) == (m <= 2)
+        _assert_same_exact(got, _exact_permutation_sum(gram))
+        assert (got != (0, 0)) == (m <= 2)
 
 
 def test_divide_exactly_refuses_a_remainder():
-    num, den = noscillator._ExactComplex(7, 1), noscillator._ExactComplex(2, -3)
-    _assert_same_exact(noscillator._divide_exactly(num * den, den), num)
+    num, den = _Gaussian(7, 1), _Gaussian(2, -3)
+    _assert_same_exact(noscillator._divide_exactly((num * den).pair(), den.pair()), num)
     with pytest.raises(ArithmeticError):
-        noscillator._divide_exactly(num, den)
+        noscillator._divide_exactly(num.pair(), den.pair())
 
 
 @pytest.mark.parametrize("m", range(1, 7))
