@@ -22,12 +22,13 @@ products:
   each factor reaches, which subsets meet the vacuum and how partitions
   split depend only on the (species, dagger) word and the mode count: they
   are compiled once into a cached plan, and a call runs only the arithmetic.
-  On one-mode lattices, where the finite-N element equals the limiting
-  determinant identically, it runs exactly, in Gaussian integers over a
-  power of two.  A Gaussian integer is a plain (re, im) pair of Python
-  ints, with the arithmetic written out in the loops, and a quotient is
-  such a pair over an int denominator; `_rounded` rounds each float part
-  once, and an exact value past the float range is a ResourceLimitError.
+  One value pass serves floats and exact values alike: every value is a
+  plain (re, im) pair, with the arithmetic written out in the loops.  On
+  one-mode lattices, where the finite-N element equals the limiting
+  determinant identically, the parts are Python ints, Gaussian integers
+  over a power of two, and a quotient is such a pair over an int
+  denominator; `_rounded` rounds each float part once, and an exact value
+  past the float range is a ResourceLimitError.
 
 The limiting determinant is a pivoted LU det in floats and, on one mode, a
 fraction-free (Bareiss) det in Gaussian integers.  The expansion's one
@@ -115,32 +116,23 @@ def _check_matrix_dim(nreg: NRegister) -> None:
 def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOperator:
     """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), twist a (16 M,) diagonal.
 
-    One CSR assembly.  Slot k places op entry (r, c) at row
+    One COO assembly.  Slot k places op entry (r, c) at row
     (l d + r) d^(N-k-1) + b and column (l d + c) d^(N-k-1) + b, for every left
     index l and right index b, with value twist(l) op[r, c], twist(l) the
     product of the twist diagonal over the k left slots.  Slot terms meet only
-    on the diagonal, which is summed densely in slot order, as the kron
-    chain's left-to-right CSR additions sum it; the other entries have no
-    duplicates and go straight into arrays of their final size.
+    on the diagonal.  The entries go in slot order into arrays of their final
+    size, and `SparseOperator.from_coo` sums each diagonal entry from 0 in
+    that order, as the kron chain's left-to-right CSR additions sum it.
     """
     _check_matrix_dim(nreg)
     op = nreg.space.embed(op)
     d, n = nreg.factor_dim, nreg.n
     rows, cols, data = op.coo()
-    off = rows != cols
-    rows, cols, data = rows[off], cols[off], data[off]
     lefts = [np.ones(1, dtype=np.complex128)]
     for _ in range(n - 1):
         lefts.append(np.kron(lefts[-1], twist))
-    op_diag = op.diagonal()
-    at = np.zeros(0, dtype=np.int32)
-    if op_diag.any():
-        diag = np.zeros(nreg.dim, dtype=np.complex128)
-        for k, left in enumerate(lefts):
-            diag.reshape(-1, d ** (n - k - 1))[:] += np.kron(left, op_diag)[:, None]
-        at = np.flatnonzero(diag).astype(np.int32)
     per_slot = len(data) * d ** (n - 1)
-    out_rows = np.empty(n * per_slot + len(at), dtype=np.int32)
+    out_rows = np.empty(n * per_slot, dtype=np.int32)
     out_cols = np.empty_like(out_rows)
     out_data = np.empty(len(out_rows), dtype=np.complex128)
     for k, left in enumerate(lefts):
@@ -152,10 +144,6 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
         out_rows[part].reshape(shape)[:] = (l + rows[:, None]) * right + b
         out_cols[part].reshape(shape)[:] = (l + cols[:, None]) * right + b
         out_data[part].reshape(shape)[:] = (left[:, None] * data)[:, :, None]
-    tail = slice(n * per_slot, None)
-    out_rows[tail] = out_cols[tail] = at
-    if len(at):
-        out_data[tail] = diag[at]
     return SparseOperator.from_coo(out_data, out_rows, out_cols, (nreg.dim, nreg.dim))
 
 
@@ -465,8 +453,8 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
     """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
 
     Returns (plan, moments, shift): moments[t] is omega of the subset of plan
-    step t, None where it is zero, as on every odd subset; an exact moment is
-    an (re, im) pair of ints carrying 2**-shift.
+    step t as an (re, im) pair, None where it is zero, as on every odd subset.
+    Exact parts are ints carrying 2**-shift, float parts floats.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -480,8 +468,9 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
     elif profile is None:
         raise PreconditionError("float path needs a vacuum profile")
 
-    # per factor: coefficient tables coeffs[i][s]; an exact factor is its one
-    # mode's row of Gaussian integers, factor j's scaled by 2**shift_j
+    # per factor: its (re, im) coefficient on each mode and spin; an exact
+    # factor is its one mode's row of Gaussian integers, factor j's scaled by
+    # 2**shift_j
     factors = []
     shift = 0
     for spec in ops:
@@ -495,66 +484,37 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
         table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
         if exact:
             row, op_shift = _dyadic_lift(table[0])
-            factors.append(row)
+            factors.append([row])
             shift += op_shift
         else:
-            factors.append([[complex(table[i, s]) for s in (0, 1)] for i in range(modes)])
+            factors.append([[(z.real, z.imag) for z in row] for row in table.tolist()])
 
     plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
     if exact:
-        return plan, _exact_moments(plan, factors), shift
-    root_coeff = [
-        complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)
-    ]
-    weights = [c.conjugate() for c in root_coeff]
-    # the ladder signs folded into each factor's coefficients
-    tables = [[coeffs[i][s] * sign for i, s, sign in signs]
-              for coeffs, signs in zip(factors, plan.signs)]
-    kets = [root_coeff] + [None] * len(plan.steps)
-    moments = [None] * len(plan.steps)
-    t = 0
-    while t < len(plan.steps):
-        parent, k, entries, size, vacuum, odd, skip = plan.steps[t]
-        src, table = kets[parent], tables[k]
-        ket = [None] * size
-        flat = iter(entries)
-        for a, c, d in zip(flat, flat, flat):
-            val = src[a]
-            if val:  # zero entries give no term
-                term = table[c] * val
-                ket[d] = term if ket[d] is None else ket[d] + term
-        if not any(ket):
-            t = skip  # every superset that prepends factors to it vanishes too
-            continue
-        kets[t + 1] = ket
-        moment = 0j
-        flat = iter(vacuum)
-        for i, d in zip(flat, flat):
-            val = ket[d]
-            if val:
-                moment = moment + weights[i] * val
-        if moment:
-            if odd:
-                # register parity forces odd products to vanish on the vacuum
-                raise PreconditionError("odd operator product gave a nonzero vacuum moment")
-            moments[t] = moment
-        t += 1
-    return plan, moments, shift
+        # sqrt(w) O is a pure phase by normalization and cancels between bra
+        # and ket, so the vacuum coefficient is 1 and weighs nothing
+        root = [(1, 0)]
+    else:
+        root = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
+        root = [(z.real, z.imag) for z in root]
+    return plan, _moments(plan, factors, root), shift
 
 
-def _exact_moments(plan: _Plan, rows: list) -> list:
-    """The one-mode value pass of `_vacuum_moments`, in Gaussian integers.
+def _moments(plan: _Plan, factors: list, root: list) -> list:
+    """The value pass of `_vacuum_moments`: one loop for ints and floats alike.
 
-    A ket is kept as separate re and im int lists and the arithmetic is
-    written out, with no call per operation.  sqrt(w) O is a pure phase by
-    normalization and cancels between bra and ket, so the vacuum coefficient
-    is fixed to 1 and weighs nothing.
+    factors[k][i][s] is factor k's (re, im) coefficient on mode i and spin s,
+    and root[i] the vacuum's on mode i; the bra takes its conjugate.  A ket
+    is kept as separate re and im lists and the arithmetic is written out,
+    with no call per operation: CPython's complex product and sum make these
+    same float operations, and every sum starts from 0.
     """
     # the ladder signs folded into each factor's coefficients
-    tables = [([row[s][0] * sign for _, s, sign in signs],
-               [row[s][1] * sign for _, s, sign in signs])
-              for row, signs in zip(rows, plan.signs)]
-    kets = [([1], [0])] + [None] * len(plan.steps)
+    tables = [([table[i][s][0] * sign for i, s, sign in signs],
+               [table[i][s][1] * sign for i, s, sign in signs])
+              for table, signs in zip(factors, plan.signs)]
+    bra = [(re, -im) for re, im in root]
+    kets = [([re for re, _ in root], [im for _, im in root])] + [None] * len(plan.steps)
     moments = [None] * len(plan.steps)
     t = 0
     while t < len(plan.steps):
@@ -572,39 +532,25 @@ def _exact_moments(plan: _Plan, rows: list) -> list:
             t = skip  # every superset that prepends factors to it vanishes too
             continue
         kets[t + 1] = ket_re, ket_im
-        if vacuum:  # one mode: the single (mode 0, entry) pair
-            m_re, m_im = ket_re[vacuum[1]], ket_im[vacuum[1]]
-            if m_re or m_im:
-                if odd:
-                    raise PreconditionError("odd operator product gave a nonzero vacuum moment")
-                moments[t] = m_re, m_im
+        m_re = m_im = 0
+        flat = iter(vacuum)
+        for i, d in zip(flat, flat):
+            x_re, x_im = ket_re[d], ket_im[d]
+            if x_re or x_im:
+                y_re, y_im = bra[i]
+                m_re += y_re * x_re - y_im * x_im
+                m_im += y_re * x_im + y_im * x_re
+        if m_re or m_im:
+            if odd:
+                # register parity forces odd products to vanish on the vacuum
+                raise PreconditionError("odd operator product gave a nonzero vacuum moment")
+            moments[t] = m_re, m_im
         t += 1
     return moments
 
 
-def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
-                         ops: list[OpSpec], exact: bool) -> _Expansion:
-    """Sum the moments over set partitions of the factors, by block count; no N enters."""
-    plan, moments, shift = _vacuum_moments(space, profile, ops, exact)
-    if exact:
-        return _Expansion(len(ops), exact, _exact_partition_sum(plan, moments), shift)
-    sums = [[1.0 + 0j]]
-    for length, entries in plan.rests:
-        out = [0j] * length
-        flat = iter(entries)
-        for t, left, negate in zip(flat, flat, flat):
-            moment = moments[t]
-            if moment is None:
-                continue
-            for j, coeff in enumerate(sums[left], 1):
-                if coeff:
-                    out[j] = out[j] - moment * coeff if negate else out[j] + moment * coeff
-        sums.append(out)
-    return _Expansion(len(ops), exact, sums[-1], shift)
-
-
-def _exact_partition_sum(plan: _Plan, moments: list) -> list[tuple[int, int]]:
-    """The partition sum of `_partition_expansion` in Gaussian integers, as (re, im) pairs."""
+def _partition_sum(plan: _Plan, moments: list) -> list[tuple]:
+    """c_j as (re, im) pairs: the moments summed over set partitions, by block count."""
     sums = [([1], [0])]
     for length, entries in plan.rests:
         out_re, out_im = [0] * length, [0] * length
@@ -621,6 +567,16 @@ def _exact_partition_sum(plan: _Plan, moments: list) -> list[tuple[int, int]]:
                     out_im[j] += m_re * c_im + m_im * c_re
         sums.append((out_re, out_im))
     return list(zip(*sums[-1]))
+
+
+def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
+                         ops: list[OpSpec], exact: bool) -> _Expansion:
+    """Sum the moments over set partitions of the factors, by block count; no N enters."""
+    plan, moments, shift = _vacuum_moments(space, profile, ops, exact)
+    coeffs = _partition_sum(plan, moments)
+    if not exact:
+        coeffs = [complex(re, im) for re, im in coeffs]
+    return _Expansion(len(ops), exact, coeffs, shift)
 
 
 def _evaluate(expansion: _Expansion, n: int):

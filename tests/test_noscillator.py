@@ -9,6 +9,7 @@ limits.
 import contextlib
 import functools
 import itertools
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -358,6 +359,81 @@ def test_top_coefficient_is_determinant(rng, m):
     assert all(c == 0 for c in expansion.coeffs[m + 1:])
 
 
+def _matrix_coefficients(space, profile, ops):
+    """c_1, c_2, c_3 solved from the N-slot matrices at N = 1, 2 and 3.
+
+    N^(K/2) <vac_N| ... |vac_N> = sum_j (N)_j c_j, and (N)_j = 0 for j > N,
+    so the three elements form a triangular system for c_1..c_3.
+    """
+    coeffs = []
+    for n in (1, 2, 3):
+        total = n ** (len(ops) // 2) * vacuum_matrix_element_matrix(NRegister(space, n),
+                                                                   profile, ops)
+        for j, coeff in enumerate(coeffs, 1):
+            total -= math.perm(n, j) * coeff
+        coeffs.append(total / math.perm(n, n))
+    return coeffs
+
+
+def _assert_coefficients_match_matrices(space, profile, ops):
+    # balanced products of K <= 6 factors have blocks of two or more, so
+    # c_1..c_3 are all the coefficients of the expansion
+    want = noscillator._partition_expansion(space, profile, ops, False).coeffs
+    assert len(ops) <= 6 and not any(want[4:])
+    want = (want + [0j] * 3)[1:4]
+    # the product's size bounds the rounding of both routes where the
+    # coefficients cancel, as with a repeated table
+    scale = max(*(abs(c) for c in want),
+                math.prod(float(np.abs(spec.amplitude).max()) for spec in ops))
+    for got, coeff in zip(_matrix_coefficients(space, profile, ops), want):
+        assert abs(got - coeff) <= 1e-12 * scale
+
+
+@st.composite
+def _balanced_products(draw):
+    """1 or 2 modes and K <= 6 factors, as many creators as annihilators per species.
+
+    A product that ends in an annihilator or starts with a creator vanishes
+    on the vacuum at every N, so an annihilator comes first, a creator last
+    and the other factors in any order.
+    """
+    modes = draw(st.integers(1, 2))
+    # the matrices prune entries below sparse.DROP_TOL, so no tiny amplitude
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    species = draw(st.lists(st.sampled_from("bd"), min_size=1, max_size=3))
+    first, *rest = [(s, False) for s in species]
+    last, *more = [(s, True) for s in species]
+    word = [first, *draw(st.permutations(rest + more)), last]
+    table = st.lists(entry, min_size=4 * modes, max_size=4 * modes).map(
+        lambda xs: (np.array(xs[::2]) + 1j * np.array(xs[1::2])).reshape(modes, 2))
+    return modes, [OpSpec(draw(table), s, dagger) for s, dagger in word]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_balanced_products())
+def test_every_coefficient_matches_the_matrices(case):
+    modes, ops = case
+    _assert_coefficients_match_matrices(*_engine_space(modes), ops)
+
+
+def test_a_scaled_middle_coefficient_fails_the_matrix_check(monkeypatch, rng):
+    space, profile = _engine_space(2)
+    ops = [OpSpec(random_table(rng, 2), s, dagger)
+           for s, dagger in [("b", False), ("d", False), ("b", True), ("d", True),
+                             ("b", False), ("b", True)]]
+    _assert_coefficients_match_matrices(space, profile, ops)
+    partition_sum = noscillator._partition_sum
+
+    def scaled(plan, moments):
+        coeffs = partition_sum(plan, moments)
+        coeffs[2] = coeffs[2][0] * 1.001, coeffs[2][1] * 1.001
+        return coeffs
+
+    monkeypatch.setattr(noscillator, "_partition_sum", scaled)
+    with pytest.raises(AssertionError):
+        _assert_coefficients_match_matrices(space, profile, ops)
+
+
 def test_three_mode_deviation_decays_to_large_n(rng):
     space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
     profile = uniform_profile(space.lattice)
@@ -584,10 +660,14 @@ def _reference_expansion(space, profile, ops, exact):
 
     Moments of the ordered sub-products come from one register product per
     subset, visited depth first with zero entries dropped; the partition sum
-    is memoized over the remaining factors.  The plan's value pass makes the
-    same float operations in the same order, except that it adds or
-    subtracts moment * coeff where this walk first multiplies the moment by
-    the shuffle sign; moments and sums never hold a negative zero, so the
+    is memoized over the remaining factors.  The plan's value pass writes
+    out, on (re, im) pairs, the complex products and sums of this walk in
+    the same order.  It differs in three ways: a ket entry starts from 0,
+    not from its first term; the ladder sign is a real factor, not a complex
+    one; and the shuffle sign negates the moment's parts, not multiplies
+    the moment by a complex -1.  Each changes at most the sign of a zero
+    part, which no nonzero part depends on, and every moment and
+    coefficient is a sum that starts from +0 and so never ends at -0: the
     two agree bit for bit.
     """
     lattice = space.lattice
@@ -737,6 +817,24 @@ def test_plan_expansion_equals_the_walk_bitwise(case):
             warm = noscillator._partition_expansion(space, profile, ops, exact)
         assert _bits(cold) == want
         assert _bits(warm) == want
+
+
+def test_exact_values_stay_python_ints(rng):
+    # floats and exact values share the value pass, so one float root or
+    # table entry would round every exact value after it without an error
+    space, _ = _engine_space(1)
+    tables = [random_table(rng, 1) for _ in range(3)]
+    products = [overlap_product_ops(tables[:m], tables[-m:], species)
+                for m, species in ((1, "b"), (2, "d"))]
+    products.append([OpSpec(tables[k % 3], "bddb"[k], k >= 2) for k in range(4)])
+    for ops in products:
+        _, moments, _ = noscillator._vacuum_moments(space, None, ops, True)
+        expansion = noscillator._partition_expansion(space, None, ops, True)
+        (re, im), den = noscillator._evaluate(expansion, 3)
+        parts = [part for pair in moments if pair is not None for part in pair]
+        parts += [part for pair in expansion.coeffs for part in pair] + [re, im, den]
+        assert any(parts[:-1])
+        assert all(type(part) is int for part in parts)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
