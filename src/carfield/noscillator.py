@@ -21,7 +21,8 @@ products:
   N! / (N - j)!, so one expansion serves every N.  Which register entries
   each factor reaches, which subsets meet the vacuum and how partitions
   split depend only on the (species, dagger) word and the mode count: they
-  are compiled once into a cached plan, and a call runs only the arithmetic.
+  are compiled once into a cached plan of three flat record streams (kets,
+  vacuum entries, partition terms), and a call runs one loop over each.
   One value pass serves floats and exact values alike: every value is a
   plain (re, im) pair, with the arithmetic written out in the loops.  On
   one-mode lattices, where the finite-N element equals the limiting
@@ -189,7 +190,14 @@ def smeared_matrix(space: SingleOscillatorSpace, spec: OpSpec) -> ModeBlocks:
 
 def vacuum_matrix_element_matrix(nreg: NRegister, profile: VacuumProfile,
                                  ops: list[OpSpec]) -> complex:
-    """Matrix-path evaluation of <vac_N| op_1 ... op_k |vac_N> (small N only)."""
+    """Matrix-path evaluation of <vac_N| op_1 ... op_k |vac_N> (small N only).
+
+    Each extended factor is pruned below `sparse.DROP_TOL` absolutely, and
+    so is every applied ket, so this route has an absolute floor that no
+    scale of the inputs removes: on one mode at N = 2, c(e) c(a e)' with
+    a = 1e-14 reads 0 here, while the expansion reads a.  A reference built
+    on this route needs amplitudes well above the floor.
+    """
     vac = vacuum_state(nreg, profile)
     ket = vac
     for spec in reversed(ops):
@@ -238,14 +246,15 @@ def slater_limit(lattice: MomentumLattice, profile: VacuumProfile,
 # set-partition expansion
 
 
-def _dyadic_lift(values: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+def _dyadic_lift(values) -> tuple[list[tuple[int, int]], int]:
     """Gaussian integers m_k and one shift t >= 0 with values[k] == m_k / 2**t exactly.
 
-    Every finite float is p / 2**e with integer p, so a table of them shares
-    the largest e as one power of two.  A Gaussian integer is an (re, im)
-    pair of Python ints.
+    values is a sequence of complex numbers, a list or a numpy row.  Every
+    finite float is p / 2**e with integer p, so a table of them shares the
+    largest e as one power of two.  A Gaussian integer is an (re, im) pair
+    of Python ints.
     """
-    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in values.tolist()]
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in values]
     full = max(q for pair in ratios for _, q in pair)  # each q is a power of two
     return [(p_re * (full // q_re), p_im * (full // q_im))
             for (p_re, q_re), (p_im, q_im) in ratios], full.bit_length() - 1
@@ -333,21 +342,40 @@ class _Expansion(NamedTuple):
 class _Plan(NamedTuple):
     """What an expansion's operator word and mode count fix, with no value in it.
 
-    `steps` is the depth-first walk over ordered sub-products, in pre-order.
-    Step t applies factor k to its parent ket (0 the vacuum, u + 1 step u)
-    and holds (parent, k, entries, size, vacuum, odd, skip): its (source,
-    signed coefficient, destination) entries in the order the walk meets
-    them, its ket size, its (mode, entry) vacuum entries, whether its subset
-    is odd, and the step after its subtree.  `signs` gives, per factor, the
-    (mode, spin, ladder sign) of each signed coefficient.  `rests` lists the
-    remaining sets of the partition sum, each after the ones it uses: its
-    length and a (step, rest, negate) entry per block.  Entries are stored
-    flat, one tuple of ints per step or rest, and `size` counts them.
+    Three flat streams of int records, one loop of the value pass each.
+    Subsets of the factors are visited depth first, in pre-order.
+
+    * `kets`: a (source slot, coefficient, destination slot) record per
+      entry of each ket A_b1 ... A_bm |vac>.  All kets share one slot
+      space: the root takes slots 0..modes-1, and each subset's ket follows
+      in pre-order.  Coefficient c is `signs[c]` = (part index, ladder
+      sign); the real part of factor k's coefficient on mode i and spin s
+      sits at part index 4 (k modes + i) + 2 s, its imaginary part next.
+    * `vacuum`: a (moment, mode, slot) record per vacuum entry of a ket.
+      `moments` counts the subsets whose ket reaches the vacuum; `odd`
+      lists those of odd size, whose moment the register parity forces to 0.
+    * `terms`: a (signed moment, source c-slot, destination c-slot) record
+      per term of the partition sum, in block order and then by j; signed
+      moment t + `moments` is moment t negated by the shuffle sign.  Each
+      remaining set of r factors holds c-slots for its c_0..c_r, after the
+      sets it splits into.  Slot 0 is the empty set's c_0 = 1, and the
+      whole word's c_0..c_K are the last, from `top` on; `sums` counts the
+      slots.  A term is kept only if its block is even and its source is
+      slot 0 or written by an earlier term, so no c_j with j > r/2 is read.
+
+    `size` counts the records of the three streams.  Records share their
+    int objects.
     """
 
     signs: tuple
-    steps: tuple
-    rests: tuple
+    kets: tuple
+    slots: int
+    vacuum: tuple
+    moments: int
+    odd: tuple
+    terms: tuple
+    top: int
+    sums: int
     size: int
 
 
@@ -355,73 +383,93 @@ def _compile_plan(word: tuple, modes: int) -> _Plan:
     """The plan of a (species, dagger) word on `modes` lattice modes."""
     maps = [(_LADDERS[(species, 0, dagger)], _LADDERS[(species, 1, dagger)])
             for species, dagger in word]
-    steps: list = []
-    signs: list[dict] = [{} for _ in maps]
+    signs: dict = {}
+    kets: list = []
+    vacuum: list = []
+    odd: list = []
     blocks: list[list] = [[] for _ in maps]
+    slots, moments = modes, 0  # the root's ket takes the first slots
 
-    def descend(keys: list, parent: int, mask: int, low: int) -> None:
+    def descend(keys: list, base: int, mask: int, low: int) -> None:
         # keys are the entries of A_b1 ... A_bm |vac> for mask = {b1 < ... < bm},
-        # low = b1; prepending a smaller factor visits every subset once
+        # in slots from base on, low = b1; prepending a smaller factor visits
+        # every subset once
+        nonlocal kets, slots, moments
         for k in range(low):
             index: dict = {}
-            entries = []
-            for a, (i, r) in enumerate(keys):
+            at, ladders = slots, maps[k]
+            for a, (i, r) in enumerate(keys, base):
                 for s in (0, 1):
-                    hit = maps[k][s].get(r)
+                    hit = ladders[s].get(r)
                     if hit is not None:
                         row, sign = hit
-                        c = signs[k].setdefault((i, s, sign), len(signs[k]))
-                        entries += a, c, index.setdefault((i, row), len(index))
-            if not entries:
+                        kets += (a, signs.setdefault((k, i, s, sign), len(signs)),
+                                 at + index.setdefault((i, row), len(index)))
+            if not index:
                 continue  # every superset that prepends factors to it vanishes too
+            slots += len(index)
             block = mask | 1 << k
-            vacuum = []
-            for i in range(modes):
-                if (i, VACUUM_INDEX) in index:
-                    vacuum += i, index[(i, VACUUM_INDEX)]
-            at = len(steps)
-            steps.append(None)
-            if vacuum:
-                blocks[k].append((block, at))
-            descend(list(index), at + 1, block, k)
-            steps[at] = (parent, k, tuple(entries), len(index), tuple(vacuum),
-                         block.bit_count() % 2 == 1, len(steps))
+            hits = [(i, at + index[(i, VACUUM_INDEX)])
+                    for i in range(modes) if (i, VACUUM_INDEX) in index]
+            if hits:
+                for i, d in hits:
+                    vacuum.extend((moments, i, d))
+                if block.bit_count() % 2:
+                    odd.append(moments)
+                else:
+                    # and, per factor of the block, the mask of the factors below it
+                    belows = [(1 << b) - 1 for b in range(k, block.bit_length())
+                              if block >> b & 1]
+                    blocks[k].append((block, moments, belows))
+                moments += 1
+            descend(list(index), at, block, k)
 
     descend([(i, VACUUM_INDEX) for i in range(modes)], 0, 0, len(maps))
-    rests: list = []
-    where = {0: 0}  # a remaining set's place among the sums, 0 the empty set
+    terms: list = []
+    where = {0: (0, (0,))}  # a remaining set's c_0 slot and the j of its written c_j
+    sums = 1
 
-    def split(rest: int) -> int:
+    def split(rest: int) -> tuple:
         # split off the block holding the smallest remaining factor
+        nonlocal sums
         if rest not in where:
-            entries = []
-            for block, at in blocks[(rest & -rest).bit_length() - 1]:
+            parts = []
+            for block, t, belows in blocks[(rest & -rest).bit_length() - 1]:
                 if block & ~rest:
                     continue
                 left = rest & ~block
                 # the shuffle that moves the block to the front passes, for each
                 # of its factors, every remaining factor ahead of it
-                swaps = sum((left & ((1 << k) - 1)).bit_count()
-                            for k in range(block.bit_length()) if block >> k & 1)
-                entries += at, split(left), swaps % 2 == 1
-            rests.append((rest.bit_count() + 1, tuple(entries)))
-            where[rest] = len(rests)
+                swaps = sum((left & below).bit_count() for below in belows)
+                parts.append((t + moments * (swaps % 2), *split(left)))
+            at, sums = sums, sums + rest.bit_count() + 1
+            written = set()
+            for t, source, js in parts:
+                for j in js:  # c_(j+1) of rest from c_j of what is left
+                    terms.extend((t, source + j, at + j + 1))
+                written.update(js)
+            where[rest] = at, tuple(sorted(j + 1 for j in written))
         return where[rest]
 
-    split((1 << len(maps)) - 1)
-    size = (sum(len(step[2]) // 3 + len(step[4]) // 2 for step in steps)
-            + sum(len(entries) // 3 for _, entries in rests))
-    return _Plan(tuple(tuple(table) for table in signs), tuple(steps), tuple(rests), size)
+    top = split((1 << len(maps)) - 1)[0]
+    # one int object per value, shared by every record that holds it
+    ints = list(range(max(slots, sums, 2 * moments, len(signs))))
+    kets, vacuum, terms = (tuple(map(ints.__getitem__, stream))
+                           for stream in (kets, vacuum, terms))
+    size = (len(kets) + len(vacuum) + len(terms)) // 3
+    signs = tuple((4 * (k * modes + i) + 2 * s, sign) for k, i, s, sign in signs)
+    return _Plan(signs, kets, slots, vacuum, moments, tuple(odd), terms, top, sums,
+                 size)
 
 
-# the plan entries the cache keeps, at most about 9 MB of plans: an order-8
-# overlap on 5 modes has 76 596 entries (2.5 MB), a default report's 22
-# plans 539 in all
+# the plan records the cache keeps, at most about 7 MB of plans: an order-8
+# overlap on 5 modes has 11 080 ket, 4 240 vacuum and 137 404 partition
+# records (4.0 MB retained), a default report's 22 plans 542 in all
 PLAN_CACHE_ENTRIES = 1 << 18
 
 
 class _PlanCache:
-    """Least recently used plans by (word, modes), bounded by the entries they hold."""
+    """Least recently used plans by (word, modes), bounded by the records they hold."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -452,9 +500,10 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
                     ops: list[OpSpec], exact: bool):
     """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
 
-    Returns (plan, moments, shift): moments[t] is omega of the subset of plan
-    step t as an (re, im) pair, None where it is zero, as on every odd subset.
-    Exact parts are ints carrying 2**-shift, float parts floats.
+    Returns (plan, moments, shift): moments[t] is omega of the plan's t-th
+    subset whose ket reaches the vacuum, as an (re, im) pair, or None where
+    it is zero.  Exact parts are ints carrying 2**-shift, float parts floats.
+    All shapes and species are checked, in factor order, before any value.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -467,106 +516,99 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             raise PreconditionError("exact rational path requires a one-mode lattice")
     elif profile is None:
         raise PreconditionError("float path needs a vacuum profile")
-
-    # per factor: its (re, im) coefficient on each mode and spin; an exact
-    # factor is its one mode's row of Gaussian integers, factor j's scaled by
-    # 2**shift_j
-    factors = []
-    shift = 0
     for spec in ops:
-        amp = np.asarray(spec.amplitude)
-        if amp.shape != (modes, 2):
-            raise ShapeError(f"amplitude table must be ({modes}, 2), got {amp.shape}")
+        shape = np.shape(spec.amplitude)
+        if shape != (modes, 2):
+            raise ShapeError(f"amplitude table must be ({modes}, 2), got {shape}")
         if spec.species not in ("b", "d"):
             raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
-        if not np.isfinite(amp).all():
-            raise PreconditionError("amplitude table must be finite")
-        table = (amp if spec.dagger else np.conj(amp)).astype(np.complex128)
-        if exact:
-            row, op_shift = _dyadic_lift(table[0])
-            factors.append([row])
-            shift += op_shift
-        else:
-            factors.append([[(z.real, z.imag) for z in row] for row in table.tolist()])
 
-    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
+    # all K tables in one pass, each factor's conjugated unless it is a creator
+    amps = np.array([spec.amplitude for spec in ops], dtype=np.complex128).reshape(
+        len(ops), modes, 2)
+    if not np.isfinite(amps).all():
+        raise PreconditionError("amplitude table must be finite")
+    daggers = np.array([spec.dagger for spec in ops], dtype=bool).reshape(-1, 1, 1)
+    amps = np.where(daggers, amps, np.conj(amps))
+    shift = 0
     if exact:
+        # factor k's row of Gaussian integers on its one mode, scaled by 2**shift_k
+        parts = []
+        for row in amps[:, 0].tolist():
+            lifted, op_shift = _dyadic_lift(row)
+            parts += [part for pair in lifted for part in pair]
+            shift += op_shift
         # sqrt(w) O is a pure phase by normalization and cancels between bra
         # and ket, so the vacuum coefficient is 1 and weighs nothing
         root = [(1, 0)]
     else:
+        parts = amps.view(np.float64).ravel().tolist()
         root = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
         root = [(z.real, z.imag) for z in root]
-    return plan, _moments(plan, factors, root), shift
+    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
+    return plan, _moments(plan, parts, root), shift
 
 
-def _moments(plan: _Plan, factors: list, root: list) -> list:
-    """The value pass of `_vacuum_moments`: one loop for ints and floats alike.
+def _moments(plan: _Plan, parts: list, root: list) -> list:
+    """The value pass of `_vacuum_moments`: one ket loop and one vacuum loop.
 
-    factors[k][i][s] is factor k's (re, im) coefficient on mode i and spin s,
-    and root[i] the vacuum's on mode i; the bra takes its conjugate.  A ket
-    is kept as separate re and im lists and the arithmetic is written out,
-    with no call per operation: CPython's complex product and sum make these
-    same float operations, and every sum starts from 0.
+    parts holds every factor's coefficients, re and im in turn, at the part
+    indices of `_Plan.signs`; root[i] is the vacuum's (re, im) coefficient
+    on mode i, and the bra takes its conjugate.  Kets and moments are kept
+    as separate re and im lists and the arithmetic is written out, with no
+    call per operation: CPython's complex product and sum make these same
+    float operations, and every sum starts from 0.  A zero ket entry gives
+    no term, so the kets of the supersets of a vanishing ket cost one truth
+    test per record and stay 0.
     """
-    # the ladder signs folded into each factor's coefficients
-    tables = [([table[i][s][0] * sign for i, s, sign in signs],
-               [table[i][s][1] * sign for i, s, sign in signs])
-              for table, signs in zip(factors, plan.signs)]
-    bra = [(re, -im) for re, im in root]
-    kets = [([re for re, _ in root], [im for _, im in root])] + [None] * len(plan.steps)
-    moments = [None] * len(plan.steps)
-    t = 0
-    while t < len(plan.steps):
-        parent, k, entries, size, vacuum, odd, skip = plan.steps[t]
-        (src_re, src_im), (tab_re, tab_im) = kets[parent], tables[k]
-        ket_re, ket_im = [0] * size, [0] * size
-        flat = iter(entries)
-        for a, c, d in zip(flat, flat, flat):
-            x_re, x_im = src_re[a], src_im[a]
-            if x_re or x_im:  # zero entries give no term
-                y_re, y_im = tab_re[c], tab_im[c]
-                ket_re[d] += y_re * x_re - y_im * x_im
-                ket_im[d] += y_re * x_im + y_im * x_re
-        if not (any(ket_re) or any(ket_im)):
-            t = skip  # every superset that prepends factors to it vanishes too
-            continue
-        kets[t + 1] = ket_re, ket_im
-        m_re = m_im = 0
-        flat = iter(vacuum)
-        for i, d in zip(flat, flat):
-            x_re, x_im = ket_re[d], ket_im[d]
-            if x_re or x_im:
-                y_re, y_im = bra[i]
-                m_re += y_re * x_re - y_im * x_im
-                m_im += y_re * x_im + y_im * x_re
-        if m_re or m_im:
-            if odd:
-                # register parity forces odd products to vanish on the vacuum
-                raise PreconditionError("odd operator product gave a nonzero vacuum moment")
-            moments[t] = m_re, m_im
-        t += 1
+    # the ladder signs folded into the coefficients
+    tab_re = [parts[v] * sign for v, sign in plan.signs]
+    tab_im = [parts[v + 1] * sign for v, sign in plan.signs]
+    fill = [0] * (plan.slots - len(root))
+    ket_re, ket_im = [re for re, _ in root] + fill, [im for _, im in root] + fill
+    stream = iter(plan.kets)
+    for a, c, d in zip(stream, stream, stream):
+        x_re, x_im = ket_re[a], ket_im[a]
+        if x_re or x_im:
+            y_re, y_im = tab_re[c], tab_im[c]
+            ket_re[d] += y_re * x_re - y_im * x_im
+            ket_im[d] += y_re * x_im + y_im * x_re
+    bra_re, bra_im = [re for re, _ in root], [-im for _, im in root]
+    m_re, m_im = [0] * plan.moments, [0] * plan.moments
+    stream = iter(plan.vacuum)
+    for t, i, d in zip(stream, stream, stream):
+        x_re, x_im = ket_re[d], ket_im[d]
+        if x_re or x_im:
+            y_re, y_im = bra_re[i], bra_im[i]
+            m_re[t] += y_re * x_re - y_im * x_im
+            m_im[t] += y_re * x_im + y_im * x_re
+    moments = [(re, im) if re or im else None for re, im in zip(m_re, m_im)]
+    if any(moments[t] for t in plan.odd):
+        # register parity forces odd products to vanish on the vacuum
+        raise PreconditionError("odd operator product gave a nonzero vacuum moment")
     return moments
 
 
 def _partition_sum(plan: _Plan, moments: list) -> list[tuple]:
-    """c_j as (re, im) pairs: the moments summed over set partitions, by block count."""
-    sums = [([1], [0])]
-    for length, entries in plan.rests:
-        out_re, out_im = [0] * length, [0] * length
-        flat = iter(entries)
-        for t, left, negate in zip(flat, flat, flat):
-            moment = moments[t]
-            if moment is None:
-                continue
-            # the shuffle sign, folded into the moment once per entry
-            m_re, m_im = (-moment[0], -moment[1]) if negate else moment
-            for j, c_re, c_im in zip(range(1, length), *sums[left]):
-                if c_re or c_im:
-                    out_re[j] += m_re * c_re - m_im * c_im
-                    out_im[j] += m_re * c_im + m_im * c_re
-        sums.append((out_re, out_im))
-    return list(zip(*sums[-1]))
+    """c_j as (re, im) pairs: the moments summed over set partitions, by block count.
+
+    One loop over the plan's terms, each adding a moment times a c_j of the
+    factors its block leaves to a c_(j+1), written out as in `_moments`.
+    """
+    # moment t + len(moments) is moment t with the shuffle sign folded in
+    signed = moments + [moment and (-moment[0], -moment[1]) for moment in moments]
+    c_re, c_im = [0] * plan.sums, [0] * plan.sums
+    c_re[0] = 1
+    stream = iter(plan.terms)
+    for t, a, d in zip(stream, stream, stream):
+        moment = signed[t]
+        if moment is not None:
+            x_re, x_im = c_re[a], c_im[a]
+            if x_re or x_im:
+                m_re, m_im = moment
+                c_re[d] += m_re * x_re - m_im * x_im
+                c_im[d] += m_re * x_im + m_im * x_re
+    return list(zip(c_re[plan.top:], c_im[plan.top:]))
 
 
 def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
@@ -639,8 +681,8 @@ def _gram_exact(fs: list[np.ndarray],
     Gaussian integers over one shift: row k and column j carry their own
     powers of two, so the det is that of the integer matrix times 2**-shift.
     """
-    f_rows = [_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0])) for f in fs]
-    g_cols = [_dyadic_lift(np.asarray(g, dtype=np.complex128)[0]) for g in gs]
+    f_rows = [_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0]).tolist()) for f in fs]
+    g_cols = [_dyadic_lift(np.asarray(g, dtype=np.complex128)[0].tolist()) for g in gs]
     gram = [[(f0[0] * g0[0] - f0[1] * g0[1] + f1[0] * g1[0] - f1[1] * g1[1],
               f0[0] * g0[1] + f0[1] * g0[0] + f1[0] * g1[1] + f1[1] * g1[0])
              for (g0, g1), _ in g_cols] for (f0, f1), _ in f_rows]

@@ -647,6 +647,18 @@ def test_opspec_validation(single_space, single_profile, rng):
         vacuum_matrix_element(nreg, single_profile, [OpSpec(np.full((1, 2), np.nan), "b", False)])
 
 
+def test_every_shape_and_species_is_checked_before_any_value(single_space, single_profile):
+    # each bad factor alone raises as in test_opspec_validation; the tables
+    # are stacked for one finiteness test only after every shape and
+    # species has passed, so a later bad shape or species wins over an
+    # earlier non-finite table
+    nreg = NRegister(single_space, 2)
+    nan = OpSpec(np.full((1, 2), np.nan), "b", False)
+    for bad in (OpSpec(np.zeros((2, 2)), "b", True), OpSpec(np.zeros((1, 2)), "x", True)):
+        with pytest.raises(ShapeError):
+            vacuum_matrix_element(nreg, single_profile, [nan, bad])
+
+
 # --- the compiled plan against the walk it replaced
 
 
@@ -817,6 +829,81 @@ def test_plan_expansion_equals_the_walk_bitwise(case):
             warm = noscillator._partition_expansion(space, profile, ops, exact)
         assert _bits(cold) == want
         assert _bits(warm) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_products())
+def test_coefficients_past_half_the_factors_are_exactly_zero(case):
+    # a block with a nonzero moment has even size, so K factors split into
+    # at most K/2 of them: c_j = 0 for every j > K/2, as an int 0 on the
+    # exact path and as +0.0 parts on the float path
+    modes, ops = case
+    space, profile = _engine_space(modes)
+    for exact in ((False, True) if modes == 1 else (False,)):
+        coeffs = noscillator._partition_expansion(space, profile, ops, exact).coeffs
+        assert len(coeffs) == len(ops) + 1
+        for coeff in coeffs[len(ops) // 2 + 1:]:
+            if exact:
+                assert coeff == (0, 0) and all(type(part) is int for part in coeff)
+            else:
+                assert [math.copysign(1.0, part) for part in (coeff.real, coeff.imag)] == [1, 1]
+                assert coeff == 0
+
+
+def test_a_two_species_product_reaches_every_coefficient_up_to_half(rng):
+    # the property above holds vacuously where every c_j is 0; here the
+    # ones up to K/2 are not.  Both species, as one slot holds at most two
+    # factors of one species' annihilators
+    for modes, exact in ((1, True), (3, False)):
+        space, profile = _engine_space(modes)
+        ops = [OpSpec(random_table(rng, modes), species, dagger)
+               for species, dagger in zip("bdbddbdb", [False] * 4 + [True] * 4)]
+        coeffs = noscillator._partition_expansion(space, profile, ops, exact).coeffs
+        assert [bool(c != (0, 0) if exact else c) for c in coeffs] == [False] + [True] * 4 + [False] * 4
+
+
+@st.composite
+def _words(draw):
+    """A mode count of 1 or 3 and a (species, dagger) word of K = 0..8 factors."""
+    letter = st.tuples(st.sampled_from("bd"), st.booleans())
+    return draw(st.sampled_from((1, 3))), tuple(draw(st.lists(letter, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_words())
+def test_every_record_reads_a_slot_written_before_it(case):
+    modes, word = case
+    plan = noscillator._compile_plan(word, modes)
+    records = [list(zip(*[iter(stream)] * 3)) for stream in (plan.kets, plan.vacuum, plan.terms)]
+    kets, vacuum, terms = records
+    assert plan.size == sum(map(len, records))
+    written = set(range(modes))  # the root's slots
+    for a, c, d in kets:
+        assert a in written and a < d and c < len(plan.signs)
+        written.add(d)
+    assert written == set(range(plan.slots))
+    assert all(d in written and t < plan.moments and i < modes for t, i, d in vacuum)
+    written = {0}  # the empty set's c_0
+    for t, a, d in terms:
+        assert a in written
+        # a negated moment is moment t + moments; no odd subset enters the sum
+        assert t < 2 * plan.moments and t % plan.moments not in plan.odd
+        written.add(d)
+    assert max(written) < plan.sums and plan.top + len(word) + 1 == plan.sums
+
+
+@pytest.mark.parametrize("zero", range(6))
+def test_a_product_with_an_all_zero_table_equals_the_walk_bitwise(rng, zero):
+    # every ket past the zero factor vanishes; the value pass still runs
+    # those kets' records, each reading a zero
+    for modes in (1, 3):
+        space, profile = _engine_space(modes)
+        tables = [random_table(rng, modes) for _ in range(6)]
+        tables[zero] = np.zeros((modes, 2), dtype=np.complex128)
+        ops = overlap_product_ops(tables[:3], tables[3:])
+        for exact in ((False, True) if modes == 1 else (False,)):
+            want = _bits(_reference_expansion(space, profile, ops, exact))
+            assert _bits(noscillator._partition_expansion(space, profile, ops, exact)) == want
 
 
 def test_exact_values_stay_python_ints(rng):

@@ -318,6 +318,14 @@ def test_matrix_exponential_guards():
         sparse.matrix_exponential(identity_operator(sparse.DENSE_EXP_LIMIT + 1))
 
 
+def test_exponential_size_cap_is_inclusive():
+    # on shapes alone: a matrix at the cap would take seconds to exponentiate
+    limit = sparse.DENSE_EXP_LIMIT
+    sparse._check_exponent((limit, limit))
+    with pytest.raises(SizeCapError):
+        sparse._check_exponent((limit + 1, limit + 1))
+
+
 def test_apply_operator_and_inner(rng):
     a = _random_dense(rng, 4)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)

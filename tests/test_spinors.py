@@ -35,6 +35,14 @@ def test_four_momentum_validation():
         spinors.FourMomentum(E=1.0, px=0.0, py=0.0, pz=0.0, m=-1.0)
 
 
+def test_four_momentum_boundaries():
+    # the mass guard admits m = 0, and the energy guard rejects E = 0 even on shell
+    light = spinors.FourMomentum(E=1.0, px=0.0, py=0.0, pz=1.0, m=0.0)
+    assert light.m == 0.0
+    with pytest.raises(PreconditionError):
+        spinors.FourMomentum(E=0.0, px=0.0, py=0.0, pz=0.0, m=0.0)
+
+
 def test_four_momentum_constructors():
     p = spinors.FourMomentum.from_rapidity(0.7, 2.0)
     assert p.E == pytest.approx(2 * np.cosh(0.7))

@@ -521,6 +521,17 @@ def _sweep_script():
     return module
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("modes1", ["--modes", "1", "--orders", "1,2,3,4,5,6,7,8"]),
+    ("modes3", ["--modes", "3", "--orders", "2,3,4,5"]),
+])
+def test_sweep_script_stdout_matches_golden(name, argv, capsys):
+    # pinned orders 5..8 lie past the reach of the expansion's Hypothesis draws
+    assert _sweep_script().main(argv) == 0
+    golden = Path(__file__).parent / "data" / f"sweep_golden_{name}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_sweep_script_budget_stop_exits_2(monkeypatch, capsys):
     # an order-2 determinant meets a bound of order 1
     monkeypatch.setattr(noscillator, "MAX_SLATER_ORDER", 1)

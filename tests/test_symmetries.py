@@ -235,6 +235,15 @@ def test_boson_sector_validation():
         symmetries.boson_vacuum_energy(sector, -1)
 
 
+def test_boson_sector_boundaries():
+    # zero frequencies and zero Z values are admitted, a zero weight is not
+    sector = symmetries.BosonSector(np.array([0.5, 0.5]), np.array([0.0, 1.0]),
+                                    np.array([0.0, 2.0]))
+    assert sector.omegas[0] == 0.0 and sector.z[0] == 0.0
+    with pytest.raises(ConfigError):
+        symmetries.BosonSector(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+
+
 def test_vacuum_energy_balance():
     rest = rapidity_lattice(0, 0.4, 1.0)
     profile = uniform_profile(rest)
