@@ -428,6 +428,8 @@ def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: s
 
 def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> ModeBlocks:
     """c_n(f) = sum_{i,s} w_i conj(f(p_i,s)) c_n(p_i,s); the weights cancel."""
+    if species not in ("b", "d"):
+        raise ShapeError(f"species must be 'b' or 'd', got {species!r}")
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (space.lattice.size, 2):
         raise ShapeError(f"amplitude table must be ({space.lattice.size}, 2), got {f.shape}")

@@ -18,11 +18,13 @@ products:
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It sums products of single-oscillator vacuum moments over set
   partitions of the factors by block count and weights j blocks by
-  N! / (N - j)!, so one expansion serves every N.  Which register entries
-  each factor reaches, which subsets meet the vacuum and how partitions
-  split depend only on the (species, dagger) word and the mode count: they
-  are compiled once into a cached plan of three flat record streams (kets,
-  vacuum entries, partition terms), and a call runs one loop over each.
+  N! / (N - j)!, so one expansion serves every N.  Every factor is
+  mode-diagonal, with the same ladders on every mode, so which register
+  entries each factor reaches, which subsets meet the vacuum and how
+  partitions split depend only on the (species, dagger) word: they are
+  compiled once, on one mode, into a cached plan of three flat record
+  streams (kets, vacuum slots, partition terms).  A call runs the ket and
+  vacuum loops once per lattice mode and the partition loop once.
   One value pass serves floats and exact values alike: every value is a
   plain (re, im) pair, with the arithmetic written out in the loops.  On
   one-mode lattices, where the finite-N element equals the limiting
@@ -183,7 +185,13 @@ class OpSpec(NamedTuple):
     dagger: bool
 
 
+def _check_dagger(dagger) -> None:
+    if not isinstance(dagger, (bool, np.bool_)):
+        raise ShapeError(f"dagger must be a bool, got {dagger!r}")
+
+
 def smeared_matrix(space: SingleOscillatorSpace, spec: OpSpec) -> ModeBlocks:
+    _check_dagger(spec.dagger)
     mat = smeared_annihilator(space, spec.amplitude, spec.species)
     return mat.adjoint() if spec.dagger else mat
 
@@ -340,23 +348,26 @@ class _Expansion(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """What an expansion's operator word and mode count fix, with no value in it.
+    """What an expansion's operator word fixes on one lattice mode, with no value in it.
 
-    Three flat streams of int records, one loop of the value pass each.
+    Every factor is mode-diagonal, with the same ladders on every mode, so
+    one plan serves every lattice and a call runs it once per mode.  The
+    records are flat streams of ints, one loop of the value pass each.
     Subsets of the factors are visited depth first, in pre-order.
 
     * `kets`: a (source slot, coefficient, destination slot) record per
-      entry of each ket A_b1 ... A_bm |vac>.  All kets share one slot
-      space: the root takes slots 0..modes-1, and each subset's ket follows
-      in pre-order.  Coefficient c is `signs[c]` = (part index, ladder
-      sign); the real part of factor k's coefficient on mode i and spin s
-      sits at part index 4 (k modes + i) + 2 s, its imaginary part next.
-    * `vacuum`: a (moment, mode, slot) record per vacuum entry of a ket.
-      `moments` counts the subsets whose ket reaches the vacuum; `odd`
-      lists those of odd size, whose moment the register parity forces to 0.
+      register entry of each ket A_b1 ... A_bm |vac>.  All kets share one
+      slot space: the root takes slot 0, and each subset's ket follows in
+      pre-order.  Coefficient c is `signs[c]` = (part index, ladder sign);
+      the real part of factor k's coefficient on spin s sits at part index
+      4 k + 2 s of a mode's coefficient list, its imaginary part next.
+    * `vacuum`: the slot of the vacuum entry of each ket that reaches the
+      vacuum, one per moment, as a one-mode ket holds the vacuum at most
+      once.  `odd` lists the moments of odd subsets, which the register
+      parity forces to 0.
     * `terms`: a (signed moment, source c-slot, destination c-slot) record
       per term of the partition sum, in block order and then by j; signed
-      moment t + `moments` is moment t negated by the shuffle sign.  Each
+      moment t + len(vacuum) is moment t negated by the shuffle sign.  Each
       remaining set of r factors holds c-slots for its c_0..c_r, after the
       sets it splits into.  Slot 0 is the empty set's c_0 = 1, and the
       whole word's c_0..c_K are the last, from `top` on; `sums` counts the
@@ -371,7 +382,6 @@ class _Plan(NamedTuple):
     kets: tuple
     slots: int
     vacuum: tuple
-    moments: int
     odd: tuple
     terms: tuple
     top: int
@@ -379,8 +389,8 @@ class _Plan(NamedTuple):
     size: int
 
 
-def _compile_plan(word: tuple, modes: int) -> _Plan:
-    """The plan of a (species, dagger) word on `modes` lattice modes."""
+def _compile_plan(word: tuple) -> _Plan:
+    """The plan of a (species, dagger) word on one lattice mode."""
     maps = [(_LADDERS[(species, 0, dagger)], _LADDERS[(species, 1, dagger)])
             for species, dagger in word]
     signs: dict = {}
@@ -388,43 +398,40 @@ def _compile_plan(word: tuple, modes: int) -> _Plan:
     vacuum: list = []
     odd: list = []
     blocks: list[list] = [[] for _ in maps]
-    slots, moments = modes, 0  # the root's ket takes the first slots
+    slots = 1  # the root's ket takes slot 0
 
-    def descend(keys: list, base: int, mask: int, low: int) -> None:
-        # keys are the entries of A_b1 ... A_bm |vac> for mask = {b1 < ... < bm},
-        # in slots from base on, low = b1; prepending a smaller factor visits
-        # every subset once
-        nonlocal kets, slots, moments
+    def descend(rows: list, base: int, mask: int, low: int) -> None:
+        # rows are the register entries of A_b1 ... A_bm |vac> for
+        # mask = {b1 < ... < bm}, in slots from base on, low = b1; prepending
+        # a smaller factor visits every subset once
+        nonlocal kets, slots
         for k in range(low):
             index: dict = {}
             at, ladders = slots, maps[k]
-            for a, (i, r) in enumerate(keys, base):
+            for a, r in enumerate(rows, base):
                 for s in (0, 1):
                     hit = ladders[s].get(r)
                     if hit is not None:
                         row, sign = hit
-                        kets += (a, signs.setdefault((k, i, s, sign), len(signs)),
-                                 at + index.setdefault((i, row), len(index)))
+                        kets += (a, signs.setdefault((k, s, sign), len(signs)),
+                                 at + index.setdefault(row, len(index)))
             if not index:
                 continue  # every superset that prepends factors to it vanishes too
             slots += len(index)
             block = mask | 1 << k
-            hits = [(i, at + index[(i, VACUUM_INDEX)])
-                    for i in range(modes) if (i, VACUUM_INDEX) in index]
-            if hits:
-                for i, d in hits:
-                    vacuum.extend((moments, i, d))
+            if VACUUM_INDEX in index:
                 if block.bit_count() % 2:
-                    odd.append(moments)
+                    odd.append(len(vacuum))
                 else:
                     # and, per factor of the block, the mask of the factors below it
                     belows = [(1 << b) - 1 for b in range(k, block.bit_length())
                               if block >> b & 1]
-                    blocks[k].append((block, moments, belows))
-                moments += 1
+                    blocks[k].append((block, len(vacuum), belows))
+                vacuum.append(at + index[VACUUM_INDEX])
             descend(list(index), at, block, k)
 
-    descend([(i, VACUUM_INDEX) for i in range(modes)], 0, 0, len(maps))
+    descend([VACUUM_INDEX], 0, 0, len(maps))
+    moments = len(vacuum)
     terms: list = []
     where = {0: (0, (0,))}  # a remaining set's c_0 slot and the j of its written c_j
     sums = 1
@@ -456,20 +463,19 @@ def _compile_plan(word: tuple, modes: int) -> _Plan:
     ints = list(range(max(slots, sums, 2 * moments, len(signs))))
     kets, vacuum, terms = (tuple(map(ints.__getitem__, stream))
                            for stream in (kets, vacuum, terms))
-    size = (len(kets) + len(vacuum) + len(terms)) // 3
-    signs = tuple((4 * (k * modes + i) + 2 * s, sign) for k, i, s, sign in signs)
-    return _Plan(signs, kets, slots, vacuum, moments, tuple(odd), terms, top, sums,
-                 size)
+    size = len(kets) // 3 + moments + len(terms) // 3
+    signs = tuple((4 * k + 2 * s, sign) for k, s, sign in signs)
+    return _Plan(signs, kets, slots, vacuum, tuple(odd), terms, top, sums, size)
 
 
-# the plan records the cache keeps, at most about 7 MB of plans: an order-8
-# overlap on 5 modes has 11 080 ket, 4 240 vacuum and 137 404 partition
-# records (4.0 MB retained), a default report's 22 plans 542 in all
+# the plan records the cache keeps, at most about 8 MB of plans: an order-8
+# overlap has 2 216 ket, 848 vacuum and 137 404 partition records (4.1 MB
+# retained) on every lattice, a default report's 14-15 plans 221-253 in all
 PLAN_CACHE_ENTRIES = 1 << 18
 
 
 class _PlanCache:
-    """Least recently used plans by (word, modes), bounded by the records they hold."""
+    """Least recently used plans by operator word, bounded by the records they hold."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -477,16 +483,15 @@ class _PlanCache:
         self.entries = 0
         self._lock = threading.Lock()  # the plans and their entry count change together
 
-    def plan(self, word: tuple, modes: int) -> _Plan:
-        key = (word, modes)
+    def plan(self, word: tuple) -> _Plan:
         with self._lock:
-            plan = self.plans.pop(key, None)
+            plan = self.plans.pop(word, None)
             if plan is None:
-                plan = _compile_plan(word, modes)
+                plan = _compile_plan(word)
             else:
                 self.entries -= plan.size
             if plan.size <= self.capacity:
-                self.plans[key] = plan
+                self.plans[word] = plan
                 self.entries += plan.size
                 while self.entries > self.capacity:
                     self.entries -= self.plans.popitem(last=False)[1].size
@@ -503,7 +508,9 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
     Returns (plan, moments, shift): moments[t] is omega of the plan's t-th
     subset whose ket reaches the vacuum, as an (re, im) pair, or None where
     it is zero.  Exact parts are ints carrying 2**-shift, float parts floats.
-    All shapes and species are checked, in factor order, before any value.
+    All shapes, species and daggers are checked, in factor order, before
+    any value; then one numpy pass stacks, tests and conjugates the tables
+    and turns them into one coefficient list per mode.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -522,6 +529,7 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             raise ShapeError(f"amplitude table must be ({modes}, 2), got {shape}")
         if spec.species not in ("b", "d"):
             raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
+        _check_dagger(spec.dagger)
 
     # all K tables in one pass, each factor's conjugated unless it is a creator
     amps = np.array([spec.amplitude for spec in ops], dtype=np.complex128).reshape(
@@ -533,55 +541,56 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
     shift = 0
     if exact:
         # factor k's row of Gaussian integers on its one mode, scaled by 2**shift_k
-        parts = []
+        coeffs = []
         for row in amps[:, 0].tolist():
             lifted, op_shift = _dyadic_lift(row)
-            parts += [part for pair in lifted for part in pair]
+            coeffs += [part for pair in lifted for part in pair]
             shift += op_shift
+        parts = [coeffs]
         # sqrt(w) O is a pure phase by normalization and cancels between bra
         # and ket, so the vacuum coefficient is 1 and weighs nothing
-        root = [(1, 0)]
+        roots = [(1, 0)]
     else:
-        parts = amps.view(np.float64).ravel().tolist()
-        root = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
-        root = [(z.real, z.imag) for z in root]
-    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops), modes)
-    return plan, _moments(plan, parts, root), shift
+        parts = amps.swapaxes(0, 1).view(np.float64).reshape(modes, 4 * len(ops)).tolist()
+        roots = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
+        roots = [(z.real, z.imag) for z in roots]
+    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops))
+    return plan, _moments(plan, parts, roots), shift
 
 
-def _moments(plan: _Plan, parts: list, root: list) -> list:
-    """The value pass of `_vacuum_moments`: one ket loop and one vacuum loop.
+def _moments(plan: _Plan, parts: list, roots: list) -> list:
+    """The value pass of `_vacuum_moments`: per mode, one ket loop and one vacuum loop.
 
-    parts holds every factor's coefficients, re and im in turn, at the part
-    indices of `_Plan.signs`; root[i] is the vacuum's (re, im) coefficient
-    on mode i, and the bra takes its conjugate.  Kets and moments are kept
-    as separate re and im lists and the arithmetic is written out, with no
-    call per operation: CPython's complex product and sum make these same
-    float operations, and every sum starts from 0.  A zero ket entry gives
+    parts[i] holds every factor's coefficients on mode i, re and im in turn,
+    at the part indices of `_Plan.signs`; roots[i] is the vacuum's (re, im)
+    coefficient on mode i, and the bra takes its conjugate.  Kets and
+    moments are kept as separate re and im lists and the arithmetic is
+    written out, with no call per operation: CPython's complex product and
+    sum make these same float operations, and every sum starts from 0.
+    Each moment adds its modes in ascending order.  A zero ket entry gives
     no term, so the kets of the supersets of a vanishing ket cost one truth
     test per record and stay 0.
     """
-    # the ladder signs folded into the coefficients
-    tab_re = [parts[v] * sign for v, sign in plan.signs]
-    tab_im = [parts[v + 1] * sign for v, sign in plan.signs]
-    fill = [0] * (plan.slots - len(root))
-    ket_re, ket_im = [re for re, _ in root] + fill, [im for _, im in root] + fill
-    stream = iter(plan.kets)
-    for a, c, d in zip(stream, stream, stream):
-        x_re, x_im = ket_re[a], ket_im[a]
-        if x_re or x_im:
-            y_re, y_im = tab_re[c], tab_im[c]
-            ket_re[d] += y_re * x_re - y_im * x_im
-            ket_im[d] += y_re * x_im + y_im * x_re
-    bra_re, bra_im = [re for re, _ in root], [-im for _, im in root]
-    m_re, m_im = [0] * plan.moments, [0] * plan.moments
-    stream = iter(plan.vacuum)
-    for t, i, d in zip(stream, stream, stream):
-        x_re, x_im = ket_re[d], ket_im[d]
-        if x_re or x_im:
-            y_re, y_im = bra_re[i], bra_im[i]
-            m_re[t] += y_re * x_re - y_im * x_im
-            m_im[t] += y_re * x_im + y_im * x_re
+    m_re, m_im = [0] * len(plan.vacuum), [0] * len(plan.vacuum)
+    fill = [0] * (plan.slots - 1)
+    for coeffs, (root_re, root_im) in zip(parts, roots):
+        # the ladder signs folded into the coefficients
+        tab_re = [coeffs[v] * sign for v, sign in plan.signs]
+        tab_im = [coeffs[v + 1] * sign for v, sign in plan.signs]
+        ket_re, ket_im = [root_re, *fill], [root_im, *fill]
+        stream = iter(plan.kets)
+        for a, c, d in zip(stream, stream, stream):
+            x_re, x_im = ket_re[a], ket_im[a]
+            if x_re or x_im:
+                y_re, y_im = tab_re[c], tab_im[c]
+                ket_re[d] += y_re * x_re - y_im * x_im
+                ket_im[d] += y_re * x_im + y_im * x_re
+        y_re, y_im = root_re, -root_im
+        for t, d in enumerate(plan.vacuum):
+            x_re, x_im = ket_re[d], ket_im[d]
+            if x_re or x_im:
+                m_re[t] += y_re * x_re - y_im * x_im
+                m_im[t] += y_re * x_im + y_im * x_re
     moments = [(re, im) if re or im else None for re, im in zip(m_re, m_im)]
     if any(moments[t] for t in plan.odd):
         # register parity forces odd products to vanish on the vacuum

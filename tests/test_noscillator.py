@@ -659,6 +659,30 @@ def test_every_shape_and_species_is_checked_before_any_value(single_space, singl
             vacuum_matrix_element(nreg, single_profile, [nan, bad])
 
 
+@pytest.mark.parametrize("species, dagger", [("x", False), (None, True), ("b", "yes"),
+                                             ("b", None), ("d", 1)])
+def test_a_bad_species_or_dagger_is_a_shape_error_on_both_routes(single_space, single_profile,
+                                                                 species, dagger):
+    # a bad dagger was a KeyError in the expansion and taken for its truth
+    # value by the matrix route, and a bad species a KeyError there; the
+    # bad factor's NaN table shows that the check comes before any value
+    nreg = NRegister(single_space, 2)
+    ops = [OpSpec(np.full((1, 2), np.nan), species, dagger), OpSpec(np.ones((1, 2)), "b", True)]
+    for route in (vacuum_matrix_element, vacuum_matrix_element_matrix):
+        with pytest.raises(ShapeError):
+            route(nreg, single_profile, ops)
+    with pytest.raises(ShapeError):
+        noscillator._partition_expansion(single_space, None, ops, True)
+    with pytest.raises(ShapeError):
+        smeared_matrix(single_space, ops[0])
+    if species not in ("b", "d"):
+        with pytest.raises(ShapeError):
+            smeared_annihilator(single_space, np.ones((1, 2)), species)
+    # numpy bools are bools
+    assert vacuum_matrix_element(nreg, single_profile, [OpSpec(np.ones((1, 2)), "b", np.False_),
+                                                        ops[1]]) != 0
+
+
 # --- the compiled plan against the walk it replaced
 
 
@@ -774,10 +798,10 @@ def _bits(expansion):
 
 @functools.cache
 def _engine_space(modes):
-    """The one-, two- and three-mode lattices of the expansion tests, with their profiles."""
+    """The one-, two-, three- and five-mode lattices of the expansion tests, with their profiles."""
     lattice = rapidity_lattice(1, 0.4, 1.0)
     lattice = {1: rapidity_lattice(0, 0.4, 1.0), 2: restricted_lattice(lattice, (0, 2)),
-               3: lattice}[modes]
+               3: lattice, 5: rapidity_lattice(2, 0.4, 1.0)}[modes]
     return SingleOscillatorSpace(lattice), uniform_profile(lattice)
 
 
@@ -803,7 +827,7 @@ def _products(draw):
     Tables come from a pool of at most three, so factors repeat and give
     nilpotent products.
     """
-    modes = draw(st.integers(1, 3))
+    modes = draw(st.sampled_from((1, 2, 3, 5)))
     table = st.lists(_plan_entries, min_size=4 * modes, max_size=4 * modes).map(
         lambda xs: (np.array(xs[::2]) + 1j * np.array(xs[1::2])).reshape(modes, 2))
     pool = draw(st.lists(table, min_size=1, max_size=3))
@@ -862,32 +886,29 @@ def test_a_two_species_product_reaches_every_coefficient_up_to_half(rng):
         assert [bool(c != (0, 0) if exact else c) for c in coeffs] == [False] + [True] * 4 + [False] * 4
 
 
-@st.composite
-def _words(draw):
-    """A mode count of 1 or 3 and a (species, dagger) word of K = 0..8 factors."""
-    letter = st.tuples(st.sampled_from("bd"), st.booleans())
-    return draw(st.sampled_from((1, 3))), tuple(draw(st.lists(letter, max_size=8)))
+_words = st.lists(st.tuples(st.sampled_from("bd"), st.booleans()), max_size=8).map(tuple)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_words())
-def test_every_record_reads_a_slot_written_before_it(case):
-    modes, word = case
-    plan = noscillator._compile_plan(word, modes)
-    records = [list(zip(*[iter(stream)] * 3)) for stream in (plan.kets, plan.vacuum, plan.terms)]
-    kets, vacuum, terms = records
-    assert plan.size == sum(map(len, records))
-    written = set(range(modes))  # the root's slots
+@given(word=_words)
+def test_every_record_reads_a_slot_written_before_it(word):
+    plan = noscillator._compile_plan(word)
+    kets, terms = (list(zip(*[iter(stream)] * 3)) for stream in (plan.kets, plan.terms))
+    moments = len(plan.vacuum)
+    assert plan.size == len(kets) + moments + len(terms)
+    written = {0}  # the root's slot
     for a, c, d in kets:
         assert a in written and a < d and c < len(plan.signs)
         written.add(d)
     assert written == set(range(plan.slots))
-    assert all(d in written and t < plan.moments and i < modes for t, i, d in vacuum)
+    # one vacuum slot per moment, each that of a different ket
+    assert len(set(plan.vacuum)) == moments and set(plan.vacuum) <= written
+    assert all(v % 4 in (0, 2) and v < 4 * len(word) for v, _ in plan.signs)
     written = {0}  # the empty set's c_0
     for t, a, d in terms:
         assert a in written
         # a negated moment is moment t + moments; no odd subset enters the sum
-        assert t < 2 * plan.moments and t % plan.moments not in plan.odd
+        assert t < 2 * moments and t % moments not in plan.odd
         written.add(d)
     assert max(written) < plan.sums and plan.top + len(word) + 1 == plan.sums
 
@@ -954,18 +975,35 @@ def test_one_plan_per_word_serves_every_table(rng):
     assert _bits(got[0]) != _bits(got[1])
 
 
-def test_one_word_on_two_mode_counts_has_two_plans(rng):
-    fs, gs = [random_table(rng, 2) for _ in range(2)], [random_table(rng, 2) for _ in range(2)]
-    products = {1: overlap_product_ops([f[:1] for f in fs], [g[:1] for g in gs]),
-                2: overlap_product_ops(fs, gs)}
+def test_one_plan_serves_every_mode_count(rng):
+    fs, gs = [random_table(rng, 3) for _ in range(2)], [random_table(rng, 3) for _ in range(2)]
+    products = {modes: overlap_product_ops([f[:modes] for f in fs], [g[:modes] for g in gs])
+                for modes in (1, 2, 3)}
     word = tuple((op.species, op.dagger) for op in products[1])
     with _plan_cache() as cache:
+        plans = []
         for modes, ops in products.items():
             space, profile = _engine_space(modes)
+            plans.append(_word_plan(space, profile, ops))
             got = noscillator._partition_expansion(space, profile, ops, False)
             assert _bits(got) == _bits(_reference_expansion(space, profile, ops, False))
-        assert set(cache.plans) == {(word, 1), (word, 2)}
-        assert cache.plans[(word, 1)].size < cache.plans[(word, 2)].size
+        assert all(plan is plans[0] for plan in plans)
+        assert list(cache.plans) == [word]
+
+
+def test_a_plan_that_fits_on_one_mode_fits_on_every_lattice(rng):
+    # a cache with room for the word's one-mode plan keeps it on 3 modes
+    ops = overlap_product_ops([random_table(rng, 3) for _ in range(3)],
+                              [random_table(rng, 3) for _ in range(3)])
+    word = tuple((op.species, op.dagger) for op in ops)
+    one_mode = [op._replace(amplitude=op.amplitude[:1]) for op in ops]
+    with _plan_cache():
+        size = _word_plan(*_engine_space(1), one_mode).size
+    space, profile = _engine_space(3)
+    with _plan_cache(size) as cache:
+        want = _bits(_reference_expansion(space, profile, ops, False))
+        assert _bits(noscillator._partition_expansion(space, profile, ops, False)) == want
+        assert list(cache.plans) == [word] and cache.entries == size
 
 
 def test_a_full_plan_cache_evicts_and_results_hold(rng):
@@ -988,7 +1026,7 @@ def test_a_full_plan_cache_evicts_and_results_hold(rng):
         assert 0 < len(cache.plans) < len(products)
         # the most recently used plan stays
         last = tuple((op.species, op.dagger) for op in products[-1])
-        assert list(cache.plans)[-1] == (last, 2)
+        assert list(cache.plans)[-1] == last
     # a plan larger than the whole cache runs and is not kept
     with _plan_cache(min(sizes) - 1) as cache:
         assert _bits(noscillator._partition_expansion(space, profile, products[0], False)) == want[0]

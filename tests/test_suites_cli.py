@@ -1,5 +1,6 @@
 """Report plumbing: suite registry, determinism, config I/O, CLI exit codes."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -166,6 +167,25 @@ def test_nan_residual_fails_its_check(monkeypatch, fast_config):
     assert record.check == "anticommutator"
     assert np.isnan(record.residual)
     assert not record.passed
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.5, 0.9), (0.0, 0.5, 0.9)])
+def test_a_flat_or_zero_orthonormal_overlap_fails_its_flag(monkeypatch, fast_config, values):
+    # a plateau is no rise, and 0 lies outside (0, 1]: both gates are strict
+    real = suites.determinant_limit_convergence
+
+    def doctored(space, profile, fs, gs, n_list):
+        rep = real(space, profile, fs, gs, n_list)
+        if fs is not gs:  # only the orthonormal call passes one list twice
+            return rep
+        records = tuple(dataclasses.replace(record, lhs=complex(value))
+                        for record, value in zip(rep.records, values, strict=True))
+        return dataclasses.replace(rep, records=records)
+
+    monkeypatch.setattr(suites, "determinant_limit_convergence", doctored)
+    records = {r.check: r for r in run_suite("n_oscillator", fast_config)}
+    assert not records["orthonormal_rising"].passed
+    assert records["orthonormal_limit"].passed
 
 
 def test_cli_json_output(tmp_path, capsys):
