@@ -15,7 +15,8 @@ Lattice kinds:
 
 Single-oscillator operators are mode blocks sum_i |i><i - shift| x R_i, held
 as a `ModeBlocks` (the (M, 16, 16) stack of R_i and the shift); their
-products, sums, adjoints and (anti)commutators stay in that form.  Each
+products, sums, adjoints and (anti)commutators stay in that form, and
+`shift_range` is the one map of a mode shift, for them and the boosts.  Each
 operator keeps the range of modes whose blocks may be nonzero and the
 register entries that may be nonzero in them, so the algebra touches only
 those.  A block product computes only the terms a_ij b_jk whose positions
@@ -33,6 +34,8 @@ two independent routes.
 from __future__ import annotations
 
 import functools
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,26 +102,23 @@ def build_lattice(mode: str, m: float, j_max: int = 6, delta_eta: float = 0.4,
 
 def restricted_lattice(lattice: MomentumLattice, indices: tuple[int, ...]) -> MomentumLattice:
     """Sub-lattice on a subset of modes; rapidity metadata is dropped."""
-    if len(indices) == 0 or len(set(indices)) != len(indices):
-        raise ConfigError(f"need distinct mode indices, got {indices}")
+    # a negative index would silently take a mode from the end
+    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+               and 0 <= i < lattice.size for i in indices) \
+            or len(indices) == 0 or len(set(indices)) != len(indices):
+        raise ConfigError(f"need distinct int mode indices in [0, {lattice.size}), got {indices}")
     points = tuple(lattice.points[i] for i in indices)
     weights = lattice.weights[list(indices)].copy()
     return MomentumLattice("restricted", points, weights, lattice.m)
 
 
-def shift_sources(modes: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source mode i - shift of every mode i, and the mask of modes whose source is on the lattice.
+def shift_range(modes: int, shift: int) -> tuple[int, int]:
+    """The modes i whose source mode i - shift is on the lattice, as the slice bounds [lo, hi).
 
-    The one map of a mode shift.  On a rapidity lattice the index is j + J,
-    so a boost by k steps sends mode j - k to j; modes j with j + k on the
-    lattice are the unmasked entries of shift_sources(modes, -k).
+    The one map of a mode shift; the sources are [lo - shift, hi - shift).
+    On a rapidity lattice the index is j + J, so a boost by k steps fills
+    shift_range(M, k) from modes j - k and keeps shift_range(M, -k) on it.
     """
-    src = np.arange(modes) - shift
-    return src, (src >= 0) & (src < modes)
-
-
-def _source_range(modes: int, shift: int) -> tuple[int, int]:
-    """The unmasked modes of shift_sources(modes, shift), as the slice bounds [lo, hi)."""
     lo = min(max(shift, 0), modes)
     return lo, max(min(modes + shift, modes), lo)
 
@@ -128,6 +128,13 @@ def _source_range(modes: int, shift: int) -> tuple[int, int]:
 PLAN_CACHE_SIZE = 256
 
 _NO_MODES = (0, 0)
+
+
+def _shift_index(shift) -> int:
+    """A mode shift as an int; a float or a bool is refused, not truncated."""
+    if isinstance(shift, numbers.Integral) and not isinstance(shift, bool):
+        return operator.index(shift)
+    raise ShapeError(f"mode shift must be an integer, got {shift!r}")
 
 
 def _pattern_bits(mask: np.ndarray) -> int:
@@ -208,8 +215,8 @@ class ModeBlocks:
         stack = np.asarray(self.stack, dtype=np.complex128)
         if stack.ndim != 3 or stack.shape[1:] != (REGISTER_DIM, REGISTER_DIM):
             raise ShapeError(f"block stack must be (M, 16, 16), got {stack.shape}")
-        shift = int(self.shift)
-        lo, hi = _source_range(len(stack), shift)
+        shift = _shift_index(self.shift)
+        lo, hi = shift_range(len(stack), shift)
         if shift and (stack[:lo].any() or stack[hi:].any()):
             stack = stack.copy()
             stack[:lo] = 0
@@ -252,7 +259,7 @@ class ModeBlocks:
 
     @classmethod
     def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
-        return cls._placed(None, modes, _NO_MODES, int(shift), 0)
+        return cls._placed(None, modes, _NO_MODES, _shift_index(shift), 0)
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> ModeBlocks:

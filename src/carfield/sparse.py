@@ -153,13 +153,6 @@ class SparseOperator:
         out[rows, cols] = data
         return out
 
-    def diagonal(self) -> np.ndarray:
-        rows, cols, data = self.coo()
-        on = rows == cols
-        out = np.zeros(min(self.shape), dtype=np.complex128)
-        out[rows[on]] = data[on]
-        return out
-
     def __matmul__(self, other):
         if isinstance(other, SparseOperator):
             return self._matmul_operator(other)

@@ -35,7 +35,7 @@ from .modes import (
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
-    shift_sources,
+    shift_range,
     smeared_annihilator,
     uniform_profile,
     vacuum_vector,
@@ -261,22 +261,20 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
                         worst, 1e-12))
 
         steps = abs(config.boost_steps)
-        j_max = max(lattice.j_values)
-        interior = np.array([abs(j) <= j_max - steps for j in lattice.j_values])
+        lo, hi = symmetries.interior_range(lattice.size, steps)
         f = np.zeros((lattice.size, 2), dtype=np.complex128)
         g = np.zeros_like(f)
-        f[interior] = _random_table(rng, int(interior.sum()))
-        g[interior] = _random_table(rng, int(interior.sum()))
+        f[lo:hi] = _random_table(rng, hi - lo)
+        g[lo:hi] = _random_table(rng, hi - lo)
         lam = spinors.boost_z(steps * lattice.delta_eta)
         y = np.asarray(config.displacement)
         tf = np.zeros_like(f)
         tg = np.zeros_like(g)
-        src, valid = shift_sources(lattice.size, steps)
-        for idx in np.flatnonzero(valid):
+        for idx in range(*shift_range(lattice.size, steps)):
             u = spinors.wigner_matrix(lam, lattice.points[idx])
             phase = np.exp(1j * lattice.points[idx].dot_point(y))
-            tf[idx] = phase * (u @ f[src[idx]])
-            tg[idx] = phase * (u @ g[src[idx]])
+            tf[idx] = phase * (u @ f[idx - steps])
+            tg[idx] = phase * (u @ g[idx - steps])
         x = np.asarray(config.field_point)
         x_fwd = spinors.apply_lorentz_to_point(lam, x) + y
         lhs = spinors.classical_solution(lattice, tf, tg, x_fwd)
@@ -649,8 +647,9 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
 
     u = boost0.unitary
     # the modes whose image under the boost stays on the lattice
-    keep = shift_sources(lattice.size, -boost0.steps)[1]
-    src_proj = mode_blocks(keep[:, None], [space.register.identity])
+    keep = np.zeros((lattice.size, 1))
+    keep[slice(*shift_range(lattice.size, -boost0.steps))] = 1.0
+    src_proj = mode_blocks(keep, [space.register.identity])
     out.append(_rec(s, "boost_isometry", "U'U projects on the modes that stay on the lattice",
                     (u.adjoint() @ u - src_proj).max_abs(), 1e-12))
 

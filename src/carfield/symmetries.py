@@ -11,7 +11,8 @@ Conventions fixed here:
   generator, which is what makes the vacuum pick up phases.
 * Boosts along z act on rapidity lattices by an index shift j -> j + k
   composed with per-mode spin mixing; columns shifted off the lattice are
-  dropped, so the unitary is an isometry only on the interior.
+  dropped, so the unitary is an isometry only on the modes that stay on
+  it and covariant only on the interior; both are `modes.shift_range` slices.
 
 Everything here stays at the single-oscillator level (dimension 16 M), as
 mode-block operators; the N-fold extension rules live in the oscillator
@@ -34,7 +35,7 @@ from .modes import (
     VacuumProfile,
     field_operator,
     mode_blocks,
-    shift_sources,
+    shift_range,
     vacuum_vector,
 )
 from .register import (
@@ -108,14 +109,14 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
     return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps).pruned())
 
 
-def interior_projector(space: SingleOscillatorSpace, steps: int) -> ModeBlocks:
-    """Projector onto modes |j| <= J - |steps|, where boundary effects cannot reach."""
-    lattice = space.lattice
-    if lattice.mode != RAPIDITY_1D:
-        raise PreconditionError("interior projector is only defined on rapidity lattices")
-    j_max = max(lattice.j_values)
-    keep = np.array([1.0 if abs(j) <= j_max - abs(steps) else 0.0 for j in lattice.j_values])
-    return mode_blocks(keep[:, None], [space.register.identity])
+def interior_range(modes: int, steps: int) -> tuple[int, int]:
+    """The interior |j| <= J - |k| of a boost by k steps, as the slice [|k|, M - |k|).
+
+    The overlap of shift_range(M, k) and shift_range(M, -k): the modes that
+    come from the lattice and stay on it, where boundary effects cannot reach.
+    """
+    lo = shift_range(modes, abs(steps))[0]
+    return lo, max(shift_range(modes, -abs(steps))[1], lo)
 
 
 def poincare_unitary(space: SingleOscillatorSpace, boost: BoostData,
@@ -125,14 +126,14 @@ def poincare_unitary(space: SingleOscillatorSpace, boost: BoostData,
 
 
 def _every_mode(space: SingleOscillatorSpace, spin: int, species: str,
-                modes: np.ndarray | None = None) -> ModeBlocks:
-    """sum_i c(p_i, s) over the selected modes (all by default), one block per mode.
+                modes: tuple[int, int | None] = (0, None)) -> ModeBlocks:
+    """sum_i c(p_i, s) over the modes [lo, hi) (all by default), one block per mode.
 
     Mode blocks never mix, so block i of any product with this sum is the
     block of the same product with mode_annihilator(space, i, spin, species).
     """
-    select = np.ones(space.lattice.size, dtype=bool) if modes is None else modes
-    coeffs = np.where(select, 1.0 / space.lattice.weights, 0.0)
+    coeffs = np.zeros(space.lattice.size)
+    coeffs[slice(*modes)] = 1.0 / space.lattice.weights[slice(*modes)]
     return mode_blocks(coeffs[:, None], [space.register.ladder(species, spin)])
 
 
@@ -146,16 +147,15 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
     k = boost.steps
     u = boost.unitary
     u_dag = u.adjoint()
-    src, valid = shift_sources(m, k)
+    lo, hi = shift_range(m, k)
     # per source mode j - k, the mixing row of mode j
     mix = np.zeros((m, 2, 2), dtype=np.complex128)
-    mix[src[valid]] = boost.wigner[valid]
-    sources = shift_sources(m, -k)[1]
+    mix[lo - k:hi - k] = boost.wigner[lo:hi]
     worst = 0.0
     for species in ("b", "d"):
-        targets = [_every_mode(space, sp, species, sources) for sp in (0, 1)]
+        targets = [_every_mode(space, sp, species, (lo - k, hi - k)) for sp in (0, 1)]
         for s in (0, 1):
-            lhs = u_dag @ _every_mode(space, s, species, valid) @ u
+            lhs = u_dag @ _every_mode(space, s, species, (lo, hi)) @ u
             rhs = ModeBlocks.zeros(m)
             for sp in (0, 1):
                 rhs = rhs + ModeBlocks(mix[:, s, sp, None, None] * targets[sp].stack)
@@ -167,10 +167,10 @@ def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData,
                                 y: np.ndarray) -> float:
     """The grading commutes with Poincare maps away from the boundary."""
     u = poincare_unitary(space, boost, y)
-    proj = interior_projector(space, boost.steps)
     parity = space.parity()
     diff = u.adjoint() @ parity @ u - parity
-    return (proj @ diff @ proj).max_abs()
+    lo, hi = interior_range(len(diff.stack), boost.steps)
+    return sparse.max_abs(diff.stack[lo:hi])
 
 
 def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
@@ -178,15 +178,15 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
                               conjugate: bool = False) -> float:
     """Residual of U' Psi_a(x) U = sum_b S[a,b] Psi_b(L^-1 (x - y)), interior part.
 
-    S is the direct-sum bispinor action of the boost; both sides are
-    compressed by the interior projector because modes within `steps` of
-    the lattice edge are shifted off and carry no covariance statement.
+    S is the direct-sum bispinor action of the boost; the difference is
+    read on the interior blocks only, because modes within `steps` of the
+    lattice edge are shifted off and carry no covariance statement.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     u = poincare_unitary(space, boost, y)
     u_dag = u.adjoint()
-    proj = interior_projector(space, boost.steps)
+    lo, hi = interior_range(space.lattice.size, boost.steps)
     s4 = bispinor_rep(boost.sl2c)
     x_back = apply_lorentz_to_point(np.linalg.inv(boost.sl2c), x - y)
     fields_back = [field_operator(space, x_back, b, conjugate=conjugate) for b in range(4)]
@@ -197,7 +197,7 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
         for b in range(4):
             if s4[a, b] != 0:
                 rhs = rhs + s4[a, b] * fields_back[b]
-        worst = worst_of(worst, (proj @ (lhs - rhs) @ proj).max_abs())
+        worst = worst_of(worst, sparse.max_abs((lhs - rhs).stack[lo:hi]))
     return worst
 
 
@@ -318,11 +318,10 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
 
     predicted = np.zeros(space.dim, dtype=np.complex128)
     shifted_raw = np.zeros(lattice.size, dtype=np.complex128)
-    src, valid = shift_sources(lattice.size, k)
-    for idx in np.flatnonzero(valid):
+    for idx in range(*shift_range(lattice.size, k)):
         theta = lattice.points[idx].dot_point(y)
-        amp = np.sqrt(lattice.weights[idx]) * profile.values[src[idx]]
-        shifted_raw[idx] = profile.values[src[idx]]
+        amp = np.sqrt(lattice.weights[idx]) * profile.values[idx - k]
+        shifted_raw[idx] = profile.values[idx - k]
         predicted[idx * REGISTER_DIM + VACUUM_INDEX] = amp * np.exp(-2j * theta)
     residual = float(np.max(np.abs(moved - predicted)))
 
@@ -336,7 +335,7 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     phase_removed_residual = float(np.max(np.abs(unphased - plain)))
 
     norm_deficit = 1.0 - float(np.vdot(moved, moved).real)
-    dropped = np.flatnonzero(~shift_sources(lattice.size, -k)[1])
+    dropped = np.delete(np.arange(lattice.size), slice(*shift_range(lattice.size, -k)))
     expected_deficit = float(
         sum(lattice.weights[idx] * profile.z[idx] for idx in dropped)
     )

@@ -27,7 +27,7 @@ from carfield.modes import (
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
-    shift_sources,
+    shift_range,
     smeared_annihilator,
 )
 from carfield.register import REGISTER_DIM, build_register, number_operator, pair_unitary
@@ -229,10 +229,33 @@ def test_block_stack_drops_blocks_off_the_lattice(default_space):
     assert not op.stack[:3].any() and op.stack[3:].all()
     assert stack.all()  # the caller's array is not modified
     assert not ModeBlocks(stack, shift=-m).stack.any()
+    # numpy integer shifts are read as ints
+    back = ModeBlocks(stack, np.int64(-1))
+    assert type(back.shift) is int and not back.stack[-1].any() and back.stack[:-1].all()
+    assert type(ModeBlocks.zeros(m, np.int32(2)).shift) is int
     with pytest.raises(ShapeError):
         ModeBlocks(stack[:, :4])
     with pytest.raises(ShapeError):
         op @ ModeBlocks(stack[:2])
+
+
+@pytest.mark.parametrize("shift", [1.7, 1.0, True, np.True_, "1", None])
+def test_a_shift_must_be_an_integer(shift):
+    # int() would read 1.7 and 1.0 as 1 and True as 1
+    with pytest.raises(ShapeError):
+        ModeBlocks(np.zeros((3, REGISTER_DIM, REGISTER_DIM)), shift)
+    with pytest.raises(ShapeError):
+        ModeBlocks.zeros(3, shift)
+
+
+def test_shift_range_is_the_brute_force_source_mask():
+    for modes in range(1, 14):
+        for shift in range(-modes - 1, modes + 2):
+            src = np.arange(modes) - shift
+            lo, hi = shift_range(modes, shift)
+            assert 0 <= lo <= hi <= modes
+            np.testing.assert_array_equal(np.arange(lo, hi),
+                                          np.flatnonzero((src >= 0) & (src < modes)))
 
 
 def test_commutators_prune_like_csr(default_space, rng):
@@ -254,7 +277,8 @@ def test_commutators_prune_like_csr(default_space, rng):
 
 def _dense_product(a, b):
     """a @ b as one dense einsum over the live block pairs, every term of every entry."""
-    src, valid = shift_sources(len(a.stack), a.shift)
+    src = np.arange(len(a.stack)) - a.shift
+    valid = (src >= 0) & (src < len(a.stack))
     dst = np.flatnonzero(a.stack.any(axis=(1, 2)) & valid)
     src = src[dst]
     live = b.stack[src].any(axis=(1, 2))

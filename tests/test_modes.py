@@ -83,6 +83,16 @@ def test_restricted_lattice():
         restricted_lattice(lat, ())
     with pytest.raises(ConfigError):
         restricted_lattice(lat, (1, 1))
+    assert restricted_lattice(lat, (np.int64(4), np.int32(0))).points == (lat.points[4],
+                                                                          lat.points[0])
+
+
+@pytest.mark.parametrize("indices", [(-1, 0), (0, 5), (True, 2), (0, np.True_), (0.0, 1),
+                                     (0, "1"), (0, None)])
+def test_restricted_lattice_rejects_a_bad_index(indices):
+    # -1 would take the last mode, True mode 1, and 5 end in an IndexError
+    with pytest.raises(ConfigError):
+        restricted_lattice(rapidity_lattice(2, 0.4, 1.0), indices)
 
 
 # --- profiles

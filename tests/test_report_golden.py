@@ -2,6 +2,10 @@
 
 `data/report_golden.json` holds, for seeds 1, 7 and 42, every record of the
 default report as (suite, check, float.hex(residual), tolerance, passed).
+`data/report_golden_boosts.json` pins the `spinor` and `symmetries` rows
+the same way for boosts other than the default one step: backward, up to
+the lattice edge, and on 7- and 3-mode lattices, where the interior and
+the modes shifted off the lattice cover the most of it.
 A change that moves any residual, even by one ulp, fails here and has to
 name the move.  The environment block of the report is not pinned.  The
 pinned values do not depend on the number of BLAS or OpenMP threads.
@@ -18,8 +22,11 @@ import pytest
 
 import carfield
 from carfield import default_config, run_report
+from carfield.config import config_from_dict
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "report_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "report_golden.json").read_text())
+BOOST_GOLDEN = json.loads((DATA / "report_golden_boosts.json").read_text())
 
 
 def _pinned_rows(report):
@@ -34,6 +41,14 @@ def test_default_report_matches_golden(seed):
     report = run_report(replace(default_config(), seed=int(seed)))
     assert _pinned_rows(report) == GOLDEN[seed]
     assert report["counts"] == {"total": 69, "passed": 69}
+
+
+@pytest.mark.parametrize("case", BOOST_GOLDEN,
+                         ids=[json.dumps(c["config"], sort_keys=True) for c in BOOST_GOLDEN])
+def test_boost_reports_match_golden(case):
+    report = run_report(config_from_dict(case["config"]), ["spinor", "symmetries"])
+    assert _pinned_rows(report) == case["rows"]
+    assert report["overall_pass"]
 
 
 def _run_child(script, **env):

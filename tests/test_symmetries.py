@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carfield import sparse, symmetries
 from carfield.errors import ConfigError, PreconditionError
@@ -11,7 +13,9 @@ from carfield.modes import (
     gaussian_profile,
     grid_lattice,
     mode_annihilator,
+    mode_blocks,
     rapidity_lattice,
+    shift_range,
     uniform_profile,
     vacuum_vector,
 )
@@ -89,8 +93,6 @@ def test_boost_needs_rapidity_lattice():
     grid_space = SingleOscillatorSpace(grid_lattice(1, 1.0, 1.0))
     with pytest.raises(PreconditionError):
         symmetries.boost_unitary(grid_space, 1)
-    with pytest.raises(PreconditionError):
-        symmetries.interior_projector(grid_space, 1)
 
 
 def test_boost_mode_relation(small_space):
@@ -107,11 +109,42 @@ def test_boost_isometry_on_surviving_modes(small_space):
     assert sparse.max_abs(small_space.embed(u.adjoint() @ u) - proj) < 1e-12
 
 
-def test_interior_projector(small_space):
-    proj = small_space.embed(symmetries.interior_projector(small_space, 1))
-    diag = np.real(proj.diagonal()).reshape(small_space.lattice.size, REGISTER_DIM)
-    np.testing.assert_array_equal(diag[:, 0], [0.0, 1.0, 1.0, 1.0, 0.0])
-    assert sparse.max_abs(proj @ proj - proj) == 0.0
+def test_interior_is_the_overlap_of_both_shift_ranges():
+    for modes in range(1, 14):
+        for steps in range(-modes - 1, modes + 2):
+            lo, hi = symmetries.interior_range(modes, steps)
+            # the modes the boost fills, and those it keeps on the lattice
+            filled = np.zeros(modes, dtype=bool)
+            filled[slice(*shift_range(modes, steps))] = True
+            kept = np.zeros(modes, dtype=bool)
+            kept[slice(*shift_range(modes, -steps))] = True
+            assert 0 <= lo <= hi <= modes
+            np.testing.assert_array_equal(np.arange(lo, hi), np.flatnonzero(filled & kept))
+            if modes % 2:
+                j_max = modes // 2
+                js = np.arange(modes) - j_max
+                np.testing.assert_array_equal(np.arange(lo, hi),
+                                              np.flatnonzero(abs(js) <= j_max - abs(steps)))
+    assert symmetries.interior_range(5, 1) == (1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j_max=st.integers(0, 6), steps=st.integers(-7, 7), seed=st.integers(0, 2**32 - 1))
+def test_interior_max_equals_the_projector_compression_bitwise(j_max, steps, seed):
+    """The interior residual as a block slice, against proj @ X @ proj with a local projector."""
+    rng = np.random.default_rng(seed)
+    modes = 2 * j_max + 1
+    shape = (modes, REGISTER_DIM, REGISTER_DIM)
+    scale = 10.0 ** rng.integers(-300, 300, shape)
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    stack *= rng.random(shape) < 0.3
+    stack[rng.random(modes) < 0.3] = 0
+    op = ModeBlocks(stack)
+    js = np.arange(modes) - j_max
+    keep = (abs(js) <= j_max - abs(steps)).astype(float)
+    proj = mode_blocks(keep[:, None], [np.eye(REGISTER_DIM)])
+    lo, hi = symmetries.interior_range(modes, steps)
+    assert sparse.max_abs(op.stack[lo:hi]) == (proj @ op @ proj).max_abs()
 
 
 def test_field_covariance(small_space):
