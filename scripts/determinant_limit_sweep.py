@@ -22,7 +22,7 @@ import json
 import sys
 
 from carfield.draws import default_rng
-from carfield.errors import CarfieldError, ConfigError
+from carfield.errors import CarfieldError, exit_unfinished
 from carfield.modes import (
     SingleOscillatorSpace,
     rapidity_lattice,
@@ -71,10 +71,7 @@ def main(argv=None) -> int:
         try:
             report = determinant_limit_convergence(space, profile, fs, gs, args.n)
         except CarfieldError as exc:
-            # as in the carfield CLI: a run that cannot finish exits 2 in one line
-            kind = "configuration error" if isinstance(exc, ConfigError) else type(exc).__name__
-            print(f"{kind}: {exc}", file=sys.stderr)
-            return 2
+            return exit_unfinished(exc)
         print(f"M={m}  limit={report.limit:.12g}  exact={report.exact}  "
               f"monotone={report.monotone}  final_ratio={report.final_ratio}")
         for rec in report.records:

@@ -12,10 +12,14 @@ value -6 (three species, two spins, two frequency signs, all at E = m).
 
     python3 scripts/vacuum_energy_balance.py
     python3 scripts/vacuum_energy_balance.py --j-max 6 --n-fermion 3 --n-boson 4
+
+A parameter the lattice or the balance refuses (say --j-max -1, --mass 0 or
+--n-boson 0) exits 2 with one line on stderr, as the carfield CLI does.
 """
 
 import argparse
 
+from carfield.errors import CarfieldError, exit_unfinished
 from carfield.modes import (
     gaussian_profile,
     rapidity_lattice,
@@ -42,17 +46,20 @@ def main(argv=None) -> int:
                         help="gaussian profile width in rapidity")
     args = parser.parse_args(argv)
 
-    lattice = rapidity_lattice(args.j_max, args.delta_eta, args.mass)
-    if args.profile == "uniform":
-        profile = uniform_profile(lattice)
-    else:
-        profile = gaussian_profile(lattice, args.width)
+    try:
+        lattice = rapidity_lattice(args.j_max, args.delta_eta, args.mass)
+        if args.profile == "uniform":
+            profile = uniform_profile(lattice)
+        else:
+            profile = gaussian_profile(lattice, args.width)
 
-    fermion = fermion_vacuum_energy(lattice, profile, args.n_fermion)
-    sector = balanced_boson_sector(lattice, profile, args.n_fermion, args.n_boson)
-    per_boson = boson_vacuum_energy(sector, 1)
-    balanced = vacuum_energy(lattice, profile, args.n_fermion, args.n_boson, sector)
-    doubled = vacuum_energy(lattice, profile, args.n_fermion, 2 * args.n_boson, sector)
+        fermion = fermion_vacuum_energy(lattice, profile, args.n_fermion)
+        sector = balanced_boson_sector(lattice, profile, args.n_fermion, args.n_boson)
+        per_boson = boson_vacuum_energy(sector, 1)
+        balanced = vacuum_energy(lattice, profile, args.n_fermion, args.n_boson, sector)
+        doubled = vacuum_energy(lattice, profile, args.n_fermion, 2 * args.n_boson, sector)
+    except CarfieldError as exc:
+        return exit_unfinished(exc)
 
     print(f"lattice: {lattice.size} modes, m={args.mass}, "
           f"N_F={args.n_fermion}, N_B={args.n_boson}, profile={args.profile}")

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import default_config, load_config
-from .errors import CarfieldError, ConfigError
+from .errors import CarfieldError, exit_unfinished
 from .suites import SUITE_ORDER, render_text, run_report
 
 
@@ -50,10 +50,7 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, seed=args.seed)
         report = run_report(config, _selected_suites(args.suite))
     except CarfieldError as exc:
-        # exit 1 means "a check failed"; a run that cannot finish exits 2 in one line
-        kind = "configuration error" if isinstance(exc, ConfigError) else type(exc).__name__
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return 2
+        return exit_unfinished(exc)
 
     if args.format == "json":
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exit of a run they stop."""
+
+import sys
 
 
 class CarfieldError(Exception):
@@ -35,3 +37,10 @@ class DegenerateVacuumError(CarfieldError):
 
 class UndefinedResidualError(CarfieldError):
     """Residual of a zero vector is undefined."""
+
+
+def exit_unfinished(exc: CarfieldError) -> int:
+    """Print a run that cannot finish as one stderr line; exit 2, as 1 means a check failed."""
+    kind = "configuration error" if isinstance(exc, ConfigError) else type(exc).__name__
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return 2

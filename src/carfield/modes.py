@@ -22,6 +22,8 @@ register entries that may be nonzero in them, so the algebra touches only
 those.  A block product computes only the terms a_ij b_jk whose positions
 are set in both patterns, from a plan cached per pair of patterns, and sums
 them by the summation rule of `sparse`.
+`mode_sum`, sum_i (1/w_i) |i><i| x R over a range of modes, is the one
+per-mode builder.  Every space shares the read-only `register.REGISTER`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots, applied to a state, or compared with an
 independent CSR route.  `field_operator_spectral` keeps its own assembly
@@ -40,10 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import register as reg_mod
 from . import sparse, spinors
 from .errors import ConfigError, DegenerateVacuumError, ShapeError
-from .register import REGISTER_DIM, build_register
+from .register import REGISTER, REGISTER_DIM, VACUUM_INDEX
 from .sparse import SparseOperator
 from .spinors import FourMomentum
 
@@ -368,7 +369,7 @@ class SingleOscillatorSpace:
 
     def __init__(self, lattice: MomentumLattice):
         self.lattice = lattice
-        self.register = build_register()
+        self.register = REGISTER
         self.dim = REGISTER_DIM * lattice.size
         tables = [spinors.eigen_bispinors(spinors.build_spin_frame(p)) for p in lattice.points]
         self.pos_table = np.array([pos for pos, _ in tables])
@@ -417,20 +418,31 @@ def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
                               0, _pattern_bits(support))
 
 
-def _one_mode(space: SingleOscillatorSpace, i: int, reg_op: np.ndarray) -> ModeBlocks:
-    """(1/w_i) |i><i| x reg_op."""
-    coeffs = np.eye(space.lattice.size)[:, [i]] / space.lattice.weights[i]
-    return mode_blocks(coeffs, [reg_op])
+def mode_sum(space: SingleOscillatorSpace, reg_op: np.ndarray,
+             modes: tuple[int, int | None] = (0, None)) -> ModeBlocks:
+    """sum_i (1/w_i) |i><i| x reg_op over the modes [lo, hi) (all by default), one block per mode.
+
+    With a ladder as reg_op this is sum_i c(p_i, s).  Mode blocks never mix,
+    so block i of any product with this sum is the block of the same product
+    with mode_annihilator(space, i, spin, species).
+    """
+    m = space.lattice.size
+    lo, hi = modes[0], m if modes[1] is None else modes[1]
+    if not 0 <= lo <= hi <= m:
+        raise ShapeError(f"mode range must lie in [0, {m}], got {modes}")
+    coeffs = np.zeros(m)
+    coeffs[lo:hi] = 1.0 / space.lattice.weights[lo:hi]
+    return mode_blocks(coeffs[:, None], [reg_op])
 
 
 def mode_projector(space: SingleOscillatorSpace, i: int) -> ModeBlocks:
     """Central element I_{p_i} = |p_i><p_i| x id = (1/w_i) |i><i| x id."""
-    return _one_mode(space, i, space.register.identity)
+    return mode_sum(space, space.register.identity, (i, i + 1))
 
 
 def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: str) -> ModeBlocks:
     """c_n(p_i, s) = |p_i><p_i| x c_s, normalized so {c, c'} = delta/w_i I_{p_i}."""
-    return _one_mode(space, i, space.register.ladder(species, spin))
+    return mode_sum(space, space.register.ladder(species, spin), (i, i + 1))
 
 
 def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> ModeBlocks:
@@ -549,7 +561,5 @@ def vacuum_vector(space: SingleOscillatorSpace, profile: VacuumProfile) -> np.nd
     """|O> = sum_i sqrt(w_i) O_i |i, register vacuum>."""
     v = np.zeros(space.dim, dtype=np.complex128)
     for i in range(space.lattice.size):
-        v[i * REGISTER_DIM + reg_mod.VACUUM_INDEX] = (
-            np.sqrt(space.lattice.weights[i]) * profile.values[i]
-        )
+        v[i * REGISTER_DIM + VACUUM_INDEX] = np.sqrt(space.lattice.weights[i]) * profile.values[i]
     return v

@@ -67,7 +67,7 @@ from .modes import (
     smeared_annihilator,
     vacuum_vector,
 )
-from .register import VACUUM_INDEX, build_register
+from .register import REGISTER, VACUUM_INDEX
 from .sparse import MAX_DIM, SparseOperator
 
 MAX_SLATER_ORDER = 8
@@ -319,12 +319,9 @@ def _bareiss_det(gram: list[list[tuple[int, int]]]) -> tuple[int, int]:
     return prev[0] * sign, prev[1] * sign
 
 
-_REGISTER = build_register()
-
-
 def _ladder_map(species: str, spin: int, dagger: bool) -> dict[int, tuple[int, int]]:
     """{col: (row, sign)} of a register ladder or its adjoint, a signed partial permutation."""
-    ladder = _REGISTER.ladder(species, spin)
+    ladder = REGISTER.ladder(species, spin)
     if dagger:
         ladder = ladder.conj().T
     rows, cols = np.nonzero(ladder)

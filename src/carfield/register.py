@@ -8,6 +8,11 @@ sigma3 string over all four factors) anticommutes with every ladder
 operator and fixes the vacuum; it is the twist inserted by the N-oscillator
 extension.  Products sum with einsum in index order, the summation rule of
 `sparse` that `modes.ModeBlocks` products follow too.
+
+The package reads one read-only register, `REGISTER`, built at import,
+and its number operators as the int diagonals in `OCCUPATION`: the
+excitation of b-, b+, d- and d+ in each basis state.  `build_register`
+still builds a fresh, writable register.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ VACUUM_INDEX = 15
 
 SPIN_MINUS = 0
 SPIN_PLUS = 1
-SPECIES = ("b", "d")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,16 @@ def build_register() -> JWRegister:
         parity=_chain(SIGMA3, SIGMA3, SIGMA3, SIGMA3),
         vacuum=sparse.basis_state(REGISTER_DIM, VACUUM_INDEX),
     )
+
+
+REGISTER = build_register()
+
+# diag(c'c)_j = sum_i |c_ij|^2, column sums of exact 0/1 moduli, in the
+# order of `annihilators`; elementwise, so no matrix product runs at import
+OCCUPATION = (np.abs(np.array(REGISTER.annihilators())) ** 2).sum(axis=1).astype(int)
+
+for _array in (*vars(REGISTER).values(), OCCUPATION):
+    _array.flags.writeable = False
 
 
 def number_operator(reg: JWRegister, species: str) -> np.ndarray:

@@ -5,10 +5,12 @@ Conventions fixed here:
 * Noether generators carry lower Lorentz indices, so the four-momentum
   components are (E, -px, -py, -pz) per mode, and contraction with an
   upper-index displacement y gives y.p in the (+,-,-,-) signature.
-* The finite translation exp(i y.P) is mode-diagonal with per-register
-  phase exp(i theta_i (occ - 2)), occ the number of excited register
-  factors; the -2 offset reproduces the unordered (non-normally-ordered)
-  generator, which is what makes the vacuum pick up phases.
+* P, Q and S3 are mode-diagonal, with the register diagonals n_b + n_d - 2,
+  n_b - n_d + 2 and (n_plus - n_minus) / 2 read from the int table
+  `register.OCCUPATION`.  So exp(i y.P) has per-register phase
+  exp(i theta_i (occ - 2)), occ the number of excited register factors;
+  the -2 offset of the unordered (non-normally-ordered) generator is what
+  makes the vacuum pick up phases.
 * Boosts along z act on rapidity lattices by an index shift j -> j + k
   composed with per-mode spin mixing; columns shifted off the lattice are
   dropped, so the unitary is an isometry only on the modes that stay on
@@ -35,15 +37,12 @@ from .modes import (
     VacuumProfile,
     field_operator,
     mode_blocks,
+    mode_sum,
     shift_range,
     vacuum_vector,
 )
-from .register import (
-    REGISTER_DIM,
-    VACUUM_INDEX,
-    number_operator,
-    pair_unitary,
-)
+from .noscillator import NRegister, extend_additive, vacuum_state
+from .register import OCCUPATION, REGISTER_DIM, VACUUM_INDEX, pair_unitary
 from .sparse import worst_of
 from .spinors import (
     apply_lorentz_to_point,
@@ -57,24 +56,15 @@ def _lower_components(p) -> tuple[float, float, float, float]:
     return (p.E, -p.px, -p.py, -p.pz)
 
 
-def _register_occupation(space: SingleOscillatorSpace) -> np.ndarray:
-    """Diagonal of n_b + n_d on the register: excited-factor count per basis index."""
-    reg = space.register
-    total = number_operator(reg, "b") + number_operator(reg, "d")
-    return np.real(total.diagonal()).round().astype(int)
-
-
-def _register_charge(space: SingleOscillatorSpace) -> np.ndarray:
-    """Diagonal of n_b - n_d on the register."""
-    reg = space.register
-    diff = number_operator(reg, "b") - number_operator(reg, "d")
-    return np.real(diff.diagonal()).round().astype(int)
+def _charge() -> np.ndarray:
+    """The register diagonal of n_b - n_d, as an int vector."""
+    b_minus, b_plus, d_minus, d_plus = OCCUPATION
+    return b_minus + b_plus - d_minus - d_plus
 
 
 def four_momentum(space: SingleOscillatorSpace) -> list[ModeBlocks]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
-    reg = space.register
-    base = number_operator(reg, "b") + number_operator(reg, "d") - 2 * reg.identity
+    base = np.diag(OCCUPATION.sum(axis=0) - 2)
     coeffs = np.array([_lower_components(p) for p in space.lattice.points])
     return [mode_blocks(coeffs[:, a:a + 1], [base]) for a in range(4)]
 
@@ -85,7 +75,7 @@ def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> ModeBloc
     if y.shape != (4,):
         raise ConfigError(f"displacement must be a 4-vector, got shape {y.shape}")
     thetas = np.array([p.dot_point(y) for p in space.lattice.points])
-    occ = _register_occupation(space)
+    occ = OCCUPATION.sum(axis=0)
     return ModeBlocks.diagonal(np.exp(1j * np.outer(thetas, occ - 2)))
 
 
@@ -119,22 +109,18 @@ def interior_range(modes: int, steps: int) -> tuple[int, int]:
     return lo, max(shift_range(modes, -abs(steps))[1], lo)
 
 
+def _nonempty_interior(modes: int, steps: int) -> tuple[int, int]:
+    """interior_range, refused when empty: a residual over no modes would read 0.0."""
+    lo, hi = interior_range(modes, steps)
+    if lo == hi:
+        raise PreconditionError(f"a boost by {steps} steps leaves no interior on {modes} modes")
+    return lo, hi
+
+
 def poincare_unitary(space: SingleOscillatorSpace, boost: BoostData,
                      y: np.ndarray) -> ModeBlocks:
     """U_{Lambda,y} = U_{1,y} U_{Lambda,0}."""
     return (translation_unitary(space, y) @ boost.unitary).pruned()
-
-
-def _every_mode(space: SingleOscillatorSpace, spin: int, species: str,
-                modes: tuple[int, int | None] = (0, None)) -> ModeBlocks:
-    """sum_i c(p_i, s) over the modes [lo, hi) (all by default), one block per mode.
-
-    Mode blocks never mix, so block i of any product with this sum is the
-    block of the same product with mode_annihilator(space, i, spin, species).
-    """
-    coeffs = np.zeros(space.lattice.size)
-    coeffs[slice(*modes)] = 1.0 / space.lattice.weights[slice(*modes)]
-    return mode_blocks(coeffs[:, None], [space.register.ladder(species, spin)])
 
 
 def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float:
@@ -153,9 +139,10 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
     mix[lo - k:hi - k] = boost.wigner[lo:hi]
     worst = 0.0
     for species in ("b", "d"):
-        targets = [_every_mode(space, sp, species, (lo - k, hi - k)) for sp in (0, 1)]
+        ladders = [space.register.ladder(species, sp) for sp in (0, 1)]
+        targets = [mode_sum(space, ladder, (lo - k, hi - k)) for ladder in ladders]
         for s in (0, 1):
-            lhs = u_dag @ _every_mode(space, s, species, (lo, hi)) @ u
+            lhs = u_dag @ mode_sum(space, ladders[s], (lo, hi)) @ u
             rhs = ModeBlocks.zeros(m)
             for sp in (0, 1):
                 rhs = rhs + ModeBlocks(mix[:, s, sp, None, None] * targets[sp].stack)
@@ -165,11 +152,11 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
 
 def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData,
                                 y: np.ndarray) -> float:
-    """The grading commutes with Poincare maps away from the boundary."""
+    """The grading commutes with Poincare maps away from the boundary (an empty one raises)."""
+    lo, hi = _nonempty_interior(space.lattice.size, boost.steps)
     u = poincare_unitary(space, boost, y)
     parity = space.parity()
     diff = u.adjoint() @ parity @ u - parity
-    lo, hi = interior_range(len(diff.stack), boost.steps)
     return sparse.max_abs(diff.stack[lo:hi])
 
 
@@ -180,13 +167,14 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
 
     S is the direct-sum bispinor action of the boost; the difference is
     read on the interior blocks only, because modes within `steps` of the
-    lattice edge are shifted off and carry no covariance statement.
+    lattice edge are shifted off and carry no covariance statement; an
+    empty interior (|k| > J) raises PreconditionError.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    lo, hi = _nonempty_interior(space.lattice.size, boost.steps)
     u = poincare_unitary(space, boost, y)
     u_dag = u.adjoint()
-    lo, hi = interior_range(space.lattice.size, boost.steps)
     s4 = bispinor_rep(boost.sl2c)
     x_back = apply_lorentz_to_point(np.linalg.inv(boost.sl2c), x - y)
     fields_back = [field_operator(space, x_back, b, conjugate=conjugate) for b in range(4)]
@@ -207,19 +195,12 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
 
 def charge_operator(space: SingleOscillatorSpace, e0: float = 1.0) -> ModeBlocks:
     """Q = e0 sum_i |i><i| x (n_b - n_d + 2); the offset is central."""
-    reg = space.register
-    base = (
-        number_operator(reg, "b")
-        - number_operator(reg, "d")
-        + 2 * reg.identity
-    )
-    return mode_blocks(np.full((space.lattice.size, 1), e0), [base])
+    return mode_blocks(np.full((space.lattice.size, 1), e0), [np.diag(_charge() + 2)])
 
 
 def gauge_unitary(space: SingleOscillatorSpace, e0: float, phi: float) -> ModeBlocks:
     """exp(i phi Q), assembled from its diagonal."""
-    charge = _register_charge(space)
-    phases = np.exp(1j * phi * e0 * (charge + 2))
+    phases = np.exp(1j * phi * e0 * (_charge() + 2))
     return ModeBlocks.diagonal(np.tile(phases, (space.lattice.size, 1)))
 
 
@@ -254,8 +235,8 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
     q = charge_operator(space, e0)
     comm_res = 0.0
     for s in (0, 1):
-        b_dag = _every_mode(space, s, "b").adjoint()
-        d_dag = _every_mode(space, s, "d").adjoint()
+        b_dag = mode_sum(space, space.register.ladder("b", s)).adjoint()
+        d_dag = mode_sum(space, space.register.ladder("d", s)).adjoint()
         comm_res = worst_of(comm_res, (q.commutator(b_dag) - e0 * b_dag).max_abs())
         comm_res = worst_of(comm_res, (q.commutator(d_dag) + e0 * d_dag).max_abs())
     return GaugeReport(
@@ -268,12 +249,8 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
 
 def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
     """Third spin component: (1/2) sum over species of (n_plus - n_minus)."""
-    reg = space.register
-    base = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
-    for species in ("b", "d"):
-        for s, sign in ((0, -1.0), (1, 1.0)):
-            ladder = reg.ladder(species, s)
-            base = base + sign * (ladder.conj().T @ ladder)
+    b_minus, b_plus, d_minus, d_plus = OCCUPATION
+    base = np.diag(b_plus - b_minus + d_plus - d_minus)
     return mode_blocks(np.full((space.lattice.size, 1), 0.5), [base])
 
 
@@ -283,7 +260,7 @@ def spin_commutator_residual(space: SingleOscillatorSpace) -> float:
     worst = 0.0
     for species in ("b", "d"):
         for s, sign in ((0, -0.5), (1, 0.5)):
-            c_dag = _every_mode(space, s, species).adjoint()
+            c_dag = mode_sum(space, space.register.ladder(species, s)).adjoint()
             worst = worst_of(worst, (s3.commutator(c_dag) - sign * c_dag).max_abs())
     return worst
 
@@ -329,16 +306,12 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     unphased = np.repeat(np.exp(2j * thetas), REGISTER_DIM) * moved
     plain = np.zeros(space.dim, dtype=np.complex128)
     for idx in range(lattice.size):
-        plain[idx * REGISTER_DIM + VACUUM_INDEX] = (
-            np.sqrt(lattice.weights[idx]) * shifted_raw[idx]
-        )
+        plain[idx * REGISTER_DIM + VACUUM_INDEX] = np.sqrt(lattice.weights[idx]) * shifted_raw[idx]
     phase_removed_residual = float(np.max(np.abs(unphased - plain)))
 
     norm_deficit = 1.0 - float(np.vdot(moved, moved).real)
     dropped = np.delete(np.arange(lattice.size), slice(*shift_range(lattice.size, -k)))
-    expected_deficit = float(
-        sum(lattice.weights[idx] * profile.z[idx] for idx in dropped)
-    )
+    expected_deficit = float(sum(lattice.weights[idx] * profile.z[idx] for idx in dropped))
     return VacuumCovarianceReport(
         residual=residual,
         phase_removed_residual=phase_removed_residual,
@@ -416,8 +389,6 @@ def balanced_boson_sector(lattice: MomentumLattice, profile: VacuumProfile,
 def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfile,
                               n: int) -> float:
     """<vac_N| extended P_0 |vac_N> via explicit matrices (small N only)."""
-    from .noscillator import NRegister, extend_additive, vacuum_state
-
     nreg = NRegister(space, n)
     p0 = four_momentum(space)[0]
     big = extend_additive(nreg, p0)

@@ -25,6 +25,7 @@ from carfield.modes import (
     grid_lattice,
     mode_annihilator,
     mode_projector,
+    mode_sum,
     rapidity_lattice,
     restricted_lattice,
     shift_range,
@@ -100,6 +101,23 @@ def test_mode_ladders_and_projectors(space):
                     sparse.tensor_product(_ket_bra(space, i, i), reg.ladder(species, s)) / w
                 )
                 _assert_same(space.embed(mode_annihilator(space, i, s, species)), ref)
+
+
+def test_mode_sum_over_a_range(space):
+    reg = space.register
+    m = space.lattice.size
+    w = space.lattice.weights
+    for lo, hi in ((0, m), (1, m - 1), (m - 1, m), (2, 2)):
+        ref = _kron_sum(space, [(i, i, 1.0 / w[i], reg.b_plus) for i in range(lo, hi)])
+        _assert_same(space.embed(mode_sum(space, reg.b_plus, (lo, hi))), ref)
+    _assert_same(space.embed(mode_sum(space, reg.b_plus)),
+                 space.embed(mode_sum(space, reg.b_plus, (0, m))))
+    # a range off the lattice would silently give fewer modes
+    for bad in ((-1, 0), (0, m + 1), (m, m + 1), (2, 1)):
+        with pytest.raises(ShapeError):
+            mode_sum(space, reg.b_plus, bad)
+    with pytest.raises(ShapeError):
+        mode_annihilator(space, m, 0, "b")
 
 
 def test_smeared_annihilator(space, rng):

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from carfield import sparse
 from carfield.errors import PreconditionError
 from carfield.register import (
+    OCCUPATION,
+    REGISTER,
     REGISTER_DIM,
     VACUUM_INDEX,
     _exp2,
+    build_register,
     conjugation_report,
     number_operator,
     pair_exponential,
@@ -92,6 +95,30 @@ def test_number_operator_counts(reg):
     # n_b measures the first two tensor factors: basis index 7 = b- occupied
     assert np.real(n_b.diagonal())[7] == 1.0
     assert np.real(n_d.diagonal())[7] == 0.0
+
+
+def test_occupation_is_the_diagonal_of_each_number_operator(reg):
+    assert OCCUPATION.shape == (4, REGISTER_DIM) and OCCUPATION.dtype.kind == "i"
+    for row, c in zip(OCCUPATION, reg.annihilators()):
+        n = c.conj().T @ c
+        # c'c is diagonal, with the occupation as its exact 0/1 entries
+        np.testing.assert_array_equal(n, np.diag(row))
+    for species, rows in (("b", OCCUPATION[:2]), ("d", OCCUPATION[2:])):
+        np.testing.assert_array_equal(number_operator(reg, species), np.diag(rows.sum(axis=0)))
+    assert not OCCUPATION[:, VACUUM_INDEX].any()
+
+
+def test_shared_register_is_read_only_and_build_register_is_fresh(reg):
+    for name, array in vars(REGISTER).items():
+        np.testing.assert_array_equal(array, getattr(reg, name))
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(ValueError):
+        OCCUPATION[0, 0] = 2
+    fresh = build_register()
+    assert fresh.b_minus is not REGISTER.b_minus
+    fresh.b_minus[0, 0] = 5  # a fresh register is the caller's to change
+    assert REGISTER.b_minus[0, 0] == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -585,6 +585,31 @@ def test_sweep_script_notes_zero_limit_by_rank(capsys):
     assert noted.out.startswith("M=3  limit=0+0j")
 
 
+def _balance_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "vacuum_energy_balance.py"
+    spec = importlib.util.spec_from_file_location("vacuum_energy_balance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--j-max", "-1"], ["--n-boson", "0"], ["--mass", "0"]])
+def test_balance_script_bad_parameter_exits_2(argv, capsys):
+    code = _balance_script().main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""
+
+
+def test_balance_script_default_run_balances(capsys):
+    assert _balance_script().main([]) == 0
+    out = capsys.readouterr().out
+    assert "fermion-only vacuum energy : -6.000000000000" in out
+    assert out.rstrip().endswith("balanced sign check        : zero")
+
+
 # --- exit contract: 0 all passed, 1 a check failed, 2 the run could not finish
 
 _JUNK = st.one_of(

@@ -20,7 +20,7 @@ from carfield.modes import (
     vacuum_vector,
 )
 from carfield.noscillator import NRegister, extend_additive, vacuum_state
-from carfield.register import REGISTER_DIM
+from carfield.register import REGISTER_DIM, build_register, number_operator
 from conftest import zero_operator
 
 Y = np.array([0.3, 0.05, -0.1, 0.2])
@@ -147,6 +147,22 @@ def test_interior_max_equals_the_projector_compression_bitwise(j_max, steps, see
     assert sparse.max_abs(op.stack[lo:hi]) == (proj @ op @ proj).max_abs()
 
 
+def test_an_empty_interior_is_refused(small_space):
+    # J = 2: a boost by |k| > J leaves no mode the residuals could be read on
+    for steps in (3, -3, 5):
+        boost = symmetries.boost_unitary(small_space, steps)
+        with pytest.raises(PreconditionError):
+            symmetries.grading_invariance_residual(small_space, boost, Y)
+        with pytest.raises(PreconditionError):
+            symmetries.field_covariance_residual(small_space, boost, Y, X)
+    # |k| = J keeps the middle mode, and its residuals are read
+    for steps in (2, -2):
+        boost = symmetries.boost_unitary(small_space, steps)
+        assert symmetries.interior_range(small_space.lattice.size, steps) == (2, 3)
+        assert symmetries.grading_invariance_residual(small_space, boost, Y) < 1e-13
+        assert symmetries.field_covariance_residual(small_space, boost, Y, X) < 1e-10
+
+
 def test_field_covariance(small_space):
     boost = symmetries.boost_unitary(small_space, 1)
     assert symmetries.field_covariance_residual(small_space, boost, Y, X) < 1e-10
@@ -183,6 +199,46 @@ def test_vacuum_covariance_pure_translation(small_space, small_profile):
 
 
 # --- charge and spin
+
+
+def _dense_generators(space, e0, y, phi):
+    """P, Q, S3, exp(i y.P) and exp(i phi Q) from dense c'c sums on a fresh register.
+
+    The construction the occupation table replaced: number operators as
+    matrix sums, their diagonals rounded back to ints for the unitaries.
+    """
+    reg = build_register()
+    n_b, n_d = number_operator(reg, "b"), number_operator(reg, "d")
+    m = space.lattice.size
+    coeffs = np.array([(p.E, -p.px, -p.py, -p.pz) for p in space.lattice.points])
+    momenta = [mode_blocks(coeffs[:, a:a + 1], [n_b + n_d - 2 * reg.identity]) for a in range(4)]
+    charge = mode_blocks(np.full((m, 1), e0), [n_b - n_d + 2 * reg.identity])
+    spin_base = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
+    for species in ("b", "d"):
+        for s, sign in ((0, -1.0), (1, 1.0)):
+            ladder = reg.ladder(species, s)
+            spin_base = spin_base + sign * (ladder.conj().T @ ladder)
+    spin = mode_blocks(np.full((m, 1), 0.5), [spin_base])
+    occ = np.real((n_b + n_d).diagonal()).round().astype(int)
+    thetas = np.array([p.dot_point(y) for p in space.lattice.points])
+    translation = ModeBlocks.diagonal(np.exp(1j * np.outer(thetas, occ - 2)))
+    q = np.real((n_b - n_d).diagonal()).round().astype(int)
+    gauge = ModeBlocks.diagonal(np.tile(np.exp(1j * phi * e0 * (q + 2)), (m, 1)))
+    return momenta, charge, spin, translation, gauge
+
+
+@pytest.mark.parametrize("j_max", [6, 1])
+def test_generators_from_occupations_match_the_dense_sums_bitwise(j_max):
+    space = SingleOscillatorSpace(rapidity_lattice(j_max, 0.4, 1.0))
+    e0, phi = 1.3, 0.63
+    momenta, charge, spin, translation, gauge = _dense_generators(space, e0, Y, phi)
+    got = [*symmetries.four_momentum(space), symmetries.charge_operator(space, e0),
+           symmetries.spin_operator(space), symmetries.translation_unitary(space, Y),
+           symmetries.gauge_unitary(space, e0, phi)]
+    for op, want in zip(got, [*momenta, charge, spin, translation, gauge]):
+        assert op.shift == want.shift
+        assert op.stack.tobytes() == want.stack.tobytes()
+
 
 
 def test_gauge_unitary_is_exp_charge(small_space):
