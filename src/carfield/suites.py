@@ -260,7 +260,7 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
         out.append(_rec(s, "wigner_boost_gauge", "z-boosts mix no spin on the z-axis frames",
                         worst, 1e-12))
 
-        steps = abs(config.boost_steps)
+        steps = config.boost_steps
         lo, hi = symmetries.interior_range(lattice.size, steps)
         f = np.zeros((lattice.size, 2), dtype=np.complex128)
         g = np.zeros_like(f)
