@@ -420,11 +420,10 @@ def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
 
 def mode_sum(space: SingleOscillatorSpace, reg_op: np.ndarray,
              modes: tuple[int, int | None] = (0, None)) -> ModeBlocks:
-    """sum_i (1/w_i) |i><i| x reg_op over the modes [lo, hi) (all by default), one block per mode.
+    """sum_i (1/w_i) |i><i| x reg_op over the modes [lo, hi) (all by default).
 
-    With a ladder as reg_op this is sum_i c(p_i, s).  Mode blocks never mix,
-    so block i of any product with this sum is the block of the same product
-    with mode_annihilator(space, i, spin, species).
+    Mode blocks never mix, so block i of any product with the sum of a ladder
+    is the block of the same product with mode_annihilator(space, i, spin, species).
     """
     m = space.lattice.size
     lo, hi = modes[0], m if modes[1] is None else modes[1]

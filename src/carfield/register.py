@@ -9,9 +9,8 @@ operator and fixes the vacuum; it is the twist inserted by the N-oscillator
 extension.  Products sum with einsum in index order, the summation rule of
 `sparse` that `modes.ModeBlocks` products follow too.
 
-The package reads one read-only register, `REGISTER`, built at import,
-and its number operators as the int diagonals in `OCCUPATION`: the
-excitation of b-, b+, d- and d+ in each basis state.  `build_register`
+The package reads one read-only register, `REGISTER`, built at import, and
+its number operators as the int diagonals in `OCCUPATION`; `build_register`
 still builds a fresh, writable register.
 """
 

@@ -5,12 +5,11 @@ Conventions fixed here:
 * Noether generators carry lower Lorentz indices, so the four-momentum
   components are (E, -px, -py, -pz) per mode, and contraction with an
   upper-index displacement y gives y.p in the (+,-,-,-) signature.
-* P, Q and S3 are mode-diagonal, with the register diagonals n_b + n_d - 2,
-  n_b - n_d + 2 and (n_plus - n_minus) / 2 read from the int table
-  `register.OCCUPATION`.  So exp(i y.P) has per-register phase
-  exp(i theta_i (occ - 2)), occ the number of excited register factors;
-  the -2 offset of the unordered (non-normally-ordered) generator is what
-  makes the vacuum pick up phases.
+* P, Q and S3 are mode-diagonal, with register diagonals n_b + n_d - 2,
+  n_b - n_d + 2 and (n_plus - n_minus) / 2 from `register.OCCUPATION`.
+  exp(i y.P) has per-register phase exp(i theta_i (occ - 2)), occ the
+  number of excited register factors; the -2 offset of the unordered
+  (non-normally-ordered) generator makes the vacuum pick up phases.
 * Boosts along z act on rapidity lattices by an index shift j -> j + k
   composed with per-mode spin mixing; columns shifted off the lattice are
   dropped, so the unitary is an isometry only on the modes that stay on
@@ -306,12 +305,16 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     unphased = np.repeat(np.exp(2j * thetas), REGISTER_DIM) * moved
     plain = np.zeros(space.dim, dtype=np.complex128)
     for idx in range(lattice.size):
-        plain[idx * REGISTER_DIM + VACUUM_INDEX] = np.sqrt(lattice.weights[idx]) * shifted_raw[idx]
+        plain[idx * REGISTER_DIM + VACUUM_INDEX] = (
+            np.sqrt(lattice.weights[idx]) * shifted_raw[idx]
+        )
     phase_removed_residual = float(np.max(np.abs(unphased - plain)))
 
     norm_deficit = 1.0 - float(np.vdot(moved, moved).real)
     dropped = np.delete(np.arange(lattice.size), slice(*shift_range(lattice.size, -k)))
-    expected_deficit = float(sum(lattice.weights[idx] * profile.z[idx] for idx in dropped))
+    expected_deficit = float(
+        sum(lattice.weights[idx] * profile.z[idx] for idx in dropped)
+    )
     return VacuumCovarianceReport(
         residual=residual,
         phase_removed_residual=phase_removed_residual,
