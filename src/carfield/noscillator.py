@@ -13,8 +13,8 @@ Two evaluation paths for vacuum matrix elements of smeared operator
 products:
 
 * explicit matrices, capped at total dimension (16 M)^N <= 2^20; each
-  extension is one COO assembly by index arithmetic, with no chain of
-  tensor products;
+  extension is written straight into canonical CSR by index arithmetic,
+  with no sort and no chain of tensor products;
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It sums products of single-oscillator vacuum moments over set
   partitions of the factors by block count and weights j blocks by
@@ -117,37 +117,86 @@ def _check_matrix_dim(nreg: NRegister) -> None:
 
 
 def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOperator:
-    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), twist a (16 M,) diagonal.
+    """Unscaled sum over slots of twist^(k-1) x op x id^(N-k), twist a (16 M,) diagonal of +-1.
 
-    One COO assembly.  Slot k places op entry (r, c) at row
-    (l d + r) d^(N-k-1) + b and column (l d + c) d^(N-k-1) + b, for every left
-    index l and right index b, with value twist(l) op[r, c], twist(l) the
-    product of the twist diagonal over the k left slots.  Slot terms meet only
-    on the diagonal.  The entries go in slot order into arrays of their final
-    size, and `SparseOperator.from_coo` sums each diagonal entry from 0 in
-    that order, as the kron chain's left-to-right CSR additions sum it.
+    Slot k places op entry (r, c) at row (l d + r) d^(N-k-1) + b and column
+    (l d + c) d^(N-k-1) + b, for every left index l and right index b, with
+    value twist(l) op[r, c], twist(l) the product of the twist diagonal over
+    the k left slots.  So slot k moves digit k of the row index by c - r, and
+    slot terms meet only on the diagonal: row i holds, in ascending columns,
+    the below-diagonal entries of slots 0 .. N-1, the diagonal, then the
+    above-diagonal entries of slots N-1 .. 0.  The entries go straight into
+    canonical CSR, with no COO copy and no sort: per-row counts give indptr
+    by one cumsum (Gustavson, ACM TOMS 4 (1978) 250), and a cursor per row
+    walks the order above, each entry landing at the cursor plus its rank in
+    its op row.  The diagonal sums its slot terms from 0 in slot order, as
+    the kron chain's left-to-right CSR additions do, and drops an exact-zero
+    sum.  Where terms meet (N > 1 and a diagonal op entry), every entry is a
+    sum from 0, as `SparseOperator.from_coo` makes it, so a -0.0 part reads
+    +0.0.
     """
     _check_matrix_dim(nreg)
     op = nreg.space.embed(op)
-    d, n = nreg.factor_dim, nreg.n
+    d, n, dim = nreg.factor_dim, nreg.n, nreg.dim
     rows, cols, data = op.coo()
     lefts = [np.ones(1, dtype=np.complex128)]
     for _ in range(n - 1):
         lefts.append(np.kron(lefts[-1], twist))
-    per_slot = len(data) * d ** (n - 1)
-    out_rows = np.empty(n * per_slot, dtype=np.int32)
-    out_cols = np.empty_like(out_rows)
-    out_data = np.empty(len(out_rows), dtype=np.complex128)
-    for k, left in enumerate(lefts):
+    if n == 1:
+        return SparseOperator((lefts[0][:, None] * data)[0], op.indices, op.indptr, op.shape)
+    entry = np.arange(len(data))
+    below, on_diag, above = cols < rows, cols == rows, cols > rows
+    below_n = np.bincount(rows[below], minlength=d).astype(np.intp)
+    above_n = np.bincount(rows[above], minlength=d).astype(np.intp)
+    # (op rows, op columns, values, rank in the row's group) of each side
+    lower = (rows[below], cols[below], data[below], (entry - op.indptr[rows])[below])
+    upper = (rows[above], cols[above], data[above],
+             (entry - op.indptr[rows + 1] + above_n[rows])[above])
+    meet = bool(on_diag.any())
+
+    def by_slot(a, k):
+        """a as (left index, digit k, right index)."""
+        return a.reshape(d**k, d, -1)
+
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    if meet:
+        diagonal = np.zeros(dim, dtype=np.complex128)
+        for k, left in enumerate(lefts):
+            by_slot(diagonal, k)[:, rows[on_diag]] += (left[:, None] * data[on_diag])[:, :, None]
+        kept = diagonal != 0
+        indptr[1:] = kept
+    for k in range(n):
+        by_slot(indptr[1:], k)[...] += (below_n + above_n)[:, None]
+    np.cumsum(indptr, out=indptr)
+    out_data = np.empty(indptr[-1], dtype=np.complex128)
+    out_cols = np.empty(indptr[-1], dtype=np.int32)
+    cursor = indptr[:-1].astype(np.intp)
+
+    def place(k, side):
+        side_rows, side_cols, values, rank = side
+        left = lefts[k]
         right = d ** (n - k - 1)
-        shape = (len(left), len(data), right)
+        at = by_slot(cursor, k)[:, side_rows] + rank[:, None]
         l = np.arange(len(left), dtype=np.int32)[:, None, None] * d
-        b = np.arange(right, dtype=np.int32)
-        part = slice(k * per_slot, (k + 1) * per_slot)
-        out_rows[part].reshape(shape)[:] = (l + rows[:, None]) * right + b
-        out_cols[part].reshape(shape)[:] = (l + cols[:, None]) * right + b
-        out_data[part].reshape(shape)[:] = (left[:, None] * data)[:, :, None]
-    return SparseOperator.from_coo(out_data, out_rows, out_cols, (nreg.dim, nreg.dim))
+        out_cols[at] = (l + side_cols[:, None]) * right + np.arange(right, dtype=np.int32)
+        values = left[:, None] * values
+        if meet:
+            values += 0  # a sum from 0, like the diagonal's
+        out_data[at] = values[:, :, None]
+
+    for k in range(n):
+        place(k, lower)
+        by_slot(cursor, k)[...] += below_n[:, None]
+    if meet:
+        at = cursor[kept]
+        out_cols[at] = np.flatnonzero(kept)
+        out_data[at] = diagonal[kept]
+        del at, diagonal  # before the above-diagonal slots make theirs
+        cursor += kept
+    for k in reversed(range(n)):
+        place(k, upper)
+        by_slot(cursor, k)[...] += above_n[:, None]
+    return SparseOperator(out_data, out_cols, indptr, (dim, dim))
 
 
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
@@ -209,8 +258,8 @@ def vacuum_matrix_element_matrix(nreg: NRegister, profile: VacuumProfile,
     vac = vacuum_state(nreg, profile)
     ket = vac
     for spec in reversed(ops):
-        mat = extend_operator(nreg, smeared_matrix(nreg.space, spec))
-        ket = sparse.apply_operator(mat, ket)
+        # one extended factor alive at a time
+        ket = sparse.apply_operator(extend_operator(nreg, smeared_matrix(nreg.space, spec)), ket)
     return sparse.inner(vac, ket)
 
 

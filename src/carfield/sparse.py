@@ -7,9 +7,10 @@ through `SingleOscillatorSpace.embed`.  States are dense 1-d numpy arrays
 (state dimensions stay below the cap, so dense vectors are cheaper than
 hash maps and keep inner products exact-order deterministic).
 All index flattening is row-major: kron(A, B) places B-blocks inside A,
-index = i_A * dim_B + i_B.  The N-slot sums and the spectral field compute
-these indices directly, in one COO assembly each, and tests pin them
-bitwise against independent kron chains; no other layer rolls its own.
+index = i_A * dim_B + i_B.  The N-slot sums compute these indices directly
+and write canonical CSR with no sort, each diagonal entry summed in slot
+order; the spectral field computes them in one COO assembly.  Tests pin
+both bitwise against independent kron chains; no other layer rolls its own.
 
 Summation rule.  Every entry of a product A @ B or A @ v is the sum of its
 terms a_ij b_jk in ascending inner index j, added one at a time to 0; each
@@ -48,6 +49,9 @@ _PADE_13 = (
 
 # row and column indices and row pointers; MAX_DIM keeps every index in range
 _INDEX = np.int32
+
+# rows per block of a matrix-vector product
+_ROW_BLOCK = 8192
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,7 +164,13 @@ class SparseOperator:
         if v.ndim != 1 or v.shape[0] != self.shape[1]:
             raise ShapeError(f"operator {self.shape} cannot act on an array of shape {v.shape}")
         out = np.zeros(self.shape[0], dtype=np.complex128)
-        np.add.at(out, self.coo()[0], _products(self.data, v[self.indices]))
+        # a block of rows at a time, so no temporary spans every entry; np.add.at
+        # adds each row's terms in entry order, one at a time
+        for start in range(0, self.shape[0], _ROW_BLOCK):
+            ptr = self.indptr[start:start + _ROW_BLOCK + 1]
+            rows = np.repeat(np.arange(start, start + len(ptr) - 1, dtype=_INDEX), np.diff(ptr))
+            part = slice(ptr[0], ptr[-1])
+            np.add.at(out, rows, _products(self.data[part], v[self.indices[part]]))
         return out
 
     def _matmul_operator(self, other: SparseOperator) -> SparseOperator:
@@ -326,8 +336,19 @@ def dense_exponential(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_exponential(a: SparseOperator) -> SparseOperator:
-    """e^A as pruned CSR; matrices here are small by contract."""
+    """e^A as pruned CSR; matrices here are small by contract.
+
+    An A whose entries all lie on the diagonal takes dense_exponential's
+    diagonal rule on its diagonal alone (zeros give 1), with no dense matrix.
+    """
     _check_exponent(a.shape)
+    rows, cols, data = a.coo()
+    if np.array_equal(rows, cols):
+        diagonal = np.zeros(a.shape[0], dtype=np.complex128)
+        diagonal[rows] = data
+        values = prune_array(np.exp(diagonal))
+        kept = np.flatnonzero(values)
+        return SparseOperator.from_sorted(values[kept], kept, kept, a.shape)
     return asoperator(dense_exponential(a.toarray()))
 
 

@@ -396,4 +396,6 @@ def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfi
     p0 = four_momentum(space)[0]
     big = extend_additive(nreg, p0)
     vac = vacuum_state(nreg, profile)
-    return float(sparse.inner(vac, sparse.apply_operator(big, vac)).real)
+    moved = sparse.apply_operator(big, vac)
+    del big  # the largest matrix of a default report; the inner product needs only the states
+    return float(sparse.inner(vac, moved).real)

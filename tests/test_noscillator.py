@@ -172,31 +172,76 @@ def _kron_chain_slot_sum(space, n, op, twist):
     return total
 
 
+def _coo_slot_sum(nreg, op, twist):
+    """The slot sum as one COO assembly: every slot's entries in slot order, summed by from_coo."""
+    op = nreg.space.embed(op)
+    d, n = nreg.factor_dim, nreg.n
+    rows, cols, data = op.coo()
+    left = np.ones(1, dtype=np.complex128)
+    parts = []
+    for k in range(n):
+        right = d ** (n - k - 1)
+        shape = (len(left), len(data), right)
+        l = np.arange(len(left))[:, None, None] * d
+        b = np.arange(right)
+        parts.append((np.broadcast_to((left[:, None] * data)[:, :, None], shape).ravel(),
+                      ((l + rows[:, None]) * right + b).ravel(),
+                      ((l + cols[:, None]) * right + b).ravel()))
+        left = np.kron(left, twist)
+    values, out_rows, out_cols = (np.concatenate(p) for p in zip(*parts))
+    return sparse.SparseOperator.from_coo(values, out_rows, out_cols, (nreg.dim, nreg.dim))
+
+
+def _assert_same_bytes(got, want):
+    """Equal CSR arrays down to the sign of every zero part."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def _slot_sum_cases(space, rng):
     m = space.lattice.size
     dense = rng.standard_normal((m, 16, 16)) + 1j * rng.standard_normal((m, 16, 16))
+    # register row 3 holds only its diagonal, so N-slot rows whose digits all
+    # sit there hold only theirs
+    lone = np.zeros((m, 16, 16), dtype=np.complex128)
+    lone[:, 3, 3] = 1.5
+    lone[:, 5, 9] = 2.0
+    lone[:, 9, 5] = -1j
     return {
         "ladder": smeared_annihilator(space, random_table(rng, m), "d"),
+        # real entries conjugated: every imaginary part is -0.0
+        "negative_zero_ladder": smeared_annihilator(space, rng.standard_normal((m, 2)), "b").adjoint(),
+        "negative_zero_dense": ModeBlocks(np.conj(dense.real.astype(np.complex128))),
         "projector": mode_projector(space, m - 1),
+        # +-v on the diagonal: slot terms cancel to exact zeros on some rows
+        "cancelling": ModeBlocks.diagonal(np.tile([1, -1, 2, -2, 0.5, -0.5, 0, 0,
+                                                   1, 1, -1, -1, 3, -3, 0, 1], (m, 1))),
+        "lone_diagonal": ModeBlocks(lone),
         "shifted": ModeBlocks(dense, shift=1),
         # full blocks: rows past 16 entries, and N terms summed on the diagonal
         "dense": ModeBlocks(dense),
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("space_name", ["single_space", "double_space"])
+@pytest.mark.parametrize("space_name, n", [*itertools.product(["single_space", "double_space"],
+                                                                [1, 2, 3]),
+                                            ("single_space", 4)])
 def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
     space = request.getfixturevalue(space_name)
     nreg = NRegister(space, n)
+    parity = np.tile(np.diag(space.register.parity), space.lattice.size)
     for name, op in _slot_sum_cases(space, rng).items():
-        if name == "dense" and nreg.dim > 4096:
+        if name in ("dense", "negative_zero_dense") and nreg.dim > 4096:
             continue  # 1.5 million entries at 2 modes, N = 3
         twisted = _kron_chain_slot_sum(space, n, op, space.parity())
         assert_same_csr(extend_operator(nreg, op), scipy_pruned(twisted / np.sqrt(n)))
         plain = _kron_chain_slot_sum(space, n, op, _identity(space))
         assert_same_csr(extend_additive(nreg, op), scipy_pruned(plain))
         assert_same_csr(extend_additive(nreg, op, mean=True), scipy_pruned(plain / n))
+        for twist in (parity, np.ones(space.dim)):
+            _assert_same_bytes(noscillator._slot_sum(nreg, op, twist),
+                               _coo_slot_sum(nreg, op, twist))
 
 
 def test_extend_unitary_is_tensor_power(double_space, rng):

@@ -179,6 +179,32 @@ def test_matvec_matches_scipy(case):
     assert np.array_equal(sparse.apply_operator(a, v), want)
 
 
+def _add_at_matvec(a, v):
+    """A @ v by its rule: each term a_ij v_j (einsum) added to row i from 0 in entry order."""
+    rows, cols, data = a.coo()
+    out = np.zeros(a.shape[0], dtype=np.complex128)
+    np.add.at(out, rows, np.einsum("i,i->i", data, v[cols]))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 3, sparse._ROW_BLOCK])
+def test_matvec_is_the_entry_order_sum_bitwise(monkeypatch, rng, block):
+    monkeypatch.setattr(sparse, "_ROW_BLOCK", block)
+    dense = _random_dense(rng, 40, 30)
+    dense[rng.random(dense.shape) < 0.7] = 0
+    dense[[0, 7, 8, 39]] = 0  # empty rows, at both ends and in a run
+    dense[5] = _random_dense(rng, 1, 30)  # a full row
+    dense[11, 4] = complex(np.nan, 1.0)
+    dense[12, 0] = complex(-0.0, np.nan)
+    dense[13, 2] = complex(1.0, -0.0)
+    a = sparse.asoperator(dense)
+    v = _random_dense(rng, 30)[:, 0]
+    v[2] = complex(np.inf, 0.0)
+    assert (a @ v).tobytes() == _add_at_matvec(a, v).tobytes()
+    empty = zero_operator(30)
+    assert (empty @ v).tobytes() == np.zeros(30, dtype=np.complex128).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=operators(), b=operators())
 def test_kron_matches_scipy(a, b):
@@ -301,6 +327,27 @@ def test_dense_exponential_is_exact_on_diagonals(rng):
     d = np.diag(_random_dense(rng, 1, 40)[0])
     assert np.array_equal(sparse.dense_exponential(d), scipy.linalg.expm(d))
     assert np.array_equal(sparse.dense_exponential(np.zeros((5, 5))), np.eye(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_matrix_exponential_of_a_diagonal_is_the_dense_route_bitwise(monkeypatch, rng):
+    # NaN, +-inf, underflow below DROP_TOL, overflow, and gaps (zeros give 1)
+    specials = [np.nan, np.inf, -np.inf, -800.0, -32.3, 710.0, 0.0, -0.0, 1e-300]
+    cases = []
+    for _ in range(40):
+        d = _random_dense(rng, 1, 30)[0] * 10 ** rng.uniform(-3, 2)
+        d[rng.random(30) < 0.3] = 0
+        special = rng.random(30) < 0.2
+        d.real[special] = rng.choice(specials, special.sum())
+        d.imag[rng.random(30) < 0.1] = rng.choice([np.nan, np.inf, -0.0])
+        cases.append(SparseOperator(d, np.arange(30), np.arange(31), (30, 30)))
+    want = [sparse.asoperator(sparse.dense_exponential(a.toarray())) for a in cases]
+    monkeypatch.setattr(sparse, "dense_exponential", None)  # the diagonal route forms no dense matrix
+    for a, w in zip(cases, want):
+        got = sparse.matrix_exponential(a)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(w, name).tobytes()
 
 
 def test_dense_exponential_of_a_non_finite_matrix_is_nan():

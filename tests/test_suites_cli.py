@@ -610,6 +610,34 @@ def test_balance_script_default_run_balances(capsys):
     assert out.rstrip().endswith("balanced sign check        : zero")
 
 
+def _peaks_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_peaks.py"
+    spec = importlib.util.spec_from_file_location("report_peaks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_peaks_script_measures_one_suite(capsys):
+    assert _peaks_script().main(["--suite", "jw_car"]) == 0
+    header, row, *rest = capsys.readouterr().out.splitlines()
+    assert header.split() == ["suite", "checks", "wall_ms", "peak_MB"]
+    name, checks, wall_ms, peak_mb = row.split()
+    passed, total = checks.split("/")
+    assert name == "jw_car" and passed == total and not rest
+    assert float(wall_ms) > 0 and float(peak_mb) > 0
+
+
+@pytest.mark.parametrize("argv", [["--suite", "nope"], ["--config", "no_such_config.json"]])
+def test_peaks_script_bad_config_exits_2(argv, capsys):
+    code = _peaks_script().main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out == ""
+
+
 # --- exit contract: 0 all passed, 1 a check failed, 2 the run could not finish
 
 _JUNK = st.one_of(

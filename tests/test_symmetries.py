@@ -1,5 +1,7 @@
 """Poincare maps, charge, spin, and the vacuum energy balance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,22 @@ def test_vacuum_energy_expectation_matches_quadrature(small_space, small_profile
     for n in (1, 2):
         got = symmetries.vacuum_energy_expectation(small_space, small_profile, n)
         assert got == pytest.approx(n * formula, abs=1e-12)
+
+
+def test_vacuum_energy_expectation_peak_memory(default_space, default_profile):
+    # what the check must hold is the extended P_0 and two states; an
+    # assembly through a COO copy and a key sort peaks near 2.1 times that
+    big = extend_additive(NRegister(default_space, 2), symmetries.four_momentum(default_space)[0])
+    held = big.data.nbytes + big.indices.nbytes + big.indptr.nbytes + 2 * 16 * big.shape[0]
+    del big
+    symmetries.vacuum_energy_expectation(default_space, default_profile, 2)
+    tracemalloc.start()
+    try:
+        symmetries.vacuum_energy_expectation(default_space, default_profile, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * held
 
 
 def test_rest_mode_energy_with_three_species():
