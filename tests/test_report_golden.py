@@ -6,11 +6,16 @@ default report as (suite, check, float.hex(residual), tolerance, passed).
 the same way for boosts other than the default one step: backward, up to
 the lattice edge, and on 7- and 3-mode lattices, where the interior and
 the modes shifted off the lattice cover the most of it.
+`data/report_golden_drawn.json` pins every row of six configs drawn at
+random, with a fixed seed, from the ranges config load accepts, by
+`scripts/draw_golden_configs.py`: each pair of lattice kind and profile
+kind once, failing rows included.
 A change that moves any residual, even by one ulp, fails here and has to
 name the move.  The environment block of the report is not pinned.  The
 pinned values do not depend on the number of BLAS or OpenMP threads.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,6 +32,7 @@ from carfield.config import config_from_dict
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "report_golden.json").read_text())
 BOOST_GOLDEN = json.loads((DATA / "report_golden_boosts.json").read_text())
+DRAWN_GOLDEN = json.loads((DATA / "report_golden_drawn.json").read_text())
 
 
 def _pinned_rows(report):
@@ -49,6 +55,24 @@ def test_boost_reports_match_golden(case):
     report = run_report(config_from_dict(case["config"]), ["spinor", "symmetries"])
     assert _pinned_rows(report) == case["rows"]
     assert report["overall_pass"]
+
+
+@pytest.mark.parametrize("case", DRAWN_GOLDEN,
+                         ids=[json.dumps(c["config"], sort_keys=True) for c in DRAWN_GOLDEN])
+def test_drawn_reports_match_golden(case):
+    report = run_report(config_from_dict(case["config"]), case["suites"])
+    assert _pinned_rows(report) == case["rows"]
+
+
+def test_drawn_configs_are_the_seeded_draws():
+    # the pinned configs are the script's draws at its default seed, not a choice
+    path = Path(__file__).resolve().parents[1] / "scripts" / "draw_golden_configs.py"
+    spec = importlib.util.spec_from_file_location("draw_golden_configs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = script.random.Random(script.DEFAULT_SEED)
+    drawn = [script.draw_config(rng, k)[0] for k in range(len(DRAWN_GOLDEN))]
+    assert drawn == [case["config"] for case in DRAWN_GOLDEN]
 
 
 def _run_child(script, **env):
