@@ -26,7 +26,10 @@ them by the summation rule of `sparse`.
 per-mode builder.  Every space shares the read-only `register.REGISTER`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots, applied to a state, or compared with an
-independent CSR route.  `field_operator_spectral` keeps its own assembly
+independent CSR route.  Blocks follow the storage rule of `sparse`: every
+entry that is not exactly zero is kept, however small, and `embed` drops
+only exact zeros, so the block algebra and its CSR image agree entry for
+entry.  `field_operator_spectral` keeps its own assembly
 on purpose, with no `ModeBlocks`: it places the kron of each diagonal
 multiplier with a register ladder by index arithmetic, all four terms in one
 COO triple converted to CSR once, so the field's dual-route check compares
@@ -193,9 +196,7 @@ class ModeBlocks:
 
     `stack` holds one 16x16 register block per mode.  Blocks whose source
     mode i - shift is off the lattice are zero, so products and adjoints
-    stay in this form.  Nothing here prunes except `pruned` and the
-    (anti)commutators, which drop entries below DROP_TOL as their CSR
-    counterparts in `sparse` do.
+    stay in this form.
 
     Two bounds let the algebra skip what is zero.  `_live` is a mode range
     [lo, hi) outside which every block is zero, and `_pattern` the register
@@ -343,16 +344,11 @@ class ModeBlocks:
         return ModeBlocks._placed(blocks, len(self.stack), (lo - self.shift, hi - self.shift),
                                   -self.shift)
 
-    def pruned(self) -> ModeBlocks:
-        lo, hi = self._live
-        return ModeBlocks._placed(sparse.prune_array(self.stack[lo:hi]), len(self.stack),
-                                  self._live, self.shift, self._pattern)
-
     def commutator(self, other: ModeBlocks) -> ModeBlocks:
-        return (self @ other - other @ self).pruned()
+        return self @ other - other @ self
 
     def anticommutator(self, other: ModeBlocks) -> ModeBlocks:
-        return (self @ other + other @ self).pruned()
+        return self @ other + other @ self
 
     def max_abs(self) -> float:
         lo, hi = self._live
@@ -376,7 +372,7 @@ class SingleOscillatorSpace:
         self.neg_table = np.array([neg for _, neg in tables])
 
     def embed(self, op: ModeBlocks) -> SparseOperator:
-        """op as pruned CSR: the one conversion of single-oscillator operators to CSR.
+        """op as CSR: the one conversion of single-oscillator operators to CSR.
 
         Block i fills rows 16 i .. 16 i + 15 at columns 16 (i - shift) + c;
         one block per row of blocks, so row-major order is canonical order.
@@ -386,7 +382,7 @@ class SingleOscillatorSpace:
             raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
         lo, hi = op._live
         blocks = op.stack[lo:hi]
-        live = sparse.kept_by_prune(blocks)
+        live = blocks != 0
         block, r, c = np.nonzero(live)
         rows = REGISTER_DIM * (lo + block) + r
         cols = REGISTER_DIM * (lo + block - op.shift) + c
@@ -398,7 +394,7 @@ class SingleOscillatorSpace:
 
 
 def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
-    """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k], pruned as embed prunes.
+    """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k].
 
     Callers pass small-integer register operators on disjoint supports: each
     entry is exact.  Only the entries where some reg_op with a nonzero
@@ -412,8 +408,7 @@ def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     lo, hi = live = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else _NO_MODES
     blocks = np.zeros((hi - lo, REGISTER_DIM**2), dtype=np.complex128)
     # einsum adds the terms to 0 in k order, with no fused multiply-add
-    blocks[:, support] = sparse.prune_array(np.einsum("ik,kt->it", coeffs[lo:hi],
-                                                      ops[:, support]))
+    blocks[:, support] = np.einsum("ik,kt->it", coeffs[lo:hi], ops[:, support])
     return ModeBlocks._placed(blocks.reshape(-1, REGISTER_DIM, REGISTER_DIM), len(coeffs), live,
                               0, _pattern_bits(support))
 
@@ -508,9 +503,8 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
         rows.append((offsets + r).ravel())
         cols.append((offsets + c).ravel())
         data.append((multiplier[:, None] * ladder[r, c]).ravel())
-    out = SparseOperator.from_coo(np.concatenate(data), np.concatenate(rows),
-                                  np.concatenate(cols), (space.dim, space.dim))
-    return sparse.prune(out)
+    return SparseOperator.from_coo(np.concatenate(data), np.concatenate(rows),
+                                   np.concatenate(cols), (space.dim, space.dim))
 
 
 @dataclass(frozen=True)
@@ -551,6 +545,11 @@ def gaussian_profile(lattice: MomentumLattice, width: float = 1.0, center: float
 
 
 def point_profile(lattice: MomentumLattice, index: int) -> VacuumProfile:
+    # True would set every mode, and -1 would take the last one
+    if not (isinstance(index, numbers.Integral) and not isinstance(index, bool)
+            and 0 <= index < lattice.size):
+        raise ConfigError(f"point profile needs an int mode index in [0, {lattice.size}), "
+                          f"got {index!r}")
     raw = np.zeros(lattice.size)
     raw[index] = 1.0
     return _normalized_profile(lattice, raw)

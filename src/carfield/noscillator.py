@@ -202,13 +202,13 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
     """(1/sqrt N) sum over slots of g^(k-1) x op x id^(N-k), g the grading."""
     parity = np.tile(np.diag(nreg.space.register.parity), nreg.space.lattice.size)
-    return sparse.prune(_slot_sum(nreg, op, parity) / np.sqrt(nreg.n))
+    return _slot_sum(nreg, op, parity) / np.sqrt(nreg.n)
 
 
 def extend_additive(nreg: NRegister, op: ModeBlocks, mean: bool = False) -> SparseOperator:
     """Untwisted sum over slots; with mean=True, divided by N (central elements)."""
     total = _slot_sum(nreg, op, np.ones(nreg.factor_dim))
-    return sparse.prune(total / nreg.n if mean else total)
+    return total / nreg.n if mean else total
 
 
 def extend_unitary(nreg: NRegister, u: ModeBlocks) -> SparseOperator:
@@ -247,19 +247,12 @@ def smeared_matrix(space: SingleOscillatorSpace, spec: OpSpec) -> ModeBlocks:
 
 def vacuum_matrix_element_matrix(nreg: NRegister, profile: VacuumProfile,
                                  ops: list[OpSpec]) -> complex:
-    """Matrix-path evaluation of <vac_N| op_1 ... op_k |vac_N> (small N only).
-
-    Each extended factor is pruned below `sparse.DROP_TOL` absolutely, and
-    so is every applied ket, so this route has an absolute floor that no
-    scale of the inputs removes: on one mode at N = 2, c(e) c(a e)' with
-    a = 1e-14 reads 0 here, while the expansion reads a.  A reference built
-    on this route needs amplitudes well above the floor.
-    """
+    """Matrix-path evaluation of <vac_N| op_1 ... op_k |vac_N> (small N only)."""
     vac = vacuum_state(nreg, profile)
     ket = vac
     for spec in reversed(ops):
         # one extended factor alive at a time
-        ket = sparse.apply_operator(extend_operator(nreg, smeared_matrix(nreg.space, spec)), ket)
+        ket = extend_operator(nreg, smeared_matrix(nreg.space, spec)) @ ket
     return sparse.inner(vac, ket)
 
 

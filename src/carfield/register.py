@@ -96,15 +96,11 @@ def number_operator(reg: JWRegister, species: str) -> np.ndarray:
 
 
 def _exp2(a: np.ndarray) -> np.ndarray:
-    """e^A of a 2x2 form by the closed form `spinors.exponential`.
-
-    Entries below DROP_TOL are dropped before and after, so a form whose
-    off-diagonal entries are noise takes the exact diagonal route.
-    """
+    """e^A of a 2x2 form by the closed form `spinors.exponential`."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise PreconditionError(f"quadratic form must be 2x2, got {a.shape}")
-    return sparse.prune_array(exponential(sparse.prune_array(a)))
+    return exponential(a)
 
 
 def pair_unitary(u_b: np.ndarray, u_d: np.ndarray) -> np.ndarray:
@@ -124,9 +120,8 @@ def pair_unitary(u_b: np.ndarray, u_d: np.ndarray) -> np.ndarray:
         block[0, 0] = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         block[1:3, 1:3] = u
         block[3, 3] = 1.0
-        blocks.append(sparse.prune_array(block))
-    out = np.einsum("ij,kl->ikjl", *blocks).reshape(REGISTER_DIM, REGISTER_DIM)
-    return sparse.prune_array(out)
+        blocks.append(block)
+    return np.einsum("ij,kl->ikjl", *blocks).reshape(REGISTER_DIM, REGISTER_DIM)
 
 
 def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
@@ -142,8 +137,7 @@ def pair_exponential(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
 def quadratic_generator(reg: JWRegister, a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
     """The quadratic form b'(a_b)b + d'(a_d)d as an explicit 16x16 matrix.
 
-    Each c_s' c_t has entries 0 and +-1, so every product is exact; entries
-    below DROP_TOL are dropped.
+    Each c_s' c_t has entries 0 and +-1, so every product is exact.
     """
     bs = [reg.b_minus, reg.b_plus]
     ds = [reg.d_minus, reg.d_plus]
@@ -152,7 +146,11 @@ def quadratic_generator(reg: JWRegister, a_b: np.ndarray, a_d: np.ndarray) -> np
         for t in range(2):
             out = out + a_b[s, t] * (bs[s].conj().T @ bs[t])
             out = out + a_d[s, t] * (ds[s].conj().T @ ds[t])
-    return sparse.prune_array(out)
+    # the one floor on stored entries: a traceless form made traceless in
+    # floats, a - tr(a)/2, leaves a_00 + a_11 of order 1e-17 on the doubly
+    # occupied states; dropping it keeps the exact form's zero there
+    out[np.abs(out) < 1e-14] = 0
+    return out
 
 
 def _conjugate(inv: np.ndarray, op: np.ndarray, conj: np.ndarray) -> np.ndarray:

@@ -16,8 +16,11 @@ Summation rule.  Every entry of a product A @ B or A @ v is the sum of its
 terms a_ij b_jk in ascending inner index j, added one at a time to 0; each
 complex term is (ar br - ai bi) + i (ar bi + ai br), rounded after every
 operation, with no fused multiply-add.  Duplicate COO entries are summed
-the same way, in input order.  Sums, differences and assemblies drop the
-entries that come out exactly zero; `prune` also drops those below DROP_TOL.
+the same way, in input order.
+
+Storage rule.  An operator stores every nonzero entry, however small, and
+NaN.  Sums, differences, products and assemblies drop only the entries that
+come out exactly zero; scalar `*` and `/` keep the pattern.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ import math
 import numpy as np
 
 from .errors import ShapeError, SizeCapError
-
-# entries with |value| below this are dropped; below double-precision noise
-# for the O(1)-normalized matrices used throughout
-DROP_TOL = 1e-14
 
 # hard cap on any constructed operator dimension: (16*M)^N must stay under this
 MAX_DIM = 2**20
@@ -65,7 +64,9 @@ def _sums_by_key(keys: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.nd
     The stable sort (skipped when the keys already ascend) keeps each key's
     terms in input order, and np.add.at is unbuffered: it adds them one at a
     time in that order (numpy's reductions switch to pairwise summation on
-    long runs).  A key with one term keeps it.
+    long runs).  When no key repeats, every term is returned as it is; once
+    any key repeats, every key is summed from 0, so a lone term's -0.0 real
+    or imaginary part reads +0.0.
     """
     if not (keys[1:] > keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
@@ -77,11 +78,6 @@ def _sums_by_key(keys: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.nd
     sums = np.zeros(np.count_nonzero(first), dtype=np.complex128)
     np.add.at(sums, np.cumsum(first) - 1, terms)
     return keys[first], sums
-
-
-def kept_by_prune(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries prune keeps: |value| >= DROP_TOL, and NaN."""
-    return ~(np.abs(values) < DROP_TOL)
 
 
 class SparseOperator:
@@ -216,28 +212,12 @@ class SparseOperator:
 
 
 def asoperator(a: np.ndarray) -> SparseOperator:
-    """A dense matrix as a pruned operator."""
+    """A dense matrix as an operator holding its nonzero entries."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeError(f"an operator needs a 2-d array, got shape {a.shape}")
     rows, cols = np.nonzero(a)
-    return prune(SparseOperator.from_sorted(a[rows, cols], rows, cols, a.shape))
-
-
-def prune(a: SparseOperator) -> SparseOperator:
-    """a without the entries below DROP_TOL (a itself when there are none)."""
-    keep = kept_by_prune(a.data)
-    if keep.all():
-        return a
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    return SparseOperator(a.data[keep], a.indices[keep], kept[a.indptr], a.shape)
-
-
-def prune_array(a: np.ndarray) -> np.ndarray:
-    """Dense counterpart of prune: a copy with entries below DROP_TOL set to zero."""
-    a = np.array(a, dtype=np.complex128)
-    a[np.abs(a) < DROP_TOL] = 0
-    return a
+    return SparseOperator.from_sorted(a[rows, cols], rows, cols, a.shape)
 
 
 def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray) -> SparseOperator:
@@ -258,8 +238,8 @@ def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray) -> SparseO
     rows = (a_rows.repeat(per) * b.shape[0]).reshape(-1, per) + b_rows
     cols = (a_cols.astype(np.int64).repeat(per) * b.shape[1]).reshape(-1, per) + b_cols
     data = a_data.repeat(per).reshape(-1, per) * b_data
-    return prune(SparseOperator.from_coo(data.ravel(), rows.ravel(), cols.ravel(),
-                                         (out_rows, out_cols)))
+    return SparseOperator.from_coo(data.ravel(), rows.ravel(), cols.ravel(),
+                                   (out_rows, out_cols))
 
 
 def tensor_many(*ops: SparseOperator) -> SparseOperator:
@@ -279,12 +259,12 @@ def adjoint(a: SparseOperator) -> SparseOperator:
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     _check_square_pair(a, b)
-    return prune(a @ b - b @ a)
+    return a @ b - b @ a
 
 
 def anticommutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     _check_square_pair(a, b)
-    return prune(a @ b + b @ a)
+    return a @ b + b @ a
 
 
 def _check_square_pair(a: SparseOperator, b: SparseOperator) -> None:
@@ -302,7 +282,7 @@ def _check_exponent(shape: tuple[int, ...]) -> None:
 
 
 def dense_exponential(a: np.ndarray) -> np.ndarray:
-    """e^A of a dense matrix, pruned as prune_array prunes.
+    """e^A of a dense matrix.
 
     Higham's scaling and squaring (SIAM J. Matrix Anal. Appl. 26 (2005)
     1179): with s = max(0, ceil(log2(|A|_1 / THETA_13))), the degree-13 Pade
@@ -314,7 +294,7 @@ def dense_exponential(a: np.ndarray) -> np.ndarray:
     _check_exponent(a.shape)
     diagonal = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
-        return prune_array(np.diag(np.exp(diagonal)))
+        return np.diag(np.exp(diagonal))
     norm = np.abs(a).sum(axis=0).max()
     if not np.isfinite(norm):
         # NaN in every entry, so a residual built on it fails its check
@@ -332,11 +312,11 @@ def dense_exponential(a: np.ndarray) -> np.ndarray:
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
-    return prune_array(r)
+    return r
 
 
 def matrix_exponential(a: SparseOperator) -> SparseOperator:
-    """e^A as pruned CSR; matrices here are small by contract.
+    """e^A as CSR; matrices here are small by contract.
 
     An A whose entries all lie on the diagonal takes dense_exponential's
     diagonal rule on its diagonal alone (zeros give 1), with no dense matrix.
@@ -346,18 +326,10 @@ def matrix_exponential(a: SparseOperator) -> SparseOperator:
     if np.array_equal(rows, cols):
         diagonal = np.zeros(a.shape[0], dtype=np.complex128)
         diagonal[rows] = data
-        values = prune_array(np.exp(diagonal))
+        values = np.exp(diagonal)
         kept = np.flatnonzero(values)
         return SparseOperator.from_sorted(values[kept], kept, kept, a.shape)
     return asoperator(dense_exponential(a.toarray()))
-
-
-def apply_operator(a: SparseOperator, v: np.ndarray) -> np.ndarray:
-    if a.shape[1] != v.shape[0]:
-        raise ShapeError(f"operator {a.shape} cannot act on state of dim {v.shape[0]}")
-    out = a @ v
-    out[np.abs(out) < DROP_TOL] = 0
-    return out
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:

@@ -128,7 +128,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "grading", "g c g = -c and g^2 = id", worst, 1e-12))
 
     worst = worst_of(
-        *(float(np.max(np.abs(sparse.apply_operator(a, reg.vacuum)))) for a in cs)
+        *(float(np.max(np.abs(a @ reg.vacuum))) for a in cs)
     )
     worst = worst_of(worst, abs(sparse.inner(reg.vacuum, reg.vacuum) - 1.0))
     out.append(_rec(s, "vacuum", "c_a |vac> = 0, <vac|vac> = 1", worst, 1e-12))
@@ -136,7 +136,7 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
     targets = (7, 11, 13, 14)
     worst = 0.0
     for a, target in zip(cs, targets):
-        created = sparse.apply_operator(a.conj().T, reg.vacuum)
+        created = a.conj().T @ reg.vacuum
         expected = sparse.basis_state(REGISTER_DIM, target)
         worst = worst_of(worst, float(np.max(np.abs(created - expected))))
     out.append(_rec(s, "creation_pattern", "c_a' |vac> = +|one-particle_a>", worst, 1e-12))
@@ -338,7 +338,7 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     worst = worst_of(worst, abs(float(np.sum(lattice.weights * profile.z)) - 1.0))
     for i in range(lattice.size):
         ip = space.embed(mode_projector(space, i))
-        got = sparse.inner(vac, sparse.apply_operator(ip, vac))
+        got = sparse.inner(vac, ip @ vac)
         worst = worst_of(worst, abs(got - profile.z[i]))
     out.append(_rec(s, "vacuum_profile", "<O|central_i|O> = Z_i, sum_i w_i Z_i = 1",
                     worst, 1e-12))
@@ -360,11 +360,9 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
         i = int(idx)
         p = lattice.points[i]
         for sp in (0, 1):
-            one = sparse.apply_operator(
-                space.embed(mode_annihilator(space, i, sp, "b").adjoint()), vac
-            )
+            one = space.embed(mode_annihilator(space, i, sp, "b").adjoint()) @ vac
             for a in range(4):
-                got = sparse.inner(vac, sparse.apply_operator(field_csr[a], one))
+                got = sparse.inner(vac, field_csr[a] @ one)
                 want = (
                     space.pos_table[i, sp, a]
                     * np.exp(-1j * p.dot_point(x))
@@ -381,9 +379,9 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     want_h = spinors.classical_solution(lattice, np.zeros_like(h), profile.z[:, None] * h, x)
     worst = 0.0
     for a in range(4):
-        got = sparse.inner(vac, sparse.apply_operator(space.embed(fields[a] @ cf_dag), vac))
+        got = sparse.inner(vac, space.embed(fields[a] @ cf_dag) @ vac)
         worst = worst_of(worst, abs(got - want_f[a]))
-        got = sparse.inner(vac, sparse.apply_operator(space.embed(ch @ fields[a]), vac))
+        got = sparse.inner(vac, space.embed(ch @ fields[a]) @ vac)
         worst = worst_of(worst, abs(got - want_h[a]))
     out.append(_rec(s, "classical_matrix_element",
                     "field matrix elements synthesize the classical solution",

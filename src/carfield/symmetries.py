@@ -95,7 +95,7 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
     lam = boost_z(steps * lattice.delta_eta)
     wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
     mixers = np.array([pair_unitary(w, w) for w in wigner])
-    return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps).pruned())
+    return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps))
 
 
 def interior_range(modes: int, steps: int) -> tuple[int, int]:
@@ -119,7 +119,7 @@ def _nonempty_interior(modes: int, steps: int) -> tuple[int, int]:
 def poincare_unitary(space: SingleOscillatorSpace, boost: BoostData,
                      y: np.ndarray) -> ModeBlocks:
     """U_{Lambda,y} = U_{1,y} U_{Lambda,0}."""
-    return (translation_unitary(space, y) @ boost.unitary).pruned()
+    return translation_unitary(space, y) @ boost.unitary
 
 
 def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float:
@@ -290,7 +290,7 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     lattice = space.lattice
     k = boost.steps
     vac = vacuum_vector(space, profile)
-    moved = sparse.apply_operator(space.embed(poincare_unitary(space, boost, y)), vac)
+    moved = space.embed(poincare_unitary(space, boost, y)) @ vac
 
     predicted = np.zeros(space.dim, dtype=np.complex128)
     shifted_raw = np.zeros(lattice.size, dtype=np.complex128)
@@ -396,6 +396,6 @@ def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfi
     p0 = four_momentum(space)[0]
     big = extend_additive(nreg, p0)
     vac = vacuum_state(nreg, profile)
-    moved = sparse.apply_operator(big, vac)
+    moved = big @ vac
     del big  # the largest matrix of a default report; the inner product needs only the states
     return float(sparse.inner(vac, moved).real)

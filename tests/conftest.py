@@ -85,10 +85,9 @@ def to_scipy(op):
     return scipy.sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape, copy=True)
 
 
-def scipy_pruned(m):
-    """The prune rule applied to a scipy matrix: entries below DROP_TOL dropped."""
+def scipy_nonzero(m):
+    """The storage rule applied to a scipy matrix: a copy without its exact zeros."""
     m = scipy.sparse.csr_matrix(m, copy=True)
-    m.data[np.abs(m.data) < sparse.DROP_TOL] = 0
     m.eliminate_zeros()
     return m
 
@@ -100,7 +99,7 @@ def assert_same_csr(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.data, want.data, equal_nan=True)
 
 
 def zero_operator(dim):

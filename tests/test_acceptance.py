@@ -339,7 +339,7 @@ def test_criterion_11_charge_and_spin():
                 sparse.commutator(s_ext, b_dag) - sign * b_dag))
             spin_worst = max(spin_worst, sparse.max_abs(
                 sparse.commutator(s_ext, d_dag) - sign * d_dag))
-    vac = sparse.apply_operator(s_ext, vacuum_state(nreg, profile))
+    vac = s_ext @ vacuum_state(nreg, profile)
     spin_vacuum = float(np.max(np.abs(vac)))
 
     # the extended spin diagonal reaches half-integers like 1.5 whose product

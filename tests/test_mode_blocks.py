@@ -33,7 +33,7 @@ from carfield.modes import (
 )
 from carfield.register import REGISTER_DIM, build_register, number_operator, pair_unitary
 
-from conftest import random_table, zero_operator
+from conftest import assert_same_csr, random_table, to_scipy, zero_operator
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def _kron_sum(space, terms):
     for i, j, coeff, reg_op in terms:
         if coeff != 0:
             out = out + coeff * sparse.tensor_product(_ket_bra(space, i, j), reg_op)
-    return sparse.prune(out)
+    return out
 
 
 def _assert_same(got, ref):
@@ -93,13 +93,11 @@ def test_mode_ladders_and_projectors(space):
     reg = space.register
     for i in (0, space.lattice.size - 1):
         w = space.lattice.weights[i]
-        ref = sparse.prune(sparse.tensor_product(_ket_bra(space, i, i), reg.identity) / w)
+        ref = sparse.tensor_product(_ket_bra(space, i, i), reg.identity) / w
         _assert_same(space.embed(mode_projector(space, i)), ref)
         for species in ("b", "d"):
             for s in (0, 1):
-                ref = sparse.prune(
-                    sparse.tensor_product(_ket_bra(space, i, i), reg.ladder(species, s)) / w
-                )
+                ref = sparse.tensor_product(_ket_bra(space, i, i), reg.ladder(species, s)) / w
                 _assert_same(space.embed(mode_annihilator(space, i, s, species)), ref)
 
 
@@ -276,16 +274,16 @@ def test_shift_range_is_the_brute_force_source_mask():
                                           np.flatnonzero((src >= 0) & (src < modes)))
 
 
-def test_commutators_prune_like_csr(default_space, rng):
-    # b equals a up to rounding, so [a, b] is rounding noise (about 5e-16
-    # before the prune); both routes drop it below DROP_TOL
+def test_commutators_keep_rounding_like_csr(default_space, rng):
+    # b equals a up to rounding, so [a, b] is rounding noise of about 5e-16;
+    # both routes store it, entry for entry
     m = default_space.lattice.size
     a = ModeBlocks(0.3 * _random_stack(rng, m, integer=False))
     b = a / 3 * 3
     comm = a.commutator(b)
     want = sparse.commutator(default_space.embed(a), default_space.embed(b))
-    assert sparse.max_abs(default_space.embed(comm) - want) == 0.0
-    assert comm.max_abs() == 0.0
+    assert_same_csr(default_space.embed(comm), to_scipy(want))
+    assert 0 < comm.max_abs() < 1e-14
     anti = a.anticommutator(b)
     want = sparse.anticommutator(default_space.embed(a), default_space.embed(b))
     assert sparse.max_abs(default_space.embed(anti) - want) == 0.0

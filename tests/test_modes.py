@@ -29,7 +29,7 @@ from carfield.modes import (
 )
 from carfield.register import REGISTER_DIM, VACUUM_INDEX
 
-from conftest import assert_same_csr, random_table, scipy_pruned
+from conftest import assert_same_csr, random_table, scipy_nonzero
 
 
 # --- lattices
@@ -123,6 +123,14 @@ def test_point_profile_support(default_lattice):
     profile = point_profile(default_lattice, 5)
     assert np.count_nonzero(profile.values) == 1
     assert profile.z[5] == pytest.approx(1.0 / default_lattice.weights[5])
+    assert np.array_equal(point_profile(default_lattice, np.int64(5)).values, profile.values)
+
+
+@pytest.mark.parametrize("index", [True, np.True_, -1, 13, 1.7, 5.0, "5", None])
+def test_point_profile_rejects_a_bad_index(default_lattice, index):
+    # True would set every mode, -1 take the last one, and 13 or 1.7 end in an IndexError
+    with pytest.raises(ConfigError):
+        point_profile(default_lattice, index)
 
 
 def test_vacuum_vector(default_space, default_profile):
@@ -208,17 +216,17 @@ def test_field_operator_dual_route(default_space, rng):
 def _spectral_kron_terms(space, x, alpha, conjugate):
     """The spectral field as a scipy sum of per-term krons of diagonal multipliers with W(x)."""
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    w = scipy_pruned(np.diag(plane_wave_unitary(space, x)))
+    w = scipy_nonzero(np.diag(plane_wave_unitary(space, x)))
     w_dag = w.conj().T.tocsr()
     out = scipy.sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
     for s in (0, 1):
-        pos_mult = scipy_pruned(np.diag(space.pos_table[:, s, alpha]))
-        neg_mult = scipy_pruned(np.diag(space.neg_table[:, s, alpha]))
+        pos_mult = scipy_nonzero(np.diag(space.pos_table[:, s, alpha]))
+        neg_mult = scipy_nonzero(np.diag(space.neg_table[:, s, alpha]))
         ann = space.register.ladder(ann_species, s)
         cre = space.register.ladder(cre_species, 1 - s).conj().T
-        out = out + scipy_pruned(scipy.sparse.kron(pos_mult @ w, ann, format="csr"))
-        out = out + scipy_pruned(scipy.sparse.kron(neg_mult @ w_dag, cre, format="csr"))
-    return scipy_pruned(out)
+        out = out + scipy_nonzero(scipy.sparse.kron(pos_mult @ w, ann, format="csr"))
+        out = out + scipy_nonzero(scipy.sparse.kron(neg_mult @ w_dag, cre, format="csr"))
+    return scipy_nonzero(out)
 
 
 def test_field_operator_spectral_equals_kron_terms_bitwise(default_space, rng):

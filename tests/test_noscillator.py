@@ -32,6 +32,8 @@ from carfield.modes import (
     ModeBlocks,
     SingleOscillatorSpace,
     VacuumProfile,
+    field_operator,
+    field_operator_spectral,
     mode_projector,
     rapidity_lattice,
     restricted_lattice,
@@ -61,7 +63,7 @@ from conftest import (
     assert_same_csr,
     identity_operator,
     random_table,
-    scipy_pruned,
+    scipy_nonzero,
     to_scipy,
 )
 
@@ -167,7 +169,7 @@ def _kron_chain_slot_sum(space, n, op, twist):
         chain = [twist] * k + [op] + [ident] * (n - k - 1)
         term = chain[0]
         for factor in chain[1:]:
-            term = scipy_pruned(scipy.sparse.kron(term, factor, format="csr"))
+            term = scipy_nonzero(scipy.sparse.kron(term, factor, format="csr"))
         total = total + term
     return total
 
@@ -235,13 +237,69 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
         if name in ("dense", "negative_zero_dense") and nreg.dim > 4096:
             continue  # 1.5 million entries at 2 modes, N = 3
         twisted = _kron_chain_slot_sum(space, n, op, space.parity())
-        assert_same_csr(extend_operator(nreg, op), scipy_pruned(twisted / np.sqrt(n)))
+        assert_same_csr(extend_operator(nreg, op), scipy_nonzero(twisted / np.sqrt(n)))
         plain = _kron_chain_slot_sum(space, n, op, _identity(space))
-        assert_same_csr(extend_additive(nreg, op), scipy_pruned(plain))
-        assert_same_csr(extend_additive(nreg, op, mean=True), scipy_pruned(plain / n))
+        assert_same_csr(extend_additive(nreg, op), scipy_nonzero(plain))
+        assert_same_csr(extend_additive(nreg, op, mean=True), scipy_nonzero(plain / n))
         for twist in (parity, np.ones(space.dim)):
             _assert_same_bytes(noscillator._slot_sum(nreg, op, twist),
                                _coo_slot_sum(nreg, op, twist))
+
+
+def _assert_stores_exactly(got, want):
+    """got is canonical CSR holding exactly the nonzero entries of the scipy matrix want."""
+    assert got.indptr[0] == 0 and got.indptr[-1] == got.nnz
+    assert np.all(np.diff(got.indptr) >= 0)
+    rows = np.repeat(np.arange(got.shape[0], dtype=np.int64), np.diff(got.indptr))
+    assert np.all(np.diff(rows * got.shape[1] + got.indices) > 0)
+    assert np.all(got.data != 0)  # NaN != 0
+    assert_same_csr(got, scipy_nonzero(want))
+
+
+def _small_entry_blocks(space, shift=0):
+    """Blocks of a ladder with entries far below 1, a -0.0 part, a -0.0 entry and a NaN."""
+    stack = smeared_annihilator(space, np.ones((space.lattice.size, 2)), "b").stack.copy()
+    stack[:, 0, 0] = 1e-30  # on the diagonal: N slot terms summed
+    stack[:, 1, 2] = complex(1e-300, -0.0)
+    stack[:, 2, 1] = 1e-16
+    stack[:, 4, 6] = complex(-0.0, -0.0)
+    stack[-1, 5, 5] = np.nan
+    return ModeBlocks(stack, shift)
+
+
+def test_builders_store_every_nonzero_entry(single_space, double_space, rng):
+    # one storage rule: however small an entry, and NaN, it is stored; exact zeros are not
+    for space, n in [(single_space, 1), (single_space, 2), (single_space, 3),
+                     (double_space, 1), (double_space, 2)]:
+        op = _small_entry_blocks(space)
+        nreg = NRegister(space, n)
+        twisted = _kron_chain_slot_sum(space, n, op, space.parity())
+        _assert_stores_exactly(extend_operator(nreg, op), twisted / np.sqrt(n))
+        plain = _kron_chain_slot_sum(space, n, op, _identity(space))
+        _assert_stores_exactly(extend_additive(nreg, op), plain)
+        _assert_stores_exactly(extend_additive(nreg, op, mean=True), plain / n)
+        m = space.lattice.size
+        for shift in (0, m - 1):
+            shifted = _small_entry_blocks(space, shift)
+            dense = np.zeros((space.dim, space.dim), dtype=np.complex128)
+            for i in range(shift, m):
+                dense[16 * i:16 * i + 16, 16 * (i - shift):16 * (i - shift) + 16] = shifted.stack[i]
+            _assert_stores_exactly(space.embed(shifted), scipy.sparse.csr_matrix(dense))
+
+    space = SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
+    space.pos_table = space.pos_table * 1e-20
+    space.neg_table = space.neg_table * 1e-300
+    x = rng.uniform(-1, 1, 4)
+    for alpha in range(4):
+        got = field_operator_spectral(space, x, alpha)
+        assert 0 < sparse.max_abs(got) < 1e-19
+        _assert_stores_exactly(got, to_scipy(space.embed(field_operator(space, x, alpha))))
+
+    # e^-40 and e^-700 are stored, e^-800 underflows to an exact zero, NaN stays
+    d = np.array([0.0, -40.0, -700.0, -800.0, np.nan, -0.0, 1e-16, 2.0], dtype=np.complex128)
+    got = sparse.matrix_exponential(sparse.SparseOperator(d, np.arange(8), np.arange(9), (8, 8)))
+    _assert_stores_exactly(got, scipy.sparse.csr_matrix(np.diag(np.exp(d))))
+    assert got.nnz == 7
 
 
 def test_extend_unitary_is_tensor_power(double_space, rng):
@@ -321,6 +379,17 @@ def test_walk_matches_matrices_single(single_space, single_profile, rng):
         walk = vacuum_matrix_element(nreg, single_profile, ops)
         explicit = vacuum_matrix_element_matrix(nreg, single_profile, ops)
         assert abs(walk - explicit) < 1e-11
+
+
+@pytest.mark.parametrize("a", [1e-14, 1e-20, 1e-38])
+def test_matrix_route_has_no_floor(single_space, single_profile, a):
+    # c(e) c(a e)' on one mode at N = 2 is a w Z, and w Z = 1 up to rounding
+    ops = [OpSpec(np.array([[1j, 0]]), "b", False), OpSpec(np.array([[a * 1j, 0]]), "b", True)]
+    nreg = NRegister(single_space, 2)
+    got = vacuum_matrix_element_matrix(nreg, single_profile, ops)
+    assert abs(got - a) <= 1e-15 * a
+    for exact in (False, True):
+        assert abs(got - vacuum_matrix_element(nreg, single_profile, ops, exact=exact)) <= 1e-15 * a
 
 
 def test_walk_matches_matrices_complex_profile(double_space, double_profile, rng):
@@ -443,8 +512,9 @@ def _balanced_products(draw):
     and the other factors in any order.
     """
     modes = draw(st.integers(1, 2))
-    # the matrices prune entries below sparse.DROP_TOL, so no tiny amplitude
-    entry = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    # magnitudes from 2 down to 1e-30, spread over the decades
+    magnitude = st.builds(lambda x, k: x * 10.0**-k, st.floats(0.1, 2.0), st.integers(0, 29))
+    entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
     species = draw(st.lists(st.sampled_from("bd"), min_size=1, max_size=3))
     first, *rest = [(s, False) for s in species]
     last, *more = [(s, True) for s in species]

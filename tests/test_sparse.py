@@ -3,15 +3,15 @@
 The hypothesis properties pin every operation of `sparse.SparseOperator`
 bitwise against scipy.sparse, the tests' independent reference: same
 pattern, same column order, same values.  Matrices are drawn with exact
-zeros (so rows come out empty and products cancel exactly), entries below
-DROP_TOL, and non-square shapes.
+zeros (so rows come out empty and products cancel exactly), entries of
+1e-16, which are stored as any other, -0.0, NaN, and non-square shapes.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from conftest import assert_same_csr, identity_operator, scipy_pruned, to_scipy, zero_operator
+from conftest import assert_same_csr, identity_operator, scipy_nonzero, to_scipy, zero_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +30,10 @@ small_complex = st.complex_numbers(
 )
 
 # exact zeros and small integers make empty rows and exact cancellations
-# likely; 1e-15 lies below DROP_TOL
+# likely; an operator stores 1e-16 and NaN and drops -0.0 as any zero
 entries = st.one_of(
-    st.sampled_from([0j, 0j, 0j, 1 + 0j, -1 + 0j, 2j, 0.5 - 1j, 1e-15 + 0j]),
+    st.sampled_from([0j, 0j, 0j, 1 + 0j, -1 + 0j, 2j, 0.5 - 1j, 1e-16 + 0j,
+                     complex(-0.0, -0.0), complex(1.0, -0.0), complex(np.nan, 0.0)]),
     small_complex,
 )
 sides = st.integers(1, 6)
@@ -51,7 +52,7 @@ def dense(rows, cols):
 
 
 def _operator(a):
-    """Every nonzero of a, the entries below DROP_TOL included."""
+    """Every nonzero of a."""
     rows, cols = np.nonzero(a)
     return SparseOperator.from_coo(a[rows, cols], rows, cols, a.shape)
 
@@ -97,6 +98,16 @@ def test_coo_assembly_sums_duplicates_as_scipy(triples):
     shape, data, rows, cols = triples
     got = SparseOperator.from_coo(data, rows, cols, shape)
     assert_same_csr(got, _scipy_assembly(shape, data, rows, cols))
+
+
+def test_coo_assembly_keeps_a_negative_zero_part_only_when_no_key_repeats():
+    # entry (0, 1) has one term either way; its -0.0 imaginary part survives
+    # only when it is returned as it is, not summed from 0
+    lone = complex(2.0, -0.0)
+    distinct = SparseOperator.from_coo([lone, 1.0], [0, 1], [1, 0], (2, 2))
+    assert distinct.data.tobytes() == np.array([lone, 1.0]).tobytes()
+    repeated = SparseOperator.from_coo([lone, 1.0, 3.0], [0, 1, 1], [1, 0, 0], (2, 2))
+    assert repeated.data.tobytes() == np.array([complex(2.0, 0.0), 4.0]).tobytes()
 
 
 def test_coo_assembly_rejects_entries_outside_the_shape():
@@ -154,12 +165,11 @@ def test_scalar_multiple_and_quotient_match_scipy(a, scalar, divisor):
 
 @settings(max_examples=60, deadline=None)
 @given(a=operators())
-def test_adjoint_and_prune_match_scipy(a):
+def test_adjoint_and_asoperator_match_scipy(a):
     ref = to_scipy(a)
     assert_same_csr(sparse.adjoint(a), ref.conj().T.tocsr())
-    assert np.array_equal(a.toarray(), ref.toarray())
-    assert_same_csr(sparse.prune(a), scipy_pruned(ref))
-    assert_same_csr(sparse.asoperator(a.toarray()), scipy_pruned(ref))
+    assert np.array_equal(a.toarray(), ref.toarray(), equal_nan=True)
+    assert_same_csr(sparse.asoperator(a.toarray()), scipy_nonzero(ref))
 
 
 @st.composite
@@ -173,10 +183,7 @@ def operator_and_vector(draw):
 @given(case=operator_and_vector())
 def test_matvec_matches_scipy(case):
     a, v = case
-    assert np.array_equal(a @ v, to_scipy(a) @ v)
-    want = to_scipy(a) @ v
-    want[np.abs(want) < sparse.DROP_TOL] = 0
-    assert np.array_equal(sparse.apply_operator(a, v), want)
+    assert np.array_equal(a @ v, to_scipy(a) @ v, equal_nan=True)
 
 
 def _add_at_matvec(a, v):
@@ -208,15 +215,15 @@ def test_matvec_is_the_entry_order_sum_bitwise(monkeypatch, rng, block):
 @settings(max_examples=60, deadline=None)
 @given(a=operators(), b=operators())
 def test_kron_matches_scipy(a, b):
-    want = scipy_pruned(sp.kron(to_scipy(a), to_scipy(b), format="csr"))
+    want = scipy_nonzero(sp.kron(to_scipy(a), to_scipy(b), format="csr"))
     assert_same_csr(sparse.tensor_product(a, b), want)
 
 
-def test_asoperator_prunes_noise():
-    a = np.array([[1.0, 1e-16], [0.0, 2.0]])
+def test_asoperator_keeps_small_entries():
+    a = np.array([[1.0, 1e-16], [-0.0, 2.0]])
     op = sparse.asoperator(a)
-    assert op.nnz == 2
-    assert op.toarray()[0, 1] == 0
+    assert op.nnz == 3
+    assert op.toarray()[0, 1] == 1e-16
 
 
 def test_tensor_product_matches_numpy(rng):
@@ -231,7 +238,7 @@ def test_tensor_flattening_is_row_major():
     a = sparse.asoperator(np.array([[0, 1], [0, 0]]))
     out = sparse.tensor_product(a, identity_operator(3))
     v = sparse.basis_state(6, 3 + 2)  # i_A = 1, i_B = 2
-    moved = sparse.apply_operator(out, v)
+    moved = out @ v
     np.testing.assert_array_equal(moved, sparse.basis_state(6, 2))
 
 
@@ -332,7 +339,7 @@ def test_dense_exponential_is_exact_on_diagonals(rng):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_matrix_exponential_of_a_diagonal_is_the_dense_route_bitwise(monkeypatch, rng):
-    # NaN, +-inf, underflow below DROP_TOL, overflow, and gaps (zeros give 1)
+    # NaN, +-inf, underflow to 0 and to tiny values, overflow, and gaps (zeros give 1)
     specials = [np.nan, np.inf, -np.inf, -800.0, -32.3, 710.0, 0.0, -0.0, 1e-300]
     cases = []
     for _ in range(40):
@@ -372,15 +379,15 @@ def test_exponential_size_cap_is_inclusive():
         sparse._check_exponent((limit + 1, limit + 1))
 
 
-def test_apply_operator_and_inner(rng):
+def test_matvec_and_inner(rng):
     a = _random_dense(rng, 4)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = sparse.apply_operator(sparse.asoperator(a), v)
+    out = sparse.asoperator(a) @ v
     np.testing.assert_allclose(out, a @ v, atol=1e-12)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert sparse.inner(v, w) == pytest.approx(np.vdot(v, w))
     with pytest.raises(ShapeError):
-        sparse.apply_operator(sparse.asoperator(a), np.zeros(5))
+        sparse.asoperator(a) @ np.zeros(5)
     with pytest.raises(ShapeError):
         sparse.inner(v, np.zeros(5))
 

@@ -1,5 +1,6 @@
 """Spinor kinematics: frames, eigen-bispinors, and boost mixing."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,12 +224,19 @@ def _normwise_error(got, ref):
 complex_entries = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 
+def _expm_30_digits(a):
+    """e^A by mpmath at 30 digits; scipy's expm is off by 1.9e-10 normwise on
+    the nearly defective [[1.63e-7 + 4j, 0], [1, 4j]]."""
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=np.complex128)
+
+
 @settings(max_examples=300, deadline=None)
 @given(v=st.lists(complex_entries, min_size=4, max_size=4))
 def test_exponential_matches_expm(v):
     # the report's 2x2 exponents have entries of a few units at most
     a = np.array(v, dtype=np.complex128).reshape(2, 2)
-    assert _normwise_error(spinors.exponential(a), expm(a)) <= 1e-13
+    assert _normwise_error(spinors.exponential(a), _expm_30_digits(a)) <= 1e-13
 
 
 def test_exponential_is_exact_on_diagonals(rng):
@@ -257,7 +265,7 @@ def test_boost_mixers_match_dense_expm_of_logm(default_space, reg):
         boost = symmetries.boost_unitary(default_space, steps)
         dense = np.array([expm(quadratic_generator(reg, logm(w), logm(w)))
                           for w in boost.wigner])
-        want = ModeBlocks(dense, steps).pruned()
+        want = ModeBlocks(dense, steps)
         assert boost.unitary.shift == want.shift
         assert np.max(np.abs(boost.unitary.stack - want.stack)) <= 1e-14
 

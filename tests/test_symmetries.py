@@ -81,7 +81,7 @@ def test_vacuum_picks_up_translation_phases(small_space, small_profile):
     # each mode component rotates by e^{-2 i y.p}
     u = symmetries.translation_unitary(small_space, Y)
     vac = vacuum_vector(small_space, small_profile)
-    moved = sparse.apply_operator(small_space.embed(u), vac)
+    moved = small_space.embed(u) @ vac
     expected = vac.copy()
     for i, p in enumerate(small_space.lattice.points):
         expected[i * REGISTER_DIM: (i + 1) * REGISTER_DIM] *= np.exp(-2j * p.dot_point(Y))
@@ -274,14 +274,14 @@ def test_spin_commutators_and_vacuum(small_space, small_profile):
     assert symmetries.spin_commutator_residual(small_space) == 0.0
     s3 = small_space.embed(symmetries.spin_operator(small_space))
     vac = vacuum_vector(small_space, small_profile)
-    assert np.max(np.abs(sparse.apply_operator(s3, vac))) == 0.0
+    assert np.max(np.abs(s3 @ vac)) == 0.0
 
 
 def test_extended_spin_annihilates_product_vacuum(small_space, small_profile):
     nreg = NRegister(small_space, 2)
     s_ext = extend_additive(nreg, symmetries.spin_operator(small_space))
     vac = vacuum_state(nreg, small_profile)
-    assert np.max(np.abs(sparse.apply_operator(s_ext, vac))) == 0.0
+    assert np.max(np.abs(s_ext @ vac)) == 0.0
 
 
 # --- vacuum energy
