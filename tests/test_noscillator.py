@@ -201,6 +201,17 @@ def _assert_same_bytes(got, want):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def _small_entry_blocks(space, shift=0):
+    """Blocks of a ladder with entries far below 1, a -0.0 part, a -0.0 entry and a NaN."""
+    stack = smeared_annihilator(space, np.ones((space.lattice.size, 2)), "b").stack.copy()
+    stack[:, 0, 0] = 1e-30  # on the diagonal: N slot terms summed
+    stack[:, 1, 2] = complex(1e-300, -0.0)
+    stack[:, 2, 1] = 1e-16
+    stack[:, 4, 6] = complex(-0.0, -0.0)
+    stack[-1, 5, 5] = np.nan
+    return ModeBlocks(stack, shift)
+
+
 def _slot_sum_cases(space, rng):
     m = space.lattice.size
     dense = rng.standard_normal((m, 16, 16)) + 1j * rng.standard_normal((m, 16, 16))
@@ -220,6 +231,8 @@ def _slot_sum_cases(space, rng):
         "cancelling": ModeBlocks.diagonal(np.tile([1, -1, 2, -2, 0.5, -0.5, 0, 0,
                                                    1, 1, -1, -1, 3, -3, 0, 1], (m, 1))),
         "lone_diagonal": ModeBlocks(lone),
+        # one storage rule: entries however small, and NaN, are stored; exact zeros are not
+        "small_entries": _small_entry_blocks(space),
         "shifted": ModeBlocks(dense, shift=1),
         # full blocks: rows past 16 entries, and N terms summed on the diagonal
         "dense": ModeBlocks(dense),
@@ -256,28 +269,10 @@ def _assert_stores_exactly(got, want):
     assert_same_csr(got, scipy_nonzero(want))
 
 
-def _small_entry_blocks(space, shift=0):
-    """Blocks of a ladder with entries far below 1, a -0.0 part, a -0.0 entry and a NaN."""
-    stack = smeared_annihilator(space, np.ones((space.lattice.size, 2)), "b").stack.copy()
-    stack[:, 0, 0] = 1e-30  # on the diagonal: N slot terms summed
-    stack[:, 1, 2] = complex(1e-300, -0.0)
-    stack[:, 2, 1] = 1e-16
-    stack[:, 4, 6] = complex(-0.0, -0.0)
-    stack[-1, 5, 5] = np.nan
-    return ModeBlocks(stack, shift)
-
-
 def test_builders_store_every_nonzero_entry(single_space, double_space, rng):
     # one storage rule: however small an entry, and NaN, it is stored; exact zeros are not
-    for space, n in [(single_space, 1), (single_space, 2), (single_space, 3),
-                     (double_space, 1), (double_space, 2)]:
-        op = _small_entry_blocks(space)
-        nreg = NRegister(space, n)
-        twisted = _kron_chain_slot_sum(space, n, op, space.parity())
-        _assert_stores_exactly(extend_operator(nreg, op), twisted / np.sqrt(n))
-        plain = _kron_chain_slot_sum(space, n, op, _identity(space))
-        _assert_stores_exactly(extend_additive(nreg, op), plain)
-        _assert_stores_exactly(extend_additive(nreg, op, mean=True), plain / n)
+    # (extend_operator and extend_additive take the same blocks in _slot_sum_cases)
+    for space in (single_space, double_space):
         m = space.lattice.size
         for shift in (0, m - 1):
             shifted = _small_entry_blocks(space, shift)

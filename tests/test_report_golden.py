@@ -65,12 +65,13 @@ def test_drawn_reports_match_golden(case):
 
 
 def test_drawn_configs_are_the_seeded_draws():
-    # the pinned configs are the script's draws at its default seed, not a choice
+    # the pinned configs are the script's draws at its fixed seed, not a choice
     path = Path(__file__).resolve().parents[1] / "scripts" / "draw_golden_configs.py"
     spec = importlib.util.spec_from_file_location("draw_golden_configs", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    rng = script.random.Random(script.DEFAULT_SEED)
+    rng = script.random.Random(script.SEED)
+    assert len(DRAWN_GOLDEN) == len(script.LATTICE_KINDS) * len(script.PROFILE_KINDS)
     drawn = [script.draw_config(rng, k)[0] for k in range(len(DRAWN_GOLDEN))]
     assert drawn == [case["config"] for case in DRAWN_GOLDEN]
 
