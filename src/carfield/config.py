@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVacuumError
+from .errors import ConfigError, DegenerateVacuumError, PreconditionError
 from .modes import (
     GRID_3D,
     RAPIDITY_1D,
@@ -25,6 +25,7 @@ from .modes import (
 from .noscillator import MATRIX_CHECK_N
 from .register import REGISTER_DIM
 from .sparse import MAX_DIM
+from .spinors import row_norms
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
@@ -96,18 +97,16 @@ class LatticeConfig:
         # e.g. delta_eta = 400: m sinh(j delta_eta) is inf, or its square overflows
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                points = self.build().points
-                finite = all(np.isfinite(p.as_vector()).all() for p in points)
-            except OverflowError:
-                finite = False
-            if not finite:
+                momenta = self.build().momenta
+            except PreconditionError:
+                # a non-finite entry, or an on-shell check whose m^2 overflows
                 raise ConfigError("lattice momenta overflow a float; "
-                                  "reduce m, delta_eta or grid_spacing")
-            edge = max(np.arcsinh(np.linalg.norm(p.spatial()) / self.m) for p in points)
+                                  "reduce m, delta_eta or grid_spacing") from None
+            edge = float(np.max(np.arcsinh(row_norms(momenta[:, 1:]) / self.m)))
         if not edge <= MAX_RAPIDITY:
             raise ConfigError(f"the lattice reaches rapidity {edge:.3g}, past {MAX_RAPIDITY}; "
                               "reduce j_max, delta_eta or grid_spacing")
-        energy = max(p.E for p in points)
+        energy = float(np.max(momenta[:, 0]))
         if not energy <= MAX_ENERGY:
             raise ConfigError(f"the lattice reaches energy {energy:.3g}, past {MAX_ENERGY:g}; "
                               "reduce m, j_max, delta_eta or grid_spacing")

@@ -6,7 +6,8 @@ x (16-dim register); the internal mode basis is orthonormal, |i> =
 sqrt(w_i) |p_i>, so the resolution of unity sum_i w_i |p_i><p_i| = id holds
 exactly and every continuum identity discretizes as integral -> sum w_i.
 
-Lattice kinds:
+A lattice holds its momenta as one (M, 4) array of rows (E, px, py, pz),
+checked on shell by `spinors.on_shell` when it is built.  Lattice kinds:
 
 * rapidity1d: p_j = m (cosh j*deta, 0, 0, sinh j*deta), j in [-J, J],
   weight deta per mode.  Closed under boosts by multiples of deta, which is
@@ -49,7 +50,6 @@ from . import sparse, spinors
 from .errors import ConfigError, DegenerateVacuumError, ShapeError
 from .register import REGISTER, REGISTER_DIM, VACUUM_INDEX
 from .sparse import SparseOperator
-from .spinors import FourMomentum
 
 RAPIDITY_1D = "rapidity1d"
 GRID_3D = "grid3d"
@@ -58,7 +58,7 @@ GRID_3D = "grid3d"
 @dataclass(frozen=True)
 class MomentumLattice:
     mode: str
-    points: tuple[FourMomentum, ...]
+    momenta: np.ndarray       # (M, 4) rows (E, px, py, pz), on the mass-m shell
     weights: np.ndarray
     m: float
     # rapidity metadata, None for grid lattices
@@ -67,16 +67,16 @@ class MomentumLattice:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.momenta)
 
 
 def rapidity_lattice(j_max: int, delta_eta: float, m: float) -> MomentumLattice:
     if j_max < 0 or delta_eta <= 0 or m <= 0:
         raise ConfigError(f"invalid rapidity lattice: J={j_max}, deta={delta_eta}, m={m}")
     js = tuple(range(-j_max, j_max + 1))
-    points = tuple(FourMomentum.from_rapidity(j * delta_eta, m) for j in js)
+    momenta = spinors.from_rapidity(np.array(js) * delta_eta, m)
     weights = np.full(len(js), delta_eta, dtype=float)
-    return MomentumLattice(RAPIDITY_1D, points, weights, m, j_values=js, delta_eta=delta_eta)
+    return MomentumLattice(RAPIDITY_1D, momenta, weights, m, j_values=js, delta_eta=delta_eta)
 
 
 def grid_lattice(n: int, spacing: float, m: float) -> MomentumLattice:
@@ -84,15 +84,11 @@ def grid_lattice(n: int, spacing: float, m: float) -> MomentumLattice:
     if n <= 0 or spacing <= 0 or m <= 0:
         raise ConfigError(f"invalid grid lattice: n={n}, spacing={spacing}, m={m}")
     offsets = spacing * (np.arange(n) - (n - 1) / 2)
-    points = []
-    weights = []
-    for ax in offsets:
-        for ay in offsets:
-            for az in offsets:
-                p = FourMomentum.from_spatial(float(ax), float(ay), float(az), m)
-                points.append(p)
-                weights.append(spacing**3 / ((2 * np.pi) ** 3 * 2 * p.E))
-    return MomentumLattice(GRID_3D, tuple(points), np.array(weights), m)
+    # x slowest, z fastest
+    spatial = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"), axis=-1)
+    momenta = spinors.from_spatial(spatial.reshape(-1, 3), m)
+    weights = spacing**3 / ((2 * np.pi) ** 3 * 2 * momenta[:, 0])
+    return MomentumLattice(GRID_3D, momenta, weights, m)
 
 
 def build_lattice(mode: str, m: float, j_max: int = 6, delta_eta: float = 0.4,
@@ -111,9 +107,9 @@ def restricted_lattice(lattice: MomentumLattice, indices: tuple[int, ...]) -> Mo
                and 0 <= i < lattice.size for i in indices) \
             or len(indices) == 0 or len(set(indices)) != len(indices):
         raise ConfigError(f"need distinct int mode indices in [0, {lattice.size}), got {indices}")
-    points = tuple(lattice.points[i] for i in indices)
-    weights = lattice.weights[list(indices)].copy()
-    return MomentumLattice("restricted", points, weights, lattice.m)
+    momenta = lattice.momenta[list(indices)]
+    weights = lattice.weights[list(indices)]
+    return MomentumLattice("restricted", momenta, weights, lattice.m)
 
 
 def shift_range(modes: int, shift: int) -> tuple[int, int]:
@@ -367,9 +363,8 @@ class SingleOscillatorSpace:
         self.lattice = lattice
         self.register = REGISTER
         self.dim = REGISTER_DIM * lattice.size
-        tables = [spinors.eigen_bispinors(spinors.build_spin_frame(p)) for p in lattice.points]
-        self.pos_table = np.array([pos for pos, _ in tables])
-        self.neg_table = np.array([neg for _, neg in tables])
+        self.pos_table, self.neg_table = spinors.eigen_bispinors(
+            spinors.build_spin_frame(lattice.momenta, lattice.m))
 
     def embed(self, op: ModeBlocks) -> SparseOperator:
         """op as CSR: the one conversion of single-oscillator operators to CSR.
@@ -452,7 +447,7 @@ def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: st
 
 def plane_wave_unitary(space: SingleOscillatorSpace, x: np.ndarray) -> np.ndarray:
     """The mode-diagonal unitary W(x) as its (M,) diagonal, the phases e^{-i p_i . x}."""
-    return np.array([np.exp(-1j * p.dot_point(x)) for p in space.lattice.points])
+    return np.exp(-1j * spinors.dot_point(space.lattice.momenta, x))
 
 
 def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
@@ -539,7 +534,7 @@ def gaussian_profile(lattice: MomentumLattice, width: float = 1.0, center: float
     if lattice.mode == RAPIDITY_1D:
         xs = np.array([j * lattice.delta_eta for j in lattice.j_values])
     else:
-        xs = np.array([np.linalg.norm(p.spatial()) for p in lattice.points])
+        xs = spinors.row_norms(lattice.momenta[:, 1:])
     # divided before squaring: width**2 leaves the float range past width 1.3e154
     return _normalized_profile(lattice, np.exp(-0.5 * ((xs - center) / width) ** 2))
 

@@ -1,22 +1,35 @@
-"""Two-spinor kinematics for massive on-shell momenta.
+"""Two-spinor kinematics for massive on-shell momenta, one numpy pass per momentum set.
 
 Conventions, fixed once (see CONVENTIONS.md):
 
-* A 2-spinor is a (2,) complex128 array of lower-index components; a
-  bispinor is a (4,) array, the unprimed part over the primed part.
+* A momentum set is a float (..., 4) array of rows (E, px, py, pz) with
+  one mass m; `on_shell` is its one check, and the lattice builders,
+  `from_spatial`, `from_rapidity` and `apply_lorentz` return only what
+  passes it.  `dot_point` is the Minkowski product p.x of each row.
+* A 2-spinor is a (..., 2) complex128 array of lower-index components; a
+  bispinor is a (..., 4) array, the unprimed part over the primed part.
+  Every function here on momenta or spinors takes a stack and returns
+  stacks with the same leading shape; a single (4,) momentum is the empty
+  stack.
 * epsilon_{01} = epsilon^{01} = +1; raising a lower index is xi^A =
   eps^{AB} xi_B, numerically EPSILON @ xi; the contraction a_A b^A is
-  `contract(a, b)` = a0*b1 - a1*b0.
+  `contract(a, b)` = a0*b1 - a1*b0 over the last axis.
 * Soldering: p_{AA'} = (E*id + p.sigma)/sqrt(2), so det = m^2/2.
 * Spin frames are gauged by the reference spinor o = (1,0) with the
   fallback o' = (0,1) when the momentum is nearly aligned with the primary
   null direction; the non-reference component of pi is kept real positive.
 * Spin labels: index 0 is spin "minus", index 1 is spin "plus"; the plus
   bispinor carries Pauli-Lubanski projection +1/2 in this convention.
+
+A stack gives each row the bits that row gives alone.  Complex products
+that the scalar formulas took between two complex numbers (`contract`) are
+formed in real arithmetic, as numpy's scalar complex multiply forms them:
+its vectorized multiply fuses multiply-adds and rounds differently.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,164 +50,211 @@ SPIN_MINUS = 0
 SPIN_PLUS = 1
 
 
-@dataclass(frozen=True)
-class FourMomentum:
-    E: float
-    px: float
-    py: float
-    pz: float
-    m: float
+def on_shell(momenta, m: float) -> np.ndarray:
+    """momenta as a float (..., 4) array, each row checked on the mass-m shell.
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise PreconditionError(f"mass must be nonnegative, got {self.m}")
-        expected = np.sqrt(self.m**2 + self.px**2 + self.py**2 + self.pz**2)
-        if self.E <= 0 or abs(self.E - expected) > ON_SHELL_RTOL * max(expected, 1.0):
-            raise PreconditionError(
-                f"momentum off shell: E={self.E}, sqrt(p^2+m^2)={expected}"
-            )
-
-    @classmethod
-    def from_spatial(cls, px: float, py: float, pz: float, m: float) -> "FourMomentum":
-        return cls(E=float(np.sqrt(m**2 + px**2 + py**2 + pz**2)), px=px, py=py, pz=pz, m=m)
-
-    @classmethod
-    def from_rapidity(cls, eta: float, m: float) -> "FourMomentum":
-        """On-shell momentum along +z with rapidity eta."""
-        return cls(E=m * float(np.cosh(eta)), px=0.0, py=0.0, pz=m * float(np.sinh(eta)), m=m)
-
-    def spatial(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.E, self.px, self.py, self.pz])
-
-    def dot_point(self, x: np.ndarray) -> float:
-        """Minkowski product p.x with signature (+,-,-,-)."""
-        return float(self.E * x[0] - self.px * x[1] - self.py * x[2] - self.pz * x[3])
+    A row passes when its entries are finite, E > 0 and |E - sqrt(m^2 +
+    |p|^2)| <= 1e-12 max(sqrt(m^2 + |p|^2), 1); the mass must be finite and
+    nonnegative.  Anything else raises PreconditionError.
+    """
+    p = np.asarray(momenta, dtype=float)
+    if p.shape[-1:] != (4,):
+        raise ShapeError(f"momenta must have shape (..., 4), got {p.shape}")
+    if not (np.isfinite(m) and m >= 0):
+        raise PreconditionError(f"mass must be finite and nonnegative, got {m}")
+    # NaN compares False with every bound below, so it is refused first
+    infinite = ~np.isfinite(p).all(axis=-1)
+    if infinite.any():
+        raise PreconditionError(f"momentum off shell: non-finite row {p[infinite][0].tolist()}")
+    e = p[..., 0]
+    expected = np.sqrt(np.float64(m) ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2 + p[..., 3] ** 2)
+    off = (e <= 0) | (np.abs(e - expected) > ON_SHELL_RTOL * np.maximum(expected, 1.0))
+    if off.any():
+        raise PreconditionError(
+            f"momentum off shell: E={e[off].flat[0]}, sqrt(p^2+m^2)={expected[off].flat[0]}"
+        )
+    return p
 
 
-def contract(a: np.ndarray, b: np.ndarray) -> complex:
-    """a_A b^A = a0 b1 - a1 b0 for two lower-index 2-spinors of one prime type."""
-    return a[0] * b[1] - a[1] * b[0]
+def from_spatial(spatial, m: float) -> np.ndarray:
+    """On-shell momenta (..., 4) with the spatial parts (..., 3) and E = sqrt(m^2 + |p|^2)."""
+    k = np.asarray(spatial, dtype=float)
+    if k.shape[-1:] != (3,):
+        raise ShapeError(f"spatial momenta must have shape (..., 3), got {k.shape}")
+    p = np.empty(k.shape[:-1] + (4,))
+    p[..., 0] = np.sqrt(np.float64(m) ** 2 + k[..., 0] ** 2 + k[..., 1] ** 2 + k[..., 2] ** 2)
+    p[..., 1:] = k
+    return on_shell(p, m)
 
 
-def momentum_to_hermitian(p: FourMomentum) -> np.ndarray:
-    """Soldering p -> p_{AA'}, Hermitian with det m^2/2."""
-    return point_to_hermitian(p.as_vector())
+def from_rapidity(eta, m: float) -> np.ndarray:
+    """On-shell momenta (..., 4) along +z with the rapidities eta (...)."""
+    eta = np.asarray(eta, dtype=float)
+    zero = np.zeros_like(eta)
+    return on_shell(np.stack([m * np.cosh(eta), zero, zero, m * np.sinh(eta)], axis=-1), m)
 
 
-def point_to_hermitian(x: np.ndarray) -> np.ndarray:
-    t, a, b, c = (float(v) for v in x)
-    return np.array(
-        [[t + c, a - 1j * b], [a + 1j * b, t - c]], dtype=np.complex128
-    ) / np.sqrt(2)
+def dot_point(momenta, x) -> np.ndarray:
+    """Minkowski product p.x = E x0 - px x1 - py x2 - pz x3 of each row, summed in that order."""
+    p = np.asarray(momenta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return p[..., 0] * x[0] - p[..., 1] * x[1] - p[..., 2] * x[2] - p[..., 3] * x[3]
 
 
-def hermitian_to_point(m: np.ndarray) -> np.ndarray:
+def row_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis, each as np.linalg.norm gives it for that one vector.
+
+    np.linalg.norm of one vector takes dot products, sqrt(re.re + im.im), and
+    np.vecdot takes the same dot product row by row; np.linalg.norm(v,
+    axis=-1) sums |v_k|^2 instead and rounds differently.
+    """
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b elementwise, each part formed as numpy's scalar complex multiply forms it."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def contract(a, b) -> np.ndarray:
+    """a_A b^A = a0 b1 - a1 b0 over the last axis, for lower-index 2-spinors of one prime type."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    return _times(a[..., 0], b[..., 1]) - _times(a[..., 1], b[..., 0])
+
+
+def point_to_hermitian(x) -> np.ndarray:
+    """Soldering x -> x_{AA'} of each (..., 4) row, as (..., 2, 2) Hermitian matrices."""
+    x = np.asarray(x, dtype=float)
+    t, a, b, c = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    h = np.empty(x.shape[:-1] + (2, 2), dtype=np.complex128)
+    h[..., 0, 0] = t + c
+    h[..., 0, 1] = a - 1j * b
+    h[..., 1, 0] = a + 1j * b
+    h[..., 1, 1] = t - c
+    return h / np.sqrt(2)
+
+
+def momentum_to_hermitian(momenta) -> np.ndarray:
+    """Soldering p -> p_{AA'} of each row, Hermitian with det m^2/2."""
+    return point_to_hermitian(momenta)
+
+
+def hermitian_to_point(h) -> np.ndarray:
+    """The inverse of `point_to_hermitian`, (..., 2, 2) -> (..., 4)."""
+    h = np.asarray(h)
     rt2 = np.sqrt(2)
-    return np.array(
+    return np.stack(
         [
-            (m[0, 0] + m[1, 1]).real / rt2,
-            (m[0, 1] + m[1, 0]).real / rt2,
-            (m[1, 0] - m[0, 1]).imag / rt2,
-            (m[0, 0] - m[1, 1]).real / rt2,
-        ]
+            (h[..., 0, 0] + h[..., 1, 1]).real / rt2,
+            (h[..., 0, 1] + h[..., 1, 0]).real / rt2,
+            (h[..., 1, 0] - h[..., 0, 1]).imag / rt2,
+            (h[..., 0, 0] - h[..., 1, 1]).real / rt2,
+        ],
+        axis=-1,
     )
-
-
-def hermitian_to_momentum(m: np.ndarray, mass: float) -> FourMomentum:
-    v = hermitian_to_point(m)
-    return FourMomentum(E=float(v[0]), px=float(v[1]), py=float(v[2]), pz=float(v[3]), m=mass)
 
 
 @dataclass(frozen=True)
 class SpinFrame:
-    omega: np.ndarray
-    pi: np.ndarray
-    momentum: FourMomentum
-    used_fallback: bool
+    omega: np.ndarray          # (..., 2)
+    pi: np.ndarray             # (..., 2)
+    used_fallback: np.ndarray  # (...) bool
+    m: float
 
 
-def build_spin_frame(p: FourMomentum) -> SpinFrame:
-    """Frame (omega, pi) with omega_A pi^A = 1 and p = pi pibar + (m^2/2) om ombar.
+def build_spin_frame(momenta, m: float) -> SpinFrame:
+    """Frames (omega, pi) with omega_A pi^A = 1 and p = pi pibar + (m^2/2) om ombar.
 
     pi_A is proportional to p_{AA'} obar^{A'}; the primary reference o = (1,0)
     gives obar^{A'} = (0,-1).  Near the degenerate direction (|p_{AA'}
-    obar^{A'}| < 1e-8 E) the reference switches to o' = (0,1).
+    obar^{A'}| < 1e-8 E) the reference switches to o' = (0,1).  Each branch
+    is computed on its own rows only.
     """
-    if p.m <= 0:
+    if not m > 0:
         raise UnsupportedMassError("spin frames implemented for m > 0 only")
-    m = momentum_to_hermitian(p)
-    t = m @ np.array([0.0, -1.0])
-    if np.linalg.norm(t) < FALLBACK_THRESHOLD * p.E:
-        sq = np.sqrt(m[0, 0].real)
-        pi = np.array([sq, m[1, 0] / sq])
-        om = np.array([0.0, -1.0 / sq])
-        fallback = True
-    else:
-        sq = np.sqrt(m[1, 1].real)
-        pi = np.array([m[0, 1] / sq, sq])
-        om = np.array([1.0 / sq, 0.0])
-        fallback = False
-    return SpinFrame(
-        omega=om.astype(np.complex128),
-        pi=pi.astype(np.complex128),
-        momentum=p,
-        used_fallback=fallback,
-    )
+    p = on_shell(momenta, m)
+    h = momentum_to_hermitian(p)
+    # p_{AA'} obar^{A'} is minus the second column of h
+    fallback = row_norms(h[..., :, 1]) < FALLBACK_THRESHOLD * p[..., 0]
+    primary = ~fallback
+    omega = np.zeros(p.shape[:-1] + (2,), dtype=np.complex128)
+    pi = np.zeros_like(omega)
+    sq = np.sqrt(h[primary, 1, 1].real)
+    pi[primary, 0] = h[primary, 0, 1] / sq
+    pi[primary, 1] = sq
+    omega[primary, 0] = 1.0 / sq
+    sq = np.sqrt(h[fallback, 0, 0].real)
+    pi[fallback, 0] = sq
+    pi[fallback, 1] = h[fallback, 1, 0] / sq
+    omega[fallback, 1] = -1.0 / sq
+    return SpinFrame(omega=omega, pi=pi, used_fallback=fallback, m=m)
 
 
 def eigen_bispinors(frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]:
     """The four sign combinations of the plane-wave solutions.
 
-    Returns (pos, neg), each a (2, 4) array indexed [spin, component]:
+    Returns (pos, neg), each a (..., 2, 4) array indexed [..., spin, component]:
     pos[+] = (+c om, -pibar), pos[-] = (-pi, -c ombar),
     neg[+] = (-c om, -pibar), neg[-] = (-pi, +c ombar), with c = m/sqrt(2).
     """
     om, pi = frame.omega, frame.pi
-    c = frame.momentum.m / np.sqrt(2)
-    pos = np.array([np.concatenate([-pi, -c * np.conj(om)]),
-                    np.concatenate([c * om, -np.conj(pi)])])
-    neg = np.array([np.concatenate([-pi, c * np.conj(om)]),
-                    np.concatenate([-c * om, -np.conj(pi)])])
+    c = frame.m / np.sqrt(2)
+    pos = np.stack([np.concatenate([-pi, -c * np.conj(om)], axis=-1),
+                    np.concatenate([c * om, -np.conj(pi)], axis=-1)], axis=-2)
+    neg = np.stack([np.concatenate([-pi, c * np.conj(om)], axis=-1),
+                    np.concatenate([-c * om, -np.conj(pi)], axis=-1)], axis=-2)
     return pos, neg
 
 
-def dirac_matrix(p: FourMomentum, frequency_sign: int) -> np.ndarray:
-    """Momentum-space Dirac operator; the matching frequency branch is its kernel.
+def dirac_matrix(momenta, m: float, frequency_sign: int) -> np.ndarray:
+    """Momentum-space Dirac operators (..., 4, 4); the matching frequency branch is the kernel.
 
     The plane-wave substitution maps the gradient to -frequency_sign * p,
     leaving mass terms on the diagonal and the soldered momentum (with one
     index raised by epsilon) in the off-diagonal blocks.
     """
-    if frequency_sign not in (1, -1):
-        raise ShapeError(f"frequency_sign must be +-1, got {frequency_sign}")
-    m = momentum_to_hermitian(p)
+    # True == 1 and 1.0 == 1, so the membership test alone would take them
+    if isinstance(frequency_sign, bool) or not isinstance(frequency_sign, numbers.Integral) \
+            or frequency_sign not in (1, -1):
+        raise ShapeError(f"frequency_sign must be the int +1 or -1, got {frequency_sign!r}")
+    p = on_shell(momenta, m)
+    h = momentum_to_hermitian(p)
     jt = EPSILON.T
-    d = np.zeros((4, 4), dtype=np.complex128)
-    d[:2, :2] = (p.m / np.sqrt(2)) * np.eye(2)
-    d[2:, 2:] = (p.m / np.sqrt(2)) * np.eye(2)
-    d[:2, 2:] = -frequency_sign * (m @ jt)
-    d[2:, :2] = frequency_sign * (m.T @ jt)
+    d = np.zeros(p.shape[:-1] + (4, 4), dtype=np.complex128)
+    d[..., :2, :2] = (m / np.sqrt(2)) * np.eye(2)
+    d[..., 2:, 2:] = (m / np.sqrt(2)) * np.eye(2)
+    d[..., :2, 2:] = -frequency_sign * (h @ jt)
+    d[..., 2:, :2] = frequency_sign * (np.swapaxes(h, -1, -2) @ jt)
     return d
 
 
-def dirac_residual(p: FourMomentum, psi: np.ndarray, frequency_sign: int) -> float:
+def dirac_residual(momenta, m: float, psi, frequency_sign: int) -> np.ndarray:
+    """|D(p) psi| / |psi| per row; momenta (..., 4) and bispinors (..., 4) broadcast."""
     v = np.asarray(psi, dtype=np.complex128)
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    norm = row_norms(v)
+    if np.any(norm == 0):
         raise UndefinedResidualError("residual of the zero bispinor is undefined")
-    return float(np.linalg.norm(dirac_matrix(p, frequency_sign) @ v) / norm)
+    moved = (dirac_matrix(momenta, m, frequency_sign) @ v[..., None])[..., 0]
+    return row_norms(moved) / norm
 
 
 def pauli_lubanski_projection(frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Spin projections along the frame direction, unprimed and primed blocks.
+    """Spin projections along the frame direction, unprimed and primed (..., 2, 2) blocks.
 
     Each block is trace-free and squares to id/4; eigenvalues are +-1/2.
     """
     om, pi = frame.omega, frame.pi
-    s_unprimed = 0.5 * (np.outer(pi, EPSILON @ om) + np.outer(om, EPSILON @ pi))
+    raised_om = (EPSILON @ om[..., None])[..., 0]
+    raised_pi = (EPSILON @ pi[..., None])[..., 0]
+    s_unprimed = 0.5 * (pi[..., :, None] * raised_om[..., None, :]
+                        + om[..., :, None] * raised_pi[..., None, :])
     s_primed = -np.conj(s_unprimed)
     return s_unprimed, s_primed
 
@@ -217,31 +277,41 @@ def bispinor_rep(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_lorentz(lam: np.ndarray, p: FourMomentum) -> FourMomentum:
-    """Active transformation p -> Lambda p via the soldered representative."""
-    m = lam @ momentum_to_hermitian(p) @ lam.conj().T
-    return hermitian_to_momentum(m, p.m)
+def apply_lorentz(lam, momenta, m: float) -> np.ndarray:
+    """Active transformation p -> Lambda p via the soldered representative, checked on shell.
+
+    lam is one (2, 2) SL(2,C) element or a stack (..., 2, 2) that
+    broadcasts against the momenta (..., 4).
+    """
+    lam = np.asarray(lam, dtype=np.complex128)
+    h = lam @ momentum_to_hermitian(momenta) @ np.swapaxes(lam.conj(), -1, -2)
+    return on_shell(hermitian_to_point(h), m)
 
 
 def apply_lorentz_to_point(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     return hermitian_to_point(lam @ point_to_hermitian(x) @ lam.conj().T)
 
 
-def wigner_matrix(lam: np.ndarray, p: FourMomentum) -> np.ndarray:
-    """SU(2) mixing of spin labels under the passive boost action.
+def wigner_matrix(lam, momenta, m: float) -> np.ndarray:
+    """SU(2) mixing of spin labels under the passive boost action, (..., 2, 2).
 
     Entries are frame contractions between the frame at p and the
     Lambda-transported frame from Lambda^{-1} p; special-unitarity is a
-    theorem, not enforced.
+    theorem, not enforced.  lam is one (2, 2) element or a stack (..., 2, 2).
     """
-    lam_inv = np.linalg.inv(lam)
-    q = apply_lorentz(lam_inv, p)
-    om_p = build_spin_frame(p).omega
-    frame_q = build_spin_frame(q)
-    z = contract(om_p, lam @ frame_q.pi)
-    w = contract(om_p, lam @ frame_q.omega)
-    c = p.m / np.sqrt(2)
-    return np.array([[z, -c * w], [c * np.conj(w), np.conj(z)]])
+    lam = np.asarray(lam, dtype=np.complex128)
+    q = apply_lorentz(np.linalg.inv(lam), momenta, m)
+    om_p = build_spin_frame(momenta, m).omega
+    frame_q = build_spin_frame(q, m)
+    z = contract(om_p, (lam @ frame_q.pi[..., None])[..., 0])
+    w = contract(om_p, (lam @ frame_q.omega[..., None])[..., 0])
+    c = m / np.sqrt(2)
+    u = np.empty(z.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = z
+    u[..., 0, 1] = -c * w
+    u[..., 1, 0] = c * np.conj(w)
+    u[..., 1, 1] = np.conj(z)
+    return u
 
 
 def exponential(a: np.ndarray) -> np.ndarray:
@@ -274,20 +344,18 @@ def classical_solution(lattice, f: np.ndarray, g: np.ndarray, x: np.ndarray) -> 
     """Discretized plane-wave synthesis of the classical field at point x.
 
     psi(x) = sum_i w_i sum_s [ phi_pos[s](p_i) f(i,s) e^{-i p.x}
-                               + phi_neg[s](p_i) conj(g(i,-s)) e^{+i p.x} ].
+                               + phi_neg[s](p_i) conj(g(i,-s)) e^{+i p.x} ],
+    summed as a running sum over the modes in ascending order, spin minus
+    before plus.
     """
     f = np.asarray(f, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    n = len(lattice.points)
+    n = lattice.size
     if f.shape != (n, 2) or g.shape != (n, 2):
         raise ShapeError(f"amplitude tables must have shape ({n}, 2)")
-    out = np.zeros(4, dtype=np.complex128)
-    for i, p in enumerate(lattice.points):
-        pos, neg = eigen_bispinors(build_spin_frame(p))
-        phase = np.exp(-1j * p.dot_point(x))
-        for s in (SPIN_MINUS, SPIN_PLUS):
-            out = out + lattice.weights[i] * (
-                pos[s] * f[i, s] * phase
-                + neg[s] * np.conj(g[i, 1 - s]) * np.conj(phase)
-            )
-    return out
+    pos, neg = eigen_bispinors(build_spin_frame(lattice.momenta, lattice.m))
+    phase = np.exp(-1j * dot_point(lattice.momenta, x))[:, None, None]
+    terms = lattice.weights[:, None, None] * (
+        pos * f[:, :, None] * phase + neg * np.conj(g[:, ::-1])[:, :, None] * np.conj(phase)
+    )
+    return np.cumsum(terms.reshape(-1, 4), axis=0)[-1]

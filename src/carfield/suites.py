@@ -33,6 +33,7 @@ from .modes import (
     mode_annihilator,
     mode_blocks,
     mode_projector,
+    plane_wave_unitary,
     rapidity_lattice,
     restricted_lattice,
     shift_range,
@@ -170,34 +171,38 @@ def run_jw_car(config: RunConfig) -> list[CheckRecord]:
 # suite 2: spinor kinematics
 
 
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| of each complex entry as Python's abs of one complex computes it.
+
+    np.abs on a complex array rounds differently; np.hypot of the parts does not.
+    """
+    return np.hypot(z.real, z.imag)
+
+
 def run_spinor(config: RunConfig) -> list[CheckRecord]:
     rng = _suite_rng(config, "spinor")
     s = "spinor"
     m = config.lattice.m
     lattice = config.lattice.build()
-    momenta = list(lattice.points)
-    for _ in range(40):
-        v = rng.uniform(-5, 5, 3)
-        momenta.append(spinors.FourMomentum.from_spatial(*(float(c) for c in v), m))
-    frames = [spinors.build_spin_frame(p) for p in momenta]
-    tables = [spinors.eigen_bispinors(frame) for frame in frames[:20]]
+    drawn = spinors.from_spatial(rng.uniform(-5, 5, (40, 3)), m)
+    momenta = np.concatenate([lattice.momenta, drawn])
+    energies = momenta[:, 0]
+    frames = spinors.build_spin_frame(momenta, m)
     out = []
 
-    worst_norm = worst_recon = worst_det = 0.0
-    for p, frame in zip(momenta, frames):
-        om, pi = frame.omega, frame.pi
-        worst_norm = worst_of(worst_norm, abs(spinors.contract(om, pi) - 1.0))
-        herm = spinors.momentum_to_hermitian(p)
-        recon = np.outer(pi, np.conj(pi)) + (m**2 / 2) * np.outer(om, np.conj(om))
-        worst_recon = worst_of(worst_recon, float(np.max(np.abs(recon - herm))) / p.E)
-        worst_det = worst_of(worst_det, abs(np.linalg.det(herm) - m**2 / 2) / p.E**2)
+    om, pi = frames.omega, frames.pi
+    worst_norm = float(np.max(_magnitude(spinors.contract(om, pi) - 1.0)))
+    herm = spinors.momentum_to_hermitian(momenta)
+    recon = (pi[:, :, None] * np.conj(pi)[:, None, :]
+             + (m**2 / 2) * (om[:, :, None] * np.conj(om)[:, None, :]))
+    worst_recon = float(np.max(np.max(np.abs(recon - herm), axis=(1, 2)) / energies))
+    worst_det = float(np.max(_magnitude(np.linalg.det(herm) - m**2 / 2) / energies**2))
     out.append(_rec(s, "frame_normalization", "om_A pi^A = 1", worst_norm, 1e-12))
     out.append(_rec(s, "momentum_reconstruction",
                     "p = pi pibar + (m^2/2) om ombar (relative)", worst_recon, 1e-12))
     out.append(_rec(s, "soldering_det", "det p_AA' = m^2/2 (relative)", worst_det, 1e-12))
 
-    rest = spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.0)
-    frame = spinors.build_spin_frame(rest)
+    frame = spinors.build_spin_frame(spinors.from_spatial([0.0, 0.0, 0.0], 1.0), 1.0)
     golden_om = np.array([2**0.25, 0.0])
     golden_pi = np.array([0.0, 2**-0.25])
     worst = float(np.max(np.abs(frame.omega - golden_om)))
@@ -205,58 +210,52 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "rest_frame_values", "rest frame om = (2^1/4, 0), pi = (0, 2^-1/4)",
                     worst, 1e-14))
 
-    worst_match = 0.0
-    mismatches = []
-    for p, (pos, neg) in zip(momenta, tables):
-        for sp in (0, 1):
-            worst_match = worst_of(worst_match, spinors.dirac_residual(p, pos[sp], +1))
-            worst_match = worst_of(worst_match, spinors.dirac_residual(p, neg[sp], -1))
-            mismatches.append(spinors.dirac_residual(p, pos[sp], -1))
-            mismatches.append(spinors.dirac_residual(p, neg[sp], +1))
+    # the bispinors of the first 20 momenta, against each momentum's two spins
+    pos, neg = (table[:20] for table in spinors.eigen_bispinors(frames))
+    p20 = momenta[:20, None]
+    matching = (spinors.dirac_residual(p20, m, pos, +1), spinors.dirac_residual(p20, m, neg, -1))
+    mismatches = (spinors.dirac_residual(p20, m, pos, -1), spinors.dirac_residual(p20, m, neg, +1))
     out.append(_rec(s, "dirac_kernel", "matching branches solve the momentum Dirac system",
-                    worst_match, 1e-12))
+                    worst_of(*(float(np.max(r)) for r in matching)), 1e-12))
     # the least mismatched residual is sqrt(2) m, reached at rest; a NaN
     # mismatch compares False and fails the flag
     out.append(_flag(s, "dirac_mismatch", "mismatched branches stay order-1 away",
-                     all(r > m for r in mismatches)))
+                     all(bool(np.all(r > m)) for r in mismatches)))
 
+    s1, s2 = (block[:20] for block in spinors.pauli_lubanski_projection(frames))
     worst = 0.0
-    for frame, (pos, neg) in zip(frames, tables):
-        s1, s2 = spinors.pauli_lubanski_projection(frame)
-        for block in (s1, s2):
-            worst = worst_of(worst, abs(np.trace(block)))
-            worst = worst_of(worst, float(np.max(np.abs(block @ block - 0.25 * np.eye(2)))))
-        for sp, val in ((0, -0.5), (1, 0.5)):
-            for branch in (pos[sp], neg[sp]):
-                unprimed = s1 @ branch[:2] - val * branch[:2]
-                primed = s2 @ branch[2:] - val * branch[2:]
-                worst = worst_of(worst, float(np.max(np.abs(unprimed))),
-                                 float(np.max(np.abs(primed))))
+    for block in (s1, s2):
+        worst = worst_of(worst, float(np.max(_magnitude(np.trace(block, axis1=1, axis2=2)))))
+        worst = worst_of(worst, float(np.max(np.abs(block @ block - 0.25 * np.eye(2)))))
+    # spin minus carries -1/2, spin plus +1/2
+    val = np.array([-0.5, 0.5])[None, :, None]
+    for branch in (pos, neg):
+        unprimed = (s1[:, None] @ branch[..., :2, None])[..., 0] - val * branch[..., :2]
+        primed = (s2[:, None] @ branch[..., 2:, None])[..., 0] - val * branch[..., 2:]
+        worst = worst_of(worst, float(np.max(np.abs(unprimed))), float(np.max(np.abs(primed))))
     out.append(_rec(s, "spin_projection", "spin states are +-1/2 eigenvectors of the frame spin",
                     worst, 1e-12))
 
-    worst_unit = worst_coc = 0.0
-    for _ in range(20):
-        v = rng.uniform(-5, 5, 3)
-        p = spinors.FourMomentum.from_spatial(*(float(c) for c in v), m)
-        lam1 = spinors.random_sl2c(rng)
-        lam2 = spinors.random_sl2c(rng)
-        u12 = spinors.wigner_matrix(lam1 @ lam2, p)
-        worst_unit = worst_of(worst_unit, float(np.max(np.abs(u12.conj().T @ u12 - np.eye(2)))))
-        worst_unit = worst_of(worst_unit, abs(np.linalg.det(u12) - 1.0))
-        q = spinors.apply_lorentz(np.linalg.inv(lam1), p)
-        chained = spinors.wigner_matrix(lam1, p) @ spinors.wigner_matrix(lam2, q)
-        worst_coc = worst_of(worst_coc, float(np.max(np.abs(chained - u12))))
+    # drawn in the order (momentum, lam1, lam2) per sample, then computed as stacks
+    draws = [(rng.uniform(-5, 5, 3), spinors.random_sl2c(rng), spinors.random_sl2c(rng))
+             for _ in range(20)]
+    spatial, lam1, lam2 = (np.array(column) for column in zip(*draws))
+    p = spinors.from_spatial(spatial, m)
+    u12 = spinors.wigner_matrix(lam1 @ lam2, p, m)
+    worst_unit = worst_of(
+        float(np.max(np.abs(np.swapaxes(u12.conj(), 1, 2) @ u12 - np.eye(2)))),
+        float(np.max(_magnitude(np.linalg.det(u12) - 1.0))),
+    )
+    q = spinors.apply_lorentz(np.linalg.inv(lam1), p, m)
+    chained = spinors.wigner_matrix(lam1, p, m) @ spinors.wigner_matrix(lam2, q, m)
+    worst_coc = float(np.max(np.abs(chained - u12)))
     out.append(_rec(s, "wigner_unitarity", "u(L,p) in SU(2)", worst_unit, 1e-10))
     out.append(_rec(s, "wigner_cocycle", "u(L1 L2, p) = u(L1, p) u(L2, L1^-1 p)",
                     worst_coc, 1e-10))
 
     if lattice.mode == "rapidity1d":
         lam = spinors.boost_z(2 * lattice.delta_eta)
-        worst = worst_of(
-            *(float(np.max(np.abs(spinors.wigner_matrix(lam, p) - np.eye(2))))
-              for p in lattice.points)
-        )
+        worst = float(np.max(np.abs(spinors.wigner_matrix(lam, lattice.momenta, m) - np.eye(2))))
         out.append(_rec(s, "wigner_boost_gauge", "z-boosts mix no spin on the z-axis frames",
                         worst, 1e-12))
 
@@ -270,11 +269,12 @@ def run_spinor(config: RunConfig) -> list[CheckRecord]:
         y = np.asarray(config.displacement)
         tf = np.zeros_like(f)
         tg = np.zeros_like(g)
-        for idx in range(*shift_range(lattice.size, steps)):
-            u = spinors.wigner_matrix(lam, lattice.points[idx])
-            phase = np.exp(1j * lattice.points[idx].dot_point(y))
-            tf[idx] = phase * (u @ f[idx - steps])
-            tg[idx] = phase * (u @ g[idx - steps])
+        lo, hi = shift_range(lattice.size, steps)
+        sources = slice(lo - steps, hi - steps)
+        u = spinors.wigner_matrix(lam, lattice.momenta[lo:hi], m)
+        phase = np.exp(1j * spinors.dot_point(lattice.momenta[lo:hi], y))[:, None]
+        tf[lo:hi] = phase * (u @ f[sources, :, None])[..., 0]
+        tg[lo:hi] = phase * (u @ g[sources, :, None])[..., 0]
         x = np.asarray(config.field_point)
         x_fwd = spinors.apply_lorentz_to_point(lam, x) + y
         lhs = spinors.classical_solution(lattice, tf, tg, x_fwd)
@@ -356,16 +356,16 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     fields = [field_operator(space, x, a) for a in range(4)]
     field_csr = [space.embed(psi) for psi in fields]
     worst = 0.0
+    phases = plane_wave_unitary(space, x)
     for idx in rng.choice(lattice.size, size=min(4, lattice.size), replace=False):
         i = int(idx)
-        p = lattice.points[i]
         for sp in (0, 1):
             one = space.embed(mode_annihilator(space, i, sp, "b").adjoint()) @ vac
             for a in range(4):
                 got = sparse.inner(vac, field_csr[a] @ one)
                 want = (
                     space.pos_table[i, sp, a]
-                    * np.exp(-1j * p.dot_point(x))
+                    * phases[i]
                     * profile.z[i]
                 )
                 worst = worst_of(worst, abs(got - want))

@@ -47,12 +47,9 @@ from .spinors import (
     apply_lorentz_to_point,
     bispinor_rep,
     boost_z,
+    dot_point,
     wigner_matrix,
 )
-
-
-def _lower_components(p) -> tuple[float, float, float, float]:
-    return (p.E, -p.px, -p.py, -p.pz)
 
 
 def _charge() -> np.ndarray:
@@ -64,7 +61,8 @@ def _charge() -> np.ndarray:
 def four_momentum(space: SingleOscillatorSpace) -> list[ModeBlocks]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
     base = np.diag(OCCUPATION.sum(axis=0) - 2)
-    coeffs = np.array([_lower_components(p) for p in space.lattice.points])
+    momenta = space.lattice.momenta
+    coeffs = np.hstack([momenta[:, :1], -momenta[:, 1:]])
     return [mode_blocks(coeffs[:, a:a + 1], [base]) for a in range(4)]
 
 
@@ -73,7 +71,7 @@ def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> ModeBloc
     y = np.asarray(y, dtype=float)
     if y.shape != (4,):
         raise ConfigError(f"displacement must be a 4-vector, got shape {y.shape}")
-    thetas = np.array([p.dot_point(y) for p in space.lattice.points])
+    thetas = dot_point(space.lattice.momenta, y)
     occ = OCCUPATION.sum(axis=0)
     return ModeBlocks.diagonal(np.exp(1j * np.outer(thetas, occ - 2)))
 
@@ -93,7 +91,7 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
     if lattice.mode != RAPIDITY_1D:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
-    wigner = np.array([wigner_matrix(lam, p) for p in lattice.points])
+    wigner = wigner_matrix(lam, lattice.momenta, lattice.m)
     mixers = np.array([pair_unitary(w, w) for w in wigner])
     return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps))
 
@@ -292,16 +290,16 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     vac = vacuum_vector(space, profile)
     moved = space.embed(poincare_unitary(space, boost, y)) @ vac
 
+    thetas = dot_point(lattice.momenta, y)
     predicted = np.zeros(space.dim, dtype=np.complex128)
     shifted_raw = np.zeros(lattice.size, dtype=np.complex128)
     for idx in range(*shift_range(lattice.size, k)):
-        theta = lattice.points[idx].dot_point(y)
+        theta = thetas[idx]
         amp = np.sqrt(lattice.weights[idx]) * profile.values[idx - k]
         shifted_raw[idx] = profile.values[idx - k]
         predicted[idx * REGISTER_DIM + VACUUM_INDEX] = amp * np.exp(-2j * theta)
     residual = float(np.max(np.abs(moved - predicted)))
 
-    thetas = np.array([p.dot_point(y) for p in lattice.points])
     unphased = np.repeat(np.exp(2j * thetas), REGISTER_DIM) * moved
     plain = np.zeros(space.dim, dtype=np.complex128)
     for idx in range(lattice.size):
@@ -355,7 +353,7 @@ def fermion_vacuum_energy(lattice: MomentumLattice, profile: VacuumProfile,
     """-2 N_F sum_i w_i E_i Z_i, the unordered Dirac-sea contribution."""
     if n_species < 0:
         raise ConfigError(f"species count must be nonnegative, got {n_species}")
-    energies = np.array([p.E for p in lattice.points])
+    energies = lattice.momenta[:, 0]
     return -2.0 * n_species * float(np.sum(lattice.weights * energies * profile.z))
 
 

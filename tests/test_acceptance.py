@@ -9,7 +9,6 @@ fixed seeds so the numbers below are reproducible bit for bit.
 """
 
 import numpy as np
-import pytest
 
 from carfield import sparse, spinors, symmetries
 from carfield.modes import (
@@ -25,7 +24,6 @@ from carfield.noscillator import (
     OpSpec,
     extend_additive,
     extend_operator,
-    smeared_matrix,
     determinant_limit_convergence,
     overlap_product_ops,
     vacuum_matrix_element,
@@ -50,12 +48,13 @@ def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _ball_momenta(rng, count, radius=10.0, m=1.0):
+    """(count, 4) on-shell momenta with |p| uniform in [0, radius), in random directions."""
     out = []
     for _ in range(count):
         v = rng.standard_normal(3)
         v *= rng.uniform(0, radius) / np.linalg.norm(v)
-        out.append(spinors.FourMomentum.from_spatial(*(float(c) for c in v), m))
-    return out
+        out.append(v)
+    return spinors.from_spatial(np.array(out), m)
 
 
 def test_criterion_01_car_table():
@@ -113,26 +112,24 @@ def test_criterion_03_conjugation_identities():
 
 def test_criterion_04_spin_frame_reconstruction():
     rng = np.random.default_rng(104)
-    momenta = _ball_momenta(rng, 1000)
+    m = 1.0
     # degenerate direction: +z at nearly light-like rapidity forces the
     # fallback reference spinor
-    momenta += [
-        spinors.FourMomentum.from_spatial(0.0, 0.0, 1e9, 1.0),
-        spinors.FourMomentum.from_spatial(0.0, 0.0, 4e8, 1.0),
-    ]
-    worst_recon = worst_norm = 0.0
-    fallbacks = 0
-    for p in momenta:
-        frame = spinors.build_spin_frame(p)
-        fallbacks += frame.used_fallback
-        pi = frame.pi
-        om = frame.omega
-        recon = np.outer(pi, np.conj(pi)) + (p.m**2 / 2) * np.outer(om, np.conj(om))
-        worst_recon = max(
-            worst_recon,
-            float(np.max(np.abs(recon - spinors.momentum_to_hermitian(p)))) / p.E,
-        )
-        worst_norm = max(worst_norm, abs(spinors.contract(om, pi) - 1.0))
+    momenta = np.concatenate([
+        _ball_momenta(rng, 1000),
+        spinors.from_spatial([[0.0, 0.0, 1e9], [0.0, 0.0, 4e8]], m),
+    ])
+    frame = spinors.build_spin_frame(momenta, m)
+    fallbacks = int(np.sum(frame.used_fallback))
+    pi = frame.pi
+    om = frame.omega
+    recon = (pi[:, :, None] * np.conj(pi)[:, None, :]
+             + (m**2 / 2) * (om[:, :, None] * np.conj(om)[:, None, :]))
+    worst_recon = float(np.max(
+        np.max(np.abs(recon - spinors.momentum_to_hermitian(momenta)), axis=(1, 2))
+        / momenta[:, 0]
+    ))
+    worst_norm = float(np.max(np.abs(spinors.contract(om, pi) - 1.0)))
     ok = worst_recon <= 1e-11 and worst_norm <= 1e-12 and fallbacks >= 2
     _verdict(4, "spin-frame reconstruction", ok,
              f"1000 momenta + {fallbacks} fallback hits, "
@@ -142,20 +139,22 @@ def test_criterion_04_spin_frame_reconstruction():
 
 def test_criterion_05_eigen_bispinors():
     rng = np.random.default_rng(105)
-    momenta = _ball_momenta(rng, 60) + [spinors.FourMomentum.from_spatial(0.0, 0.0, 0.0, 1.0)]
-    worst_dirac = worst_spin = 0.0
-    for p in momenta:
-        frame = spinors.build_spin_frame(p)
-        pos, neg = spinors.eigen_bispinors(frame)
-        s_un, s_pr = spinors.pauli_lubanski_projection(frame)
-        for s, val in ((0, -0.5), (1, 0.5)):
-            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, pos[s], +1))
-            worst_dirac = max(worst_dirac, spinors.dirac_residual(p, neg[s], -1))
-            for branch in (pos[s], neg[s]):
-                worst_spin = max(worst_spin, float(np.max(np.abs(
-                    s_un @ branch[:2] - val * branch[:2]))))
-                worst_spin = max(worst_spin, float(np.max(np.abs(
-                    s_pr @ branch[2:] - val * branch[2:]))))
+    m = 1.0
+    momenta = np.concatenate([_ball_momenta(rng, 60), spinors.from_spatial([[0.0, 0.0, 0.0]], m)])
+    frame = spinors.build_spin_frame(momenta, m)
+    pos, neg = spinors.eigen_bispinors(frame)
+    s_un, s_pr = (block[:, None] for block in spinors.pauli_lubanski_projection(frame))
+    p = momenta[:, None]
+    worst_dirac = float(max(np.max(spinors.dirac_residual(p, m, pos, +1)),
+                            np.max(spinors.dirac_residual(p, m, neg, -1))))
+    # spin minus carries -1/2, spin plus +1/2
+    val = np.array([-0.5, 0.5])[None, :, None]
+    worst_spin = 0.0
+    for branch in (pos, neg):
+        worst_spin = max(worst_spin, float(np.max(np.abs(
+            (s_un @ branch[..., :2, None])[..., 0] - val * branch[..., :2]))))
+        worst_spin = max(worst_spin, float(np.max(np.abs(
+            (s_pr @ branch[..., 2:, None])[..., 0] - val * branch[..., 2:]))))
     ok = worst_dirac <= 1e-12 and worst_spin <= 1e-12
     _verdict(5, "eigen-bispinors", ok,
              f"Dirac residual {worst_dirac:.2e} <= 1e-12, "
@@ -164,17 +163,17 @@ def test_criterion_05_eigen_bispinors():
 
 def test_criterion_06_wigner_mixing():
     rng = np.random.default_rng(106)
-    worst_unit = worst_coc = 0.0
-    for _ in range(100):
-        p = _ball_momenta(rng, 1)[0]
-        l1 = spinors.random_sl2c(rng)
-        l2 = spinors.random_sl2c(rng)
-        u12 = spinors.wigner_matrix(l1 @ l2, p)
-        worst_unit = max(worst_unit, float(np.max(np.abs(u12.conj().T @ u12 - np.eye(2)))))
-        worst_unit = max(worst_unit, abs(np.linalg.det(u12) - 1.0))
-        q = spinors.apply_lorentz(np.linalg.inv(l1), p)
-        chained = spinors.wigner_matrix(l1, p) @ spinors.wigner_matrix(l2, q)
-        worst_coc = max(worst_coc, float(np.max(np.abs(chained - u12))))
+    m = 1.0
+    # drawn in the order (momentum, l1, l2) per triple, then computed as stacks
+    triples = [(_ball_momenta(rng, 1, m=m)[0], spinors.random_sl2c(rng), spinors.random_sl2c(rng))
+               for _ in range(100)]
+    p, l1, l2 = (np.array(column) for column in zip(*triples))
+    u12 = spinors.wigner_matrix(l1 @ l2, p, m)
+    worst_unit = max(float(np.max(np.abs(np.swapaxes(u12.conj(), 1, 2) @ u12 - np.eye(2)))),
+                     float(np.max(np.abs(np.linalg.det(u12) - 1.0))))
+    q = spinors.apply_lorentz(np.linalg.inv(l1), p, m)
+    chained = spinors.wigner_matrix(l1, p, m) @ spinors.wigner_matrix(l2, q, m)
+    worst_coc = float(np.max(np.abs(chained - u12)))
     ok = worst_unit <= 1e-10 and worst_coc <= 1e-9
     _verdict(6, "spin mixing matrices", ok,
              f"100 triples, unitarity/det {worst_unit:.2e} <= 1e-10, "

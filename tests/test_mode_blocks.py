@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carfield import modes as modes_module
-from carfield import sparse, symmetries
+from carfield import sparse, spinors, symmetries
 from carfield.errors import ShapeError
 from carfield.modes import (
     ModeBlocks,
@@ -137,8 +137,8 @@ def test_field_operator_components(space, rng):
         ann, cre = ("d", "b") if conjugate else ("b", "d")
         for alpha in range(4):
             terms = []
-            for i, p in enumerate(space.lattice.points):
-                phase = np.exp(-1j * p.dot_point(x))
+            for i, p in enumerate(space.lattice.momenta):
+                phase = np.exp(-1j * spinors.dot_point(p, x))
                 for s in (0, 1):
                     terms.append((i, i, space.pos_table[i, s, alpha] * phase,
                                   reg.ladder(ann, s)))
@@ -155,8 +155,8 @@ def test_four_momentum(space):
     )
     for a, got in enumerate(symmetries.four_momentum(space)):
         terms = [
-            (i, i, (p.E, -p.px, -p.py, -p.pz)[a], base)
-            for i, p in enumerate(space.lattice.points)
+            (i, i, (p[0], -p[1], -p[2], -p[3])[a], base)
+            for i, p in enumerate(space.lattice.momenta)
         ]
         _assert_same(space.embed(got), _kron_sum(space, terms))
 

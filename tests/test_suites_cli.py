@@ -505,14 +505,18 @@ def test_nan_conjugation_residual_fails_su2_check(monkeypatch, fast_config):
 
 
 def test_nan_dirac_mismatch_fails_its_flag(monkeypatch, fast_config):
-    # per momentum and spin the suite asks for two matching residuals and then
-    # two mismatched ones, so the third call is a mismatched branch
+    # the suite asks for the two matching residual stacks and then the two
+    # mismatched ones, so the third call is a mismatched branch; one NaN row
+    # in it must fail the flag
     real_residual = spinors.dirac_residual
     calls = []
 
     def nan_on_third_call(*args):
         calls.append(args)
-        return float("nan") if len(calls) == 3 else real_residual(*args)
+        residuals = real_residual(*args)
+        if len(calls) == 3:
+            residuals[1, 0] = np.nan
+        return residuals
 
     monkeypatch.setattr(spinors, "dirac_residual", nan_on_third_call)
     records = {r.check: r for r in run_suite("spinor", fast_config)}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carfield import sparse, symmetries
+from carfield import sparse, spinors, symmetries
 from carfield.errors import ConfigError, PreconditionError
 from carfield.modes import (
     ModeBlocks,
@@ -44,15 +44,15 @@ def small_profile(small_space):
 
 def test_four_momentum_components(small_space):
     momenta = [small_space.embed(op).toarray() for op in symmetries.four_momentum(small_space)]
-    p = small_space.lattice.points[0]
+    e, _, _, pz = small_space.lattice.momenta[0]
     # diagonal value is (lowered component) * (occupation - 2); the register
     # vacuum sits at index 15 with occupation 0, index 7 holds one b- particle
     vac_slot = 15
-    assert momenta[0][vac_slot, vac_slot] == pytest.approx(-2 * p.E)
-    assert momenta[3][vac_slot, vac_slot] == pytest.approx(2 * p.pz)
+    assert momenta[0][vac_slot, vac_slot] == pytest.approx(-2 * e)
+    assert momenta[3][vac_slot, vac_slot] == pytest.approx(2 * pz)
     one_b = 7
-    assert momenta[0][one_b, one_b] == pytest.approx(-p.E)
-    assert momenta[3][one_b, one_b] == pytest.approx(p.pz)
+    assert momenta[0][one_b, one_b] == pytest.approx(-e)
+    assert momenta[3][one_b, one_b] == pytest.approx(pz)
 
 
 def test_translation_unitary_is_exp_momentum(small_space):
@@ -83,8 +83,9 @@ def test_vacuum_picks_up_translation_phases(small_space, small_profile):
     vac = vacuum_vector(small_space, small_profile)
     moved = small_space.embed(u) @ vac
     expected = vac.copy()
-    for i, p in enumerate(small_space.lattice.points):
-        expected[i * REGISTER_DIM: (i + 1) * REGISTER_DIM] *= np.exp(-2j * p.dot_point(Y))
+    for i, p in enumerate(small_space.lattice.momenta):
+        phase = np.exp(-2j * spinors.dot_point(p, Y))
+        expected[i * REGISTER_DIM: (i + 1) * REGISTER_DIM] *= phase
     assert np.max(np.abs(moved - expected)) < 1e-14
 
 
@@ -212,7 +213,7 @@ def _dense_generators(space, e0, y, phi):
     reg = build_register()
     n_b, n_d = number_operator(reg, "b"), number_operator(reg, "d")
     m = space.lattice.size
-    coeffs = np.array([(p.E, -p.px, -p.py, -p.pz) for p in space.lattice.points])
+    coeffs = np.array([(e, -px, -py, -pz) for e, px, py, pz in space.lattice.momenta])
     momenta = [mode_blocks(coeffs[:, a:a + 1], [n_b + n_d - 2 * reg.identity]) for a in range(4)]
     charge = mode_blocks(np.full((m, 1), e0), [n_b - n_d + 2 * reg.identity])
     spin_base = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
@@ -222,7 +223,7 @@ def _dense_generators(space, e0, y, phi):
             spin_base = spin_base + sign * (ladder.conj().T @ ladder)
     spin = mode_blocks(np.full((m, 1), 0.5), [spin_base])
     occ = np.real((n_b + n_d).diagonal()).round().astype(int)
-    thetas = np.array([p.dot_point(y) for p in space.lattice.points])
+    thetas = np.array([spinors.dot_point(p, y) for p in space.lattice.momenta])
     translation = ModeBlocks.diagonal(np.exp(1j * np.outer(thetas, occ - 2)))
     q = np.real((n_b - n_d).diagonal()).round().astype(int)
     gauge = ModeBlocks.diagonal(np.tile(np.exp(1j * phi * e0 * (q + 2)), (m, 1)))
@@ -290,7 +291,7 @@ def test_extended_spin_annihilates_product_vacuum(small_space, small_profile):
 def test_fermion_vacuum_energy_formula(small_space, small_profile):
     lattice = small_space.lattice
     expected = -2.0 * np.sum(
-        lattice.weights * np.array([p.E for p in lattice.points]) * small_profile.z
+        lattice.weights * np.array([p[0] for p in lattice.momenta]) * small_profile.z
     )
     assert symmetries.fermion_vacuum_energy(lattice, small_profile) == pytest.approx(expected)
     assert symmetries.fermion_vacuum_energy(lattice, small_profile, 3) == pytest.approx(
