@@ -26,8 +26,10 @@ them by the summation rule of `sparse`.
 `mode_sum`, sum_i (1/w_i) |i><i| x R over a range of modes, is the one
 per-mode builder.  Every space shares the read-only `register.REGISTER`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
-operator is extended to N slots, applied to a state, or compared with an
-independent CSR route.  Blocks follow the storage rule of `sparse`: every
+operator is extended to N slots for an operator identity, compared with an
+independent CSR route, or applied to many states; a one-shot application
+to a state takes `noscillator.apply_extension`, at one slot or N, with no
+matrix.  Blocks follow the storage rule of `sparse`: every
 entry that is not exactly zero is kept, however small, and `embed` drops
 only exact zeros, so the block algebra and its CSR image agree entry for
 entry.  `field_operator_spectral` keeps its own assembly
@@ -124,7 +126,7 @@ def shift_range(modes: int, shift: int) -> tuple[int, int]:
 
 
 # the (left, right) register patterns whose product plans are kept; a
-# default report uses 79 distinct pairs
+# default report uses 92 distinct pairs, 13 of them vector plans
 PLAN_CACHE_SIZE = 256
 
 _NO_MODES = (0, 0)
@@ -186,6 +188,24 @@ def _product_plan(left: int, right: int) -> tuple:
             _pattern_bits(counts > 0))
 
 
+# the register pattern of one column, entries (j, 0): a vector as a right factor
+_COLUMN = sum(1 << REGISTER_DIM * j for j in range(REGISTER_DIM))
+
+
+def _vector_plan(pattern: int) -> tuple:
+    """The terms a_ij x_j of blocks with `pattern` acting on register vectors x.
+
+    Returns (lefts, cols, rows, widths): term t multiplies the flat block
+    entry lefts[t] = 16 i + j by x at cols[t] = j, and rows lists the output
+    entries i, those with the most terms first.  The terms are grouped by
+    rank as in `_product_plan`, whose cached plan against one column this
+    is: adding group r in turn, the r-th term of each of the first
+    widths[r] rows, sums every row from 0 in ascending j.
+    """
+    lefts, rights, entries, widths, _ = _product_plan(pattern, _COLUMN)
+    return lefts, rights // REGISTER_DIM, entries // REGISTER_DIM, widths
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBlocks:
     """The single-oscillator operator sum_i |i><i - shift| x stack[i].
@@ -200,7 +220,8 @@ class ModeBlocks:
     may be larger than the exact ones.  Results of the algebra carry them
     over from their operands; a stack from outside is scanned once, when
     they are first needed.  No stack is changed after construction, which
-    the bounds rely on.
+    the bounds rely on; the zero operator of `zeros` is shared, its stack
+    read-only.
     """
 
     stack: np.ndarray
@@ -257,7 +278,8 @@ class ModeBlocks:
 
     @classmethod
     def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
-        return cls._placed(None, modes, _NO_MODES, _shift_index(shift), 0)
+        """The zero operator: one shared instance per (modes, shift), its stack read-only."""
+        return _zero_blocks(operator.index(modes), _shift_index(shift))
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> ModeBlocks:
@@ -275,6 +297,8 @@ class ModeBlocks:
                 f"{other.stack.shape} shift {other.shift}"
             )
         lo, hi = live = _hull(self._live, other._live)
+        if lo >= hi:
+            return _zero_blocks(len(self.stack), self.shift)
         return ModeBlocks._placed(op(self.stack[lo:hi], other.stack[lo:hi]), len(self.stack),
                                   live, self.shift, self._pattern | other._pattern)
 
@@ -316,7 +340,7 @@ class ModeBlocks:
         (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
         lo, hi = max(a_lo, b_lo + self.shift), min(a_hi, b_hi + self.shift)
         if lo >= hi:
-            return ModeBlocks.zeros(m, shift)
+            return _zero_blocks(m, shift)
         lefts, rights, entries, widths, pattern = _product_plan(self._pattern, other._pattern)
         left = self.stack[lo:hi].reshape(hi - lo, -1)[:, lefts]
         right = other.stack[lo - self.shift:hi - self.shift].reshape(hi - lo, -1)[:, rights]
@@ -348,7 +372,14 @@ class ModeBlocks:
 
     def max_abs(self) -> float:
         lo, hi = self._live
-        return sparse.max_abs(self.stack[lo:hi])
+        return sparse.max_abs(self.stack[lo:hi]) if lo < hi else 0.0
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _zero_blocks(modes: int, shift: int) -> ModeBlocks:
+    op = ModeBlocks._placed(None, modes, _NO_MODES, shift, 0)
+    op.stack.flags.writeable = False
+    return op
 
 
 class SingleOscillatorSpace:

@@ -89,12 +89,6 @@ for _array in (*vars(REGISTER).values(), OCCUPATION):
     _array.flags.writeable = False
 
 
-def number_operator(reg: JWRegister, species: str) -> np.ndarray:
-    """Sum over spins of ladder-dagger times ladder for one species."""
-    ops = [reg.ladder(species, s) for s in (SPIN_MINUS, SPIN_PLUS)]
-    return sum(a.conj().T @ a for a in ops)
-
-
 def _exp2(a: np.ndarray) -> np.ndarray:
     """e^A of a 2x2 form by the closed form `spinors.exponential`."""
     a = np.asarray(a, dtype=np.complex128)

@@ -16,7 +16,9 @@ Summation rule.  Every entry of a product A @ B or A @ v is the sum of its
 terms a_ij b_jk in ascending inner index j, added one at a time to 0; each
 complex term is (ar br - ai bi) + i (ar bi + ai br), rounded after every
 operation, with no fused multiply-add.  Duplicate COO entries are summed
-the same way, in input order.
+the same way, in input order.  `noscillator.apply_extension` follows the
+rule on N-slot states without forming the matrix, so it equals the N-slot
+CSR product bitwise.
 
 Storage rule.  An operator stores every nonzero entry, however small, and
 NaN.  Sums, differences, products and assemblies drop only the entries that
@@ -189,6 +191,19 @@ class SparseOperator:
             return NotImplemented
         if other.shape != self.shape:
             raise ShapeError(f"dimension mismatch: {self.shape} vs {other.shape}")
+        if np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices,
+                                                                        other.indices):
+            # one pattern: every entry is 0 + a + sign(b), as _sums_by_key sums
+            # it (of two NaN terms, either may pass on its sign)
+            sums = np.zeros(self.nnz, dtype=np.complex128)
+            sums += self.data
+            sums += sign(other.data)
+            live = sums != 0
+            if live.all():
+                return SparseOperator(sums, self.indices, self.indptr, self.shape)
+            kept = np.zeros(self.nnz + 1, dtype=_INDEX)
+            np.cumsum(live, out=kept[1:])
+            return SparseOperator(sums[live], self.indices[live], kept[self.indptr], self.shape)
         keys = np.concatenate((self._keys(), other._keys()))
         terms = np.concatenate((self.data, sign(other.data)))
         return SparseOperator._from_keys(*_sums_by_key(keys, terms), self.shape)

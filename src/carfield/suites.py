@@ -45,6 +45,7 @@ from .noscillator import (
     MATRIX_CHECK_N,
     NRegister,
     OpSpec,
+    apply_extension,
     extend_additive,
     extend_operator,
     smeared_matrix,
@@ -334,11 +335,12 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
                     residual, 1e-12))
 
     vac = vacuum_vector(space, profile)
+    one_slot = NRegister(space, 1)
     worst = abs(sparse.inner(vac, vac) - 1.0)
     worst = worst_of(worst, abs(float(np.sum(lattice.weights * profile.z)) - 1.0))
     for i in range(lattice.size):
-        ip = space.embed(mode_projector(space, i))
-        got = sparse.inner(vac, ip @ vac)
+        got = sparse.inner(vac, apply_extension(one_slot, mode_projector(space, i), vac,
+                                                twisted=False))
         worst = worst_of(worst, abs(got - profile.z[i]))
     out.append(_rec(s, "vacuum_profile", "<O|central_i|O> = Z_i, sum_i w_i Z_i = 1",
                     worst, 1e-12))
@@ -360,7 +362,8 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     for idx in rng.choice(lattice.size, size=min(4, lattice.size), replace=False):
         i = int(idx)
         for sp in (0, 1):
-            one = space.embed(mode_annihilator(space, i, sp, "b").adjoint()) @ vac
+            one = apply_extension(one_slot, mode_annihilator(space, i, sp, "b").adjoint(), vac,
+                                  twisted=False)
             for a in range(4):
                 got = sparse.inner(vac, field_csr[a] @ one)
                 want = (
@@ -379,9 +382,9 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     want_h = spinors.classical_solution(lattice, np.zeros_like(h), profile.z[:, None] * h, x)
     worst = 0.0
     for a in range(4):
-        got = sparse.inner(vac, space.embed(fields[a] @ cf_dag) @ vac)
+        got = sparse.inner(vac, apply_extension(one_slot, fields[a] @ cf_dag, vac, twisted=False))
         worst = worst_of(worst, abs(got - want_f[a]))
-        got = sparse.inner(vac, space.embed(ch @ fields[a]) @ vac)
+        got = sparse.inner(vac, apply_extension(one_slot, ch @ fields[a], vac, twisted=False))
         worst = worst_of(worst, abs(got - want_h[a]))
     out.append(_rec(s, "classical_matrix_element",
                     "field matrix elements synthesize the classical solution",

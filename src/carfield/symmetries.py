@@ -40,7 +40,7 @@ from .modes import (
     shift_range,
     vacuum_vector,
 )
-from .noscillator import NRegister, extend_additive, vacuum_state
+from .noscillator import NRegister, apply_extension, vacuum_state
 from .register import OCCUPATION, REGISTER_DIM, VACUUM_INDEX, pair_unitary
 from .sparse import worst_of
 from .spinors import (
@@ -58,12 +58,16 @@ def _charge() -> np.ndarray:
     return b_minus + b_plus - d_minus - d_plus
 
 
+def _momentum_component(coeffs: np.ndarray) -> ModeBlocks:
+    """sum_i coeffs[i] |i><i| x (n_b + n_d - 2), coeffs the (M,) components p_{i,a}."""
+    return mode_blocks(coeffs[:, None], [np.diag(OCCUPATION.sum(axis=0) - 2)])
+
+
 def four_momentum(space: SingleOscillatorSpace) -> list[ModeBlocks]:
     """Lower-index components P_a = sum_i p_{i,a} |i><i| x (n_b + n_d - 2)."""
-    base = np.diag(OCCUPATION.sum(axis=0) - 2)
     momenta = space.lattice.momenta
     coeffs = np.hstack([momenta[:, :1], -momenta[:, 1:]])
-    return [mode_blocks(coeffs[:, a:a + 1], [base]) for a in range(4)]
+    return [_momentum_component(coeffs[:, a]) for a in range(4)]
 
 
 def translation_unitary(space: SingleOscillatorSpace, y: np.ndarray) -> ModeBlocks:
@@ -288,7 +292,8 @@ def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfil
     lattice = space.lattice
     k = boost.steps
     vac = vacuum_vector(space, profile)
-    moved = space.embed(poincare_unitary(space, boost, y)) @ vac
+    moved = apply_extension(NRegister(space, 1), poincare_unitary(space, boost, y), vac,
+                            twisted=False)
 
     thetas = dot_point(lattice.momenta, y)
     predicted = np.zeros(space.dim, dtype=np.complex128)
@@ -389,11 +394,14 @@ def balanced_boson_sector(lattice: MomentumLattice, profile: VacuumProfile,
 
 def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfile,
                               n: int) -> float:
-    """<vac_N| extended P_0 |vac_N> via explicit matrices (small N only)."""
+    """<vac_N| extended P_0 |vac_N> on the explicit N-slot state (small N only).
+
+    P_0 acts on the state by `apply_extension`, with no N-slot matrix; being
+    diagonal, it is built in the result and multiplied there, so the check
+    holds two states and the conjugate copy `sparse.inner` makes.
+    """
     nreg = NRegister(space, n)
-    p0 = four_momentum(space)[0]
-    big = extend_additive(nreg, p0)
     vac = vacuum_state(nreg, profile)
-    moved = big @ vac
-    del big  # the largest matrix of a default report; the inner product needs only the states
+    moved = apply_extension(nreg, _momentum_component(space.lattice.momenta[:, 0]), vac,
+                            twisted=False)
     return float(sparse.inner(vac, moved).real)

@@ -102,9 +102,22 @@ def assert_same_csr(got, want):
     assert np.array_equal(got.data, want.data, equal_nan=True)
 
 
+def assert_same_bytes(got, want):
+    """Equal CSR arrays down to the sign of every zero part."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def zero_operator(dim):
     return sparse.SparseOperator.from_coo([], [], [], (dim, dim))
 
 
 def identity_operator(dim):
     return sparse.asoperator(np.eye(dim))
+
+
+def number_operator(reg, species):
+    """Sum over spins of c_s' c_s for one species, as a dense register matrix."""
+    ladders = [reg.ladder(species, s) for s in (0, 1)]
+    return sum(c.conj().T @ c for c in ladders)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from carfield import modes as modes_module
 from carfield import sparse, spinors, symmetries
+from carfield.config import default_config
 from carfield.errors import ShapeError
 from carfield.modes import (
     ModeBlocks,
@@ -31,9 +32,10 @@ from carfield.modes import (
     shift_range,
     smeared_annihilator,
 )
-from carfield.register import REGISTER_DIM, build_register, number_operator, pair_unitary
+from carfield.register import REGISTER_DIM, build_register, pair_unitary
+from carfield.suites import run_suite
 
-from conftest import assert_same_csr, random_table, to_scipy, zero_operator
+from conftest import assert_same_csr, number_operator, random_table, to_scipy, zero_operator
 
 
 @pytest.fixture(scope="module")
@@ -419,3 +421,42 @@ def test_a_nonfinite_entry_on_a_live_term_reaches_max_abs(bad):
         assert all(np.isnan(r) for r in residuals)
     else:
         assert not any(r <= 1.0 for r in residuals)
+
+
+def test_the_zero_operator_is_shared_and_read_only(default_space):
+    m = default_space.lattice.size
+    zero = ModeBlocks.zeros(m, -2)
+    assert zero is ModeBlocks.zeros(np.int64(m), np.int32(-2)) and zero.shift == -2
+    assert zero is not ModeBlocks.zeros(m, 2) and ModeBlocks.zeros(m, 2).shift == 2
+    with pytest.raises(ValueError):
+        zero.stack[0, 0, 0] = 1.0
+    assert zero.max_abs() == 0.0 and not zero.stack.any()
+    # disjoint products and sums of empty operands are it, at their shift
+    first, last = mode_projector(default_space, 0), mode_projector(default_space, m - 1)
+    assert first @ last is ModeBlocks.zeros(m)
+    # mode 1 from mode 0, twice: the second step would need mode -1
+    step = ModeBlocks(mode_annihilator(default_space, 1, 1, "b").stack, 1)
+    assert step.max_abs() > 0 and step @ step is ModeBlocks.zeros(m, 2)
+    assert zero + zero is zero and zero - ModeBlocks(np.zeros((m, 16, 16)), -2) is zero
+    # a sum with a live operand is a new operator
+    total = ModeBlocks.zeros(m) + first
+    assert total is not first and total.max_abs() == first.max_abs()
+
+
+def test_a_nonzero_disjoint_product_fails_the_car_checks(monkeypatch):
+    # the car checks meet disjoint-mode products; if one of them came out
+    # nonzero, car_central or car_zero must say so
+    product = ModeBlocks.__matmul__
+    faults = []
+
+    def faulty(self, other):
+        out = product(self, other)
+        if not faults and out is ModeBlocks.zeros(len(out.stack), out.shift):
+            faults.append(out.shift)
+            return ModeBlocks(np.full(out.stack.shape, 1e-9, dtype=np.complex128), out.shift)
+        return out
+
+    monkeypatch.setattr(ModeBlocks, "__matmul__", faulty)
+    records = {r.check: r for r in run_suite("mode_space", default_config())}
+    assert faults
+    assert not (records["car_central"].passed and records["car_zero"].passed)

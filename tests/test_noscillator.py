@@ -20,7 +20,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carfield import noscillator, sparse
+from carfield import noscillator, sparse, symmetries
 from carfield.errors import (
     ConfigError,
     PreconditionError,
@@ -60,6 +60,7 @@ from carfield.noscillator import (
 from carfield.register import REGISTER_DIM, VACUUM_INDEX
 
 from conftest import (
+    assert_same_bytes,
     assert_same_csr,
     identity_operator,
     random_table,
@@ -194,13 +195,6 @@ def _coo_slot_sum(nreg, op, twist):
     return sparse.SparseOperator.from_coo(values, out_rows, out_cols, (nreg.dim, nreg.dim))
 
 
-def _assert_same_bytes(got, want):
-    """Equal CSR arrays down to the sign of every zero part."""
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-
 def _small_entry_blocks(space, shift=0):
     """Blocks of a ladder with entries far below 1, a -0.0 part, a -0.0 entry and a NaN."""
     stack = smeared_annihilator(space, np.ones((space.lattice.size, 2)), "b").stack.copy()
@@ -255,8 +249,8 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
         assert_same_csr(extend_additive(nreg, op), scipy_nonzero(plain))
         assert_same_csr(extend_additive(nreg, op, mean=True), scipy_nonzero(plain / n))
         for twist in (parity, np.ones(space.dim)):
-            _assert_same_bytes(noscillator._slot_sum(nreg, op, twist),
-                               _coo_slot_sum(nreg, op, twist))
+            assert_same_bytes(noscillator._slot_sum(nreg, op, twist),
+                              _coo_slot_sum(nreg, op, twist))
 
 
 def _assert_stores_exactly(got, want):
@@ -340,6 +334,137 @@ def test_vacuum_state_norm(double_space, double_profile):
     for n in (1, 2, 3):
         vac = vacuum_state(NRegister(double_space, n), double_profile)
         assert sparse.inner(vac, vac) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_vacuum_state_is_the_kron_power(double_space, default_space, default_profile):
+    profiles = {double_space: VacuumProfile(np.array([0.6 - 0.3j, 1.1 + 0.2j])),
+                default_space: default_profile}
+    for space, profile in profiles.items():
+        factor = noscillator.vacuum_vector(space, profile)
+        want = np.array([1.0 + 0j])
+        for n in (1, 2, 3):
+            want = np.kron(want, factor)
+            if len(want) > sparse.MAX_DIM:
+                break
+            assert vacuum_state(NRegister(space, n), profile).tobytes() == want.tobytes()
+
+
+# --- the slot action: extensions applied to states, pinned to the CSR route
+
+
+@pytest.fixture(scope="module")
+def triple_space():
+    return SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
+
+
+_KINDS = ("twisted", "untwisted", "mean")
+
+
+def _csr_route(nreg, op, ket, kind):
+    """The extension as an explicit N-slot CSR matrix, applied to the ket."""
+    if kind == "twisted":
+        return extend_operator(nreg, op) @ ket
+    return extend_additive(nreg, op, mean=kind == "mean") @ ket
+
+
+def _slot_action(nreg, op, ket, kind):
+    return noscillator.apply_extension(nreg, op, ket, twisted=kind == "twisted",
+                                       mean=kind == "mean")
+
+
+def _assert_slot_action_is_the_csr_route(nreg, op, ket):
+    for kind in _KINDS:
+        got, want = _slot_action(nreg, op, ket, kind), _csr_route(nreg, op, ket, kind)
+        assert np.array_equal(got, want, equal_nan=True), kind
+        # every entry is a sum from +0 on both routes: no -0.0 part on either
+        assert got.tobytes() == want.tobytes() or np.isnan(want).any(), kind
+
+
+def _ket(rng, dim, scale=1.0):
+    """A random state with about a third of its entries exactly zero."""
+    ket = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    ket[rng.random(dim) < 0.3] = 0
+    return ket
+
+
+@settings(max_examples=40, deadline=None)
+@given(modes=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       shift=st.sampled_from([-1, 0, 1]), species=st.sampled_from("bd"),
+       dagger=st.booleans(), diagonal=st.booleans(), amplitude=st.sampled_from([1.0, 1e-38]),
+       seed=st.integers(0, 2**32 - 1))
+def test_slot_action_equals_the_csr_route(single_space, double_space, triple_space, modes, n,
+                                         shift, species, dagger, diagonal, amplitude, seed):
+    if (16 * modes) ** n > 2**15:
+        n -= 1  # 48^3: the fixed cases below take it
+    space = (single_space, double_space, triple_space)[modes - 1]
+    rng = np.random.default_rng(seed)
+    op = smeared_matrix(space, OpSpec(amplitude * random_table(rng, modes), species, dagger))
+    if diagonal:
+        op = op @ op.adjoint()  # every register row meets its own diagonal
+    op = ModeBlocks(op.stack, shift)
+    nreg = NRegister(space, n)
+    _assert_slot_action_is_the_csr_route(nreg, op, _ket(rng, nreg.dim, amplitude))
+
+
+@pytest.mark.parametrize("space_name, n", [*itertools.product(["single_space", "double_space"],
+                                                                [1, 2, 3]),
+                                            ("triple_space", 1), ("triple_space", 2)])
+def test_slot_action_equals_the_csr_route_on_fixed_blocks(request, rng, space_name, n):
+    # NaN, -0.0 parts, entries of 1e-300, cancelling diagonals, shifts and full blocks
+    space = request.getfixturevalue(space_name)
+    nreg = NRegister(space, n)
+    cases = _slot_sum_cases(space, rng)
+    cases["shifted_down"] = ModeBlocks(cases["dense"].stack, -1)
+    # complex diagonal products, where a fused multiply-add would round differently
+    phases = np.exp(1j * rng.uniform(-4, 4, (space.lattice.size, REGISTER_DIM)))
+    cases["phases"] = ModeBlocks.diagonal(phases)
+    for name, op in cases.items():
+        if name in ("dense", "negative_zero_dense", "shifted", "shifted_down") \
+                and nreg.dim > 4096:
+            continue  # 1.5 million entries at 2 modes, N = 3
+        _assert_slot_action_is_the_csr_route(nreg, op, _ket(rng, nreg.dim))
+
+
+def test_slot_action_on_three_modes_and_slots(triple_space, rng):
+    nreg = NRegister(triple_space, 3)
+    ladder = smeared_annihilator(triple_space, random_table(rng, 3), "d")
+    ket = _ket(rng, nreg.dim)
+    for op in (ladder, ladder.adjoint() @ ladder, ModeBlocks(ladder.stack, 1)):
+        _assert_slot_action_is_the_csr_route(nreg, op, ket)
+
+
+def test_slot_action_guards(double_space, default_space):
+    nreg = NRegister(double_space, 2)
+    op = double_space.parity()
+    ket = np.ones(nreg.dim, dtype=np.complex128)
+    with pytest.raises(ConfigError):
+        noscillator.apply_extension(nreg, op, ket, twisted=True, mean=True)
+    with pytest.raises(ShapeError):
+        noscillator.apply_extension(nreg, ModeBlocks.zeros(3), ket, twisted=True)
+    with pytest.raises(ShapeError):
+        noscillator.apply_extension(nreg, op, ket[:-1], twisted=False)
+    with pytest.raises(SizeCapError):
+        noscillator.apply_extension(NRegister(default_space, 3), _identity(default_space),
+                                    ket, twisted=False)
+    # an operator with no live mode moves every state to 0
+    got = noscillator.apply_extension(nreg, ModeBlocks.zeros(2, 1), ket, twisted=True)
+    assert got.tobytes() == np.zeros(nreg.dim, dtype=np.complex128).tobytes()
+
+
+def test_state_level_routes_build_no_n_slot_matrix(monkeypatch, double_space, double_profile,
+                                                   default_space, default_profile, rng):
+    ops = _random_ops(rng, 2, 4)
+    walk = vacuum_matrix_element(NRegister(double_space, 2), double_profile, ops)
+
+    def refuse(*args):
+        raise AssertionError("an N-slot or single-oscillator CSR matrix was built")
+
+    monkeypatch.setattr(noscillator, "_slot_sum", refuse)
+    monkeypatch.setattr(SingleOscillatorSpace, "embed", refuse)
+    got = vacuum_matrix_element_matrix(NRegister(double_space, 2), double_profile, ops)
+    assert abs(got - walk) < 1e-12
+    energy = symmetries.vacuum_energy_expectation(default_space, default_profile, 2)
+    assert math.isfinite(energy) and energy < 0
 
 
 # --- set-partition expansion vs explicit matrices

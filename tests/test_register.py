@@ -16,11 +16,12 @@ from carfield.register import (
     _exp2,
     build_register,
     conjugation_report,
-    number_operator,
     pair_exponential,
     pair_unitary,
     quadratic_generator,
 )
+
+from conftest import number_operator
 
 bounded_reals = st.floats(-1.5, 1.5, allow_nan=False)
 

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from conftest import assert_same_csr, identity_operator, scipy_nonzero, to_scipy, zero_operator
+from conftest import (
+    assert_same_bytes,
+    assert_same_csr,
+    identity_operator,
+    scipy_nonzero,
+    to_scipy,
+    zero_operator,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +160,65 @@ def test_sum_and_difference_match_scipy(pair, scale):
     assert_same_csr(a + b, to_scipy(a) + to_scipy(b))
     assert_same_csr(a - b, to_scipy(a) - to_scipy(b))
     assert_same_csr(b - a, to_scipy(b) - to_scipy(a))
+
+
+@st.composite
+def one_pattern_pairs(draw):
+    """Two operators on one pattern; b's entries are drawn, or a's, or a's negated."""
+    a = draw(operators())
+    picks = draw(st.lists(st.one_of(entries, st.sampled_from(["same", "negated"])),
+                          min_size=a.nnz, max_size=a.nnz))
+    data = [x if p == "same" else -x if p == "negated" else p for p, x in zip(picks, a.data)]
+    return a, SparseOperator(np.array(data, dtype=np.complex128), a.indices, a.indptr, a.shape)
+
+
+def _sum_by_keys(a, b, sign):
+    """a + sign(b) by the general route: every entry of both, summed by key."""
+    keys = np.concatenate((a._keys(), b._keys()))
+    terms = np.concatenate((a.data, sign(b.data)))
+    return SparseOperator._from_keys(*sparse._sums_by_key(keys, terms), a.shape)
+
+
+def _assert_same_up_to_nan_signs(got, want):
+    """Equal CSR arrays down to the sign of every zero part; a NaN may carry either sign.
+
+    Which NaN operand a sum of two passes on depends on the machine code
+    numpy's addition loop runs, and no value of carfield reads a NaN's sign.
+    """
+    parts = [op.data.view(np.float64).copy() for op in (got, want)]
+    nan = np.isnan(parts[1])
+    np.testing.assert_array_equal(np.isnan(parts[0]), nan)
+    for part in parts:
+        part[nan] = np.nan
+    assert_same_bytes(*(SparseOperator(part.view(np.complex128), op.indices, op.indptr, op.shape)
+                        for part, op in zip(parts, (got, want))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=one_pattern_pairs())
+def test_sums_on_one_pattern_equal_the_general_route_bitwise(pair):
+    a, b = pair
+    wants = [_sum_by_keys(a, b, sign) for sign in (np.positive, np.negative)]
+    # one pattern takes no sort and no keyed sum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "_sums_by_key", None)
+        gots = [a + b, a - b]
+    for got, want in zip(gots, wants):
+        _assert_same_up_to_nan_signs(got, want)
+
+
+def test_sums_on_one_pattern_keep_the_storage_rule():
+    # -0.0 parts, NaN, an exact cancellation and an empty row
+    a = sparse.asoperator(np.array([[1 + 1j, 0, complex(-0.0, 2)], [0, 0, 0],
+                                    [complex(np.nan, 0), 3, complex(1, -0.0)]]))
+    b = SparseOperator(np.array([-1 - 1j, complex(-0.0, -0.0), 1, -3, complex(-0.0, -0.0)]),
+                       a.indices, a.indptr, a.shape)
+    got = a + b
+    assert_same_bytes(got, _sum_by_keys(a, b, np.positive))
+    assert got.indptr.tolist() == [0, 1, 1, 3] and got.indices.tolist() == [2, 0, 2]
+    assert np.isnan(got.data[1]) and not np.signbit(got.data.view(float)[[0, 5]]).any()
+    # every entry cancels but the NaN
+    _assert_same_up_to_nan_signs(a - a, SparseOperator.from_coo([np.nan], [2], [0], a.shape))
 
 
 @settings(max_examples=60, deadline=None)
