@@ -238,9 +238,9 @@ _ODD_REGISTER = np.diag(REGISTER.parity).real < 0
 _STATE_BLOCK = 4096
 
 
-def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray, twisted: bool,
-                    mean: bool = False) -> np.ndarray:
-    """extend_operator(nreg, op) @ ket if twisted, else extend_additive(nreg, op, mean) @ ket.
+def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
+                    twisted: bool) -> np.ndarray:
+    """extend_operator(nreg, op) @ ket if twisted, else extend_additive(nreg, op) @ ket.
 
     Equal to them entry for entry, with no N-slot matrix.  Slot k acts on
     the ket viewed as (d^k, M, 16, d^(N-k-1)), d = 16 M: on its (mode,
@@ -257,8 +257,6 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray, twisted: b
     finite: a zero op entry in the pattern gives a zero term, which adds
     nothing, where the CSR product stores no term.
     """
-    if twisted and mean:
-        raise ConfigError("a twisted extension has no mean")
     _check_matrix_dim(nreg)
     space = nreg.space
     m, d, n = space.lattice.size, nreg.factor_dim, nreg.n
@@ -267,7 +265,7 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray, twisted: b
     ket = np.asarray(ket, dtype=np.complex128)
     if ket.shape != (nreg.dim,):
         raise ShapeError(f"an extension on dim {nreg.dim} cannot act on shape {ket.shape}")
-    scale = 1 / np.sqrt(n) if twisted else 1 / n if mean else None
+    scale = 1 / np.sqrt(n) if twisted else None
     # per slot, the index into `negated` of each left index's twist: 1 where it is -1
     twists = [np.zeros(1, dtype=np.intp)]
     if twisted:
@@ -330,12 +328,12 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray, twisted: b
         if scale is not None:
             total *= scale
         # a block at a time, as einsum copies an operand its output overlaps;
-        # it adds each product to a zeroed output, so a lone one is 0 + d x
+        # a lone product is summed from 0, as the CSR row sums it
         for start in range(0, len(out), _STATE_BLOCK):
             part = slice(start, start + _STATE_BLOCK)
             product = np.einsum("i,i->i", total[part], ket[part])
             if total is out:
-                out[part] = product
+                np.add(0.0, product, out=out[part])
             else:
                 out[part] += product
     add_side(sides[1], reversed(range(n)))

@@ -357,19 +357,18 @@ def triple_space():
     return SingleOscillatorSpace(rapidity_lattice(1, 0.4, 1.0))
 
 
-_KINDS = ("twisted", "untwisted", "mean")
+_KINDS = ("twisted", "untwisted")
 
 
 def _csr_route(nreg, op, ket, kind):
     """The extension as an explicit N-slot CSR matrix, applied to the ket."""
     if kind == "twisted":
         return extend_operator(nreg, op) @ ket
-    return extend_additive(nreg, op, mean=kind == "mean") @ ket
+    return extend_additive(nreg, op) @ ket
 
 
 def _slot_action(nreg, op, ket, kind):
-    return noscillator.apply_extension(nreg, op, ket, twisted=kind == "twisted",
-                                       mean=kind == "mean")
+    return noscillator.apply_extension(nreg, op, ket, twisted=kind == "twisted")
 
 
 def _assert_slot_action_is_the_csr_route(nreg, op, ket):
@@ -437,8 +436,6 @@ def test_slot_action_guards(double_space, default_space):
     nreg = NRegister(double_space, 2)
     op = double_space.parity()
     ket = np.ones(nreg.dim, dtype=np.complex128)
-    with pytest.raises(ConfigError):
-        noscillator.apply_extension(nreg, op, ket, twisted=True, mean=True)
     with pytest.raises(ShapeError):
         noscillator.apply_extension(nreg, ModeBlocks.zeros(3), ket, twisted=True)
     with pytest.raises(ShapeError):
