@@ -377,9 +377,9 @@ class ModeBlocks:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _zero_blocks(modes: int, shift: int) -> ModeBlocks:
-    op = ModeBlocks._placed(None, modes, _NO_MODES, shift, 0)
-    op.stack.flags.writeable = False
-    return op
+    # a broadcast view of one zero: read-only, and no memory per mode
+    return ModeBlocks(np.broadcast_to(np.complex128(0), (modes, REGISTER_DIM, REGISTER_DIM)),
+                      shift)
 
 
 class SingleOscillatorSpace:

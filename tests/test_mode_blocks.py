@@ -340,7 +340,7 @@ def _stack_of(kind, rng, modes):
 
 def _same_bits(got, want):
     assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.tobytes() == want.tobytes()  # the bits, whatever the strides
 
 
 KINDS = st.sampled_from(["ladder", "dense", "zero", "single"])
@@ -431,6 +431,7 @@ def test_the_zero_operator_is_shared_and_read_only(default_space):
     with pytest.raises(ValueError):
         zero.stack[0, 0, 0] = 1.0
     assert zero.max_abs() == 0.0 and not zero.stack.any()
+    assert zero.stack.strides == (0, 0, 0)  # no memory per mode: one is cached per (M, shift)
     # disjoint products and sums of empty operands are it, at their shift
     first, last = mode_projector(default_space, 0), mode_projector(default_space, m - 1)
     assert first @ last is ModeBlocks.zeros(m)
