@@ -7,7 +7,8 @@ An extended annihilator is the twisted symmetric sum
 with g the single-oscillator grading (parity).  The twist makes operators
 in different slots anticommute, so the extension preserves the CAR with a
 central right-hand side.  Noether generators extend as plain (untwisted)
-sums, central elements as untwisted means, unitaries as tensor powers.
+sums, and a central element's mean over the slots is that sum divided by
+N; unitaries extend as tensor powers.
 
 Two evaluation paths for vacuum matrix elements of smeared operator
 products:
@@ -19,9 +20,9 @@ products:
   Appl. Math. 123 (2000) 85).  Each entry sums its terms in the order of
   the CSR row that matrix would hold, so the two agree bitwise.  The
   matrices themselves, `extend_operator` and `extend_additive`, serve the
-  operator identities; `_slot_sum` writes them straight into canonical CSR
-  by index arithmetic, with no sort and no chain of tensor products, and
-  they are the independent route the slot action is pinned against;
+  N = 2 operator identities; `_slot_sum` places every slot's entries by
+  index arithmetic in one COO assembly, with no chain of tensor products,
+  and they are the independent route the slot action is pinned against;
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It sums products of single-oscillator vacuum moments over set
   partitions of the factors by block count and weights j blocks by
@@ -131,81 +132,28 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
     Slot k places op entry (r, c) at row (l d + r) d^(N-k-1) + b and column
     (l d + c) d^(N-k-1) + b, for every left index l and right index b, with
     value twist(l) op[r, c], twist(l) the product of the twist diagonal over
-    the k left slots.  So slot k moves digit k of the row index by c - r, and
-    slot terms meet only on the diagonal: row i holds, in ascending columns,
-    the below-diagonal entries of slots 0 .. N-1, the diagonal, then the
-    above-diagonal entries of slots N-1 .. 0.  The entries go straight into
-    canonical CSR, with no COO copy and no sort: per-row counts give indptr
-    by one cumsum (Gustavson, ACM TOMS 4 (1978) 250), and a cursor per row
-    walks the order above, each entry landing at the cursor plus its rank in
-    its op row.  The diagonal sums its slot terms from 0 in slot order, as
-    the kron chain's left-to-right CSR additions do, and drops an exact-zero
-    sum.  Where terms meet (N > 1 and a diagonal op entry), every entry is a
-    sum from 0, as `SparseOperator.from_coo` makes it, so a -0.0 part reads
-    +0.0.
+    the k left slots.  Every slot's entries go into one COO triple, in slot
+    order, and `SparseOperator.from_coo` sums them once.  Slot terms meet
+    only on the diagonal, where they add from 0 in slot order, as the kron
+    chain's left-to-right CSR additions do; once any terms meet, every entry
+    is a sum from 0, so a -0.0 part reads +0.0.
     """
     _check_matrix_dim(nreg)
     op = nreg.space.embed(op)
-    d, n, dim = nreg.factor_dim, nreg.n, nreg.dim
+    d, n = nreg.factor_dim, nreg.n
     rows, cols, data = op.coo()
-    lefts = [np.ones(1, dtype=np.complex128)]
-    for _ in range(n - 1):
-        lefts.append(np.kron(lefts[-1], twist))
-    if n == 1:
-        return SparseOperator((lefts[0][:, None] * data)[0], op.indices, op.indptr, op.shape)
-    entry = np.arange(len(data))
-    below, on_diag, above = cols < rows, cols == rows, cols > rows
-    below_n = np.bincount(rows[below], minlength=d).astype(np.intp)
-    above_n = np.bincount(rows[above], minlength=d).astype(np.intp)
-    # (op rows, op columns, values, rank in the row's group) of each side
-    lower = (rows[below], cols[below], data[below], (entry - op.indptr[rows])[below])
-    upper = (rows[above], cols[above], data[above],
-             (entry - op.indptr[rows + 1] + above_n[rows])[above])
-    meet = bool(on_diag.any())
-
-    def by_slot(a, k):
-        """a as (left index, digit k, right index)."""
-        return a.reshape(d**k, d, -1)
-
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    if meet:
-        diagonal = np.zeros(dim, dtype=np.complex128)
-        for k, left in enumerate(lefts):
-            by_slot(diagonal, k)[:, rows[on_diag]] += (left[:, None] * data[on_diag])[:, :, None]
-        kept = diagonal != 0
-        indptr[1:] = kept
+    left = np.ones(1, dtype=np.complex128)
+    parts = []
     for k in range(n):
-        by_slot(indptr[1:], k)[...] += (below_n + above_n)[:, None]
-    np.cumsum(indptr, out=indptr)
-    out_data = np.empty(indptr[-1], dtype=np.complex128)
-    out_cols = np.empty(indptr[-1], dtype=np.int32)
-    cursor = indptr[:-1].astype(np.intp)
-
-    def place(k, side):
-        side_rows, side_cols, values, rank = side
-        left = lefts[k]
         right = d ** (n - k - 1)
-        at = by_slot(cursor, k)[:, side_rows] + rank[:, None]
-        l = np.arange(len(left), dtype=np.int32)[:, None, None] * d
-        out_cols[at] = (l + side_cols[:, None]) * right + np.arange(right, dtype=np.int32)
-        values = left[:, None] * values
-        if meet:
-            values += 0  # a sum from 0, like the diagonal's
-        out_data[at] = values[:, :, None]
-
-    for k in range(n):
-        place(k, lower)
-        by_slot(cursor, k)[...] += below_n[:, None]
-    if meet:
-        at = cursor[kept]
-        out_cols[at] = np.flatnonzero(kept)
-        out_data[at] = diagonal[kept]
-        del at, diagonal  # before the above-diagonal slots make theirs
-        cursor += kept
-    for k in reversed(range(n)):
-        place(k, upper)
-        by_slot(cursor, k)[...] += above_n[:, None]
-    return SparseOperator(out_data, out_cols, indptr, (dim, dim))
+        l = np.arange(len(left))[:, None, None] * d
+        b = np.arange(right)
+        values = np.broadcast_to((left[:, None] * data)[:, :, None], (len(left), len(data), right))
+        parts.append((values.ravel(), ((l + rows[:, None]) * right + b).ravel(),
+                      ((l + cols[:, None]) * right + b).ravel()))
+        left = np.kron(left, twist)
+    values, out_rows, out_cols = (np.concatenate(p) for p in zip(*parts))
+    return SparseOperator.from_coo(values, out_rows, out_cols, (nreg.dim, nreg.dim))
 
 
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
@@ -214,10 +162,9 @@ def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
     return _slot_sum(nreg, op, parity) / np.sqrt(nreg.n)
 
 
-def extend_additive(nreg: NRegister, op: ModeBlocks, mean: bool = False) -> SparseOperator:
-    """Untwisted sum over slots; with mean=True, divided by N (central elements)."""
-    total = _slot_sum(nreg, op, np.ones(nreg.factor_dim))
-    return total / nreg.n if mean else total
+def extend_additive(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
+    """Untwisted sum over slots of id^(k-1) x op x id^(N-k)."""
+    return _slot_sum(nreg, op, np.ones(nreg.factor_dim))
 
 
 def extend_unitary(nreg: NRegister, u: ModeBlocks) -> SparseOperator:

@@ -7,16 +7,16 @@ through `SingleOscillatorSpace.embed`.  States are dense 1-d numpy arrays
 (state dimensions stay below the cap, so dense vectors are cheaper than
 hash maps and keep inner products exact-order deterministic).
 All index flattening is row-major: kron(A, B) places B-blocks inside A,
-index = i_A * dim_B + i_B.  The N-slot sums compute these indices directly
-and write canonical CSR with no sort, each diagonal entry summed in slot
-order; the spectral field computes them in one COO assembly.  Tests pin
-both bitwise against independent kron chains; no other layer rolls its own.
+index = i_A * dim_B + i_B.  The N-slot sums and the spectral field compute
+these indices directly, each in one COO assembly.  Tests pin both against
+independent kron chains; no other layer rolls its own.
 
 Summation rule.  Every entry of a product A @ B or A @ v is the sum of its
 terms a_ij b_jk in ascending inner index j, added one at a time to 0; each
 complex term is (ar br - ai bi) + i (ar bi + ai br), rounded after every
 operation, with no fused multiply-add.  Duplicate COO entries are summed
-the same way, in input order.  `noscillator.apply_extension` follows the
+the same way, in input order, and `A @ v` sums every row by one
+`np.add.at` over all entries.  `noscillator.apply_extension` follows the
 rule on N-slot states without forming the matrix, so it equals the N-slot
 CSR product bitwise.
 
@@ -50,9 +50,6 @@ _PADE_13 = (
 
 # row and column indices and row pointers; MAX_DIM keeps every index in range
 _INDEX = np.int32
-
-# rows per block of a matrix-vector product
-_ROW_BLOCK = 8192
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,14 +158,10 @@ class SparseOperator:
         v = np.asarray(other, dtype=np.complex128)
         if v.ndim != 1 or v.shape[0] != self.shape[1]:
             raise ShapeError(f"operator {self.shape} cannot act on an array of shape {v.shape}")
+        rows, cols, data = self.coo()
         out = np.zeros(self.shape[0], dtype=np.complex128)
-        # a block of rows at a time, so no temporary spans every entry; np.add.at
-        # adds each row's terms in entry order, one at a time
-        for start in range(0, self.shape[0], _ROW_BLOCK):
-            ptr = self.indptr[start:start + _ROW_BLOCK + 1]
-            rows = np.repeat(np.arange(start, start + len(ptr) - 1, dtype=_INDEX), np.diff(ptr))
-            part = slice(ptr[0], ptr[-1])
-            np.add.at(out, rows, _products(self.data[part], v[self.indices[part]]))
+        # np.add.at adds each row's terms in entry order, one at a time
+        np.add.at(out, rows, _products(data, v[cols]))
         return out
 
     def _matmul_operator(self, other: SparseOperator) -> SparseOperator:

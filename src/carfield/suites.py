@@ -461,7 +461,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     anti_single = smeared_annihilator(space2, f, "b").anticommutator(
         smeared_annihilator(space2, g, "b").adjoint()
     )
-    expected = extend_additive(nreg2, anti_single, mean=True)
+    expected = extend_additive(nreg2, anti_single) / nreg2.n
     residual = sparse.max_abs(
         sparse.anticommutator(ext_f, sparse.adjoint(ext_g)) - expected
     )
@@ -475,7 +475,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "extended_car_zero", "cross and like anticommutators vanish",
                     worst, 1e-12))
 
-    central = extend_additive(nreg2, mode_projector(space2, 0), mean=True)
+    central = extend_additive(nreg2, mode_projector(space2, 0)) / nreg2.n
     worst = worst_of(
         *(sparse.max_abs(sparse.commutator(central, op))
           for op in (ext_f, sparse.adjoint(ext_g), ext_fd))

@@ -202,14 +202,11 @@ def test_criterion_07_reducible_car():
             for (j, t, sp2), (single_b, ext_b) in ladders.items():
                 anti = sparse.anticommutator(ext_a, sparse.adjoint(ext_b))
                 expected = extend_additive(
-                    nreg,
-                    single_a.anticommutator(single_b.adjoint()),
-                    mean=True,
-                )
+                    nreg, single_a.anticommutator(single_b.adjoint())) / nreg.n
                 worst = max(worst, sparse.max_abs(anti - expected))
                 worst = max(worst, sparse.max_abs(sparse.anticommutator(ext_a, ext_b)))
         for i in range(modes):
-            central = extend_additive(nreg, mode_projector(space, i), mean=True)
+            central = extend_additive(nreg, mode_projector(space, i)) / nreg.n
             for (_, _, _), (_, ext_a) in ladders.items():
                 central_worst = max(
                     central_worst, sparse.max_abs(sparse.commutator(central, ext_a))

@@ -60,9 +60,7 @@ from carfield.noscillator import (
 from carfield.register import REGISTER_DIM, VACUUM_INDEX
 
 from conftest import (
-    assert_same_bytes,
     assert_same_csr,
-    identity_operator,
     random_table,
     scipy_nonzero,
     to_scipy,
@@ -139,22 +137,21 @@ def test_nregister_validation(single_space, single_profile):
 def test_extend_operator_formula(double_space, rng):
     nreg = NRegister(double_space, 2)
     op = smeared_annihilator(double_space, random_table(rng, 2), "b")
-    op_csr = double_space.embed(op)
-    twist = double_space.embed(double_space.parity())
-    ident = identity_operator(double_space.dim)
-    manual = (sparse.tensor_product(op_csr, ident)
-              + sparse.tensor_product(twist, op_csr)) / np.sqrt(2)
-    assert sparse.max_abs(extend_operator(nreg, op) - manual) == 0.0
+    op_csr = to_scipy(double_space.embed(op))
+    twist = to_scipy(double_space.embed(double_space.parity()))
+    ident = scipy.sparse.identity(double_space.dim, dtype=np.complex128, format="csr")
+    manual = (scipy.sparse.kron(op_csr, ident) + scipy.sparse.kron(twist, op_csr)) / np.sqrt(2)
+    assert_same_csr(extend_operator(nreg, op), scipy_nonzero(manual))
 
 
 def test_extend_additive_and_mean(double_space):
     nreg = NRegister(double_space, 2)
     op = mode_projector(double_space, 0)
-    op_csr = double_space.embed(op)
-    ident = identity_operator(double_space.dim)
-    plain = sparse.tensor_product(op_csr, ident) + sparse.tensor_product(ident, op_csr)
-    assert sparse.max_abs(extend_additive(nreg, op) - plain) == 0.0
-    assert sparse.max_abs(extend_additive(nreg, op, mean=True) - plain / 2) == 0.0
+    op_csr = to_scipy(double_space.embed(op))
+    ident = scipy.sparse.identity(double_space.dim, dtype=np.complex128, format="csr")
+    plain = scipy.sparse.kron(op_csr, ident) + scipy.sparse.kron(ident, op_csr)
+    assert_same_csr(extend_additive(nreg, op), scipy_nonzero(plain))
+    assert_same_csr(extend_additive(nreg, op) / nreg.n, scipy_nonzero(plain / 2))
 
 
 def _identity(space):
@@ -173,26 +170,6 @@ def _kron_chain_slot_sum(space, n, op, twist):
             term = scipy_nonzero(scipy.sparse.kron(term, factor, format="csr"))
         total = total + term
     return total
-
-
-def _coo_slot_sum(nreg, op, twist):
-    """The slot sum as one COO assembly: every slot's entries in slot order, summed by from_coo."""
-    op = nreg.space.embed(op)
-    d, n = nreg.factor_dim, nreg.n
-    rows, cols, data = op.coo()
-    left = np.ones(1, dtype=np.complex128)
-    parts = []
-    for k in range(n):
-        right = d ** (n - k - 1)
-        shape = (len(left), len(data), right)
-        l = np.arange(len(left))[:, None, None] * d
-        b = np.arange(right)
-        parts.append((np.broadcast_to((left[:, None] * data)[:, :, None], shape).ravel(),
-                      ((l + rows[:, None]) * right + b).ravel(),
-                      ((l + cols[:, None]) * right + b).ravel()))
-        left = np.kron(left, twist)
-    values, out_rows, out_cols = (np.concatenate(p) for p in zip(*parts))
-    return sparse.SparseOperator.from_coo(values, out_rows, out_cols, (nreg.dim, nreg.dim))
 
 
 def _small_entry_blocks(space, shift=0):
@@ -239,7 +216,6 @@ def _slot_sum_cases(space, rng):
 def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
     space = request.getfixturevalue(space_name)
     nreg = NRegister(space, n)
-    parity = np.tile(np.diag(space.register.parity), space.lattice.size)
     for name, op in _slot_sum_cases(space, rng).items():
         if name in ("dense", "negative_zero_dense") and nreg.dim > 4096:
             continue  # 1.5 million entries at 2 modes, N = 3
@@ -247,10 +223,7 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
         assert_same_csr(extend_operator(nreg, op), scipy_nonzero(twisted / np.sqrt(n)))
         plain = _kron_chain_slot_sum(space, n, op, _identity(space))
         assert_same_csr(extend_additive(nreg, op), scipy_nonzero(plain))
-        assert_same_csr(extend_additive(nreg, op, mean=True), scipy_nonzero(plain / n))
-        for twist in (parity, np.ones(space.dim)):
-            assert_same_bytes(noscillator._slot_sum(nreg, op, twist),
-                              _coo_slot_sum(nreg, op, twist))
+        assert_same_csr(extend_additive(nreg, op) / n, scipy_nonzero(plain / n))
 
 
 def _assert_stores_exactly(got, want):
@@ -324,7 +297,7 @@ def test_extended_car(double_space, rng):
     single_anti = smeared_annihilator(double_space, f, "b").anticommutator(
         smeared_annihilator(double_space, g, "b").adjoint()
     )
-    expected = extend_additive(nreg, single_anti, mean=True)
+    expected = extend_additive(nreg, single_anti) / nreg.n
     got = sparse.anticommutator(ext_f, sparse.adjoint(ext_g))
     assert sparse.max_abs(got - expected) < 1e-13
     assert sparse.max_abs(sparse.anticommutator(ext_f, ext_g)) < 1e-13

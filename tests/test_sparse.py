@@ -252,17 +252,24 @@ def test_matvec_matches_scipy(case):
     assert np.array_equal(a @ v, to_scipy(a) @ v, equal_nan=True)
 
 
-def _add_at_matvec(a, v):
-    """A @ v by its rule: each term a_ij v_j (einsum) added to row i from 0 in entry order."""
-    rows, cols, data = a.coo()
-    out = np.zeros(a.shape[0], dtype=np.complex128)
-    np.add.at(out, rows, np.einsum("i,i->i", data, v[cols]))
-    return out
+def _rule_matvec(a, v):
+    """A @ v written out from the summation rule in Python floats.
+
+    Per row, from 0, in entry order; each term a_ij v_j is
+    (ar vr - ai vi) + i (ar vi + ai vr).
+    """
+    out = []
+    for i in range(a.shape[0]):
+        re = im = 0.0
+        for k in range(a.indptr[i], a.indptr[i + 1]):
+            x, y = complex(a.data[k]), complex(v[a.indices[k]])
+            re += x.real * y.real - x.imag * y.imag
+            im += x.real * y.imag + x.imag * y.real
+        out.append(complex(re, im))
+    return np.array(out, dtype=np.complex128)
 
 
-@pytest.mark.parametrize("block", [1, 3, sparse._ROW_BLOCK])
-def test_matvec_is_the_entry_order_sum_bitwise(monkeypatch, rng, block):
-    monkeypatch.setattr(sparse, "_ROW_BLOCK", block)
+def test_matvec_is_the_entry_order_sum_bitwise(rng):
     dense = _random_dense(rng, 40, 30)
     dense[rng.random(dense.shape) < 0.7] = 0
     dense[[0, 7, 8, 39]] = 0  # empty rows, at both ends and in a run
@@ -273,7 +280,7 @@ def test_matvec_is_the_entry_order_sum_bitwise(monkeypatch, rng, block):
     a = sparse.asoperator(dense)
     v = _random_dense(rng, 30)[:, 0]
     v[2] = complex(np.inf, 0.0)
-    assert (a @ v).tobytes() == _add_at_matvec(a, v).tobytes()
+    assert (a @ v).tobytes() == _rule_matvec(a, v).tobytes()
     empty = zero_operator(30)
     assert (empty @ v).tobytes() == np.zeros(30, dtype=np.complex128).tobytes()
 

@@ -451,6 +451,23 @@ def test_report_suites_build_no_kron_chain(monkeypatch):
     assert krons == []
 
 
+def test_report_builds_n_slot_matrices_only_at_the_identity_dimension(monkeypatch):
+    # the N = 2 operator identities on the 2-mode lattice are the report's only
+    # explicit N-slot matrices; every lattice-sized extension acts on states
+    # slot by slot, so none reaches the matrix route
+    dims = []
+    original = noscillator._slot_sum
+
+    def recorded(nreg, op, twist):
+        dims.append(nreg.dim)
+        return original(nreg, op, twist)
+
+    monkeypatch.setattr(noscillator, "_slot_sum", recorded)
+    run_report(default_config())
+    assert len(dims) == 5
+    assert max(dims) <= (16 * 2) ** noscillator.MATRIX_CHECK_N == 1024
+
+
 def test_cli_refuses_a_grid_report_before_any_suite_runs(tmp_path, monkeypatch, capsys):
     # the symmetries suite needs a rapidity lattice; a full report on a grid
     # must say so before it spends time on the other four suites
