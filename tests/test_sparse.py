@@ -269,14 +269,18 @@ def _rule_matvec(a, v):
     return np.array(out, dtype=np.complex128)
 
 
-def test_matvec_is_the_entry_order_sum_bitwise(rng):
-    dense = _random_dense(rng, 40, 30)
+@pytest.mark.parametrize("nrows", [1, 3, 8192])
+def test_matvec_is_the_entry_order_sum_bitwise(rng, nrows):
+    # one row, a few, and many: every row sums by the same rule
+    dense = _random_dense(rng, nrows, 30)
     dense[rng.random(dense.shape) < 0.7] = 0
-    dense[[0, 7, 8, 39]] = 0  # empty rows, at both ends and in a run
-    dense[5] = _random_dense(rng, 1, 30)  # a full row
-    dense[11, 4] = complex(np.nan, 1.0)
-    dense[12, 0] = complex(-0.0, np.nan)
-    dense[13, 2] = complex(1.0, -0.0)
+    if nrows > 3:
+        dense[[0, 7, 8, -1]] = 0  # empty rows, at both ends and in a run
+    dense[nrows // 2] = _random_dense(rng, 1, 30)  # a full row
+    last = nrows - 1
+    dense[min(11, last), 4] = complex(np.nan, 1.0)
+    dense[min(12, last), 0] = complex(-0.0, np.nan)
+    dense[min(13, last), 2] = complex(1.0, -0.0)
     a = sparse.asoperator(dense)
     v = _random_dense(rng, 30)[:, 0]
     v[2] = complex(np.inf, 0.0)
