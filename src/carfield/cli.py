@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -42,8 +43,12 @@ def _selected_suites(raw: list[str] | None) -> list[str] | None:
     return names
 
 
+# built once per process: parsing leaves a parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
         if args.seed is not None:

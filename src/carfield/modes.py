@@ -22,9 +22,14 @@ operator keeps the range of modes whose blocks may be nonzero and the
 register entries that may be nonzero in them, so the algebra touches only
 those.  A block product computes only the terms a_ij b_jk whose positions
 are set in both patterns, from a plan cached per pair of patterns, and sums
-them by the summation rule of `sparse`.
-`mode_sum`, sum_i (1/w_i) |i><i| x R over a range of modes, is the one
-per-mode builder.  Every space shares the read-only `register.REGISTER`.
+them by the summation rule of `sparse`; one product kernel serves `@` and
+the (anti)commutators, which form the terms of both products of unshifted
+operands in one einsum.
+`mode_blocks` assembles sum_i |i><i| x sum_k c_ik R_k from the nonzero
+entries of each R_k, read from the tables `register.operator_table` built
+at import; `mode_sum`, sum_i (1/w_i) |i><i| x R over a range of modes, is
+the per-mode builder, and writes its range with the same assembly.  Every
+space shares the read-only `register.REGISTER`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots for an operator identity, compared with an
 independent CSR route, or applied to many states; a one-shot application
@@ -50,7 +55,15 @@ import numpy as np
 
 from . import sparse, spinors
 from .errors import ConfigError, DegenerateVacuumError, ShapeError
-from .register import REGISTER, REGISTER_DIM, VACUUM_INDEX
+from .register import (
+    REGISTER,
+    REGISTER_DIM,
+    VACUUM_INDEX,
+    OperatorTable,
+    creator,
+    operator_table,
+    pattern_bits,
+)
 from .sparse import SparseOperator
 
 RAPIDITY_1D = "rapidity1d"
@@ -139,11 +152,6 @@ def _shift_index(shift) -> int:
     raise ShapeError(f"mode shift must be an integer, got {shift!r}")
 
 
-def _pattern_bits(mask: np.ndarray) -> int:
-    """A (16, 16) boolean register pattern as an int with bit 16 r + c set for entry (r, c)."""
-    return int.from_bytes(np.packbits(mask, axis=None, bitorder="little").tobytes(), "little")
-
-
 def _pattern_mask(bits: int) -> np.ndarray:
     raw = np.frombuffer(bits.to_bytes(REGISTER_DIM**2 // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little").view(bool).reshape(REGISTER_DIM, REGISTER_DIM)
@@ -185,7 +193,7 @@ def _product_plan(left: int, right: int) -> tuple:
     order = np.lexsort((slot[entry], rank))
     widths = tuple(int(np.count_nonzero(counts > r)) for r in range(counts.max()))
     return ((i * REGISTER_DIM + j)[order], (j * REGISTER_DIM + k)[order], entries, widths,
-            _pattern_bits(counts > 0))
+            pattern_bits(counts > 0))
 
 
 # the register pattern of one column, entries (j, 0): a vector as a right factor
@@ -216,7 +224,7 @@ class ModeBlocks:
 
     Two bounds let the algebra skip what is zero.  `_live` is a mode range
     [lo, hi) outside which every block is zero, and `_pattern` the register
-    entries (as `_pattern_bits`) that may be nonzero in some block.  Both
+    entries (as `register.pattern_bits`) that may be nonzero in some block.  Both
     may be larger than the exact ones.  Results of the algebra carry them
     over from their operands; a stack from outside is scanned once, when
     they are first needed.  No stack is changed after construction, which
@@ -260,6 +268,12 @@ class ModeBlocks:
                 stack[lo:hi] = blocks
             else:
                 live = _NO_MODES
+        return cls._wrapped(stack, live, shift, pattern)
+
+    @classmethod
+    def _wrapped(cls, stack: np.ndarray, live: tuple[int, int], shift: int,
+                 pattern: int | None = None) -> ModeBlocks:
+        """A result of the algebra on its full (M, 16, 16) stack, zero outside `live`; not checked."""
         op = object.__new__(cls)
         op.__dict__.update(stack=stack, shift=shift, _live=live)
         if pattern is not None:
@@ -274,7 +288,7 @@ class ModeBlocks:
     @functools.cached_property
     def _pattern(self) -> int:
         lo, hi = self._live
-        return _pattern_bits(self.stack[lo:hi].any(axis=0))
+        return pattern_bits(self.stack[lo:hi].any(axis=0))
 
     @classmethod
     def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
@@ -327,35 +341,31 @@ class ModeBlocks:
 
         Only live block pairs are multiplied, and in them only the terms
         a_ij b_jk whose register positions are set in both patterns, listed
-        by the cached `_product_plan`; a term with a zero factor counts as
-        0, as in the CSR product, which stores no zeros.  Each term is
-        einsum's complex product, with no fused multiply-add, and each entry
-        adds its terms to 0 one at a time in ascending j: the summation rule
-        of the CSR product in `sparse`, so the two agree bitwise.
+        by the cached `_product_plan`; `_planned_products` forms and sums
+        them as the CSR product in `sparse` does, so the two agree bitwise.
         """
         m = len(self.stack)
-        if other.stack.shape != self.stack.shape:
-            raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
+        self._check_pair(other)
         shift = self.shift + other.shift
         (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
         lo, hi = max(a_lo, b_lo + self.shift), min(a_hi, b_hi + self.shift)
         if lo >= hi:
             return _zero_blocks(m, shift)
-        lefts, rights, entries, widths, pattern = _product_plan(self._pattern, other._pattern)
-        left = self.stack[lo:hi].reshape(hi - lo, -1)[:, lefts]
-        right = other.stack[lo - self.shift:hi - self.shift].reshape(hi - lo, -1)[:, rights]
-        terms = np.einsum("nt,nt->nt", left, right)
-        # 0 * NaN and 0 * inf would be NaN; the CSR product never forms them
-        terms[(left == 0) | (right == 0)] = 0
-        sums = np.zeros((hi - lo, len(entries)), dtype=np.complex128)
-        start = 0
-        for width in widths:
-            sums[:, :width] += terms[:, start:start + width]
-            start += width
-        blocks = np.zeros((hi - lo, REGISTER_DIM**2), dtype=np.complex128)
-        blocks[:, entries] = sums
-        return ModeBlocks._placed(blocks.reshape(-1, REGISTER_DIM, REGISTER_DIM), m, (lo, hi),
-                                  shift, pattern)
+        plan = _product_plan(self._pattern, other._pattern)
+        ((entries, sums),) = _planned_products(
+            [(self._flat(lo, hi), other._flat(lo - self.shift, hi - self.shift), plan)])
+        stack = np.zeros((m, REGISTER_DIM**2), dtype=np.complex128)
+        stack[lo:hi, entries] = sums
+        return ModeBlocks._wrapped(stack.reshape(m, REGISTER_DIM, REGISTER_DIM), (lo, hi), shift,
+                                   plan[4])
+
+    def _check_pair(self, other: ModeBlocks) -> None:
+        if other.stack.shape != self.stack.shape:
+            raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
+
+    def _flat(self, lo: int, hi: int) -> np.ndarray:
+        """Blocks lo .. hi - 1 as (hi - lo, 256) rows of flat register entries."""
+        return self.stack[lo:hi].reshape(hi - lo, -1)
 
     def adjoint(self) -> ModeBlocks:
         """Shift -> -shift; block j is the conjugate transpose of block j + shift."""
@@ -364,15 +374,74 @@ class ModeBlocks:
         return ModeBlocks._placed(blocks, len(self.stack), (lo - self.shift, hi - self.shift),
                                   -self.shift)
 
+    def _bracket(self, other: ModeBlocks, combine) -> ModeBlocks:
+        """combine(self @ other, other @ self), combine operator.add or operator.sub.
+
+        For unshifted operands both products meet on the same modes, and
+        one einsum forms the terms of both; each is summed as `@` sums it,
+        and the two are combined as `+` and `-` combine them.
+        """
+        if self.shift or other.shift:
+            return combine(self @ other, other @ self)
+        m = len(self.stack)
+        self._check_pair(other)
+        (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
+        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        if lo >= hi:
+            return _zero_blocks(m, 0)
+        a, b = self._flat(lo, hi), other._flat(lo, hi)
+        plans = _product_plan(self._pattern, other._pattern), _product_plan(other._pattern,
+                                                                             self._pattern)
+        (ab_entries, ab), (ba_entries, ba) = _planned_products([(a, b, plans[0]),
+                                                                 (b, a, plans[1])])
+        # a sum from 0 is never -0.0, so an entry of one product alone is
+        # what it is combined with 0, as the full blocks would combine it
+        stack = np.zeros((m, REGISTER_DIM**2), dtype=np.complex128)
+        stack[lo:hi, ab_entries] = ab
+        stack[lo:hi, ba_entries] = combine(stack[lo:hi, ba_entries], ba)
+        return ModeBlocks._wrapped(stack.reshape(m, REGISTER_DIM, REGISTER_DIM), (lo, hi), 0,
+                                   plans[0][4] | plans[1][4])
+
     def commutator(self, other: ModeBlocks) -> ModeBlocks:
-        return self @ other - other @ self
+        return self._bracket(other, operator.sub)
 
     def anticommutator(self, other: ModeBlocks) -> ModeBlocks:
-        return self @ other + other @ self
+        return self._bracket(other, operator.add)
 
     def max_abs(self) -> float:
         lo, hi = self._live
         return sparse.max_abs(self.stack[lo:hi]) if lo < hi else 0.0
+
+
+def _planned_products(factors: list[tuple[np.ndarray, np.ndarray, tuple]]) -> list[tuple]:
+    """The block products of (left, right, plan) triples, all their terms made by one einsum.
+
+    left and right are the live blocks of two operands as (n, 256) flat
+    rows, plan their `_product_plan`; each product comes back as the plan's
+    output entries and their (n, entries) sums.  Each term is einsum's complex product, with no fused
+    multiply-add, and each entry adds its terms to 0 one at a time in
+    ascending j: the summation rule of the CSR product.  A term with a
+    zero factor counts as 0, as in the CSR product, which stores no zeros;
+    with finite factors it is +-0 already, which adds nothing to a sum from
+    0, so only non-finite terms make the zero-factor mask.
+    """
+    lefts = [left.take(plan[0], axis=1) for left, _, plan in factors]
+    rights = [right.take(plan[1], axis=1) for _, right, plan in factors]
+    left = lefts[0] if len(factors) == 1 else np.concatenate(lefts, axis=1)
+    right = rights[0] if len(factors) == 1 else np.concatenate(rights, axis=1)
+    terms = np.einsum("nt,nt->nt", left, right)
+    if not np.isfinite(terms).all():
+        # 0 * NaN and 0 * inf would be NaN; the CSR product never forms them
+        terms[(left == 0) | (right == 0)] = 0
+    products = []
+    start = 0
+    for _, _, (_, _, entries, widths, _) in factors:
+        sums = np.zeros((len(terms), len(entries)), dtype=np.complex128)
+        for width in widths:
+            sums[:, :width] += terms[:, start:start + width]
+            start += width
+        products.append((entries, sums))
+    return products
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -428,15 +497,56 @@ def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     last nonzero row of coeffs.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    ops = np.reshape(np.asarray(reg_ops, dtype=np.complex128), (len(reg_ops), -1))
-    support = ops[coeffs.any(axis=0)].any(axis=0)
-    rows = np.flatnonzero(coeffs.any(axis=1))
-    lo, hi = live = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else _NO_MODES
-    blocks = np.zeros((hi - lo, REGISTER_DIM**2), dtype=np.complex128)
-    # einsum adds the terms to 0 in k order, with no fused multiply-add
-    blocks[:, support] = np.einsum("ik,kt->it", coeffs[lo:hi], ops[:, support])
-    return ModeBlocks._placed(blocks.reshape(-1, REGISTER_DIM, REGISTER_DIM), len(coeffs), live,
-                              0, _pattern_bits(support))
+    return _assemble(len(coeffs), 0, coeffs, [operator_table(op) for op in reg_ops])
+
+
+def _assemble(modes: int, first: int, coeffs: np.ndarray,
+              tables: list[OperatorTable]) -> ModeBlocks:
+    """sum_i |i><i| x sum_k coeffs[i - first, k] R_k, R_k the operators of `tables`.
+
+    coeffs holds the complex rows of modes first, first + 1, ...; the live
+    range runs from its first to its last nonzero row.  Each entry is the
+    einsum of coeffs with every operator entry, over the entries where some
+    R_k with a nonzero coefficient is nonzero: its terms added to 0 in k
+    order.  When the operators used share no entry and all is finite, each
+    entry has one term that is not +-0, and the +-0 terms add nothing; so
+    one einsum multiplies each coefficient with its operator's nonzero
+    entries alone.  Otherwise (shared entries, a non-finite entry, or a
+    non-finite coefficient of one of several operators, which meets the
+    others' entries) the full einsum runs.
+    """
+    nonzero = coeffs != 0
+    used = nonzero.any(axis=0).nonzero()[0]
+    rows = nonzero.any(axis=1).nonzero()[0]
+    stack = np.zeros((modes, REGISTER_DIM**2), dtype=np.complex128)
+    if not len(rows):
+        return ModeBlocks._wrapped(stack.reshape(modes, REGISTER_DIM, REGISTER_DIM), _NO_MODES, 0,
+                                   0)
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    coeffs = coeffs[lo:hi]
+    blocks = stack[first + lo:first + hi]
+    used_tables = [tables[k] for k in used]
+    pattern = shared = 0
+    for table in used_tables:
+        shared |= pattern & table.pattern
+        pattern |= table.pattern
+    if shared or not all(table.finite for table in tables) or (
+            len(used) > 1 and not np.isfinite(coeffs).all()):
+        ops = np.zeros((len(tables), REGISTER_DIM**2), dtype=np.complex128)
+        for op, table in zip(ops, tables):
+            op[table.positions] = table.values
+        support = ops[used].any(axis=0)
+        blocks[:, support] = np.einsum("ik,kt->it", coeffs, ops[:, support])
+    elif len(used) == 1:  # a mode sum: no gather of the coefficient column
+        table, = used_tables
+        blocks[:, table.positions] = np.einsum("i,t->it", coeffs[:, used[0]], table.values)
+    else:
+        positions = np.concatenate([table.positions for table in used_tables])
+        values = np.concatenate([table.values for table in used_tables])
+        columns = np.repeat(used, [len(table.positions) for table in used_tables])
+        blocks[:, positions] = np.einsum("it,t->it", coeffs[:, columns], values)
+    return ModeBlocks._wrapped(stack.reshape(modes, REGISTER_DIM, REGISTER_DIM),
+                               (first + lo, first + hi), 0, pattern)
 
 
 def mode_sum(space: SingleOscillatorSpace, reg_op: np.ndarray,
@@ -450,9 +560,8 @@ def mode_sum(space: SingleOscillatorSpace, reg_op: np.ndarray,
     lo, hi = modes[0], m if modes[1] is None else modes[1]
     if not 0 <= lo <= hi <= m:
         raise ShapeError(f"mode range must lie in [0, {m}], got {modes}")
-    coeffs = np.zeros(m)
-    coeffs[lo:hi] = 1.0 / space.lattice.weights[lo:hi]
-    return mode_blocks(coeffs[:, None], [reg_op])
+    coeffs = (1.0 / space.lattice.weights[lo:hi]).astype(np.complex128)
+    return _assemble(m, lo, coeffs[:, None], [operator_table(reg_op)])
 
 
 def mode_projector(space: SingleOscillatorSpace, i: int) -> ModeBlocks:
@@ -493,7 +602,7 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
     ann = [space.register.ladder(ann_species, s) for s in (0, 1)]
-    cre = [space.register.ladder(cre_species, 1 - s).conj().T for s in (0, 1)]
+    cre = [creator(cre_species, 1 - s) for s in (0, 1)]
     phases = plane_wave_unitary(space, x)
     # einsum products: numpy's vectorized complex multiply can fuse multiply-adds
     coeffs = np.hstack([np.einsum("is,i->is", space.pos_table[:, :, alpha], phases),
@@ -517,14 +626,13 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
     for s in (0, 1):
         terms.append((space.pos_table[:, s, alpha], phases,
                       space.register.ladder(ann_species, s)))
-        terms.append((space.neg_table[:, s, alpha], np.conj(phases),
-                      space.register.ladder(cre_species, 1 - s).conj().T))
+        terms.append((space.neg_table[:, s, alpha], np.conj(phases), creator(cre_species, 1 - s)))
     offsets = REGISTER_DIM * np.arange(space.lattice.size)[:, None]
     rows, cols, data = [], [], []
     for amplitudes, w, ladder in terms:
-        # scalar products, as the CSR product computed them: numpy's vectorized
-        # complex multiply can round differently
-        multiplier = np.array([a * p for a, p in zip(amplitudes, w)])
+        # einsum's products, as the CSR product computes them: numpy's
+        # vectorized complex multiply can round differently
+        multiplier = np.einsum("i,i->i", amplitudes, w)
         r, c = np.nonzero(ladder)
         rows.append((offsets + r).ravel())
         cols.append((offsets + c).ravel())
@@ -584,6 +692,6 @@ def point_profile(lattice: MomentumLattice, index: int) -> VacuumProfile:
 def vacuum_vector(space: SingleOscillatorSpace, profile: VacuumProfile) -> np.ndarray:
     """|O> = sum_i sqrt(w_i) O_i |i, register vacuum>."""
     v = np.zeros(space.dim, dtype=np.complex128)
-    for i in range(space.lattice.size):
-        v[i * REGISTER_DIM + VACUUM_INDEX] = np.sqrt(space.lattice.weights[i]) * profile.values[i]
+    # a real factor on each part: the array multiply rounds as the scalar one
+    v[VACUUM_INDEX::REGISTER_DIM] = np.sqrt(space.lattice.weights) * profile.values
     return v

@@ -23,6 +23,11 @@ CSR product bitwise.
 Storage rule.  An operator stores every nonzero entry, however small, and
 NaN.  Sums, differences, products and assemblies drop only the entries that
 come out exactly zero; scalar `*` and `/` keep the pattern.
+
+Stacks.  `dense_exponential` takes a stack (..., n, n) of dense matrices,
+one matrix being the stack of shape (); each matrix takes its own branch
+and scaling and has the bits it has alone, as the stacked `@` and
+`np.linalg.solve` give each item its own.
 """
 
 from __future__ import annotations
@@ -283,34 +288,50 @@ def _check_square_pair(a: SparseOperator, b: SparseOperator) -> None:
 
 
 def _check_exponent(shape: tuple[int, ...]) -> None:
-    if len(shape) != 2 or shape[0] != shape[1]:
+    if len(shape) < 2 or shape[-2] != shape[-1]:
         raise ShapeError(f"matrix exponential needs a square matrix, got {shape}")
-    if shape[0] > DENSE_EXP_LIMIT:
-        raise SizeCapError(f"dense exponential limited to dim {DENSE_EXP_LIMIT}, got {shape[0]}")
+    if shape[-1] > DENSE_EXP_LIMIT:
+        raise SizeCapError(f"dense exponential limited to dim {DENSE_EXP_LIMIT}, got {shape[-1]}")
 
 
 def dense_exponential(a: np.ndarray) -> np.ndarray:
-    """e^A of a dense matrix.
+    """e^A of each matrix of a dense stack (..., n, n); one matrix is the stack of shape ().
 
     Higham's scaling and squaring (SIAM J. Matrix Anal. Appl. 26 (2005)
     1179): with s = max(0, ceil(log2(|A|_1 / THETA_13))), the degree-13 Pade
     approximant r(A / 2^s) = (V - U)^{-1} (V + U), with U odd and V even in
     A, is squared s times.  A diagonal A takes the exponential of each
-    diagonal entry, and a non-finite A gives NaN in every entry.
+    diagonal entry, and a non-finite A gives NaN in every entry.  Each
+    matrix takes its own branch and s, and the squarings run only on the
+    matrices that still need them; each item has the bits it has alone.
     """
     a = np.asarray(a, dtype=np.complex128)
     _check_exponent(a.shape)
-    diagonal = np.diagonal(a)
-    if np.count_nonzero(a) == np.count_nonzero(diagonal):
-        return np.diag(np.exp(diagonal))
-    norm = np.abs(a).sum(axis=0).max()
-    if not np.isfinite(norm):
-        # NaN in every entry, so a residual built on it fails its check
-        return np.full(a.shape, complex(math.nan, math.nan))
-    s = max(0, math.ceil(math.log2(norm / THETA_13)))
-    a = a / 2**s
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    out = np.zeros_like(stack)
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    on_diagonal = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(diagonal, axis=1)
+    rows = np.flatnonzero(on_diagonal)
+    if len(rows):
+        index = np.arange(n)
+        out[rows[:, None], index, index] = np.exp(diagonal[rows])
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    finite = np.isfinite(norms)
+    # NaN in every entry, so a residual built on it fails its check
+    out[~on_diagonal & ~finite] = complex(math.nan, math.nan)
+    dense = np.flatnonzero(~on_diagonal & finite)
+    if len(dense):
+        out[dense] = _scaled_pade(stack[dense], norms[dense])
+    return out.reshape(a.shape)
+
+
+def _scaled_pade(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The scaling and squaring of `dense_exponential` on a stack of finite matrices."""
+    s = np.array([max(0, math.ceil(math.log2(norm / THETA_13))) for norm in norms])
+    a = a / (2.0 ** s)[:, None, None]
     b = _PADE_13
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -318,8 +339,9 @@ def dense_exponential(a: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for step in range(s.max()):
+        squared = np.flatnonzero(s > step)
+        r[squared] = r[squared] @ r[squared]
     return r
 
 

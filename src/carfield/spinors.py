@@ -264,9 +264,14 @@ def boost_z(eta: float) -> np.ndarray:
     return np.diag([np.exp(eta / 2), np.exp(-eta / 2)]).astype(np.complex128)
 
 
-def random_sl2c(rng: Generator) -> np.ndarray:
+def random_sl2c_exponent(rng: Generator) -> np.ndarray:
+    """A traceless exponent sum_k c_k sigma_k, each c_k 0.35 times a complex normal draw.
+
+    `exponential` of it is a random SL(2,C) element; draw the exponents of
+    many first and exponentiate them as one stack.
+    """
     c = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 0.7 / 2
-    return exponential(c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2])
+    return c[0] * PAULI[0] + c[1] * PAULI[1] + c[2] * PAULI[2]
 
 
 def bispinor_rep(lam: np.ndarray) -> np.ndarray:
@@ -315,7 +320,7 @@ def wigner_matrix(lam, momenta, m: float) -> np.ndarray:
 
 
 def exponential(a: np.ndarray) -> np.ndarray:
-    """e^A of a 2x2 matrix in closed form.
+    """e^A of each 2x2 matrix of a stack (..., 2, 2), in closed form.
 
     With c = tr A / 2 and B = A - c id, B^2 = s^2 id for s^2 = B00^2 + B01 B10,
     so
@@ -325,19 +330,32 @@ def exponential(a: np.ndarray) -> np.ndarray:
     which at s = 0 is e^c (id + B); either root s gives the same value.  A
     diagonal A takes the exponential of each entry.  The result is accurate
     normwise; for large |Re s| the terms cosh s and sinh s nearly cancel in
-    an entry that is small next to the norm.
+    an entry that is small next to the norm.  Each matrix takes its own
+    branch and has the bits it has alone: the scalar products of s^2 are
+    `_times`, and each product of a scalar with a 2x2 matrix broadcasts, so
+    numpy's array multiply runs on that matrix's four entries with the
+    scalar as a stride-0 operand, as `scalar * matrix` runs it.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (2, 2):
+    if a.shape[-2:] != (2, 2):
         raise ShapeError(f"exponential needs a 2x2 matrix, got shape {a.shape}")
-    if a[0, 1] == 0 and a[1, 0] == 0:
-        return np.diag(np.exp(np.diag(a)))
-    c = (a[0, 0] + a[1, 1]) / 2
-    b = a - c * np.eye(2)
-    s = np.sqrt(b[0, 0] ** 2 + b[0, 1] * b[1, 0])
-    if s == 0:
-        return np.exp(c) * (np.eye(2) + b)
-    return np.exp(c) * (np.cosh(s) * np.eye(2) + np.sinh(s) / s * b)
+    stack = a.reshape(-1, 2, 2)
+    out = np.zeros_like(stack)
+    diagonal = (stack[:, 0, 1] == 0) & (stack[:, 1, 0] == 0)
+    out[diagonal, 0, 0] = np.exp(stack[diagonal, 0, 0])
+    out[diagonal, 1, 1] = np.exp(stack[diagonal, 1, 1])
+    rest = np.flatnonzero(~diagonal)
+    g = stack[rest]
+    c = (g[:, 0, 0] + g[:, 1, 1]) / 2
+    b = g - c[:, None, None] * np.eye(2)
+    s = np.sqrt(_times(b[:, 0, 0], b[:, 0, 0]) + _times(b[:, 0, 1], b[:, 1, 0]))
+    nilpotent = s == 0
+    inner = np.empty_like(b)
+    inner[nilpotent] = np.eye(2) + b[nilpotent]
+    t = s[~nilpotent, None, None]
+    inner[~nilpotent] = np.cosh(t) * np.eye(2) + np.sinh(t) / t * b[~nilpotent]
+    out[rest] = np.exp(c)[:, None, None] * inner
+    return out.reshape(a.shape)
 
 
 def classical_solution(lattice, f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -96,8 +96,7 @@ def boost_unitary(space: SingleOscillatorSpace, steps: int) -> BoostData:
         raise PreconditionError("boost steps are only defined on rapidity lattices")
     lam = boost_z(steps * lattice.delta_eta)
     wigner = wigner_matrix(lam, lattice.momenta, lattice.m)
-    mixers = np.array([pair_unitary(w, w) for w in wigner])
-    return BoostData(steps, lam, wigner, ModeBlocks(mixers, steps))
+    return BoostData(steps, lam, wigner, ModeBlocks(pair_unitary(wigner, wigner), steps))
 
 
 def interior_range(modes: int, steps: int) -> tuple[int, int]:
@@ -397,11 +396,13 @@ def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfi
     """<vac_N| extended P_0 |vac_N> on the explicit N-slot state (small N only).
 
     P_0 acts on the state by `apply_extension`, with no N-slot matrix; being
-    diagonal, it is built in the result and multiplied there, so the check
-    holds two states and the conjugate copy `sparse.inner` makes.
+    diagonal, it is built in the result and multiplied there.  The bra is
+    the vacuum conjugated in place, so the check holds two states; the
+    inner product is `sparse.inner`'s einsum.
     """
     nreg = NRegister(space, n)
     vac = vacuum_state(nreg, profile)
     moved = apply_extension(nreg, _momentum_component(space.lattice.momenta[:, 0]), vac,
                             twisted=False)
-    return float(sparse.inner(vac, moved).real)
+    bra = np.conjugate(vac, out=vac)
+    return float(np.einsum("i,i->", bra, moved).real)

@@ -85,7 +85,7 @@ def test_criterion_02_block_exponential():
         if norm > 2.0:
             a *= 2.0 / norm
         closed = pair_exponential(a, a)
-        dense = sparse.dense_exponential(quadratic_generator(reg, a, a))
+        dense = sparse.dense_exponential(quadratic_generator(a, a))
         worst = max(worst, sparse.max_abs(closed - dense))
     _verdict(2, "block exponential identity", worst <= 1e-10,
              f"50 draws with |A| <= 2, residual {worst:.2e} <= 1e-10")
@@ -165,9 +165,10 @@ def test_criterion_06_wigner_mixing():
     rng = np.random.default_rng(106)
     m = 1.0
     # drawn in the order (momentum, l1, l2) per triple, then computed as stacks
-    triples = [(_ball_momenta(rng, 1, m=m)[0], spinors.random_sl2c(rng), spinors.random_sl2c(rng))
-               for _ in range(100)]
-    p, l1, l2 = (np.array(column) for column in zip(*triples))
+    triples = [(_ball_momenta(rng, 1, m=m)[0], spinors.random_sl2c_exponent(rng),
+                spinors.random_sl2c_exponent(rng)) for _ in range(100)]
+    p, x1, x2 = (np.array(column) for column in zip(*triples))
+    l1, l2 = spinors.exponential(np.stack([x1, x2]))
     u12 = spinors.wigner_matrix(l1 @ l2, p, m)
     worst_unit = max(float(np.max(np.abs(np.swapaxes(u12.conj(), 1, 2) @ u12 - np.eye(2)))),
                      float(np.max(np.abs(np.linalg.det(u12) - 1.0))))

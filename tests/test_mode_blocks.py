@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carfield import modes as modes_module
-from carfield import sparse, spinors, symmetries
+from carfield import register, sparse, spinors, symmetries
 from carfield.config import default_config
 from carfield.errors import ShapeError
 from carfield.modes import (
@@ -456,20 +456,136 @@ def test_the_zero_operator_is_shared_and_read_only(default_space):
     assert total is not first and total.max_abs() == first.max_abs()
 
 
+# parts a block may hold besides ordinary values
+SPECIAL_PARTS = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+
+
+def _with_special_parts(rng, stack):
+    """stack with a few real and imaginary parts of its live entries set to NaN, inf, -0.0 or 1e-300."""
+    stack = stack.copy()
+    live = np.flatnonzero(stack)
+    for part in (stack.real, stack.imag):
+        picked = rng.choice(live, size=min(len(live), 3), replace=False) if len(live) else []
+        part.flat[picked] = rng.choice(SPECIAL_PARTS, size=len(picked))
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(modes=st.integers(1, 4), kinds=st.tuples(KINDS, KINDS), shift_seeds=st.tuples(
+    st.integers(0, 8), st.integers(0, 8)), special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fused_brackets_equal_both_products_bitwise(modes, kinds, shift_seeds, special, seed):
+    # unshifted operands (two in three draws) take the fused route, shifted
+    # ones the two products; disjoint live ranges give the shared zero
+    rng = np.random.default_rng(seed)
+    s_a, s_b = (0 if s % 3 else s % (2 * modes + 1) - modes for s in shift_seeds)
+    stacks = [_stack_of(kind, rng, modes) for kind in kinds]
+    if special:
+        stacks = [_with_special_parts(rng, stack) for stack in stacks]
+    a, b = ModeBlocks(stacks[0], s_a), ModeBlocks(stacks[1], s_b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(a.anticommutator(b), a @ b + b @ a), (a.commutator(b), a @ b - b @ a),
+                 (b.anticommutator(a), b @ a + a @ b)]
+    for got, want in pairs:
+        assert (got.shift, got._live, got._pattern) == (want.shift, want._live, want._pattern)
+        _same_bits(got.stack, want.stack)
+
+
+def test_fused_brackets_of_disjoint_operands_are_the_shared_zero(default_space):
+    a = mode_annihilator(default_space, 4, 1, "b")
+    b = mode_annihilator(default_space, 7, 0, "d")
+    m = default_space.lattice.size
+    assert a.anticommutator(b.adjoint()) is ModeBlocks.zeros(m)
+    assert a.commutator(b) is ModeBlocks.zeros(m)
+    with pytest.raises(ShapeError):
+        a.anticommutator(ModeBlocks.zeros(m + 1))
+
+
+def _dense_mode_blocks(coeffs, reg_ops):
+    """The assembly as one einsum of every coefficient with every operator entry."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    ops = np.reshape(np.asarray(reg_ops, dtype=np.complex128), (len(reg_ops), -1))
+    support = ops[coeffs.any(axis=0)].any(axis=0)
+    rows = np.flatnonzero(coeffs.any(axis=1))
+    out = np.zeros((len(coeffs), REGISTER_DIM**2), dtype=np.complex128)
+    if len(rows):
+        lo, hi = rows[0], rows[-1] + 1
+        out[lo:hi, support] = np.einsum("ik,kt->it", coeffs[lo:hi], ops[:, support])
+    return out.reshape(-1, REGISTER_DIM, REGISTER_DIM)
+
+
+OPERATOR_KINDS = st.sampled_from(["ladder", "creator", "parity", "identity", "copy", "dense",
+                                  "overlap", "inf"])
+
+
+def _register_operator(kind, rng):
+    reg = register.REGISTER
+    if kind in ("ladder", "creator"):
+        ops = reg.annihilators() if kind == "ladder" else register.ADJOINTS
+        return ops[rng.integers(4)]
+    if kind == "copy":  # a register operator that is not one of REGISTER's arrays
+        return reg.d_plus.copy()
+    if kind == "dense":
+        return rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    if kind == "overlap":  # shares entries with the identity and the parity
+        return np.diag(rng.standard_normal(16)) + 0j
+    if kind == "inf":
+        op = reg.b_minus.copy()
+        op[3, 3] = np.inf
+        return op
+    return reg.parity if kind == "parity" else reg.identity
+
+
+@settings(max_examples=150, deadline=None)
+@given(modes=st.integers(1, 5), kinds=st.lists(OPERATOR_KINDS, min_size=1, max_size=4),
+       special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mode_blocks_equal_one_dense_einsum_bitwise(modes, kinds, special, seed):
+    # register tables, tables made on the spot, shared entries, non-finite
+    # entries and coefficients: each entry is the dense einsum's
+    rng = np.random.default_rng(seed)
+    ops = [_register_operator(kind, rng) for kind in kinds]
+    coeffs = rng.standard_normal((modes, len(ops))) + 1j * rng.standard_normal((modes, len(ops)))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0
+    coeffs[rng.random(modes) < 0.3] = 0
+    if special:
+        coeffs.real.flat[rng.integers(coeffs.size)] = rng.choice(SPECIAL_PARTS)
+        coeffs.imag.flat[rng.integers(coeffs.size)] = rng.choice(SPECIAL_PARTS)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = modes_module.mode_blocks(coeffs, ops)
+        want = _dense_mode_blocks(coeffs, ops)
+    _same_bits(got.stack, want)
+    live = np.flatnonzero(coeffs.any(axis=1))
+    assert got._live == ((live[0], live[-1] + 1) if len(live) else (0, 0))
+    assert got._pattern == register.pattern_bits(
+        np.any([op != 0 for op, on in zip(ops, coeffs.any(axis=0)) if on], axis=0))
+
+
+def test_mode_sum_writes_its_range_as_the_dense_einsum(space):
+    reg = build_register()
+    m = space.lattice.size
+    for lo, hi in [(0, m), (1, m - 1), (m - 1, m), (2, 2)]:
+        coeffs = np.zeros((m, 1))
+        coeffs[lo:hi, 0] = 1.0 / space.lattice.weights[lo:hi]
+        for op in (reg.b_plus, register.REGISTER.b_plus, register.REGISTER.identity):
+            got = mode_sum(space, op, (lo, hi))
+            _same_bits(got.stack, _dense_mode_blocks(coeffs, [op]))
+            assert got._live == ((lo, hi) if lo < hi else (0, 0))
+
+
 def test_a_nonzero_disjoint_product_fails_the_car_checks(monkeypatch):
-    # the car checks meet disjoint-mode products; if one of them came out
-    # nonzero, car_central or car_zero must say so
-    product = ModeBlocks.__matmul__
+    # the car checks meet disjoint-mode products, both products of each
+    # anticommutator in one fused call; if one of them came out nonzero,
+    # car_central or car_zero must say so
+    anticommutator = ModeBlocks.anticommutator
     faults = []
 
     def faulty(self, other):
-        out = product(self, other)
+        out = anticommutator(self, other)
         if not faults and out is ModeBlocks.zeros(len(out.stack), out.shift):
             faults.append(out.shift)
             return ModeBlocks(np.full(out.stack.shape, 1e-9, dtype=np.complex128), out.shift)
         return out
 
-    monkeypatch.setattr(ModeBlocks, "__matmul__", faulty)
+    monkeypatch.setattr(ModeBlocks, "anticommutator", faulty)
     records = {r.check: r for r in run_suite("mode_space", default_config())}
     assert faults
     assert not (records["car_central"].passed and records["car_zero"].passed)

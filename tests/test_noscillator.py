@@ -226,6 +226,73 @@ def test_extensions_equal_kron_chain_bitwise(request, rng, space_name, n):
         assert_same_csr(extend_additive(nreg, op) / n, scipy_nonzero(plain / n))
 
 
+def _complex_product(x, y):
+    """x y as numpy's scalar complex multiply forms it, in Python floats."""
+    return complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+
+
+def _rule_slot_sum(space, n, op, twist, scale=None):
+    """The N-slot sum written out from the summation rule in Python floats, as {(row, col): value}.
+
+    Slot k places each stored entry v of op at row (l d + r) d^(N-k-1) + b
+    with the value t(l) v, t(l) the product 1 t_(l_0) t_(l_1) ... of the
+    twist diagonal over the k left digits, formed left to right.  Per
+    entry, from 0, slots in order; once any entry meets two terms, every
+    entry is such a sum, else each keeps its one term as it is.  Exact
+    zeros are not stored, and a scale multiplies each stored value by
+    (scale + 0j).
+    """
+    rows, cols, data = space.embed(op).coo()
+    entries = [(int(r), int(c), complex(v)) for r, c, v in zip(rows, cols, data)]
+    d = space.dim
+    twist = [complex(t) for t in twist]
+    lefts = [complex(1.0, 0.0)]
+    terms = {}
+    for k in range(n):
+        right = d ** (n - k - 1)
+        for l, t in enumerate(lefts):
+            for r, c, v in entries:
+                value = _complex_product(t, v)
+                for b in range(right):
+                    key = ((l * d + r) * right + b, (l * d + c) * right + b)
+                    terms.setdefault(key, []).append(value)
+        lefts = [_complex_product(t, u) for t in lefts for u in twist]
+    summed = any(len(values) > 1 for values in terms.values())
+    out = {}
+    for key in sorted(terms):
+        re = im = 0.0
+        for value in terms[key]:
+            re += value.real
+            im += value.imag
+        value = complex(re, im) if summed else terms[key][0]
+        if value != 0:
+            out[key] = value if scale is None else _complex_product(value, complex(scale, 0.0))
+    return out
+
+
+def _assert_rule_bytes(got, want):
+    rows, cols, data = got.coo()
+    assert list(zip(rows.tolist(), cols.tolist())) == list(want)
+    assert data.tobytes() == np.array(list(want.values()), dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("space_name, n", [("single_space", 1), ("single_space", 2),
+                                            ("single_space", 3), ("double_space", 1),
+                                            ("double_space", 2)])
+def test_extensions_equal_the_summation_rule_bytewise(request, rng, space_name, n):
+    # every zero part's sign too: the kron chain above compares values only
+    space = request.getfixturevalue(space_name)
+    nreg = NRegister(space, n)
+    parity = np.tile(np.diag(space.register.parity), space.lattice.size)
+    for name, op in _slot_sum_cases(space, rng).items():
+        if name in ("dense", "negative_zero_dense") and nreg.dim > 1024:
+            continue  # 200 000 Python terms at one mode, N = 3
+        _assert_rule_bytes(extend_operator(nreg, op),
+                           _rule_slot_sum(space, n, op, parity, 1 / np.sqrt(n)))
+        _assert_rule_bytes(extend_additive(nreg, op),
+                           _rule_slot_sum(space, n, op, np.ones(space.dim)))
+
+
 def _assert_stores_exactly(got, want):
     """got is canonical CSR holding exactly the nonzero entries of the scipy matrix want."""
     assert got.indptr[0] == 0 and got.indptr[-1] == got.nnz

@@ -441,6 +441,44 @@ def test_dense_exponential_of_a_non_finite_matrix_is_nan():
         assert np.isnan(sparse.dense_exponential(a)).all()
 
 
+# the kinds of matrix in a stack: scaling from none to many squarings, a
+# diagonal, and non-finite entries on and off the diagonal
+EXPONENT_KINDS = st.sampled_from(["small", "scaled", "large", "diagonal", "zero", "nan", "inf",
+                                  "diagonal_inf"])
+
+
+def _exponent_of(kind, rng, n):
+    a = _random_dense(rng, n)
+    a *= {"small": 0.1, "scaled": 1.0, "large": 30.0}.get(kind, 1.0) / np.abs(a).sum(axis=0).max()
+    if kind.startswith("diagonal"):
+        a = np.diag(np.diag(a))
+    if kind == "zero":
+        a[:] = 0
+    elif kind == "nan":
+        a[0, n - 1] = np.nan
+    elif kind == "inf":
+        a[n - 1, 0] = complex(-np.inf, 0.0)
+    elif kind == "diagonal_inf":
+        a[0, 0] = np.inf
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(EXPONENT_KINDS, min_size=1, max_size=5), n=st.sampled_from([2, 3, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_exponential_gives_each_item_its_own_bits(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_exponent_of(kind, rng, n) for kind in kinds])
+    with np.errstate(all="ignore"):
+        got = sparse.dense_exponential(stack)
+        for item, a in zip(got, stack):
+            assert item.tobytes() == sparse.dense_exponential(a).tobytes()
+        # a stack of stacks is the same stack
+        nested = sparse.dense_exponential(stack[None, :, None])
+    assert nested.shape == (1, len(kinds), 1, n, n)
+    assert nested.tobytes() == got.tobytes()
+
+
 def test_matrix_exponential_guards():
     with pytest.raises(ShapeError):
         sparse.matrix_exponential(SparseOperator.from_coo([], [], [], (2, 3)))

@@ -23,6 +23,10 @@ from carfield.register import quadratic_generator
 momentum_components = st.floats(-8.0, 8.0, allow_nan=False)
 
 
+def _random_sl2c(rng):
+    return spinors.exponential(spinors.random_sl2c_exponent(rng))
+
+
 def spatial_momenta(m=1.0):
     """One on-shell (4,) momentum of mass m."""
     return st.tuples(momentum_components, momentum_components, momentum_components).map(
@@ -279,7 +283,7 @@ def test_batch_rows_equal_single_rows_bitwise(spatial, m, seed):
         warnings.simplefilter("error")
         momenta = spinors.from_spatial(spatial, m)
         n = len(momenta)
-        lams = np.array([spinors.random_sl2c(rng) for _ in range(n)])
+        lams = np.array([_random_sl2c(rng) for _ in range(n)])
         frames = spinors.build_spin_frame(momenta, m)
         pos, neg = spinors.eigen_bispinors(frames)
         assert frames.used_fallback.any() and not frames.used_fallback.all()
@@ -307,8 +311,8 @@ def test_batch_rows_equal_single_rows_bitwise(spatial, m, seed):
 
 def test_apply_lorentz_composition(rng):
     p = spinors.from_spatial([0.5, -0.2, 0.9], 1.0)
-    l1 = spinors.random_sl2c(rng)
-    l2 = spinors.random_sl2c(rng)
+    l1 = _random_sl2c(rng)
+    l2 = _random_sl2c(rng)
     lhs = spinors.apply_lorentz(l1 @ l2, p, 1.0)
     rhs = spinors.apply_lorentz(l1, spinors.apply_lorentz(l2, p, 1.0), 1.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -316,7 +320,7 @@ def test_apply_lorentz_composition(rng):
 
 def test_apply_lorentz_to_point_preserves_interval(rng):
     x = rng.uniform(-2, 2, 4)
-    lam = spinors.random_sl2c(rng)
+    lam = _random_sl2c(rng)
     y = spinors.apply_lorentz_to_point(lam, x)
     norm = lambda v: v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2
     assert norm(y) == pytest.approx(norm(x), abs=1e-10)
@@ -332,8 +336,8 @@ def test_boost_z_moves_rapidity():
 def test_wigner_unitarity_and_cocycle(rng):
     for _ in range(20):
         p = spinors.from_spatial(rng.uniform(-4, 4, 3), 1.0)
-        l1 = spinors.random_sl2c(rng)
-        l2 = spinors.random_sl2c(rng)
+        l1 = _random_sl2c(rng)
+        l2 = _random_sl2c(rng)
         u12 = spinors.wigner_matrix(l1 @ l2, p, 1.0)
         assert np.max(np.abs(u12.conj().T @ u12 - np.eye(2))) < 1e-10
         assert abs(np.linalg.det(u12) - 1.0) < 1e-10
@@ -383,6 +387,36 @@ def test_exponential_is_exact_on_diagonals(rng):
         spinors.exponential(np.eye(3))
 
 
+TWO_BY_TWO_KINDS = st.sampled_from(["general", "diagonal", "jordan", "zero", "traceless"])
+
+
+def _two_by_two(kind, rng):
+    a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * rng.uniform(0.1, 3)
+    if kind == "diagonal":
+        return np.diag(np.diag(a))
+    if kind == "jordan":  # s = 0 with a nonzero nilpotent part
+        return np.array([[a[0, 0], a[0, 1]], [0.0, a[0, 0]]])
+    if kind == "zero":
+        return np.zeros((2, 2), dtype=np.complex128)
+    if kind == "traceless":
+        return a - 0.5 * np.trace(a) * np.eye(2)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(TWO_BY_TWO_KINDS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_exponential_gives_each_item_its_own_bits(kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_two_by_two(kind, rng) for kind in kinds])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spinors.exponential(stack)
+        for item, a in zip(got, stack):
+            assert _same_bits(item, spinors.exponential(a))
+        nested = spinors.exponential(stack[:, None])
+    assert nested.shape == (len(kinds), 1, 2, 2) and _same_bits(nested[:, 0], got)
+
+
 def test_exponential_of_a_jordan_block():
     # s = 0 with a nonzero nilpotent part: e^{lam id + N} = e^lam (id + N)
     for lam in (0.0, 1.5, -0.7 + 2j):
@@ -398,7 +432,7 @@ def test_boost_mixers_match_dense_expm_of_logm(default_space, reg):
     # pins the placement of the mixers
     for steps in range(-6, 7):
         boost = symmetries.boost_unitary(default_space, steps)
-        dense = np.array([expm(quadratic_generator(reg, logm(w), logm(w)))
+        dense = np.array([expm(quadratic_generator(logm(w), logm(w)))
                           for w in boost.wigner])
         want = ModeBlocks(dense, steps)
         assert boost.unitary.shift == want.shift

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carfield import noscillator, register, sparse, spinors, suites
+from carfield import modes, noscillator, register, sparse, spinors, suites
 from carfield.cli import main
 from carfield.config import (
     MAX_ENERGY,
@@ -24,7 +24,7 @@ from carfield.config import (
     load_config,
 )
 from carfield.errors import ConfigError
-from carfield.register import build_register, conjugation_report
+from carfield.register import REGISTER_DIM, build_register, conjugation_report
 from carfield.suites import SUITE_ORDER, _rec, render_text, run_report, run_suite
 
 
@@ -154,15 +154,20 @@ def test_render_text(fast_config):
 
 def test_nan_residual_fails_its_check(monkeypatch, fast_config):
     assert not _rec("s", "c", "identity", float("nan"), 1e-12).passed
-    # a NaN from the second of the 16 anticommutator blocks must reach the record
+    # the 16 anticommutator blocks are one stacked residual, the first
+    # max_abs of the suite; a NaN in the second block must reach the record
     real_max_abs = sparse.max_abs
     calls = []
 
-    def nan_on_second_call(a):
+    def nan_in_second_block(a):
         calls.append(a)
-        return float("nan") if len(calls) == 2 else real_max_abs(a)
+        if len(calls) == 1:
+            a = np.array(a)
+            assert a.shape == (4, 4, REGISTER_DIM, REGISTER_DIM)
+            a[0, 1, 0, 0] = np.nan
+        return real_max_abs(a)
 
-    monkeypatch.setattr(sparse, "max_abs", nan_on_second_call)
+    monkeypatch.setattr(sparse, "max_abs", nan_in_second_block)
     record = run_suite("jw_car", fast_config)[0]
     assert record.check == "anticommutator"
     assert np.isnan(record.residual)
@@ -468,6 +473,21 @@ def test_report_builds_n_slot_matrices_only_at_the_identity_dimension(monkeypatc
     assert max(dims) <= (16 * 2) ** noscillator.MATRIX_CHECK_N == 1024
 
 
+def test_report_runs_its_small_matrix_samples_as_stacks(monkeypatch):
+    # the premise of the stacked kernels: each sample set of 2x2 or 16x16
+    # matrices is one call, and block builds are not repeated per item; a
+    # per-item loop brought back raises these counts (141 mode_blocks, 25
+    # dense_exponential and 18 pair_unitary calls before the stacks)
+    builds = _count_calls(monkeypatch, modes, "mode_blocks")
+    sums = _count_calls(monkeypatch, modes, "mode_sum")
+    exponentials = _count_calls(monkeypatch, sparse, "dense_exponential")
+    unitaries = _count_calls(monkeypatch, register, "pair_unitary")
+    closed_forms = _count_calls(monkeypatch, spinors, "exponential")
+    run_report(default_config())
+    assert (len(builds), len(sums)) == (66, 69)
+    assert (len(exponentials), len(unitaries), len(closed_forms)) == (3, 2, 4)
+
+
 def test_cli_refuses_a_grid_report_before_any_suite_runs(tmp_path, monkeypatch, capsys):
     # the symmetries suite needs a rapidity lattice; a full report on a grid
     # must say so before it spends time on the other four suites
@@ -495,27 +515,31 @@ def test_cli_reads_config_file(tmp_path):
 
 
 def test_nan_conjugation_residual_fails_su2_check(monkeypatch, fast_config):
-    # the third max_abs call of the register layer is the second su2 term of
-    # the first conjugation report; builtin max would keep the first term
-    class NanOnThirdCall:
-        calls = 0
+    # the first conjugation of a report is the su2 one, every ladder of every
+    # sample in one stack (..., species, s, 16, 16); a NaN in the second su2
+    # term of the first sample must reach its residual, whatever the other
+    # terms read, and the su2 record
+    real_conjugate = register._conjugate
+    calls = []
 
-        def __getattr__(self, name):
-            return getattr(sparse, name)
-
-        def max_abs(self, a):
-            self.calls += 1
-            return float("nan") if self.calls == 3 else sparse.max_abs(a)
+    def nan_in_second_su2_term(inv, op, conj):
+        out = real_conjugate(inv, op, conj)
+        calls.append(out.shape)
+        if len(calls) == 1:
+            assert out.shape[-4:] == (2, 2, REGISTER_DIM, REGISTER_DIM)
+            out.reshape(-1, REGISTER_DIM, REGISTER_DIM)[1, 0, 0] = np.nan
+        return out
 
     reg = build_register()
     a = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
-    monkeypatch.setattr(register, "sparse", NanOnThirdCall())
+    monkeypatch.setattr(register, "_conjugate", nan_in_second_su2_term)
     report = conjugation_report(reg, a, 0.4, -0.7)
     assert np.isnan(report.su2_residual)
     assert report.phase_residual < 1e-10 and report.parity_residual < 1e-10
 
-    monkeypatch.setattr(register, "sparse", NanOnThirdCall())
+    calls.clear()
     records = {r.check: r for r in run_suite("jw_car", fast_config)}
+    assert calls[0][:-4] == (5,)
     assert np.isnan(records["su2_conjugation"].residual)
     assert not records["su2_conjugation"].passed
     assert records["phase_conjugation"].passed
