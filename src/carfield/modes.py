@@ -537,9 +537,6 @@ def _assemble(modes: int, first: int, coeffs: np.ndarray,
             op[table.positions] = table.values
         support = ops[used].any(axis=0)
         blocks[:, support] = np.einsum("ik,kt->it", coeffs, ops[:, support])
-    elif len(used) == 1:  # a mode sum: no gather of the coefficient column
-        table, = used_tables
-        blocks[:, table.positions] = np.einsum("i,t->it", coeffs[:, used[0]], table.values)
     else:
         positions = np.concatenate([table.positions for table in used_tables])
         values = np.concatenate([table.values for table in used_tables])

@@ -73,13 +73,8 @@ class JWRegister:
         return [self.b_minus, self.b_plus, self.d_minus, self.d_plus]
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two matrices: the same broadcast product, without np.kron's setup."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
-
-
 def _chain(*factors: np.ndarray) -> np.ndarray:
-    return functools.reduce(_kron, factors)
+    return functools.reduce(np.kron, factors)
 
 
 def build_register() -> JWRegister:
