@@ -25,7 +25,7 @@ from .modes import (
 from .noscillator import MATRIX_CHECK_N
 from .register import REGISTER_DIM
 from .sparse import MAX_DIM
-from .spinors import row_norms
+from .spinors import dot_point, row_norms
 
 PROFILE_KINDS = ("uniform", "gaussian", "point")
 
@@ -88,8 +88,9 @@ class LatticeConfig:
             raise ConfigError(f"lattice mode must be one of {RAPIDITY_1D!r}, {GRID_3D!r}")
         if self.m <= 0:
             raise ConfigError(f"mass must be positive, got {_shown(self.m)}")
-        # MAX_MODES also keeps the translation route's dense exponential of the
-        # 16 M-dim generator small; checked before a huge j_max is built
+        # checked before a huge j_max is built; the translation generator is
+        # diagonal, so its exponential takes the diagonal rule and no dense
+        # exponential of a 16 M-dim matrix ever runs
         modes = 2 * self.j_max + 1 if self.mode == RAPIDITY_1D else self.grid_n**3
         if modes > MAX_MODES:
             raise ConfigError(f"the lattice has more than {MAX_MODES} modes; "
@@ -182,6 +183,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a 4-vector, got {_shown(value)}")
             _require_finite(name, *value)
             object.__setattr__(self, name, tuple(float(v) for v in value))
+        # with y.p = 0 on every mode the translation is the identity, and the
+        # checks of its action would compare a state or operator with itself
+        if not dot_point(lattice.momenta, self.displacement).any():
+            raise ConfigError("the displacement moves no lattice mode: y.p = 0 on every mode")
 
     def to_dict(self) -> dict:
         out = asdict(self)

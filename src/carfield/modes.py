@@ -25,19 +25,19 @@ are set in both patterns, from a plan cached per pair of patterns, and sums
 them by the summation rule of `sparse`; one product kernel serves `@` and
 the (anti)commutators, which form the terms of both products of unshifted
 operands in one einsum.
-`mode_blocks` assembles sum_i |i><i| x sum_k c_ik R_k from the nonzero
-entries of each R_k, read from the tables `register.operator_table` built
-at import; `mode_sum`, sum_i (1/w_i) |i><i| x R over a range of modes, is
-the per-mode builder, and writes its range with the same assembly.  Every
-space shares the read-only `register.REGISTER`.
+`mode_blocks` assembles sum_i |i><i| x sum_k c_ik R_k, the R_k on disjoint
+supports, from the nonzero entries of each R_k, read from the tables
+`register.operator_table` built at import; `mode_sum`, sum_i (1/w_i) |i><i|
+x R over a range of modes, is the per-mode builder, and writes its range
+with the same assembly.  Every space shares the read-only `register.REGISTER`.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
-operator is extended to N slots for an operator identity, compared with an
-independent CSR route, or applied to many states; a one-shot application
-to a state takes `noscillator.apply_extension`, at one slot or N, with no
-matrix.  Blocks follow the storage rule of `sparse`: every
-entry that is not exactly zero is kept, however small, and `embed` drops
-only exact zeros, so the block algebra and its CSR image agree entry for
-entry.  `field_operator_spectral` keeps its own assembly
+operator is extended to N slots for an operator identity or compared with
+an independent CSR route; an operator applied to a state takes
+`noscillator.apply_extension`, at one slot or N, with no matrix.  Blocks
+follow the storage rule of `sparse`: every entry that is not exactly zero
+is kept, however small, and `embed` drops only exact zeros, so the block
+algebra and its CSR image agree entry for entry.
+`field_operator_spectral` keeps its own assembly
 on purpose, with no `ModeBlocks`: it places the kron of each diagonal
 multiplier with a register ladder by index arithmetic, all four terms in one
 COO triple converted to CSR once, so the field's dual-route check compares
@@ -491,10 +491,10 @@ class SingleOscillatorSpace:
 def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
     """sum_i |i><i| x sum_k coeffs[i, k] reg_ops[k].
 
-    Callers pass small-integer register operators on disjoint supports: each
-    entry is exact.  Only the entries where some reg_op with a nonzero
-    coefficient is nonzero are computed, on the modes from the first to the
-    last nonzero row of coeffs.
+    Callers pass register operators on disjoint supports; operators with a
+    nonzero coefficient that share an entry raise ShapeError.  Each entry
+    is its one operator's value times the coefficient, on the modes from
+    the first to the last nonzero row of coeffs.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     return _assemble(len(coeffs), 0, coeffs, [operator_table(op) for op in reg_ops])
@@ -505,15 +505,14 @@ def _assemble(modes: int, first: int, coeffs: np.ndarray,
     """sum_i |i><i| x sum_k coeffs[i - first, k] R_k, R_k the operators of `tables`.
 
     coeffs holds the complex rows of modes first, first + 1, ...; the live
-    range runs from its first to its last nonzero row.  Each entry is the
-    einsum of coeffs with every operator entry, over the entries where some
-    R_k with a nonzero coefficient is nonzero: its terms added to 0 in k
-    order.  When the operators used share no entry and all is finite, each
-    entry has one term that is not +-0, and the +-0 terms add nothing; so
-    one einsum multiplies each coefficient with its operator's nonzero
-    entries alone.  Otherwise (shared entries, a non-finite entry, or a
-    non-finite coefficient of one of several operators, which meets the
-    others' entries) the full einsum runs.
+    range runs from its first to its last nonzero row.  The operators with
+    a nonzero coefficient must share no entry (ShapeError otherwise), so
+    each entry is one einsum product of a coefficient with its operator's
+    nonzero entry.  A coefficient meets no other operator's entries, as in
+    a block product a zero factor meets no term: a non-finite coefficient
+    or entry reaches only its own operator's entries.  For finite inputs
+    this is the einsum of coeffs with every operator entry, whose other
+    terms are +-0 and add nothing.
     """
     nonzero = coeffs != 0
     used = nonzero.any(axis=0).nonzero()[0]
@@ -523,25 +522,17 @@ def _assemble(modes: int, first: int, coeffs: np.ndarray,
         return ModeBlocks._wrapped(stack.reshape(modes, REGISTER_DIM, REGISTER_DIM), _NO_MODES, 0,
                                    0)
     lo, hi = int(rows[0]), int(rows[-1]) + 1
-    coeffs = coeffs[lo:hi]
-    blocks = stack[first + lo:first + hi]
     used_tables = [tables[k] for k in used]
-    pattern = shared = 0
+    pattern = 0
     for table in used_tables:
-        shared |= pattern & table.pattern
+        if pattern & table.pattern:
+            raise ShapeError("mode_blocks needs register operators on disjoint supports")
         pattern |= table.pattern
-    if shared or not all(table.finite for table in tables) or (
-            len(used) > 1 and not np.isfinite(coeffs).all()):
-        ops = np.zeros((len(tables), REGISTER_DIM**2), dtype=np.complex128)
-        for op, table in zip(ops, tables):
-            op[table.positions] = table.values
-        support = ops[used].any(axis=0)
-        blocks[:, support] = np.einsum("ik,kt->it", coeffs, ops[:, support])
-    else:
-        positions = np.concatenate([table.positions for table in used_tables])
-        values = np.concatenate([table.values for table in used_tables])
-        columns = np.repeat(used, [len(table.positions) for table in used_tables])
-        blocks[:, positions] = np.einsum("it,t->it", coeffs[:, columns], values)
+    positions = np.concatenate([table.positions for table in used_tables])
+    values = np.concatenate([table.values for table in used_tables])
+    columns = np.repeat(used, [len(table.positions) for table in used_tables])
+    stack[first + lo:first + hi, positions] = np.einsum("it,t->it", coeffs[lo:hi, columns],
+                                                        values)
     return ModeBlocks._wrapped(stack.reshape(modes, REGISTER_DIM, REGISTER_DIM),
                                (first + lo, first + hi), 0, pattern)
 

@@ -119,7 +119,6 @@ class OperatorTable:
     positions: np.ndarray
     values: np.ndarray
     pattern: int  # `pattern_bits` of the positions
-    finite: bool  # whether every value is finite
 
 
 def _operator_table(op) -> OperatorTable:
@@ -131,7 +130,7 @@ def _operator_table(op) -> OperatorTable:
     values = flat[positions]
     for array in (positions, values):
         array.flags.writeable = False
-    return OperatorTable(positions, values, pattern_bits(flat != 0), bool(np.isfinite(values).all()))
+    return OperatorTable(positions, values, pattern_bits(flat != 0))
 
 
 # keyed by id: the keyed arrays live as long as the module, so no other
@@ -250,22 +249,17 @@ def _item_max_abs(a: np.ndarray, item_ndim: int) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(-item_ndim, 0)))
 
 
-def _as_reported(residuals: np.ndarray):
-    """Per-item residuals: a float for the stack of shape (), else the array."""
-    return float(residuals) if residuals.ndim == 0 else residuals
-
-
 @dataclass(frozen=True)
 class ConjugationReport:
-    """Residuals of `conjugation_report`: floats for one form, arrays over a stack."""
+    """Residuals of `conjugation_report`, one per item of the stack (shape () for one form)."""
 
-    su2_residual: float | np.ndarray
-    phase_residual: float | np.ndarray
-    parity_residual: float | np.ndarray
+    su2_residual: np.ndarray
+    phase_residual: np.ndarray
+    parity_residual: np.ndarray
 
 
-def conjugation_report(reg: JWRegister, a: np.ndarray, alpha, beta) -> ConjugationReport:
-    """Residuals of the three conjugation identities of the register algebra.
+def conjugation_report(a: np.ndarray, alpha, beta) -> ConjugationReport:
+    """Residuals of the three conjugation identities of `REGISTER`'s algebra.
 
     (i)   e^{-X} c_s e^{X} = sum_s' u_{ss'} c_{s'} with X = b'Ab + d'Ad and
           u = e^A, which must be special-unitary (checked, 1e-10);
@@ -285,7 +279,7 @@ def conjugation_report(reg: JWRegister, a: np.ndarray, alpha, beta) -> Conjugati
     if np.any(unit > 1e-10) or np.any(np.abs(_determinant(u) - 1) > 1e-10):
         raise PreconditionError("e^A is not special-unitary; the mixing identity needs u in SU(2)")
 
-    ladders = np.array([[reg.b_minus, reg.b_plus], [reg.d_minus, reg.d_plus]])
+    ladders = np.reshape(REGISTER.annihilators(), (2, 2, REGISTER_DIM, REGISTER_DIM))
 
     x = quadratic_generator(a, a)[..., None, None, :, :]
     ex, ex_inv = sparse.dense_exponential(np.stack([x, -x]))
@@ -305,8 +299,7 @@ def conjugation_report(reg: JWRegister, a: np.ndarray, alpha, beta) -> Conjugati
 
     parity_residual = np.zeros(a.shape[:-2])
     for conj, inv in ((ex, ex_inv), (ey, ey_inv)):
-        moved = _conjugate(inv[..., 0, 0, :, :], reg.parity, conj[..., 0, 0, :, :])
-        parity_residual = np.maximum(parity_residual, _item_max_abs(moved - reg.parity, 2))
+        moved = _conjugate(inv[..., 0, 0, :, :], REGISTER.parity, conj[..., 0, 0, :, :])
+        parity_residual = np.maximum(parity_residual, _item_max_abs(moved - REGISTER.parity, 2))
 
-    return ConjugationReport(_as_reported(su2_residual), _as_reported(phase_residual),
-                             _as_reported(parity_residual))
+    return ConjugationReport(su2_residual, phase_residual, parity_residual)

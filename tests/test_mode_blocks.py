@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carfield import modes as modes_module
-from carfield import register, sparse, spinors, symmetries
+from carfield import register, sparse, spinors, suites, symmetries
 from carfield.config import default_config
 from carfield.errors import ShapeError
 from carfield.modes import (
@@ -535,12 +535,34 @@ def _register_operator(kind, rng):
     return reg.parity if kind == "parity" else reg.identity
 
 
+def _table_mode_blocks(coeffs, reg_ops):
+    """The assembly by the per-operator table rule, one operator at a time.
+
+    On the modes from the first to the last nonzero row of coeffs, each
+    operator with a nonzero coefficient writes its coefficient column times
+    its own nonzero entries, and nothing else: a non-finite coefficient or
+    entry meets no other operator's entries.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    out = np.zeros((len(coeffs), REGISTER_DIM**2), dtype=np.complex128)
+    rows = np.flatnonzero(coeffs.any(axis=1))
+    for k, op in enumerate(reg_ops):
+        flat = np.asarray(op, dtype=np.complex128).reshape(-1)
+        if len(rows) and coeffs[:, k].any():
+            lo, hi = rows[0], rows[-1] + 1
+            positions = np.flatnonzero(flat)
+            out[lo:hi, positions] = np.einsum("i,t->it", coeffs[lo:hi, k], flat[positions])
+    return out.reshape(-1, REGISTER_DIM, REGISTER_DIM)
+
+
 @settings(max_examples=150, deadline=None)
 @given(modes=st.integers(1, 5), kinds=st.lists(OPERATOR_KINDS, min_size=1, max_size=4),
        special=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_mode_blocks_equal_one_dense_einsum_bitwise(modes, kinds, special, seed):
-    # register tables, tables made on the spot, shared entries, non-finite
-    # entries and coefficients: each entry is the dense einsum's
+    # register tables and tables made on the spot: operators on disjoint
+    # supports give the dense einsum's bits where all is finite, and the
+    # per-operator table rule's bits with a non-finite entry or
+    # coefficient; operators that share an entry are refused
     rng = np.random.default_rng(seed)
     ops = [_register_operator(kind, rng) for kind in kinds]
     coeffs = rng.standard_normal((modes, len(ops))) + 1j * rng.standard_normal((modes, len(ops)))
@@ -549,14 +571,20 @@ def test_mode_blocks_equal_one_dense_einsum_bitwise(modes, kinds, special, seed)
     if special:
         coeffs.real.flat[rng.integers(coeffs.size)] = rng.choice(SPECIAL_PARTS)
         coeffs.imag.flat[rng.integers(coeffs.size)] = rng.choice(SPECIAL_PARTS)
+    used = coeffs.any(axis=0)
+    if np.sum([op != 0 for op, on in zip(ops, used) if on], axis=0).max(initial=0) > 1:
+        with pytest.raises(ShapeError, match="disjoint supports"):
+            modes_module.mode_blocks(coeffs, ops)
+        return
     with np.errstate(invalid="ignore", over="ignore"):
         got = modes_module.mode_blocks(coeffs, ops)
-        want = _dense_mode_blocks(coeffs, ops)
-    _same_bits(got.stack, want)
+        if np.isfinite(coeffs).all() and np.isfinite(ops).all():
+            _same_bits(got.stack, _dense_mode_blocks(coeffs, ops))
+        _same_bits(got.stack, _table_mode_blocks(coeffs, ops))
     live = np.flatnonzero(coeffs.any(axis=1))
     assert got._live == ((live[0], live[-1] + 1) if len(live) else (0, 0))
     assert got._pattern == register.pattern_bits(
-        np.any([op != 0 for op, on in zip(ops, coeffs.any(axis=0)) if on], axis=0))
+        np.any([op != 0 for op, on in zip(ops, used) if on], axis=0))
 
 
 def test_mode_sum_writes_its_range_as_the_dense_einsum(space):
@@ -569,6 +597,26 @@ def test_mode_sum_writes_its_range_as_the_dense_einsum(space):
             got = mode_sum(space, op, (lo, hi))
             _same_bits(got.stack, _dense_mode_blocks(coeffs, [op]))
             assert got._live == ((lo, hi) if lo < hi else (0, 0))
+
+
+def test_a_nan_central_coefficient_fails_smeared_car(monkeypatch):
+    # smeared_car assembles sum_i w <f,g>_i central_i as one mode_blocks call;
+    # a NaN coefficient on one mode must reach its residual and fail it
+    real_mode_blocks = modes_module.mode_blocks
+    calls = []
+
+    def nan_on_mode_3(coeffs, reg_ops):
+        if len(reg_ops) == 1 and reg_ops[0] is register.REGISTER.identity:
+            coeffs = np.array(coeffs)
+            coeffs[3, 0] = np.nan
+            calls.append(coeffs.shape)
+        return real_mode_blocks(coeffs, reg_ops)
+
+    monkeypatch.setattr(suites, "mode_blocks", nan_on_mode_3)
+    records = {r.check: r for r in run_suite("mode_space", default_config())}
+    assert calls == [(13, 1)]
+    assert np.isnan(records["smeared_car"].residual) and not records["smeared_car"].passed
+    assert records["vacuum_profile"].passed and records["car_central"].passed
 
 
 def test_a_nonzero_disjoint_product_fails_the_car_checks(monkeypatch):

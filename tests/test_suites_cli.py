@@ -24,7 +24,7 @@ from carfield.config import (
     load_config,
 )
 from carfield.errors import ConfigError
-from carfield.register import REGISTER_DIM, build_register, conjugation_report
+from carfield.register import REGISTER_DIM, conjugation_report
 from carfield.suites import SUITE_ORDER, _rec, render_text, run_report, run_suite
 
 
@@ -311,6 +311,9 @@ NAN, INF = float("nan"), float("inf")
     {"lattice": []},
     {"profile": 3},
     {"displacement": 5},
+    # a displacement with y.p = 0 on every mode: translation is the identity
+    # and its checks compare a state or operator with itself
+    {"displacement": [0, 0.3, 0.2, 0]},
     # an integer past the float range, and lattices too large to build or to
     # exponentiate densely
     {"lattice": {"delta_eta": 10**400}},
@@ -366,6 +369,22 @@ def test_cli_rejects_misleading_configs_at_load(tmp_path, capsys, data):
     assert err.startswith("configuration error:") and err.count("\n") == 1
     # echoed values are cut short; the file path is the caller's own text
     assert len(err.replace(str(tmp_path), "")) < 120
+
+
+def test_config_refuses_a_displacement_that_moves_no_lattice_mode():
+    # rapidity momenta lie in the (E, pz) plane, so y.p reads only y0 and y3;
+    # grid momenta reach every axis, and one mode at rest reads only y0
+    with pytest.raises(ConfigError, match=r"^the displacement moves no lattice mode: y.p = 0"):
+        config_from_dict({"displacement": [0, 0.3, 0.2, 0]})
+    with pytest.raises(ConfigError, match="moves no lattice mode"):
+        RunConfig(displacement=(0.0, 0.0, 0.0, 0.0))
+    rest = LatticeConfig(mode="grid3d", grid_n=1)
+    with pytest.raises(ConfigError, match="moves no lattice mode"):
+        RunConfig(lattice=rest, displacement=(0.0, 1.0, 0.0, 0.0))
+    for y in ((0.0, 0.3, 0.2, 1e-3), (1e-3, 0.3, 0.2, 0.0)):
+        assert RunConfig(displacement=y).displacement == y
+    grid = LatticeConfig(mode="grid3d")
+    assert RunConfig(lattice=grid, displacement=(0.0, 0.3, 0.2, 0.0)).lattice == grid
 
 
 def test_config_accepts_boost_steps_up_to_j_max():
@@ -428,7 +447,7 @@ def test_cli_run_error_exits_2_with_one_line(monkeypatch, capsys):
 
 
 def _count_calls(monkeypatch, module, name):
-    """Count calls of module.name, also where a carfield module imports it by name."""
+    """Count calls of module.name, a function or a class's method, also where a carfield module imports it by name."""
     calls = []
     original = getattr(module, name)
 
@@ -477,14 +496,23 @@ def test_report_runs_its_small_matrix_samples_as_stacks(monkeypatch):
     # the premise of the stacked kernels: each sample set of 2x2 or 16x16
     # matrices is one call, and block builds are not repeated per item; a
     # per-item loop brought back raises these counts (141 mode_blocks, 25
-    # dense_exponential and 18 pair_unitary calls before the stacks)
+    # dense_exponential and 18 pair_unitary calls before the stacks).  Each
+    # mode-diagonal operator of a check is one assembly, not a per-mode sum
+    # (69 mode_sum and 35 additions before), each field operator is built
+    # once (36 before), and single-oscillator states are acted on by
+    # apply_extension, not by an embedded CSR (19 embed calls before)
     builds = _count_calls(monkeypatch, modes, "mode_blocks")
     sums = _count_calls(monkeypatch, modes, "mode_sum")
+    additions = _count_calls(monkeypatch, modes.ModeBlocks, "__add__")
+    embeds = _count_calls(monkeypatch, modes.SingleOscillatorSpace, "embed")
+    fields = _count_calls(monkeypatch, modes, "field_operator")
+    actions = _count_calls(monkeypatch, noscillator, "apply_extension")
     exponentials = _count_calls(monkeypatch, sparse, "dense_exponential")
     unitaries = _count_calls(monkeypatch, register, "pair_unitary")
     closed_forms = _count_calls(monkeypatch, spinors, "exponential")
     run_report(default_config())
-    assert (len(builds), len(sums)) == (66, 69)
+    assert (len(builds), len(sums), len(additions)) == (63, 44, 14)
+    assert (len(embeds), len(fields), len(actions)) == (15, 32, 63)
     assert (len(exponentials), len(unitaries), len(closed_forms)) == (3, 2, 4)
 
 
@@ -530,10 +558,9 @@ def test_nan_conjugation_residual_fails_su2_check(monkeypatch, fast_config):
             out.reshape(-1, REGISTER_DIM, REGISTER_DIM)[1, 0, 0] = np.nan
         return out
 
-    reg = build_register()
     a = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
     monkeypatch.setattr(register, "_conjugate", nan_in_second_su2_term)
-    report = conjugation_report(reg, a, 0.4, -0.7)
+    report = conjugation_report(a, 0.4, -0.7)
     assert np.isnan(report.su2_residual)
     assert report.phase_residual < 1e-10 and report.parity_residual < 1e-10
 
