@@ -10,6 +10,7 @@ suites before it.
 
     python3 scripts/report_peaks.py
     python3 scripts/report_peaks.py --config configs/default.json --suite symmetries
+    python3 scripts/report_peaks.py --suite jw_car,spinor
 
 The exit code is 0 when every check passed and 1 when one failed. A config
 the report refuses (a bad file, an unknown suite) exits 2 with one line on
@@ -20,9 +21,10 @@ import argparse
 import time
 import tracemalloc
 
+from carfield.cli import suite_names
 from carfield.config import default_config, load_config
 from carfield.errors import CarfieldError, exit_unfinished
-from carfield.suites import SUITE_ORDER, run_suite
+from carfield.suites import SUITE_ORDER, run_suite, selected_suites
 
 
 def measure(name: str, config) -> tuple[int, int, float, int]:
@@ -45,14 +47,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="JSON run configuration; defaults are used when omitted")
     parser.add_argument("--suite", action="append", default=None, metavar="NAME",
-                        help=f"suite to measure, repeatable; choices: {', '.join(SUITE_ORDER)} "
-                        "(default: all)")
+                        help="suite to measure, repeatable or comma-separated; "
+                        f"choices: {', '.join(SUITE_ORDER)} (default: all)")
     args = parser.parse_args(argv)
 
     rows = []
     try:
         config = load_config(args.config) if args.config else default_config()
-        for name in args.suite or SUITE_ORDER:
+        for name in selected_suites(config, suite_names(args.suite)):
             rows.append((name, *measure(name, config)))
     except CarfieldError as exc:
         return exit_unfinished(exc)

@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selected_suites(raw: list[str] | None) -> list[str] | None:
+def suite_names(raw: list[str] | None) -> list[str] | None:
+    """The names of repeated, comma-separated --suite values; None when none was given."""
     if raw is None:
         return None
     names = []
@@ -53,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config) if args.config else default_config()
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        report = run_report(config, _selected_suites(args.suite))
+        report = run_report(config, suite_names(args.suite))
     except CarfieldError as exc:
         return exit_unfinished(exc)
 

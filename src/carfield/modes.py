@@ -29,7 +29,8 @@ operands in one einsum.
 supports, from the nonzero entries of each R_k, read from the tables
 `register.operator_table` built at import; `mode_sum`, sum_i (1/w_i) |i><i|
 x R over a range of modes, is the per-mode builder, and writes its range
-with the same assembly.  Every space shares the read-only `register.REGISTER`.
+with the same assembly.  Every builder reads the read-only `register.REGISTER`
+and `register.creator` directly.
 `SingleOscillatorSpace.embed` is the one conversion to CSR, used where an
 operator is extended to N slots for an operator identity or compared with
 an independent CSR route; an operator applied to a state takes
@@ -139,7 +140,7 @@ def shift_range(modes: int, shift: int) -> tuple[int, int]:
 
 
 # the (left, right) register patterns whose product plans are kept; a
-# default report uses 92 distinct pairs, 13 of them vector plans
+# default report uses 96 distinct pairs, 17 of them vector plans
 PLAN_CACHE_SIZE = 256
 
 _NO_MODES = (0, 0)
@@ -461,7 +462,6 @@ class SingleOscillatorSpace:
 
     def __init__(self, lattice: MomentumLattice):
         self.lattice = lattice
-        self.register = REGISTER
         self.dim = REGISTER_DIM * lattice.size
         self.pos_table, self.neg_table = spinors.eigen_bispinors(
             spinors.build_spin_frame(lattice.momenta, lattice.m))
@@ -485,7 +485,7 @@ class SingleOscillatorSpace:
 
     def parity(self) -> ModeBlocks:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""
-        return mode_blocks(np.ones((self.lattice.size, 1)), [self.register.parity])
+        return mode_blocks(np.ones((self.lattice.size, 1)), [REGISTER.parity])
 
 
 def mode_blocks(coeffs: np.ndarray, reg_ops: list[np.ndarray]) -> ModeBlocks:
@@ -554,22 +554,20 @@ def mode_sum(space: SingleOscillatorSpace, reg_op: np.ndarray,
 
 def mode_projector(space: SingleOscillatorSpace, i: int) -> ModeBlocks:
     """Central element I_{p_i} = |p_i><p_i| x id = (1/w_i) |i><i| x id."""
-    return mode_sum(space, space.register.identity, (i, i + 1))
+    return mode_sum(space, REGISTER.identity, (i, i + 1))
 
 
 def mode_annihilator(space: SingleOscillatorSpace, i: int, spin: int, species: str) -> ModeBlocks:
     """c_n(p_i, s) = |p_i><p_i| x c_s, normalized so {c, c'} = delta/w_i I_{p_i}."""
-    return mode_sum(space, space.register.ladder(species, spin), (i, i + 1))
+    return mode_sum(space, REGISTER.ladder(species, spin), (i, i + 1))
 
 
 def smeared_annihilator(space: SingleOscillatorSpace, f: np.ndarray, species: str) -> ModeBlocks:
     """c_n(f) = sum_{i,s} w_i conj(f(p_i,s)) c_n(p_i,s); the weights cancel."""
-    if species not in ("b", "d"):
-        raise ShapeError(f"species must be 'b' or 'd', got {species!r}")
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (space.lattice.size, 2):
         raise ShapeError(f"amplitude table must be ({space.lattice.size}, 2), got {f.shape}")
-    ladders = [space.register.ladder(species, s) for s in (0, 1)]
+    ladders = [REGISTER.ladder(species, s) for s in (0, 1)]
     return mode_blocks(np.conj(f), ladders)
 
 
@@ -589,7 +587,7 @@ def field_operator(space: SingleOscillatorSpace, x: np.ndarray, alpha: int,
     if not 0 <= alpha < 4:
         raise ShapeError(f"bispinor component index must be 0..3, got {alpha}")
     ann_species, cre_species = ("d", "b") if conjugate else ("b", "d")
-    ann = [space.register.ladder(ann_species, s) for s in (0, 1)]
+    ann = [REGISTER.ladder(ann_species, s) for s in (0, 1)]
     cre = [creator(cre_species, 1 - s) for s in (0, 1)]
     phases = plane_wave_unitary(space, x)
     # einsum products: numpy's vectorized complex multiply can fuse multiply-adds
@@ -612,8 +610,7 @@ def field_operator_spectral(space: SingleOscillatorSpace, x: np.ndarray, alpha: 
     phases = plane_wave_unitary(space, x)
     terms = []
     for s in (0, 1):
-        terms.append((space.pos_table[:, s, alpha], phases,
-                      space.register.ladder(ann_species, s)))
+        terms.append((space.pos_table[:, s, alpha], phases, REGISTER.ladder(ann_species, s)))
         terms.append((space.neg_table[:, s, alpha], np.conj(phases), creator(cre_species, 1 - s)))
     offsets = REGISTER_DIM * np.arange(space.lattice.size)[:, None]
     rows, cols, data = [], [], []

@@ -76,7 +76,7 @@ from .modes import (
     smeared_annihilator,
     vacuum_vector,
 )
-from .register import REGISTER, REGISTER_DIM, VACUUM_INDEX
+from .register import REGISTER, REGISTER_DIM, VACUUM_INDEX, creator
 from .sparse import MAX_DIM, SparseOperator
 
 MAX_SLATER_ORDER = 8
@@ -158,7 +158,7 @@ def _slot_sum(nreg: NRegister, op: ModeBlocks, twist: np.ndarray) -> SparseOpera
 
 def extend_operator(nreg: NRegister, op: ModeBlocks) -> SparseOperator:
     """(1/sqrt N) sum over slots of g^(k-1) x op x id^(N-k), g the grading."""
-    parity = np.tile(np.diag(nreg.space.register.parity), nreg.space.lattice.size)
+    parity = np.tile(np.diag(REGISTER.parity), nreg.space.lattice.size)
     return _slot_sum(nreg, op, parity) / np.sqrt(nreg.n)
 
 
@@ -436,9 +436,7 @@ def _bareiss_det(gram: list[list[tuple[int, int]]]) -> tuple[int, int]:
 
 def _ladder_map(species: str, spin: int, dagger: bool) -> dict[int, tuple[int, int]]:
     """{col: (row, sign)} of a register ladder or its adjoint, a signed partial permutation."""
-    ladder = REGISTER.ladder(species, spin)
-    if dagger:
-        ladder = ladder.conj().T
+    ladder = creator(species, spin) if dagger else REGISTER.ladder(species, spin)
     rows, cols = np.nonzero(ladder)
     return {int(c): (int(r), int(ladder[r, c].real)) for r, c in zip(rows, cols)}
 

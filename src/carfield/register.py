@@ -45,8 +45,17 @@ ID2 = np.eye(2, dtype=np.complex128)
 REGISTER_DIM = 16
 VACUUM_INDEX = 15
 
-SPIN_MINUS = 0
-SPIN_PLUS = 1
+# the fields of `annihilators` in its order, and each (species, spin)'s position in it
+_ANNIHILATOR_NAMES = ("b_minus", "b_plus", "d_minus", "d_plus")
+_LADDER_INDEX = {("b", 0): 0, ("b", 1): 1, ("d", 0): 2, ("d", 1): 3}
+
+
+def _ladder_index(species: str, spin: int) -> int:
+    """The position of the (species, spin) ladder in the order of `annihilators`."""
+    try:
+        return _LADDER_INDEX[species, spin]
+    except (KeyError, TypeError):
+        raise ShapeError(f"no ladder {species!r}, {spin!r}; species b or d, spin 0 or 1") from None
 
 
 @dataclass(frozen=True)
@@ -61,13 +70,7 @@ class JWRegister:
 
     def ladder(self, species: str, spin: int) -> np.ndarray:
         """Annihilator for the given species ('b' or 'd') and spin (0: -, 1: +)."""
-        table = {
-            ("b", SPIN_MINUS): self.b_minus,
-            ("b", SPIN_PLUS): self.b_plus,
-            ("d", SPIN_MINUS): self.d_minus,
-            ("d", SPIN_PLUS): self.d_plus,
-        }
-        return table[(species, spin)]
+        return getattr(self, _ANNIHILATOR_NAMES[_ladder_index(species, spin)])
 
     def annihilators(self) -> list[np.ndarray]:
         return [self.b_minus, self.b_plus, self.d_minus, self.d_plus]
@@ -103,8 +106,6 @@ ADJOINTS = tuple(np.ascontiguousarray(c.conj().T) for c in REGISTER.annihilators
 PAIR_PRODUCTS = np.ascontiguousarray(np.einsum(
     "xsij,xtjk->stxik", np.reshape(ADJOINTS, (2, 2, REGISTER_DIM, REGISTER_DIM)),
     np.reshape(REGISTER.annihilators(), (2, 2, REGISTER_DIM, REGISTER_DIM))))
-
-_SPECIES = {"b": 0, "d": 1}
 
 
 def pattern_bits(mask: np.ndarray) -> int:
@@ -144,7 +145,7 @@ for _array in (*vars(REGISTER).values(), OCCUPATION, *ADJOINTS, PAIR_PRODUCTS):
 
 def creator(species: str, spin: int) -> np.ndarray:
     """The creator c' of REGISTER for the species ('b' or 'd') and spin (0: -, 1: +)."""
-    return ADJOINTS[2 * _SPECIES[species] + spin]
+    return ADJOINTS[_ladder_index(species, spin)]
 
 
 def operator_table(op) -> OperatorTable:

@@ -49,7 +49,6 @@ from .noscillator import (
     apply_extension,
     extend_additive,
     extend_operator,
-    smeared_matrix,
     determinant_limit_convergence,
     overlap_product_ops,
     vacuum_matrix_element,
@@ -57,6 +56,7 @@ from .noscillator import (
     zprod_inner,
 )
 from .register import (
+    REGISTER,
     REGISTER_DIM,
     build_register,
     conjugation_report,
@@ -335,14 +335,14 @@ def run_mode_space(config: RunConfig) -> list[CheckRecord]:
     overlaps = lattice.weights * np.sum(np.conj(f) * g, axis=1)
     # (1/w_i + 0j) times the overlap: the bits of the overlap times mode_projector(space, i)
     central = np.multiply((1.0 / lattice.weights).astype(np.complex128), overlaps)
-    expected = mode_blocks(central[:, None], [space.register.identity])
+    expected = mode_blocks(central[:, None], [REGISTER.identity])
     residual = (cf.anticommutator(cg.adjoint()) - expected).max_abs()
     out.append(_rec(s, "smeared_car", "{c(f), c(g)'} = sum_i w <f,g>_i central_i",
                     residual, 1e-12))
 
     vac = vacuum_vector(space, profile)
     one_slot = NRegister(space, 1)
-    projected = apply_extension(one_slot, mode_sum(space, space.register.identity), vac,
+    projected = apply_extension(one_slot, mode_sum(space, REGISTER.identity), vac,
                                 twisted=False)
     # <O|central_i|O> for every i at once: central_i |O> is zero off mode i's 16 entries
     got = np.einsum("ir,ir->i", np.conj(vac).reshape(-1, REGISTER_DIM),
@@ -464,19 +464,17 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     nreg2 = NRegister(space2, MATRIX_CHECK_N)
     f = _random_table(rng, 2)
     g = _random_table(rng, 2)
-    ext_f = extend_operator(nreg2, smeared_matrix(space2, OpSpec(f, "b", False)))
-    ext_g = extend_operator(nreg2, smeared_matrix(space2, OpSpec(g, "b", False)))
-    anti_single = smeared_annihilator(space2, f, "b").anticommutator(
-        smeared_annihilator(space2, g, "b").adjoint()
-    )
-    expected = extend_additive(nreg2, anti_single) / nreg2.n
-    residual = sparse.max_abs(
-        sparse.anticommutator(ext_f, sparse.adjoint(ext_g)) - expected
-    )
+    cf = smeared_annihilator(space2, f, "b")
+    cg = smeared_annihilator(space2, g, "b")
+    ext_f = extend_operator(nreg2, cf)
+    ext_g = extend_operator(nreg2, cg)
+    ext_g_dag = sparse.adjoint(ext_g)
+    expected = extend_additive(nreg2, cf.anticommutator(cg.adjoint())) / nreg2.n
+    residual = sparse.max_abs(sparse.anticommutator(ext_f, ext_g_dag) - expected)
     out.append(_rec(s, "extended_car", "{ext c(f), ext c(g)'} = mean-extended central",
                     residual, 1e-12))
 
-    ext_fd = extend_operator(nreg2, smeared_matrix(space2, OpSpec(g, "d", False)))
+    ext_fd = extend_operator(nreg2, smeared_annihilator(space2, g, "d"))
     worst = sparse.max_abs(sparse.anticommutator(ext_f, ext_fd))
     worst = worst_of(worst, sparse.max_abs(sparse.anticommutator(ext_f, sparse.adjoint(ext_fd))))
     worst = worst_of(worst, sparse.max_abs(sparse.anticommutator(ext_f, ext_g)))
@@ -486,7 +484,7 @@ def run_n_oscillator(config: RunConfig) -> list[CheckRecord]:
     central = extend_additive(nreg2, mode_projector(space2, 0)) / nreg2.n
     worst = worst_of(
         *(sparse.max_abs(sparse.commutator(central, op))
-          for op in (ext_f, sparse.adjoint(ext_g), ext_fd))
+          for op in (ext_f, ext_g_dag, ext_fd))
     )
     out.append(_rec(s, "central_commutes", "mean-extended centrals commute with extended ops",
                     worst, 1e-12))
@@ -640,11 +638,10 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     x = np.asarray(config.field_point)
     out = []
 
-    momenta = symmetries.four_momentum(space)
     direct = space.embed(symmetries.translation_unitary(space, y))
-    generator = ModeBlocks.zeros(lattice.size)
-    for a in range(4):
-        generator = generator + float(y[a]) * momenta[a]
+    # sum_a y_a P_a as one stack sum; Python's sum adds the terms to 0 in order
+    generator = ModeBlocks(sum(p.stack * float(y_a)
+                               for p, y_a in zip(symmetries.four_momentum(space), y)))
     via_exp = sparse.matrix_exponential(1j * space.embed(generator))
     out.append(_rec(s, "translation_dual_route", "diagonal phases = exp(i y.P)",
                     sparse.max_abs(direct - via_exp), 1e-10))
@@ -658,17 +655,17 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     # the modes whose image under the boost stays on the lattice
     keep = np.zeros((lattice.size, 1))
     keep[slice(*shift_range(lattice.size, -boost0.steps))] = 1.0
-    src_proj = mode_blocks(keep, [space.register.identity])
+    src_proj = mode_blocks(keep, [REGISTER.identity])
     out.append(_rec(s, "boost_isometry", "U'U projects on the modes that stay on the lattice",
                     (u.adjoint() @ u - src_proj).max_abs(), 1e-12))
 
+    field_res, conjugate_res = symmetries.field_covariance_residual(space, boost0, y, x)
     out.append(_rec(s, "field_covariance",
                     "U' Psi(x) U = S(L) Psi(L^-1(x - y)) away from the boundary",
-                    symmetries.field_covariance_residual(space, boost0, y, x), 1e-10))
+                    field_res, 1e-10))
     out.append(_rec(s, "conjugate_field_covariance",
                     "the conjugate field transforms with the same bispinor action",
-                    symmetries.field_covariance_residual(space, boost0, y, x, conjugate=True),
-                    1e-10))
+                    conjugate_res, 1e-10))
     out.append(_rec(s, "grading_invariance", "Poincare maps preserve the grading (interior)",
                     symmetries.grading_invariance_residual(space, boost0, y), 1e-12))
 
@@ -739,21 +736,24 @@ def run_suite(name: str, config: RunConfig) -> list[CheckRecord]:
     return SUITE_FUNCS[name](config)
 
 
-def run_report(config: RunConfig, suite_names: list[str] | None = None) -> dict:
+def selected_suites(config: RunConfig, suite_names: list[str] | None) -> list[str]:
+    """The named suites once each, in SUITE_ORDER (all for None), refused before any runs."""
     if suite_names is None:
-        names = list(SUITE_ORDER)
-    else:
-        if not suite_names:
-            # zero checks would report a pass that verified nothing
-            raise ConfigError("no suites selected; name at least one of "
-                              f"{', '.join(SUITE_ORDER)}")
-        unknown = [n for n in suite_names if n not in SUITE_FUNCS]
-        if unknown:
-            raise ConfigError(f"unknown suites {unknown}; choose from {list(SUITE_ORDER)}")
-        requested = set(suite_names)
-        names = [n for n in SUITE_ORDER if n in requested]
+        suite_names = SUITE_ORDER
+    elif not suite_names:
+        # zero checks would report a pass that verified nothing
+        raise ConfigError(f"no suites selected; name at least one of {', '.join(SUITE_ORDER)}")
+    unknown = [n for n in suite_names if n not in SUITE_FUNCS]
+    if unknown:
+        raise ConfigError(f"unknown suites {unknown}; choose from {list(SUITE_ORDER)}")
+    names = [n for n in SUITE_ORDER if n in suite_names]
     for name in names:
         _check_suite_config(name, config)
+    return names
+
+
+def run_report(config: RunConfig, suite_names: list[str] | None = None) -> dict:
+    names = selected_suites(config, suite_names)
     records = []
     for name in names:
         records.extend(run_suite(name, config))

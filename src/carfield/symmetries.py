@@ -16,7 +16,8 @@ Conventions fixed here:
   it and covariant only on the interior; both are `modes.shift_range` slices.
 
 Everything here stays at the single-oscillator level (dimension 16 M), as
-mode-block operators; the N-fold extension rules live in the oscillator
+mode-block operators built once per check; a linear combination of them is
+one sum of their stacks.  The N-fold extension rules live in the oscillator
 module: unitaries extend as tensor powers, generators as untwisted sums.
 """
 
@@ -41,7 +42,7 @@ from .modes import (
     vacuum_vector,
 )
 from .noscillator import NRegister, apply_extension, vacuum_state
-from .register import OCCUPATION, REGISTER_DIM, VACUUM_INDEX, pair_unitary
+from .register import OCCUPATION, REGISTER, REGISTER_DIM, VACUUM_INDEX, creator, pair_unitary
 from .sparse import worst_of
 from .spinors import (
     apply_lorentz_to_point,
@@ -139,7 +140,7 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
     mix[lo - k:hi - k] = boost.wigner[lo:hi]
     worst = 0.0
     for species in ("b", "d"):
-        ladders = [space.register.ladder(species, sp) for sp in (0, 1)]
+        ladders = [REGISTER.ladder(species, sp) for sp in (0, 1)]
         targets = [mode_sum(space, ladder, (lo - k, hi - k)).stack for ladder in ladders]
         for s in (0, 1):
             lhs = u_dag @ mode_sum(space, ladders[s], (lo, hi)) @ u
@@ -160,14 +161,14 @@ def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData,
 
 
 def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
-                              y: np.ndarray, x: np.ndarray,
-                              conjugate: bool = False) -> float:
-    """Residual of U' Psi_a(x) U = sum_b S[a,b] Psi_b(L^-1 (x - y)), interior part.
+                              y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Residuals of U' Psi_a(x) U = sum_b S[a,b] Psi_b(L^-1 (x - y)), interior part.
 
-    S is the direct-sum bispinor action of the boost; the difference is
-    read on the interior blocks only, because modes within `steps` of the
-    lattice edge are shifted off and carry no covariance statement; an
-    empty interior (|k| > J) raises PreconditionError.
+    The pair (field, conjugate field), from one Poincare unitary.  S is the
+    direct-sum bispinor action of the boost; the difference is read on the
+    interior blocks only, because modes within `steps` of the lattice edge
+    are shifted off and carry no covariance statement; an empty interior
+    (|k| > J) raises PreconditionError.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -176,16 +177,17 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
     u_dag = u.adjoint()
     s4 = bispinor_rep(boost.sl2c)
     x_back = apply_lorentz_to_point(np.linalg.inv(boost.sl2c), x - y)
-    fields_back = [field_operator(space, x_back, b, conjugate=conjugate) for b in range(4)]
-    worst = 0.0
-    for a in range(4):
-        lhs = u_dag @ field_operator(space, x, a, conjugate=conjugate) @ u
-        rhs = ModeBlocks.zeros(space.lattice.size)
-        for b in range(4):
-            if s4[a, b] != 0:
-                rhs = rhs + s4[a, b] * fields_back[b]
-        worst = worst_of(worst, sparse.max_abs((lhs - rhs).stack[lo:hi]))
-    return worst
+    residuals = []
+    for conjugate in (False, True):
+        backs = [field_operator(space, x_back, b, conjugate=conjugate).stack for b in range(4)]
+        worst = 0.0
+        for a in range(4):
+            lhs = u_dag @ field_operator(space, x, a, conjugate=conjugate) @ u
+            # one stack sum; Python's sum adds the terms to 0 in the order of b
+            rhs = sum(backs[b] * s4[a, b] for b in range(4) if s4[a, b] != 0)
+            worst = worst_of(worst, sparse.max_abs(lhs.stack[lo:hi] - rhs[lo:hi]))
+        residuals.append(worst)
+    return residuals[0], residuals[1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +233,23 @@ def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
         conj_res = worst_of(conj_res, (rotated_c - np.exp(-1j * e0 * phi) * psi_c).max_abs())
     parity = space.parity()
     grading_res = (u_dag @ parity @ u - parity).max_abs()
-    q = charge_operator(space, e0)
-    comm_res = 0.0
-    for s in (0, 1):
-        b_dag = mode_sum(space, space.register.ladder("b", s)).adjoint()
-        d_dag = mode_sum(space, space.register.ladder("d", s)).adjoint()
-        comm_res = worst_of(comm_res, (q.commutator(b_dag) - e0 * b_dag).max_abs())
-        comm_res = worst_of(comm_res, (q.commutator(d_dag) + e0 * d_dag).max_abs())
+    charges = {(species, s): q for species, q in (("b", e0), ("d", -e0)) for s in (0, 1)}
     return GaugeReport(
         field_residual=field_res,
         conjugate_residual=conj_res,
         grading_residual=grading_res,
-        commutator_residual=comm_res,
+        commutator_residual=_creator_residual(space, charge_operator(space, e0), charges),
     )
+
+
+def _creator_residual(space: SingleOscillatorSpace, generator: ModeBlocks,
+                      charges: dict[tuple[str, int], float]) -> float:
+    """Residual of [G, c'] = q c' over all modes, q = charges[species, spin] for each creator c'."""
+    worst = 0.0
+    for (species, s), q in charges.items():
+        c_dag = mode_sum(space, creator(species, s))
+        worst = worst_of(worst, (generator.commutator(c_dag) - q * c_dag).max_abs())
+    return worst
 
 
 def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
@@ -255,13 +261,8 @@ def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
 
 def spin_commutator_residual(space: SingleOscillatorSpace) -> float:
     """Residual of [S3, c_s'] = (+-1/2) c_s' for both species and spins, all modes at once."""
-    s3 = spin_operator(space)
-    worst = 0.0
-    for species in ("b", "d"):
-        for s, sign in ((0, -0.5), (1, 0.5)):
-            c_dag = mode_sum(space, space.register.ladder(species, s)).adjoint()
-            worst = worst_of(worst, (s3.commutator(c_dag) - sign * c_dag).max_abs())
-    return worst
+    spins = {(species, s): sign for species in "bd" for s, sign in ((0, -0.5), (1, 0.5))}
+    return _creator_residual(space, spin_operator(space), spins)
 
 
 # ---------------------------------------------------------------------------

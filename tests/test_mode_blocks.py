@@ -33,7 +33,7 @@ from carfield.modes import (
     shift_range,
     smeared_annihilator,
 )
-from carfield.register import REGISTER_DIM, build_register, pair_unitary
+from carfield.register import REGISTER, REGISTER_DIM, build_register, pair_unitary
 from carfield.suites import run_suite
 
 from conftest import (
@@ -83,11 +83,11 @@ def _assert_same(got, ref):
 def test_embed_places_blocks_and_shifts(default_space):
     m = default_space.lattice.size
     blocks = np.zeros((m, REGISTER_DIM, REGISTER_DIM), dtype=np.complex128)
-    blocks[:] = default_space.register.b_minus
+    blocks[:] = REGISTER.b_minus
     shifted = default_space.embed(ModeBlocks(blocks, 2))
     ref = _kron_sum(
         default_space,
-        [(i, i - 2, 1.0, default_space.register.b_minus) for i in range(2, m)],
+        [(i, i - 2, 1.0, REGISTER.b_minus) for i in range(2, m)],
     )
     _assert_same(shifted, ref)
     # rows of the first two modes have no source on the lattice
@@ -104,30 +104,28 @@ def test_embed_rejects_wrong_stack(default_space):
 
 
 def test_mode_ladders_and_projectors(space):
-    reg = space.register
     for i in (0, space.lattice.size - 1):
         w = space.lattice.weights[i]
-        ref = _kron(space, i, i, reg.identity) / w
+        ref = _kron(space, i, i, REGISTER.identity) / w
         _assert_same(space.embed(mode_projector(space, i)), ref)
         for species in ("b", "d"):
             for s in (0, 1):
-                ref = _kron(space, i, i, reg.ladder(species, s)) / w
+                ref = _kron(space, i, i, REGISTER.ladder(species, s)) / w
                 _assert_same(space.embed(mode_annihilator(space, i, s, species)), ref)
 
 
 def test_mode_sum_over_a_range(space):
-    reg = space.register
     m = space.lattice.size
     w = space.lattice.weights
     for lo, hi in ((0, m), (1, m - 1), (m - 1, m), (2, 2)):
-        ref = _kron_sum(space, [(i, i, 1.0 / w[i], reg.b_plus) for i in range(lo, hi)])
-        _assert_same(space.embed(mode_sum(space, reg.b_plus, (lo, hi))), ref)
-    _assert_same(space.embed(mode_sum(space, reg.b_plus)),
-                 to_scipy(space.embed(mode_sum(space, reg.b_plus, (0, m)))))
+        ref = _kron_sum(space, [(i, i, 1.0 / w[i], REGISTER.b_plus) for i in range(lo, hi)])
+        _assert_same(space.embed(mode_sum(space, REGISTER.b_plus, (lo, hi))), ref)
+    _assert_same(space.embed(mode_sum(space, REGISTER.b_plus)),
+                 to_scipy(space.embed(mode_sum(space, REGISTER.b_plus, (0, m)))))
     # a range off the lattice would silently give fewer modes
     for bad in ((-1, 0), (0, m + 1), (m, m + 1), (2, 1)):
         with pytest.raises(ShapeError):
-            mode_sum(space, reg.b_plus, bad)
+            mode_sum(space, REGISTER.b_plus, bad)
     with pytest.raises(ShapeError):
         mode_annihilator(space, m, 0, "b")
 
@@ -137,7 +135,7 @@ def test_smeared_annihilator(space, rng):
     f[0, 1] = 0.0
     for species in ("b", "d"):
         terms = [
-            (i, i, np.conj(f[i, s]), space.register.ladder(species, s))
+            (i, i, np.conj(f[i, s]), REGISTER.ladder(species, s))
             for i in range(space.lattice.size) for s in (0, 1)
         ]
         _assert_same(space.embed(smeared_annihilator(space, f, species)),
@@ -146,7 +144,6 @@ def test_smeared_annihilator(space, rng):
 
 def test_field_operator_components(space, rng):
     x = rng.uniform(-1, 1, 4)
-    reg = space.register
     for conjugate in (False, True):
         ann, cre = ("d", "b") if conjugate else ("b", "d")
         for alpha in range(4):
@@ -155,17 +152,16 @@ def test_field_operator_components(space, rng):
                 phase = np.exp(-1j * spinors.dot_point(p, x))
                 for s in (0, 1):
                     terms.append((i, i, space.pos_table[i, s, alpha] * phase,
-                                  reg.ladder(ann, s)))
+                                  REGISTER.ladder(ann, s)))
                     terms.append((i, i, space.neg_table[i, s, alpha] * np.conj(phase),
-                                  reg.ladder(cre, 1 - s).conj().T))
+                                  REGISTER.ladder(cre, 1 - s).conj().T))
             _assert_same(space.embed(field_operator(space, x, alpha, conjugate=conjugate)),
                          _kron_sum(space, terms))
 
 
 def test_four_momentum(space):
-    reg = space.register
     base = (
-        number_operator(reg, "b") + number_operator(reg, "d") - 2 * reg.identity
+        number_operator(REGISTER, "b") + number_operator(REGISTER, "d") - 2 * REGISTER.identity
     )
     for a, got in enumerate(symmetries.four_momentum(space)):
         terms = [

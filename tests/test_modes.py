@@ -27,7 +27,7 @@ from carfield.modes import (
     uniform_profile,
     vacuum_vector,
 )
-from carfield.register import REGISTER_DIM, VACUUM_INDEX
+from carfield.register import REGISTER, REGISTER_DIM, VACUUM_INDEX
 
 from conftest import assert_same_csr, random_table, scipy_nonzero
 
@@ -150,7 +150,7 @@ def test_embedding_and_parity(default_space):
     identity = ModeBlocks.diagonal(np.ones((default_space.lattice.size, REGISTER_DIM)))
     assert (par @ par - identity).max_abs() == 0.0
     blocks = np.zeros((default_space.lattice.size, REGISTER_DIM, REGISTER_DIM), dtype=complex)
-    blocks[2] = default_space.register.b_minus
+    blocks[2] = REGISTER.b_minus
     op = default_space.embed(ModeBlocks(blocks))
     assert op.shape == (default_space.dim, default_space.dim)
     # embed places block i in the i-th 16-dim diagonal block
@@ -223,8 +223,8 @@ def _spectral_kron_terms(space, x, alpha, conjugate):
     for s in (0, 1):
         pos_mult = scipy_nonzero(np.diag(space.pos_table[:, s, alpha]))
         neg_mult = scipy_nonzero(np.diag(space.neg_table[:, s, alpha]))
-        ann = space.register.ladder(ann_species, s)
-        cre = space.register.ladder(cre_species, 1 - s).conj().T
+        ann = REGISTER.ladder(ann_species, s)
+        cre = REGISTER.ladder(cre_species, 1 - s).conj().T
         out = out + scipy_nonzero(scipy.sparse.kron(pos_mult @ w, ann, format="csr"))
         out = out + scipy_nonzero(scipy.sparse.kron(neg_mult @ w_dag, cre, format="csr"))
     return scipy_nonzero(out)

@@ -57,7 +57,7 @@ from carfield.noscillator import (
     vacuum_state,
     zprod_inner,
 )
-from carfield.register import REGISTER_DIM, VACUUM_INDEX
+from carfield.register import REGISTER, REGISTER_DIM, VACUUM_INDEX
 
 from conftest import (
     assert_same_csr,
@@ -283,7 +283,7 @@ def test_extensions_equal_the_summation_rule_bytewise(request, rng, space_name, 
     # every zero part's sign too: the kron chain above compares values only
     space = request.getfixturevalue(space_name)
     nreg = NRegister(space, n)
-    parity = np.tile(np.diag(space.register.parity), space.lattice.size)
+    parity = np.tile(np.diag(REGISTER.parity), space.lattice.size)
     for name, op in _slot_sum_cases(space, rng).items():
         if name in ("dense", "negative_zero_dense") and nreg.dim > 1024:
             continue  # 200 000 Python terms at one mode, N = 3

@@ -96,6 +96,16 @@ def test_ladder_lookup(reg):
     assert reg.ladder("d", 1) is reg.d_plus
 
 
+@pytest.mark.parametrize("species, spin", [("b", 2), ("b", -1), ("d", 2), ("x", 0), ("B", 1),
+                                           ("bd", 0), (["b"], 0), ("b", [0])])
+def test_ladder_and_creator_refuse_an_unknown_species_or_spin(reg, species, spin):
+    # an index computed from the spin would read ("b", 2) as the d- creator
+    # and ("b", -1) as the d+ one
+    for lookup in (reg.ladder, REGISTER.ladder, creator):
+        with pytest.raises(ShapeError):
+            lookup(species, spin)
+
+
 def test_number_operator_counts(reg):
     n_b = number_operator(reg, "b")
     n_d = number_operator(reg, "d")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carfield import modes, noscillator, register, sparse, spinors, suites
+from carfield import modes, noscillator, register, sparse, spinors, suites, symmetries
 from carfield.cli import main
 from carfield.config import (
     MAX_ENERGY,
@@ -500,19 +500,30 @@ def test_report_runs_its_small_matrix_samples_as_stacks(monkeypatch):
     # mode-diagonal operator of a check is one assembly, not a per-mode sum
     # (69 mode_sum and 35 additions before), each field operator is built
     # once (36 before), and single-oscillator states are acted on by
-    # apply_extension, not by an embedded CSR (19 embed calls before)
+    # apply_extension, not by an embedded CSR (19 embed calls before).  Each
+    # linear combination is one stack sum, not a chain of additions from
+    # zero (14 before); the field covariance conjugates by one Poincare
+    # unitary (4 before), the creator commutators read the creator sums, not
+    # adjoints of ladder sums (43 adjoints before), and the N-slot checks
+    # build each smeared operator and each N-slot adjoint once (20 smeared
+    # annihilators, 63 mode_blocks and 3 N-slot adjoints before)
     builds = _count_calls(monkeypatch, modes, "mode_blocks")
     sums = _count_calls(monkeypatch, modes, "mode_sum")
     additions = _count_calls(monkeypatch, modes.ModeBlocks, "__add__")
+    adjoints = _count_calls(monkeypatch, modes.ModeBlocks, "adjoint")
     embeds = _count_calls(monkeypatch, modes.SingleOscillatorSpace, "embed")
     fields = _count_calls(monkeypatch, modes, "field_operator")
+    smeared = _count_calls(monkeypatch, modes, "smeared_annihilator")
     actions = _count_calls(monkeypatch, noscillator, "apply_extension")
+    slot_adjoints = _count_calls(monkeypatch, sparse, "adjoint")
+    poincare = _count_calls(monkeypatch, symmetries, "poincare_unitary")
     exponentials = _count_calls(monkeypatch, sparse, "dense_exponential")
     unitaries = _count_calls(monkeypatch, register, "pair_unitary")
     closed_forms = _count_calls(monkeypatch, spinors, "exponential")
     run_report(default_config())
-    assert (len(builds), len(sums), len(additions)) == (63, 44, 14)
-    assert (len(embeds), len(fields), len(actions)) == (15, 32, 63)
+    assert (len(builds), len(sums), len(additions), len(adjoints)) == (61, 44, 0, 34)
+    assert (len(embeds), len(fields), len(smeared), len(actions)) == (15, 32, 18, 63)
+    assert (len(slot_adjoints), len(poincare)) == (2, 3)
     assert (len(exponentials), len(unitaries), len(closed_forms)) == (3, 2, 4)
 
 
@@ -531,6 +542,10 @@ def test_cli_refuses_a_grid_report_before_any_suite_runs(tmp_path, monkeypatch, 
     assert not (tmp_path / "r.json").exists()
     with pytest.raises(ConfigError, match="needs a rapidity lattice"):
         run_suite("symmetries", config_from_dict({"lattice": {"mode": "grid3d"}}))
+    assert called == []
+    # the peaks script refuses the same config before it measures any suite
+    assert _peaks_script().main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
     assert called == []
 
 
@@ -570,6 +585,26 @@ def test_nan_conjugation_residual_fails_su2_check(monkeypatch, fast_config):
     assert np.isnan(records["su2_conjugation"].residual)
     assert not records["su2_conjugation"].passed
     assert records["phase_conjugation"].passed
+
+
+@pytest.mark.parametrize("faulty_conjugate", [False, True])
+def test_a_pulled_back_field_fault_fails_only_its_covariance(monkeypatch, fast_config,
+                                                             faulty_conjugate):
+    # one call returns the field and the conjugate field residuals; a fault
+    # in the fields of one kind at the pulled-back point L^-1 (x - y) must
+    # reach that kind's record alone
+    real_field = symmetries.field_operator
+    x = np.asarray(fast_config.field_point)
+
+    def faulty(space, point, alpha, conjugate=False):
+        psi = real_field(space, point, alpha, conjugate=conjugate)
+        if np.array_equal(point, x) or conjugate != faulty_conjugate:
+            return psi
+        return psi * (1 + 1e-6)
+
+    monkeypatch.setattr(symmetries, "field_operator", faulty)
+    failed = {r.check for r in run_suite("symmetries", fast_config) if not r.passed}
+    assert failed == {"conjugate_field_covariance" if faulty_conjugate else "field_covariance"}
 
 
 def test_nan_dirac_mismatch_fails_its_flag(monkeypatch, fast_config):
@@ -700,7 +735,16 @@ def test_peaks_script_measures_one_suite(capsys):
     assert float(wall_ms) > 0 and float(peak_mb) > 0
 
 
-@pytest.mark.parametrize("argv", [["--suite", "nope"], ["--config", "no_such_config.json"]])
+def test_peaks_script_takes_comma_separated_suites(capsys):
+    # the suites are named as the carfield CLI names them: repeated or
+    # comma-separated, each measured once, in report order
+    assert _peaks_script().main(["--suite", "spinor,jw_car", "--suite", "jw_car"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["jw_car", "spinor"]
+
+
+@pytest.mark.parametrize("argv", [["--suite", "nope"], ["--config", "no_such_config.json"],
+                                  ["--suite", "jw_car,nope"], ["--suite", " , "]])
 def test_peaks_script_bad_config_exits_2(argv, capsys):
     code = _peaks_script().main(argv)
     out, err = capsys.readouterr()

@@ -163,13 +163,15 @@ def test_an_empty_interior_is_refused(small_space):
         boost = symmetries.boost_unitary(small_space, steps)
         assert symmetries.interior_range(small_space.lattice.size, steps) == (2, 3)
         assert symmetries.grading_invariance_residual(small_space, boost, Y) < 1e-13
-        assert symmetries.field_covariance_residual(small_space, boost, Y, X) < 1e-10
+        residuals = symmetries.field_covariance_residual(small_space, boost, Y, X)
+        assert sparse.worst_of(*residuals) < 1e-10
 
 
 def test_field_covariance(small_space):
     boost = symmetries.boost_unitary(small_space, 1)
-    assert symmetries.field_covariance_residual(small_space, boost, Y, X) < 1e-10
-    assert symmetries.field_covariance_residual(small_space, boost, Y, X, conjugate=True) < 1e-10
+    field, conjugate = symmetries.field_covariance_residual(small_space, boost, Y, X)
+    assert field < 1e-10
+    assert conjugate < 1e-10
 
 
 def test_grading_invariance(small_space):
@@ -180,7 +182,8 @@ def test_grading_invariance(small_space):
 def test_backward_boost(small_space):
     boost = symmetries.boost_unitary(small_space, -1)
     assert symmetries.boost_mode_residual(small_space, boost) < 1e-11
-    assert symmetries.field_covariance_residual(small_space, boost, Y, X) < 1e-10
+    residuals = symmetries.field_covariance_residual(small_space, boost, Y, X)
+    assert sparse.worst_of(*residuals) < 1e-10
 
 
 def test_vacuum_covariance(small_space, small_profile):
