@@ -140,7 +140,7 @@ def shift_range(modes: int, shift: int) -> tuple[int, int]:
 
 
 # the (left, right) register patterns whose product plans are kept; a
-# default report uses 96 distinct pairs, 17 of them vector plans
+# default report uses 92 distinct pairs, 13 of them vector plans
 PLAN_CACHE_SIZE = 256
 
 _NO_MODES = (0, 0)
@@ -229,8 +229,7 @@ class ModeBlocks:
     may be larger than the exact ones.  Results of the algebra carry them
     over from their operands; a stack from outside is scanned once, when
     they are first needed.  No stack is changed after construction, which
-    the bounds rely on; the zero operator of `zeros` is shared, its stack
-    read-only.
+    the bounds rely on.
     """
 
     stack: np.ndarray
@@ -290,11 +289,6 @@ class ModeBlocks:
     def _pattern(self) -> int:
         lo, hi = self._live
         return pattern_bits(self.stack[lo:hi].any(axis=0))
-
-    @classmethod
-    def zeros(cls, modes: int, shift: int = 0) -> ModeBlocks:
-        """The zero operator: one shared instance per (modes, shift), its stack read-only."""
-        return _zero_blocks(operator.index(modes), _shift_index(shift))
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> ModeBlocks:

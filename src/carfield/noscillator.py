@@ -17,12 +17,13 @@ products:
   `apply_extension` applies each extended factor to it slot by slot, from
   the factor's mode blocks, and never forms the N-slot matrix (a Kronecker-
   structured operator acts on a vector unformed: Van Loan, J. Comput.
-  Appl. Math. 123 (2000) 85).  Each entry sums its terms in the order of
-  the CSR row that matrix would hold, so the two agree bitwise.  The
-  matrices themselves, `extend_operator` and `extend_additive`, serve the
-  N = 2 operator identities; `_slot_sum` places every slot's entries by
-  index arithmetic in one COO assembly, with no chain of tensor products,
-  and they are the independent route the slot action is pinned against;
+  Appl. Math. 123 (2000) 85).  Each entry sums its terms slot by slot,
+  at N = 1 in the CSR row's order, so the two agree bitwise; at larger N
+  they differ only in rounding.  The matrices themselves, `extend_operator`
+  and `extend_additive`, serve the N = 2 operator identities; `_slot_sum`
+  places every slot's entries by index arithmetic in one COO assembly,
+  with no chain of tensor products, and they are the independent route
+  the slot action is tested against;
 * a set-partition (moment-cumulant) expansion that never forms the N-fold
   space.  It sums products of single-oscillator vacuum moments over set
   partitions of the factors by block count and weights j blocks by
@@ -173,117 +174,71 @@ def extend_unitary(nreg: NRegister, u: ModeBlocks) -> SparseOperator:
     return sparse.tensor_many(*([nreg.space.embed(u)] * nreg.n))
 
 
-# register entries (r, c) below, on and above the diagonal, as pattern bits
-_BELOW = sum(1 << REGISTER_DIM * r + c for r in range(REGISTER_DIM) for c in range(r))
+# the register diagonal, as pattern bits
 _DIAGONAL = sum(1 << (REGISTER_DIM + 1) * r for r in range(REGISTER_DIM))
-_ABOVE = ~(_BELOW | _DIAGONAL)
-
-# the register entries of odd parity, where the grading twist is -1
-_ODD_REGISTER = np.diag(REGISTER.parity).real < 0
-
-# state entries per block of an in-place product, 64 KB of complex values
-_STATE_BLOCK = 4096
 
 
 def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
                     twisted: bool) -> np.ndarray:
     """extend_operator(nreg, op) @ ket if twisted, else extend_additive(nreg, op) @ ket.
 
-    Equal to them entry for entry, with no N-slot matrix.  Slot k acts on
-    the ket viewed as (d^k, M, 16, d^(N-k-1)), d = 16 M: on its (mode,
-    register) axes, with the live blocks of op only, by the terms at the
-    register entries of op's pattern (`modes._vector_plan`).  Each value is
-    twisted and scaled before the product, as `_slot_sum(...) / sqrt(N)`
-    stores it, up to the sign of a zero part, which no sum from 0 keeps.
-    Every entry of the result sums its terms from 0 in the order of its
-    CSR row, the summation rule of `sparse`: the below-diagonal terms of
-    slots 0 .. N-1, then the slot-summed diagonal 0 + twist_0 d + twist_1
-    d + ..., then the above-diagonal terms of slots N-1 .. 0, each slot's
-    in ascending column.  A positive shift puts every entry below the
-    diagonal and a negative one every entry above it.  The ket is taken
-    finite: a zero op entry in the pattern gives a zero term, which adds
-    nothing, where the CSR product stores no term.
+    Formed slot by slot, with no N-slot matrix: slot k acts on the (mode,
+    register) axes of the ket viewed as (d^k, M, 16, d^(N-k-1)), d = 16 M,
+    with op's live blocks at the register entries of its pattern
+    (`modes._vector_plan`), each value times 1/sqrt N if twisted.  A term
+    is einsum's complex product, times the exact +-1 twist of its left
+    index; each entry sums its terms from 0, slot by slot and each slot's
+    in ascending column.  A diagonal op sums its slots' signed diagonals
+    and multiplies the ket once.  At N = 1 that is the CSR row's order, so
+    the two agree bitwise; at larger N they differ only in rounding.  The
+    ket is taken finite: a zero op entry in the pattern adds a zero term
+    where the CSR product stores none.
     """
     _check_matrix_dim(nreg)
-    space = nreg.space
-    m, d, n = space.lattice.size, nreg.factor_dim, nreg.n
+    m, d, n = nreg.space.lattice.size, nreg.factor_dim, nreg.n
     if len(op.stack) != m:
         raise ShapeError(f"block stack must be ({m}, 16, 16), got {op.stack.shape}")
     ket = np.asarray(ket, dtype=np.complex128)
     if ket.shape != (nreg.dim,):
         raise ShapeError(f"an extension on dim {nreg.dim} cannot act on shape {ket.shape}")
-    scale = 1 / np.sqrt(n) if twisted else None
-    # per slot, the index into `negated` of each left index's twist: 1 where it is -1
-    twists = [np.zeros(1, dtype=np.intp)]
-    if twisted:
-        negated = np.array([1, -1], dtype=np.complex128)
-        odd = np.tile(_ODD_REGISTER, m)
-        for _ in range(n - 1):
-            twists.append((twists[-1][:, None] ^ odd).ravel())
-    else:
-        negated = np.ones(1, dtype=np.complex128)
-        twists *= n
-
-    def twisted_values(values):
-        # each value times each twist, by the complex product the CSR makes
-        return negated.reshape(-1, *[1] * values.ndim) * values
-
     lo, hi = op._live
-    shift = op.shift
-    blocks = op.stack[lo:hi]
     pattern = op._pattern if lo < hi else 0
-    if shift:
-        sides = (pattern, 0) if shift > 0 else (0, pattern)
-        diagonal = 0
-    else:
-        sides = (pattern & _BELOW, pattern & _ABOVE)
-        diagonal = pattern & _DIAGONAL
+    out = np.zeros(nreg.dim, dtype=np.complex128)
+    if not pattern:
+        return out
+    # the twist of each left index, grown by one slot's parity at a time
+    parity = np.tile(np.diag(REGISTER.parity).real, m) if twisted else np.ones(1)
+    sign = np.ones(1)
+    scale = 1 / np.sqrt(n) if twisted else 1.0
 
-    def by_slot(a, k):
-        """a as (left index, mode, register, right index) around slot k."""
+    def by_slot(a, k):  # a as (left index, mode, register, right index) around slot k
         return a.reshape(d**k, m, REGISTER_DIM, -1)
 
-    out = np.zeros(nreg.dim, dtype=np.complex128)
-
-    def add_side(bits, slots):
-        if not bits:
-            return
-        plan_lefts, cols, rows, widths = _vector_plan(bits)
-        values = twisted_values(blocks.reshape(hi - lo, -1)[:, plan_lefts])
-        if scale is not None:
-            values = values * scale
-        for k in slots:
-            source = by_slot(ket, k)[:, lo - shift:hi - shift, cols]
-            terms = np.einsum("...,...->...", values[twists[k]][..., None], source)
-            # the rows' running sums, gathered once; rank r adds to the first widths[r]
-            target = by_slot(out, k)
-            sums = target[:, lo:hi, rows]
-            start = 0
-            for width in widths:
-                sums[:, :, :width] += terms[:, :, start:start + width]
-                start += width
-            target[:, lo:hi, rows] = sums
-
-    add_side(sides[0], range(n))
-    if diagonal:
-        values = twisted_values(np.diagonal(blocks, axis1=1, axis2=2))
-        # with no term before it, the slot sum is built in out itself
-        total = np.zeros(nreg.dim, dtype=np.complex128) if sides[0] else out
+    if not op.shift and not pattern & ~_DIAGONAL:
+        # every register entry: one off the pattern adds an exact zero
+        values = np.diagonal(op.stack[lo:hi], axis1=1, axis2=2) * scale
         for k in range(n):
-            # every register entry: one off the pattern adds an exact zero
-            by_slot(total, k)[:, lo:hi] += values[twists[k]][..., None]
-        if scale is not None:
-            total *= scale
-        # a block at a time, as einsum copies an operand its output overlaps;
-        # a lone product is summed from 0, as the CSR row sums it
-        for start in range(0, len(out), _STATE_BLOCK):
-            part = slice(start, start + _STATE_BLOCK)
-            product = np.einsum("i,i->i", total[part], ket[part])
-            if total is out:
-                np.add(0.0, product, out=out[part])
-            else:
-                out[part] += product
-    add_side(sides[1], reversed(range(n)))
+            by_slot(out, k)[:, lo:hi] += (sign[:, None, None] * values)[..., None]
+            sign = np.kron(sign, parity)
+        out = np.einsum("i,i->i", out, ket)
+        out += 0.0  # a sum from 0, as the CSR row's: no -0.0 part
+        return out
+    plan_lefts, cols, rows, widths = _vector_plan(pattern)
+    values = op.stack[lo:hi].reshape(hi - lo, -1)[:, plan_lefts] * scale
+    for k in range(n):
+        source = by_slot(ket, k)[:, lo - op.shift:hi - op.shift, cols]
+        terms = np.einsum("...,...->...", values[..., None], source)
+        if twisted and k:
+            terms *= sign[:, None, None, None]
+        # the rows' running sums, gathered once; rank r adds to the first widths[r]
+        target = by_slot(out, k)
+        sums = target[:, lo:hi, rows]
+        start = 0
+        for width in widths:
+            sums[:, :, :width] += terms[:, :, start:start + width]
+            start += width
+        target[:, lo:hi, rows] = sums
+        sign = np.kron(sign, parity)
     return out
 
 

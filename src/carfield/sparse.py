@@ -16,9 +16,10 @@ terms a_ij b_jk in ascending inner index j, added one at a time to 0; each
 complex term is (ar br - ai bi) + i (ar bi + ai br), rounded after every
 operation, with no fused multiply-add.  Duplicate COO entries are summed
 the same way, in input order, and `A @ v` sums every row by one
-`np.add.at` over all entries.  `noscillator.apply_extension` follows the
-rule on N-slot states without forming the matrix, so it equals the N-slot
-CSR product bitwise.
+`np.add.at` over all entries.  `noscillator.apply_extension` applies an
+N-slot extension to a state without forming the matrix and sums each entry
+slot by slot: at N = 1 that is this rule, so it equals the CSR product
+bitwise, and at larger N it differs from the CSR product only in rounding.
 
 Storage rule.  An operator stores every nonzero entry, however small, and
 NaN.  Sums, differences, products and assemblies drop only the entries that

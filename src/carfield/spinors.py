@@ -46,8 +46,6 @@ PAULI = (
 
 ON_SHELL_RTOL = 1e-12
 FALLBACK_THRESHOLD = 1e-8
-SPIN_MINUS = 0
-SPIN_PLUS = 1
 
 
 def on_shell(momenta, m: float) -> np.ndarray:

@@ -394,9 +394,10 @@ def vacuum_energy_expectation(space: SingleOscillatorSpace, profile: VacuumProfi
     """<vac_N| extended P_0 |vac_N> on the explicit N-slot state (small N only).
 
     P_0 acts on the state by `apply_extension`, with no N-slot matrix; being
-    diagonal, it is built in the result and multiplied there.  The bra is
-    the vacuum conjugated in place, so the check holds two states; the
-    inner product is `sparse.inner`'s einsum.
+    diagonal, its slots' diagonals are summed into one state-sized array
+    and multiply the vacuum once.  The bra is the vacuum conjugated in
+    place, so the check holds three states at most; the inner product is
+    an einsum.
     """
     nreg = NRegister(space, n)
     vac = vacuum_state(nreg, profile)

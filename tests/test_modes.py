@@ -184,7 +184,7 @@ def test_central_elements_commute_with_everything():
 def test_smeared_annihilator_weights_cancel(default_space, rng):
     f = random_table(rng, default_space.lattice.size)
     smeared = smeared_annihilator(default_space, f, "b")
-    total = ModeBlocks.zeros(default_space.lattice.size)
+    total = ModeBlocks(np.zeros((default_space.lattice.size, REGISTER_DIM, REGISTER_DIM)))
     for i in range(default_space.lattice.size):
         for s in (0, 1):
             total = total + default_space.lattice.weights[i] * np.conj(
