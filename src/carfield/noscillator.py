@@ -40,7 +40,10 @@ products:
   determinant identically, the parts are Python ints, Gaussian integers
   over a power of two, and a quotient is such a pair over an int
   denominator; `_rounded` rounds each float part once, and an exact value
-  past the float range is a ResourceLimitError.
+  past the float range is a ResourceLimitError.  There each amplitude
+  table is lifted to integers once per call, and the exact Gram takes
+  those lifts by table values; a moment is its ket's vacuum entry, as the
+  vacuum coefficient is 1.
 
 The limiting determinant is a pivoted LU det in floats and, on one mode, a
 fraction-free (Bareiss) det in Gaussian integers.  The expansion's one
@@ -177,6 +180,10 @@ def extend_unitary(nreg: NRegister, u: ModeBlocks) -> SparseOperator:
 # the register diagonal, as pattern bits
 _DIAGONAL = sum(1 << (REGISTER_DIM + 1) * r for r in range(REGISTER_DIM))
 
+# state entries per block of the diagonal path's in-place product, 64 KB of
+# complex values
+_STATE_BLOCK = 4096
+
 
 def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
                     twisted: bool) -> np.ndarray:
@@ -189,10 +196,12 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
     is einsum's complex product, times the exact +-1 twist of its left
     index; each entry sums its terms from 0, slot by slot and each slot's
     in ascending column.  A diagonal op sums its slots' signed diagonals
-    and multiplies the ket once.  At N = 1 that is the CSR row's order, so
-    the two agree bitwise; at larger N they differ only in rounding.  The
-    ket is taken finite: a zero op entry in the pattern adds a zero term
-    where the CSR product stores none.
+    into the output and multiplies the ket into it once, a block at a
+    time, so an untwisted one holds two states: the ket and the output.
+    At N = 1 that is the CSR row's order, so the two agree bitwise; at
+    larger N they differ only in rounding.  The ket is taken finite: a zero
+    op entry in the pattern adds a zero term where the CSR product stores
+    none.
     """
     _check_matrix_dim(nreg)
     m, d, n = nreg.space.lattice.size, nreg.factor_dim, nreg.n
@@ -220,8 +229,12 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
         for k in range(n):
             by_slot(out, k)[:, lo:hi] += (sign[:, None, None] * values)[..., None]
             sign = np.kron(sign, parity)
-        out = np.einsum("i,i->i", out, ket)
-        out += 0.0  # a sum from 0, as the CSR row's: no -0.0 part
+        # the product into the summed diagonal a block at a time, as einsum
+        # copies an operand its output overlaps; a sum from 0, as the CSR
+        # row's, so no part is -0.0
+        for start in range(0, len(out), _STATE_BLOCK):
+            part = out[start:start + _STATE_BLOCK]
+            np.add(np.einsum("i,i->i", part, ket[start:start + _STATE_BLOCK]), 0.0, out=part)
         return out
     plan_lefts, cols, rows, widths = _vector_plan(pattern)
     values = op.stack[lo:hi].reshape(hi - lo, -1)[:, plan_lefts] * scale
@@ -336,6 +349,24 @@ def _dyadic_lift(values) -> tuple[list[tuple[int, int]], int]:
     full = max(q for pair in ratios for _, q in pair)  # each q is a power of two
     return [(p_re * (full // q_re), p_im * (full // q_im))
             for (p_re, q_re), (p_im, q_im) in ratios], full.bit_length() - 1
+
+
+def _lifted(rows: list, lifts: dict) -> list:
+    """The `_dyadic_lift` of each row, looked up in lifts by the row's values.
+
+    A row not yet there is lifted and kept, so a table met again, in the
+    same factor list or by another caller holding the same dict, is not
+    lifted twice.  The lift is a function of the values alone, so the
+    lookup cannot pair a row with another table's lift.
+    """
+    out = []
+    for row in rows:
+        key = tuple(row)
+        lift = lifts.get(key)
+        if lift is None:
+            lift = lifts[key] = _dyadic_lift(row)
+        out.append(lift)
+    return out
 
 
 def _rounded(num: tuple[int, int], den: int) -> complex:
@@ -567,15 +598,18 @@ _PLANS = _PlanCache(PLAN_CACHE_ENTRIES)
 
 
 def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
-                    ops: list[OpSpec], exact: bool):
+                    ops: list[OpSpec], exact: bool, lifts: dict | None = None):
     """Nonzero single-oscillator moments omega(B) of the ordered sub-products B.
 
     Returns (plan, moments, shift): moments[t] is omega of the plan's t-th
     subset whose ket reaches the vacuum, as an (re, im) pair, or None where
     it is zero.  Exact parts are ints carrying 2**-shift, float parts floats.
     All shapes, species and daggers are checked, in factor order, before
-    any value; then one numpy pass stacks, tests and conjugates the tables
-    and turns them into one coefficient list per mode.
+    any value; then one numpy pass stacks and tests the tables.  The float
+    path conjugates the annihilators' and turns them into one coefficient
+    list per mode.  The exact path lifts each raw table once, by
+    `_lifted` through `lifts` (a fresh dict if None), and conjugates an
+    annihilator's lift by negating its imaginary ints.
     """
     if len(ops) > 2 * MAX_SLATER_ORDER:
         raise ResourceLimitError(
@@ -596,34 +630,29 @@ def _vacuum_moments(space: SingleOscillatorSpace, profile: VacuumProfile | None,
             raise ShapeError(f"species must be 'b' or 'd', got {spec.species!r}")
         _check_dagger(spec.dagger)
 
-    # all K tables in one pass, each factor's conjugated unless it is a creator
+    # all K tables in one pass
     amps = np.array([spec.amplitude for spec in ops], dtype=np.complex128).reshape(
         len(ops), modes, 2)
     if not np.isfinite(amps).all():
         raise PreconditionError("amplitude table must be finite")
-    daggers = np.array([spec.dagger for spec in ops], dtype=bool).reshape(-1, 1, 1)
-    amps = np.where(daggers, amps, np.conj(amps))
-    shift = 0
+    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops))
     if exact:
         # factor k's row of Gaussian integers on its one mode, scaled by 2**shift_k
         coeffs = []
-        for row in amps[:, 0].tolist():
-            lifted, op_shift = _dyadic_lift(row)
-            coeffs += [part for pair in lifted for part in pair]
+        shift = 0
+        rows = _lifted(amps[:, 0].tolist(), {} if lifts is None else lifts)
+        for spec, (((a_re, a_im), (b_re, b_im)), op_shift) in zip(ops, rows):
+            coeffs += (a_re, a_im, b_re, b_im) if spec.dagger else (a_re, -a_im, b_re, -b_im)
             shift += op_shift
-        parts = [coeffs]
-        # sqrt(w) O is a pure phase by normalization and cancels between bra
-        # and ket, so the vacuum coefficient is 1 and weighs nothing
-        roots = [(1, 0)]
-    else:
-        parts = amps.swapaxes(0, 1).view(np.float64).reshape(modes, 4 * len(ops)).tolist()
-        roots = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
-        roots = [(z.real, z.imag) for z in roots]
-    plan = _PLANS.plan(tuple((spec.species, spec.dagger) for spec in ops))
-    return plan, _moments(plan, parts, roots), shift
+        return plan, _moments(plan, [coeffs], None), shift
+    daggers = np.array([spec.dagger for spec in ops], dtype=bool).reshape(-1, 1, 1)
+    amps = np.where(daggers, amps, np.conj(amps))
+    parts = amps.swapaxes(0, 1).view(np.float64).reshape(modes, 4 * len(ops)).tolist()
+    roots = [complex(np.sqrt(lattice.weights[i]) * profile.values[i]) for i in range(modes)]
+    return plan, _moments(plan, parts, [(z.real, z.imag) for z in roots]), 0
 
 
-def _moments(plan: _Plan, parts: list, roots: list) -> list:
+def _moments(plan: _Plan, parts: list, roots: list | None) -> list:
     """The value pass of `_vacuum_moments`: per mode, one ket loop and one vacuum loop.
 
     parts[i] holds every factor's coefficients on mode i, re and im in turn,
@@ -634,11 +663,14 @@ def _moments(plan: _Plan, parts: list, roots: list) -> list:
     sum make these same float operations, and every sum starts from 0.
     Each moment adds its modes in ascending order.  A zero ket entry gives
     no term, so the kets of the supersets of a vanishing ket cost one truth
-    test per record and stay 0.
+    test per record and stay 0.  roots None is the exact one-mode pass:
+    sqrt(w) O is a pure phase there and cancels between bra and ket, so the
+    root is the int 1 and each moment is its ket's vacuum entry, with no
+    product.
     """
     m_re, m_im = [0] * len(plan.vacuum), [0] * len(plan.vacuum)
     fill = [0] * (plan.slots - 1)
-    for coeffs, (root_re, root_im) in zip(parts, roots):
+    for coeffs, (root_re, root_im) in zip(parts, roots or [(1, 0)]):
         # the ladder signs folded into the coefficients
         tab_re = [coeffs[v] * sign for v, sign in plan.signs]
         tab_im = [coeffs[v + 1] * sign for v, sign in plan.signs]
@@ -650,6 +682,10 @@ def _moments(plan: _Plan, parts: list, roots: list) -> list:
                 y_re, y_im = tab_re[c], tab_im[c]
                 ket_re[d] += y_re * x_re - y_im * x_im
                 ket_im[d] += y_re * x_im + y_im * x_re
+        if roots is None:
+            m_re = list(map(ket_re.__getitem__, plan.vacuum))
+            m_im = list(map(ket_im.__getitem__, plan.vacuum))
+            break
         y_re, y_im = root_re, -root_im
         for t, d in enumerate(plan.vacuum):
             x_re, x_im = ket_re[d], ket_im[d]
@@ -686,9 +722,14 @@ def _partition_sum(plan: _Plan, moments: list) -> list[tuple]:
 
 
 def _partition_expansion(space: SingleOscillatorSpace, profile: VacuumProfile | None,
-                         ops: list[OpSpec], exact: bool) -> _Expansion:
-    """Sum the moments over set partitions of the factors, by block count; no N enters."""
-    plan, moments, shift = _vacuum_moments(space, profile, ops, exact)
+                         ops: list[OpSpec], exact: bool,
+                         lifts: dict | None = None) -> _Expansion:
+    """Sum the moments over set partitions of the factors, by block count; no N enters.
+
+    lifts is passed on to `_vacuum_moments`, which keeps there the exact
+    path's lifts by table values.
+    """
+    plan, moments, shift = _vacuum_moments(space, profile, ops, exact, lifts)
     coeffs = _partition_sum(plan, moments)
     if not exact:
         coeffs = [complex(re, im) for re, im in coeffs]
@@ -745,8 +786,8 @@ def vacuum_matrix_element(nreg: NRegister, profile: VacuumProfile,
     return _rounded(*value) if exact else value
 
 
-def _gram_exact(fs: list[np.ndarray],
-                gs: list[np.ndarray]) -> tuple[list[list[tuple[int, int]]], int]:
+def _gram_exact(fs: list[np.ndarray], gs: list[np.ndarray],
+                lifts: dict) -> tuple[list[list[tuple[int, int]]], int]:
     """Gram matrix on a normalized one-mode lattice, with w Z taken as 1.
 
     Normalization makes the true w Z equal to 1, and that is the value used
@@ -754,14 +795,20 @@ def _gram_exact(fs: list[np.ndarray],
     it by rounding: at `delta_eta` 0.4 it reads 1 - 1.1e-16.  Entries are
     Gaussian integers over one shift: row k and column j carry their own
     powers of two, so the det is that of the integer matrix times 2**-shift.
+    The tables are read in one stacked numpy pass, and each lift is taken
+    from lifts by the table's values (`_lifted`), so the expansion's lifts
+    serve here too; the pairing is this function's own, f_k in row k and
+    g_l in column l, and so is the conjugation of f_k, in the products.
     """
-    f_rows = [_dyadic_lift(np.conj(np.asarray(f, dtype=np.complex128)[0]).tolist()) for f in fs]
-    g_cols = [_dyadic_lift(np.asarray(g, dtype=np.complex128)[0].tolist()) for g in gs]
-    gram = [[(f0[0] * g0[0] - f0[1] * g0[1] + f1[0] * g1[0] - f1[1] * g1[1],
-              f0[0] * g0[1] + f0[1] * g0[0] + f1[0] * g1[1] + f1[1] * g1[0])
-             for (g0, g1), _ in g_cols] for (f0, f1), _ in f_rows]
-    _check_slater_order(len(gram))
-    return gram, sum(shift for _, shift in f_rows + g_cols)
+    m = len(fs)
+    _check_slater_order(m)
+    rows = np.array([*fs, *gs], dtype=np.complex128)[:, 0].tolist()
+    lifted = _lifted(rows, lifts)
+    # conj(f) g on each spin: (fr - i fi)(gr + i gi)
+    gram = [[(f0[0] * g0[0] + f0[1] * g0[1] + f1[0] * g1[0] + f1[1] * g1[1],
+              f0[0] * g0[1] - f0[1] * g0[0] + f1[0] * g1[1] - f1[1] * g1[0])
+             for (g0, g1), _ in lifted[m:]] for (f0, f1), _ in lifted[:m]]
+    return gram, sum(shift for _, shift in lifted)
 
 
 def overlap_product_ops(fs: list[np.ndarray], gs: list[np.ndarray],
@@ -778,8 +825,9 @@ def overlap_product_ops(fs: list[np.ndarray], gs: list[np.ndarray],
     return ann + cre
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
+    """The order-M element at one N against its limit."""
+
     m: int
     n: int
     lhs: complex
@@ -809,6 +857,9 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     lattices the two sides coincide at every finite N, so both run exactly
     (the limit by `_bareiss_det`), lest float noise fake non-monotone
     deviations; any other lattice runs in floats (the limit by `slater_limit`).
+    The exact path lifts each distinct table once, for the expansion and
+    the Gram alike, and an exact-zero gap gives the limit as lhs and the
+    deviation 0.0 with no division.
     """
     n_list = [_oscillator_count(n) for n in n_list]
     if n_list != sorted(n_list) or len(n_list) == 0 or n_list[0] < 1:
@@ -818,10 +869,12 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
     lattice = space.lattice
     exact = lattice.size == 1
 
-    # two independent routes to the limit; the expansion runs first to check the tables
-    expansion = _partition_expansion(space, profile, ops, exact)
+    # two independent routes to the limit; the expansion runs first to check
+    # the tables, and the exact Gram takes its lifts by table values
+    lifts: dict = {}
+    expansion = _partition_expansion(space, profile, ops, exact, lifts)
     if exact:
-        gram, shift = _gram_exact(fs, gs)
+        gram, shift = _gram_exact(fs, gs, lifts)
         (det_re, det_im), det_den = _bareiss_det(gram), 1 << shift
         limit = _rounded((det_re, det_im), det_den)
     else:
@@ -831,14 +884,17 @@ def determinant_limit_convergence(space: SingleOscillatorSpace, profile: VacuumP
         value = _evaluate(expansion, n)
         if exact:
             (re, im), den = value
-            lhs = _rounded((re, im), den)
             # the difference of the two quotients, over the product of their denominators
-            gap = _rounded((re * det_den - det_re * den, im * det_den - det_im * den),
-                           den * det_den)
-            deviation = math.hypot(gap.real, gap.imag)
+            gap = re * det_den - det_re * den, im * det_den - det_im * den
+            if gap == (0, 0):
+                # equal quotients round to the same float
+                lhs, deviation = limit, 0.0
+            else:
+                lhs, gap = _rounded((re, im), den), _rounded(gap, den * det_den)
+                deviation = math.hypot(gap.real, gap.imag)
         else:
             lhs, deviation = value, abs(value - limit)
-        records.append(ConvergenceRecord(m=m, n=n, lhs=lhs, limit=limit, deviation=deviation))
+        records.append(ConvergenceRecord(m, n, lhs, limit, deviation))
 
     devs = [r.deviation for r in records]
     monotone = all(devs[i + 1] <= devs[i] for i in range(len(devs) - 1))

@@ -851,6 +851,69 @@ def test_one_walk_per_convergence_call(monkeypatch, rng, j_max):
             assert walks == [2 * m]
 
 
+def test_one_lift_per_distinct_table(monkeypatch, single_space, single_profile, rng):
+    # the expansion and the exact Gram share one lift per table: 2M calls,
+    # not 4M, and a table passed as both f_k and g_k is lifted once
+    lifted = []
+    real_lift = noscillator._dyadic_lift
+
+    def counting_lift(values):
+        lifted.append(tuple(values))
+        return real_lift(values)
+
+    monkeypatch.setattr(noscillator, "_dyadic_lift", counting_lift)
+    for m in (1, 2, 3, 4):
+        fs = [random_table(rng, 1) for _ in range(m)]
+        gs = [random_table(rng, 1) for _ in range(m)]
+        for tables, distinct in (((fs, gs), 2 * m), ((fs, fs), m)):
+            lifted.clear()
+            rep = determinant_limit_convergence(single_space, single_profile, *tables, [2, 4])
+            assert rep.exact and rep.deviations() == [0.0, 0.0]
+            assert len(lifted) == len(set(lifted)) == distinct
+
+
+# the routes as they are, for the faulted wrappers below
+_REAL_EXPANSION = noscillator._partition_expansion
+_REAL_GRAM = noscillator._gram_exact
+
+
+def _unreversed_product_ops(fs, gs, species="b"):
+    # overlap_product_ops without its annihilator reversal
+    return ([OpSpec(np.asarray(f), species, False) for f in fs]
+            + [OpSpec(np.asarray(g), species, True) for g in gs])
+
+
+def _expansion_without_conjugation(space, profile, ops, exact, *rest):
+    # the annihilators' tables conjugated on the way in: the expansion's own
+    # conjugation, an involution, undoes it, as if it had been dropped
+    ops = [spec if spec.dagger else spec._replace(amplitude=np.conj(spec.amplitude))
+           for spec in ops]
+    return _REAL_EXPANSION(space, profile, ops, exact, *rest)
+
+
+def _gram_without_conjugation(fs, gs, *rest):
+    return _REAL_GRAM([np.conj(f) for f in fs], gs, *rest)
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("overlap_product_ops", _unreversed_product_ops),
+    ("_partition_expansion", _expansion_without_conjugation),
+    ("_gram_exact", _gram_without_conjugation),
+])
+def test_a_fault_on_one_route_moves_the_exact_deviation(monkeypatch, single_space,
+                                                        single_profile, rng, name, fault):
+    # the Gram reuses the expansion's lifts, but by table values, with its own
+    # pairing and conjugation: a fault on either route must still show at
+    # M = 2 on one mode, where det != 0 and the true deviation is exactly 0
+    fs = [random_table(rng, 1) for _ in range(2)]
+    gs = [random_table(rng, 1) for _ in range(2)]
+    rep = determinant_limit_convergence(single_space, single_profile, fs, gs, [1, 2, 8])
+    assert rep.limit != 0 and rep.deviations() == [0.0, 0.0, 0.0]
+    monkeypatch.setattr(noscillator, name, fault)
+    rep = determinant_limit_convergence(single_space, single_profile, fs, gs, [1, 2, 8])
+    assert rep.exact and all(d > 0 for d in rep.deviations())
+
+
 # extreme dyadic entries: the smallest subnormal, powers near 2^+-1000 and
 # mixed exponents within one table; spin 0 is large in every f and small in
 # every g, spin 1 the reverse, so the Gram entries and det stay in float range
@@ -1473,7 +1536,7 @@ def test_bareiss_det_of_one_mode_grams(rng):
     for m in (1, 2, 3, 4):
         fs = [random_table(rng, 1) for _ in range(m)]
         gs = [random_table(rng, 1) for _ in range(m)]
-        gram, _ = noscillator._gram_exact(fs, gs)
+        gram, _ = noscillator._gram_exact(fs, gs, {})
         got = noscillator._bareiss_det(gram)
         _assert_same_exact(got, _exact_permutation_sum(gram))
         assert (got != (0, 0)) == (m <= 2)

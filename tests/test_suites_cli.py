@@ -183,7 +183,7 @@ def test_a_flat_or_zero_orthonormal_overlap_fails_its_flag(monkeypatch, fast_con
         rep = real(space, profile, fs, gs, n_list)
         if fs is not gs:  # only the orthonormal call passes one list twice
             return rep
-        records = tuple(dataclasses.replace(record, lhs=complex(value))
+        records = tuple(record._replace(lhs=complex(value))
                         for record, value in zip(rep.records, values, strict=True))
         return dataclasses.replace(rep, records=records)
 
