@@ -22,9 +22,8 @@ operator keeps the range of modes whose blocks may be nonzero and the
 register entries that may be nonzero in them, so the algebra touches only
 those.  A block product computes only the terms a_ij b_jk whose positions
 are set in both patterns, from a plan cached per pair of patterns, and sums
-them by the summation rule of `sparse`; one product kernel serves `@` and
-the (anti)commutators, which form the terms of both products of unshifted
-operands in one einsum.
+them by the summation rule of `sparse`; the (anti)commutators are
+a @ b -+ b @ a.
 `mode_blocks` assembles sum_i |i><i| x sum_k c_ik R_k, the R_k on disjoint
 supports, from the nonzero entries of each R_k, read from the tables
 `register.operator_table` built at import; `mode_sum`, sum_i (1/w_i) |i><i|
@@ -336,31 +335,24 @@ class ModeBlocks:
 
         Only live block pairs are multiplied, and in them only the terms
         a_ij b_jk whose register positions are set in both patterns, listed
-        by the cached `_product_plan`; `_planned_products` forms and sums
+        by the cached `_product_plan`; `_planned_product` forms and sums
         them as the CSR product in `sparse` does, so the two agree bitwise.
         """
         m = len(self.stack)
-        self._check_pair(other)
+        if other.stack.shape != self.stack.shape:
+            raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
         shift = self.shift + other.shift
         (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
         lo, hi = max(a_lo, b_lo + self.shift), min(a_hi, b_hi + self.shift)
         if lo >= hi:
             return _zero_blocks(m, shift)
         plan = _product_plan(self._pattern, other._pattern)
-        ((entries, sums),) = _planned_products(
-            [(self._flat(lo, hi), other._flat(lo - self.shift, hi - self.shift), plan)])
+        entries, sums = _planned_product(self.stack[lo:hi],
+                                         other.stack[lo - self.shift:hi - self.shift], plan)
         stack = np.zeros((m, REGISTER_DIM**2), dtype=np.complex128)
         stack[lo:hi, entries] = sums
         return ModeBlocks._wrapped(stack.reshape(m, REGISTER_DIM, REGISTER_DIM), (lo, hi), shift,
                                    plan[4])
-
-    def _check_pair(self, other: ModeBlocks) -> None:
-        if other.stack.shape != self.stack.shape:
-            raise ShapeError(f"mode blocks differ: {self.stack.shape} vs {other.stack.shape}")
-
-    def _flat(self, lo: int, hi: int) -> np.ndarray:
-        """Blocks lo .. hi - 1 as (hi - lo, 256) rows of flat register entries."""
-        return self.stack[lo:hi].reshape(hi - lo, -1)
 
     def adjoint(self) -> ModeBlocks:
         """Shift -> -shift; block j is the conjugate transpose of block j + shift."""
@@ -369,74 +361,42 @@ class ModeBlocks:
         return ModeBlocks._placed(blocks, len(self.stack), (lo - self.shift, hi - self.shift),
                                   -self.shift)
 
-    def _bracket(self, other: ModeBlocks, combine) -> ModeBlocks:
-        """combine(self @ other, other @ self), combine operator.add or operator.sub.
-
-        For unshifted operands both products meet on the same modes, and
-        one einsum forms the terms of both; each is summed as `@` sums it,
-        and the two are combined as `+` and `-` combine them.
-        """
-        if self.shift or other.shift:
-            return combine(self @ other, other @ self)
-        m = len(self.stack)
-        self._check_pair(other)
-        (a_lo, a_hi), (b_lo, b_hi) = self._live, other._live
-        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-        if lo >= hi:
-            return _zero_blocks(m, 0)
-        a, b = self._flat(lo, hi), other._flat(lo, hi)
-        plans = _product_plan(self._pattern, other._pattern), _product_plan(other._pattern,
-                                                                             self._pattern)
-        (ab_entries, ab), (ba_entries, ba) = _planned_products([(a, b, plans[0]),
-                                                                 (b, a, plans[1])])
-        # a sum from 0 is never -0.0, so an entry of one product alone is
-        # what it is combined with 0, as the full blocks would combine it
-        stack = np.zeros((m, REGISTER_DIM**2), dtype=np.complex128)
-        stack[lo:hi, ab_entries] = ab
-        stack[lo:hi, ba_entries] = combine(stack[lo:hi, ba_entries], ba)
-        return ModeBlocks._wrapped(stack.reshape(m, REGISTER_DIM, REGISTER_DIM), (lo, hi), 0,
-                                   plans[0][4] | plans[1][4])
-
     def commutator(self, other: ModeBlocks) -> ModeBlocks:
-        return self._bracket(other, operator.sub)
+        return self @ other - other @ self
 
     def anticommutator(self, other: ModeBlocks) -> ModeBlocks:
-        return self._bracket(other, operator.add)
+        return self @ other + other @ self
 
     def max_abs(self) -> float:
         lo, hi = self._live
         return sparse.max_abs(self.stack[lo:hi]) if lo < hi else 0.0
 
 
-def _planned_products(factors: list[tuple[np.ndarray, np.ndarray, tuple]]) -> list[tuple]:
-    """The block products of (left, right, plan) triples, all their terms made by one einsum.
+def _planned_product(left: np.ndarray, right: np.ndarray, plan: tuple) -> tuple:
+    """The block product left @ right by their `_product_plan`, all its terms made by one einsum.
 
-    left and right are the live blocks of two operands as (n, 256) flat
-    rows, plan their `_product_plan`; each product comes back as the plan's
-    output entries and their (n, entries) sums.  Each term is einsum's complex product, with no fused
+    left and right are (n, 16, 16) stacks of the live blocks of two
+    operands; the product comes back as the plan's output entries and their
+    (n, entries) sums.  Each term is einsum's complex product, with no fused
     multiply-add, and each entry adds its terms to 0 one at a time in
     ascending j: the summation rule of the CSR product.  A term with a
     zero factor counts as 0, as in the CSR product, which stores no zeros;
     with finite factors it is +-0 already, which adds nothing to a sum from
     0, so only non-finite terms make the zero-factor mask.
     """
-    lefts = [left.take(plan[0], axis=1) for left, _, plan in factors]
-    rights = [right.take(plan[1], axis=1) for _, right, plan in factors]
-    left = lefts[0] if len(factors) == 1 else np.concatenate(lefts, axis=1)
-    right = rights[0] if len(factors) == 1 else np.concatenate(rights, axis=1)
+    lefts, rights, entries, widths, _ = plan
+    left = left.reshape(len(left), -1).take(lefts, axis=1)
+    right = right.reshape(len(right), -1).take(rights, axis=1)
     terms = np.einsum("nt,nt->nt", left, right)
     if not np.isfinite(terms).all():
         # 0 * NaN and 0 * inf would be NaN; the CSR product never forms them
         terms[(left == 0) | (right == 0)] = 0
-    products = []
+    sums = np.zeros((len(terms), len(entries)), dtype=np.complex128)
     start = 0
-    for _, _, (_, _, entries, widths, _) in factors:
-        sums = np.zeros((len(terms), len(entries)), dtype=np.complex128)
-        for width in widths:
-            sums[:, :width] += terms[:, start:start + width]
-            start += width
-        products.append((entries, sums))
-    return products
+    for width in widths:
+        sums[:, :width] += terms[:, start:start + width]
+        start += width
+    return entries, sums
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -464,7 +424,7 @@ class SingleOscillatorSpace:
         """op as CSR: the one conversion of single-oscillator operators to CSR.
 
         Block i fills rows 16 i .. 16 i + 15 at columns 16 (i - shift) + c;
-        one block per row of blocks, so row-major order is canonical order.
+        one block per row of blocks, so the entries come in canonical order.
         """
         m = self.lattice.size
         if len(op.stack) != m:
@@ -475,7 +435,7 @@ class SingleOscillatorSpace:
         block, r, c = np.nonzero(live)
         rows = REGISTER_DIM * (lo + block) + r
         cols = REGISTER_DIM * (lo + block - op.shift) + c
-        return SparseOperator.from_sorted(blocks[live], rows, cols, (self.dim, self.dim))
+        return SparseOperator.from_coo(blocks[live], rows, cols, (self.dim, self.dim))
 
     def parity(self) -> ModeBlocks:
         """Single-oscillator grading sum_i w_i |p_i><p_i| x reg-parity = id x reg-parity."""

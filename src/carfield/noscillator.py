@@ -196,8 +196,8 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
     is einsum's complex product, times the exact +-1 twist of its left
     index; each entry sums its terms from 0, slot by slot and each slot's
     in ascending column.  A diagonal op sums its slots' signed diagonals
-    into the output and multiplies the ket into it once, a block at a
-    time, so an untwisted one holds two states: the ket and the output.
+    into the output and multiplies the ket into it once, each a block at a
+    time, so it holds two states: the ket and the output.
     At N = 1 that is the CSR row's order, so the two agree bitwise; at
     larger N they differ only in rounding.  The ket is taken finite: a zero
     op entry in the pattern adds a zero term where the CSR product stores
@@ -215,8 +215,8 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
     out = np.zeros(nreg.dim, dtype=np.complex128)
     if not pattern:
         return out
-    # the twist of each left index, grown by one slot's parity at a time
-    parity = np.tile(np.diag(REGISTER.parity).real, m) if twisted else np.ones(1)
+    # the twist of each left index, grown by one slot's parity for each slot that reads it
+    parity = np.tile(np.diag(REGISTER.parity).real, m) if twisted else None
     sign = np.ones(1)
     scale = 1 / np.sqrt(n) if twisted else 1.0
 
@@ -226,9 +226,16 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
     if not op.shift and not pattern & ~_DIAGONAL:
         # every register entry: one off the pattern adds an exact zero
         values = np.diagonal(op.stack[lo:hi], axis1=1, axis2=2) * scale
+        step = max(1, _STATE_BLOCK // values.size)
         for k in range(n):
-            by_slot(out, k)[:, lo:hi] += (sign[:, None, None] * values)[..., None]
-            sign = np.kron(sign, parity)
+            if twisted and k:
+                sign = np.kron(sign, parity)
+            # (sign, rest of left index, mode, register, right index); the signed
+            # diagonal a block of signs at a time, as the last slot's is state-sized
+            target = out.reshape(len(sign), -1, m, REGISTER_DIM, d**(n - k - 1))[:, :, lo:hi]
+            for start in range(0, len(sign), step):
+                target[start:start + step] += (sign[start:start + step, None, None]
+                                               * values)[:, None, :, :, None]
         # the product into the summed diagonal a block at a time, as einsum
         # copies an operand its output overlaps; a sum from 0, as the CSR
         # row's, so no part is -0.0
@@ -242,6 +249,7 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
         source = by_slot(ket, k)[:, lo - op.shift:hi - op.shift, cols]
         terms = np.einsum("...,...->...", values[..., None], source)
         if twisted and k:
+            sign = np.kron(sign, parity)
             terms *= sign[:, None, None, None]
         # the rows' running sums, gathered once; rank r adds to the first widths[r]
         target = by_slot(out, k)
@@ -251,7 +259,6 @@ def apply_extension(nreg: NRegister, op: ModeBlocks, ket: np.ndarray,
             sums[:, :, :width] += terms[:, :, start:start + width]
             start += width
         target[:, lo:hi, rows] = sums
-        sign = np.kron(sign, parity)
     return out
 
 

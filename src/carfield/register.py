@@ -34,12 +34,9 @@ import numpy as np
 
 from . import sparse
 from .errors import PreconditionError, ShapeError
-from .spinors import _times, exponential
+from .spinors import PAULI, _times, exponential
 
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-SIGMA_MINUS = (SIGMA1 - 1j * SIGMA2) / 2  # lowers excited -> ground
+SIGMA_MINUS = (PAULI[0] - 1j * PAULI[1]) / 2  # lowers excited -> ground
 ID2 = np.eye(2, dtype=np.complex128)
 
 REGISTER_DIM = 16
@@ -81,13 +78,14 @@ def _chain(*factors: np.ndarray) -> np.ndarray:
 
 
 def build_register() -> JWRegister:
+    z = PAULI[2]
     return JWRegister(
         b_minus=_chain(SIGMA_MINUS, ID2, ID2, ID2),
-        b_plus=-_chain(SIGMA3, SIGMA_MINUS, ID2, ID2),
-        d_minus=_chain(SIGMA3, SIGMA3, SIGMA_MINUS, ID2),
-        d_plus=-_chain(SIGMA3, SIGMA3, SIGMA3, SIGMA_MINUS),
+        b_plus=-_chain(z, SIGMA_MINUS, ID2, ID2),
+        d_minus=_chain(z, z, SIGMA_MINUS, ID2),
+        d_plus=-_chain(z, z, z, SIGMA_MINUS),
         identity=np.eye(REGISTER_DIM, dtype=np.complex128),
-        parity=_chain(SIGMA3, SIGMA3, SIGMA3, SIGMA3),
+        parity=_chain(z, z, z, z),
         vacuum=sparse.basis_state(REGISTER_DIM, VACUUM_INDEX),
     )
 
@@ -223,25 +221,12 @@ def quadratic_generator(a_b: np.ndarray, a_d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite_diagonals(a: np.ndarray) -> bool:
-    """Whether every matrix of the stack is diagonal, with finite entries."""
-    diagonal = np.diagonal(a, axis1=-2, axis2=-1)
-    return bool(np.count_nonzero(a) == np.count_nonzero(diagonal)
-                and np.isfinite(diagonal).all())
-
-
 def _conjugate(inv: np.ndarray, op: np.ndarray, conj: np.ndarray) -> np.ndarray:
     """inv @ op @ conj, left to right, each entry summed in index order from 0 with einsum.
 
     inv and conj are stacks of 16x16 matrices, op any stack of register
-    operators that broadcasts between them.  When inv and conj are finite
-    and diagonal, each sum has one nonzero term, and every other term is
-    +-0, which adds nothing to a sum from 0: each entry is then einsum's
-    product of the three entries, added to 0, as the contraction makes it.
+    operators that broadcasts between them.
     """
-    if _finite_diagonals(inv) and _finite_diagonals(conj):
-        left = np.einsum("...i,...ij->...ij", np.diagonal(inv, axis1=-2, axis2=-1), op)
-        return np.einsum("...ij,...j->...ij", left, np.diagonal(conj, axis1=-2, axis2=-1))
     return np.einsum("...ij,...jk->...ik", np.einsum("...ij,...jk->...ik", inv, op), conj)
 
 

@@ -90,10 +90,10 @@ class SparseOperator:
 
     Row i holds data[indptr[i]:indptr[i + 1]] at the strictly increasing
     columns indices[indptr[i]:indptr[i + 1]].  The constructor takes these
-    arrays as they are; `from_coo`, `from_sorted` and `asoperator` build
-    them.  Operators support `@` (with an operator or a state vector), `+`
-    and `-` (which drop exact-zero results), and `*` and `/` by a scalar
-    (which keep the pattern).  Nothing mutates the arrays after construction.
+    arrays as they are; `from_coo` and `asoperator` build them.  Operators
+    support `@` (with an operator or a state vector), `+` and `-` (which
+    drop exact-zero results), and `*` and `/` by a scalar (which keep the
+    pattern).  Nothing mutates the arrays after construction.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape")
@@ -120,13 +120,6 @@ class SparseOperator:
         keys *= n_cols
         keys += cols.astype(np.int64)
         return cls._from_keys(*_sums_by_key(keys, data), shape)
-
-    @classmethod
-    def from_sorted(cls, data, rows, cols, shape: tuple[int, int]) -> SparseOperator:
-        """Entries in canonical order: rows ascending, columns strictly ascending in a row."""
-        indptr = np.zeros(shape[0] + 1, dtype=_INDEX)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(data, cols, indptr, shape)
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, data: np.ndarray, shape) -> SparseOperator:
@@ -231,7 +224,7 @@ def asoperator(a: np.ndarray) -> SparseOperator:
     if a.ndim != 2:
         raise ShapeError(f"an operator needs a 2-d array, got shape {a.shape}")
     rows, cols = np.nonzero(a)
-    return SparseOperator.from_sorted(a[rows, cols], rows, cols, a.shape)
+    return SparseOperator.from_coo(a[rows, cols], rows, cols, a.shape)
 
 
 def tensor_product(a: SparseOperator, b: SparseOperator | np.ndarray) -> SparseOperator:
@@ -265,10 +258,7 @@ def tensor_many(*ops: SparseOperator) -> SparseOperator:
 
 def adjoint(a: SparseOperator) -> SparseOperator:
     rows, cols, data = a.coo()
-    # stable, so each row of the adjoint keeps its columns ascending
-    order = np.argsort(cols, kind="stable")
-    return SparseOperator.from_sorted(np.conj(data[order]), cols[order], rows[order],
-                                      a.shape[::-1])
+    return SparseOperator.from_coo(np.conj(data), cols, rows, a.shape[::-1])
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
@@ -359,7 +349,7 @@ def matrix_exponential(a: SparseOperator) -> SparseOperator:
         diagonal[rows] = data
         values = np.exp(diagonal)
         kept = np.flatnonzero(values)
-        return SparseOperator.from_sorted(values[kept], kept, kept, a.shape)
+        return SparseOperator.from_coo(values[kept], kept, kept, a.shape)
     return asoperator(dense_exponential(a.toarray()))
 
 

@@ -659,7 +659,14 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
     out.append(_rec(s, "boost_isometry", "U'U projects on the modes that stay on the lattice",
                     (u.adjoint() @ u - src_proj).max_abs(), 1e-12))
 
-    field_res, conjugate_res = symmetries.field_covariance_residual(space, boost0, y, x)
+    # the operators that several checks read, built once and released before
+    # the N = 2 row, which holds the suite's largest arrays
+    poincare = symmetries.poincare_unitary(space, boost0, y)
+    fields = symmetries.field_components(space, x)
+    parity = space.parity()
+    creators = symmetries.creator_sums(space)
+    field_res, conjugate_res = symmetries.field_covariance_residual(space, boost0, poincare, y, x,
+                                                                    fields)
     out.append(_rec(s, "field_covariance",
                     "U' Psi(x) U = S(L) Psi(L^-1(x - y)) away from the boundary",
                     field_res, 1e-10))
@@ -667,9 +674,11 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
                     "the conjugate field transforms with the same bispinor action",
                     conjugate_res, 1e-10))
     out.append(_rec(s, "grading_invariance", "Poincare maps preserve the grading (interior)",
-                    symmetries.grading_invariance_residual(space, boost0, y), 1e-12))
+                    symmetries.grading_invariance_residual(space, boost0, poincare, parity),
+                    1e-12))
 
-    gauge = symmetries.gauge_check(space, E0, float(rng.uniform(0.2, 1.2)), x)
+    gauge = symmetries.gauge_check(space, E0, float(rng.uniform(0.2, 1.2)), fields, parity,
+                                   creators)
     out.append(_rec(s, "gauge_field_phase", "e^{-i phi Q} Psi e^{i phi Q} = e^{+i e0 phi} Psi",
                     gauge.field_residual, 1e-12))
     out.append(_rec(s, "gauge_conjugate_phase", "conjugate field rotates with e^{-i e0 phi}",
@@ -680,9 +689,10 @@ def run_symmetries(config: RunConfig) -> list[CheckRecord]:
                     gauge.grading_residual, 1e-12))
 
     out.append(_rec(s, "spin_commutators", "[S3, c_s'] = (s/2) c_s'",
-                    symmetries.spin_commutator_residual(space), 1e-12))
+                    symmetries.spin_commutator_residual(space, creators), 1e-12))
 
-    vac_rep = symmetries.vacuum_covariance_report(space, profile, boost0, y)
+    vac_rep = symmetries.vacuum_covariance_report(space, profile, boost0, poincare, y)
+    del poincare, fields, parity, creators
     out.append(_rec(s, "vacuum_covariance",
                     "U|O> = phases times the profile transported along the boost",
                     vac_rep.residual, 1e-12))

@@ -16,7 +16,9 @@ Conventions fixed here:
   it and covariant only on the interior; both are `modes.shift_range` slices.
 
 Everything here stays at the single-oscillator level (dimension 16 M), as
-mode-block operators built once per check; a linear combination of them is
+mode-block operators built once per suite: the checks take the Poincare
+unitary, the field components at x, the grading and the creator sums that
+several of them read as arguments.  A linear combination of operators is
 one sum of their stacks.  The N-fold extension rules live in the oscillator
 module: unitaries extend as tensor powers, generators as untwisted sums.
 """
@@ -150,22 +152,27 @@ def boost_mode_residual(space: SingleOscillatorSpace, boost: BoostData) -> float
     return worst
 
 
-def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData,
-                                y: np.ndarray) -> float:
-    """The grading commutes with Poincare maps away from the boundary (an empty one raises)."""
+def grading_invariance_residual(space: SingleOscillatorSpace, boost: BoostData, u: ModeBlocks,
+                                parity: ModeBlocks) -> float:
+    """The grading commutes with the Poincare map u away from the boundary (an empty one raises)."""
     lo, hi = _nonempty_interior(space.lattice.size, boost.steps)
-    u = poincare_unitary(space, boost, y)
-    parity = space.parity()
     diff = u.adjoint() @ parity @ u - parity
     return sparse.max_abs(diff.stack[lo:hi])
 
 
-def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
-                              y: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+def field_components(space: SingleOscillatorSpace, x: np.ndarray) -> list[list[ModeBlocks]]:
+    """The components Psi_a(x) of the field and of the conjugate field, as [conjugate][a]."""
+    return [[field_operator(space, x, a, conjugate=c) for a in range(4)] for c in (False, True)]
+
+
+def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData, u: ModeBlocks,
+                              y: np.ndarray, x: np.ndarray,
+                              fields: list[list[ModeBlocks]]) -> tuple[float, float]:
     """Residuals of U' Psi_a(x) U = sum_b S[a,b] Psi_b(L^-1 (x - y)), interior part.
 
-    The pair (field, conjugate field), from one Poincare unitary.  S is the
-    direct-sum bispinor action of the boost; the difference is read on the
+    The pair (field, conjugate field), for the Poincare unitary u of the
+    boost and y and the `field_components` at x.  S is the direct-sum
+    bispinor action of the boost; the difference is read on the
     interior blocks only, because modes within `steps` of the lattice edge
     are shifted off and carry no covariance statement; an empty interior
     (|k| > J) raises PreconditionError.
@@ -173,18 +180,16 @@ def field_covariance_residual(space: SingleOscillatorSpace, boost: BoostData,
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     lo, hi = _nonempty_interior(space.lattice.size, boost.steps)
-    u = poincare_unitary(space, boost, y)
     u_dag = u.adjoint()
     s4 = bispinor_rep(boost.sl2c)
     x_back = apply_lorentz_to_point(np.linalg.inv(boost.sl2c), x - y)
     residuals = []
-    for conjugate in (False, True):
-        backs = [field_operator(space, x_back, b, conjugate=conjugate).stack for b in range(4)]
+    for psis, backs in zip(fields, field_components(space, x_back)):
         worst = 0.0
-        for a in range(4):
-            lhs = u_dag @ field_operator(space, x, a, conjugate=conjugate) @ u
+        for a, psi in enumerate(psis):
+            lhs = u_dag @ psi @ u
             # one stack sum; Python's sum adds the terms to 0 in the order of b
-            rhs = sum(backs[b] * s4[a, b] for b in range(4) if s4[a, b] != 0)
+            rhs = sum(backs[b].stack * s4[a, b] for b in range(4) if s4[a, b] != 0)
             worst = worst_of(worst, sparse.max_abs(lhs.stack[lo:hi] - rhs[lo:hi]))
         residuals.append(worst)
     return residuals[0], residuals[1]
@@ -213,41 +218,43 @@ class GaugeReport:
     commutator_residual: float
 
 
+def creator_sums(space: SingleOscillatorSpace) -> list[ModeBlocks]:
+    """sum_i (1/w_i) |i><i| x c' for the creators c' of b-, b+, d-, d+, in that order."""
+    return [mode_sum(space, creator(species, s)) for species in "bd" for s in (0, 1)]
+
+
 def gauge_check(space: SingleOscillatorSpace, e0: float, phi: float,
-                x: np.ndarray) -> GaugeReport:
+                fields: list[list[ModeBlocks]], parity: ModeBlocks,
+                creators: list[ModeBlocks]) -> GaugeReport:
     """Global phase rotations: field picks up e^{+i e0 phi}, conjugate the inverse.
 
-    The commutator normalizations [Q, b'] = +e0 b' and [Q, d'] = -e0 d'
-    fix the sign convention; the finite rotation follows from them.
+    fields are the `field_components` at a point.  The commutator
+    normalizations [Q, b'] = +e0 b' and [Q, d'] = -e0 d' of the
+    `creator_sums` fix the sign convention; the finite rotation follows.
     """
     u = gauge_unitary(space, e0, phi)
     u_dag = u.adjoint()
     field_res = 0.0
     conj_res = 0.0
-    for a in range(4):
-        psi = field_operator(space, x, a)
-        rotated = u_dag @ psi @ u
-        field_res = worst_of(field_res, (rotated - np.exp(1j * e0 * phi) * psi).max_abs())
-        psi_c = field_operator(space, x, a, conjugate=True)
-        rotated_c = u_dag @ psi_c @ u
-        conj_res = worst_of(conj_res, (rotated_c - np.exp(-1j * e0 * phi) * psi_c).max_abs())
-    parity = space.parity()
+    for psi, psi_c in zip(*fields):
+        field_res = worst_of(field_res, (u_dag @ psi @ u - np.exp(1j * e0 * phi) * psi).max_abs())
+        conj_res = worst_of(conj_res,
+                            (u_dag @ psi_c @ u - np.exp(-1j * e0 * phi) * psi_c).max_abs())
     grading_res = (u_dag @ parity @ u - parity).max_abs()
-    charges = {(species, s): q for species, q in (("b", e0), ("d", -e0)) for s in (0, 1)}
     return GaugeReport(
         field_residual=field_res,
         conjugate_residual=conj_res,
         grading_residual=grading_res,
-        commutator_residual=_creator_residual(space, charge_operator(space, e0), charges),
+        commutator_residual=_creator_residual(charge_operator(space, e0), creators,
+                                              (e0, e0, -e0, -e0)),
     )
 
 
-def _creator_residual(space: SingleOscillatorSpace, generator: ModeBlocks,
-                      charges: dict[tuple[str, int], float]) -> float:
-    """Residual of [G, c'] = q c' over all modes, q = charges[species, spin] for each creator c'."""
+def _creator_residual(generator: ModeBlocks, creators: list[ModeBlocks],
+                      charges: tuple[float, ...]) -> float:
+    """Residual of [G, c'] = q c' over all modes, for each of the `creator_sums` c' and its q."""
     worst = 0.0
-    for (species, s), q in charges.items():
-        c_dag = mode_sum(space, creator(species, s))
+    for c_dag, q in zip(creators, charges):
         worst = worst_of(worst, (generator.commutator(c_dag) - q * c_dag).max_abs())
     return worst
 
@@ -259,10 +266,9 @@ def spin_operator(space: SingleOscillatorSpace) -> ModeBlocks:
     return mode_blocks(np.full((space.lattice.size, 1), 0.5), [base])
 
 
-def spin_commutator_residual(space: SingleOscillatorSpace) -> float:
-    """Residual of [S3, c_s'] = (+-1/2) c_s' for both species and spins, all modes at once."""
-    spins = {(species, s): sign for species in "bd" for s, sign in ((0, -0.5), (1, 0.5))}
-    return _creator_residual(space, spin_operator(space), spins)
+def spin_commutator_residual(space: SingleOscillatorSpace, creators: list[ModeBlocks]) -> float:
+    """Residual of [S3, c_s'] = (+-1/2) c_s' for the `creator_sums`, all modes at once."""
+    return _creator_residual(spin_operator(space), creators, (-0.5, 0.5, -0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +284,22 @@ class VacuumCovarianceReport:
 
 
 def vacuum_covariance_report(space: SingleOscillatorSpace, profile: VacuumProfile,
-                             boost: BoostData, y: np.ndarray) -> VacuumCovarianceReport:
+                             boost: BoostData, u: ModeBlocks,
+                             y: np.ndarray) -> VacuumCovarianceReport:
     """Poincare maps send the vacuum to a vacuum with transported profile.
 
-    U_{Lambda,y}|O> carries per-mode phases e^{-2 i y.p_j} and the shifted
-    profile O(Lambda^-1 p_j); the phases are removable by a mode-diagonal
-    central unitary, after which only the profile shift remains.  Modes
-    shifted off the lattice edge are lost, which shows up as a norm
-    deficit equal to the dropped profile weight.
+    u is the Poincare unitary U_{Lambda,y} of the boost and y.  U_{Lambda,y}|O>
+    carries per-mode phases e^{-2 i y.p_j} and the shifted profile
+    O(Lambda^-1 p_j); the phases are removable by a mode-diagonal central
+    unitary, after which only the profile shift remains.  Modes shifted off
+    the lattice edge are lost, which shows up as a norm deficit equal to the
+    dropped profile weight.
     """
     y = np.asarray(y, dtype=float)
     lattice = space.lattice
     k = boost.steps
     vac = vacuum_vector(space, profile)
-    moved = apply_extension(NRegister(space, 1), poincare_unitary(space, boost, y), vac,
-                            twisted=False)
+    moved = apply_extension(NRegister(space, 1), u, vac, twisted=False)
 
     thetas = dot_point(lattice.momenta, y)
     lo, hi = shift_range(lattice.size, k)

@@ -298,10 +298,12 @@ def test_criterion_10_poincare_suite():
     )
 
     boost = symmetries.boost_unitary(space, 1)
+    u = symmetries.poincare_unitary(space, boost, Y)
     # the field and the conjugate field
-    covariance = sparse.worst_of(*symmetries.field_covariance_residual(space, boost, Y, X))
-    grading = symmetries.grading_invariance_residual(space, boost, Y)
-    vac_rep = symmetries.vacuum_covariance_report(space, profile, boost, Y)
+    covariance = sparse.worst_of(*symmetries.field_covariance_residual(
+        space, boost, u, Y, X, symmetries.field_components(space, X)))
+    grading = symmetries.grading_invariance_residual(space, boost, u, space.parity())
+    vac_rep = symmetries.vacuum_covariance_report(space, profile, boost, u, Y)
 
     ok = (translation <= 1e-12 and covariance <= 1e-9
           and grading <= 1e-14 and vac_rep.residual <= 1e-12)
@@ -315,7 +317,8 @@ def test_criterion_10_poincare_suite():
 def test_criterion_11_charge_and_spin():
     lattice = rapidity_lattice(6, 0.4, 1.0)
     space = SingleOscillatorSpace(lattice)
-    gauge = symmetries.gauge_check(space, 1.0, 0.8, X)
+    gauge = symmetries.gauge_check(space, 1.0, 0.8, symmetries.field_components(space, X),
+                                   space.parity(), symmetries.creator_sums(space))
 
     small = SingleOscillatorSpace(rapidity_lattice(2, 0.4, 1.0))
     profile = uniform_profile(small.lattice)

@@ -455,37 +455,7 @@ def test_the_zero_operator_is_shared_and_read_only(default_space):
 SPECIAL_PARTS = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
 
 
-def _with_special_parts(rng, stack):
-    """stack with a few real and imaginary parts of its live entries set to NaN, inf, -0.0 or 1e-300."""
-    stack = stack.copy()
-    live = np.flatnonzero(stack)
-    for part in (stack.real, stack.imag):
-        picked = rng.choice(live, size=min(len(live), 3), replace=False) if len(live) else []
-        part.flat[picked] = rng.choice(SPECIAL_PARTS, size=len(picked))
-    return stack
-
-
-@settings(max_examples=150, deadline=None)
-@given(modes=st.integers(1, 4), kinds=st.tuples(KINDS, KINDS), shift_seeds=st.tuples(
-    st.integers(0, 8), st.integers(0, 8)), special=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_fused_brackets_equal_both_products_bitwise(modes, kinds, shift_seeds, special, seed):
-    # unshifted operands (two in three draws) take the fused route, shifted
-    # ones the two products; disjoint live ranges give the shared zero
-    rng = np.random.default_rng(seed)
-    s_a, s_b = (0 if s % 3 else s % (2 * modes + 1) - modes for s in shift_seeds)
-    stacks = [_stack_of(kind, rng, modes) for kind in kinds]
-    if special:
-        stacks = [_with_special_parts(rng, stack) for stack in stacks]
-    a, b = ModeBlocks(stacks[0], s_a), ModeBlocks(stacks[1], s_b)
-    with np.errstate(invalid="ignore", over="ignore"):
-        pairs = [(a.anticommutator(b), a @ b + b @ a), (a.commutator(b), a @ b - b @ a),
-                 (b.anticommutator(a), b @ a + a @ b)]
-    for got, want in pairs:
-        assert (got.shift, got._live, got._pattern) == (want.shift, want._live, want._pattern)
-        _same_bits(got.stack, want.stack)
-
-
-def test_fused_brackets_of_disjoint_operands_are_the_shared_zero(default_space):
+def test_brackets_of_disjoint_operands_are_the_shared_zero(default_space):
     a = mode_annihilator(default_space, 4, 1, "b")
     b = mode_annihilator(default_space, 7, 0, "d")
     m = default_space.lattice.size
@@ -615,9 +585,9 @@ def test_a_nan_central_coefficient_fails_smeared_car(monkeypatch):
 
 
 def test_a_nonzero_disjoint_product_fails_the_car_checks(monkeypatch):
-    # the car checks meet disjoint-mode products, both products of each
-    # anticommutator in one fused call; if one of them came out nonzero,
-    # car_central or car_zero must say so
+    # the car checks meet disjoint-mode products, in the two products of
+    # each anticommutator; if one of them came out nonzero, car_central or
+    # car_zero must say so
     anticommutator = ModeBlocks.anticommutator
     faults = []
 

@@ -1,6 +1,7 @@
 """Register algebra: CAR table, grading, vacuum, and quadratic flows."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ def test_occupation_is_the_diagonal_of_each_number_operator(reg):
     for species, rows in (("b", OCCUPATION[:2]), ("d", OCCUPATION[2:])):
         np.testing.assert_array_equal(number_operator(reg, species), np.diag(rows.sum(axis=0)))
     assert not OCCUPATION[:, VACUUM_INDEX].any()
+
+
+def test_register_is_the_jordan_wigner_chain_of_literal_pauli_matrices(reg):
+    # the chains take their factors from spinors.PAULI; written out from
+    # literal sigma matrices they give the same bytes, signed zeros included
+    x, y, z = (np.array(m, dtype=np.complex128)
+               for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+    lower, one = (x - 1j * y) / 2, np.eye(2, dtype=np.complex128)
+    chains = {"b_minus": (1, lower, one, one, one), "b_plus": (-1, z, lower, one, one),
+              "d_minus": (1, z, z, lower, one), "d_plus": (-1, z, z, z, lower),
+              "parity": (1, z, z, z, z)}
+    for name, (sign, *factors) in chains.items():
+        want = functools.reduce(np.kron, factors)
+        assert getattr(reg, name).tobytes() == (-want if sign < 0 else want).tobytes(), name
 
 
 def test_shared_register_is_read_only_and_build_register_is_fresh(reg):
@@ -329,8 +344,8 @@ def test_conjugation_report_gives_each_item_its_own_bits(h, angles):
 
 
 def test_diagonal_conjugation_is_the_contraction_bitwise(reg, rng):
-    # e^{+-Y} of the phase generator is diagonal: each entry of the contraction
-    # has one nonzero term, and the elementwise route forms that term alone
+    # e^{+-Y} of the phase generator is diagonal: its conjugation is the
+    # same contraction as any other, signed zeros included
     def contraction(inv, op, conj):
         return np.einsum("...ij,...jk->...ik", np.einsum("...ij,...jk->...ik", inv, op), conj)
 

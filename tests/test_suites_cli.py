@@ -506,10 +506,15 @@ def test_report_runs_its_small_matrix_samples_as_stacks(monkeypatch):
     # unitary (4 before), the creator commutators read the creator sums, not
     # adjoints of ladder sums (43 adjoints before), and the N-slot checks
     # build each smeared operator and each N-slot adjoint once (20 smeared
-    # annihilators, 63 mode_blocks and 3 N-slot adjoints before)
+    # annihilators, 63 mode_blocks and 3 N-slot adjoints before).  The
+    # symmetry checks share the Poincare unitary, the field at x, the grading
+    # and the creator sums (61 mode_blocks, 44 mode_sum, 32 field operators
+    # and 3 Poincare unitaries before), and the only additions are the one
+    # of each anticommutator, a @ b + b @ a
     builds = _count_calls(monkeypatch, modes, "mode_blocks")
     sums = _count_calls(monkeypatch, modes, "mode_sum")
     additions = _count_calls(monkeypatch, modes.ModeBlocks, "__add__")
+    brackets = _count_calls(monkeypatch, modes.ModeBlocks, "anticommutator")
     adjoints = _count_calls(monkeypatch, modes.ModeBlocks, "adjoint")
     embeds = _count_calls(monkeypatch, modes.SingleOscillatorSpace, "embed")
     fields = _count_calls(monkeypatch, modes, "field_operator")
@@ -521,9 +526,10 @@ def test_report_runs_its_small_matrix_samples_as_stacks(monkeypatch):
     unitaries = _count_calls(monkeypatch, register, "pair_unitary")
     closed_forms = _count_calls(monkeypatch, spinors, "exponential")
     run_report(default_config())
-    assert (len(builds), len(sums), len(additions), len(adjoints)) == (61, 44, 0, 34)
-    assert (len(embeds), len(fields), len(smeared), len(actions)) == (15, 32, 18, 63)
-    assert (len(slot_adjoints), len(poincare)) == (2, 3)
+    assert (len(builds), len(sums), len(adjoints)) == (52, 40, 34)
+    assert len(additions) == len(brackets) == 218
+    assert (len(embeds), len(fields), len(smeared), len(actions)) == (15, 24, 18, 63)
+    assert (len(slot_adjoints), len(poincare)) == (2, 1)
     assert (len(exponentials), len(unitaries), len(closed_forms)) == (3, 2, 4)
 
 
